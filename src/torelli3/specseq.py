@@ -4,8 +4,10 @@ Stabilizer homology is symbolic: each generator is a cell orbit id plus
 a tag naming a twist class or an abelian cycle, following the explicit
 bases of the source material.  Differentials become sparse integer
 matrices on these labels, and injectivity or kernel questions are
-settled exactly by Smith normal form.  Truncations are explicit; an
-image that would leave the window raises instead of being clipped.
+settled exactly by sparse unit-pivot elimination, with Smith normal form
+only for a leftover block that has no unit entry.  Truncations are
+explicit; an image that would leave the window raises instead of being
+clipped.
 """
 
 from .lattice import (
@@ -190,25 +192,118 @@ class SparseIntMatrix:
                     entries[(r, label)] = entries.get((r, label), 0) + v
         return cls(rows, [label for label, _ in columns], entries)
 
-    def dense(self):
-        return [
-            [self.entries.get((r, c), 0) for c in self.cols] for r in self.rows
-        ]
-
     def rank(self):
-        if not self.rows or not self.cols:
-            return 0
-        return matrix_rank(self.dense())
+        pivots, _, leftover = self._eliminate()
+        if not leftover:
+            return pivots
+        return pivots + matrix_rank(_dense_block(leftover))
 
     def kernel_vectors(self):
-        if not self.cols:
-            return []
-        if not self.rows:
-            basis = [[0] * len(self.cols) for _ in self.cols]
-            for i in range(len(self.cols)):
-                basis[i][i] = 1
-            return basis
-        return kernel_basis(self.dense(), ncols=len(self.cols))
+        """Basis of the saturated integer kernel, one tuple per vector."""
+        _, kernel, leftover = self._eliminate()
+        if leftover:
+            block = _dense_block(leftover)
+            for vec in kernel_basis(block, ncols=len(leftover)):
+                combo = {}
+                for coeff, (_, moves) in zip(vec, leftover):
+                    for j, w in moves.items():
+                        combo[j] = combo.get(j, 0) + coeff * w
+                kernel.append(combo)
+        basis = []
+        for combo in kernel:
+            vec = [0] * len(self.cols)
+            for j, w in combo.items():
+                vec[j] = w
+            basis.append(tuple(vec))
+        return basis
+
+    def _eliminate(self):
+        """Sparse elimination by integer column operations on unit pivots.
+
+        Each step takes the ±1 entry of least fill, the smallest
+        (row count - 1) * (column count - 1), clears its row with the
+        pivot column and retires that column.  No later operation
+        touches that row, so the retired column stays independent of the
+        rest: it adds one to the rank and no kernel vector.  The
+        operations are recorded per column as an {original column:
+        coefficient} dict, a unimodular transform.  Returns the pivot
+        count, the transforms of the columns that became zero (the
+        saturated kernel of the eliminated part), and the leftover
+        (column, transform) pairs, which have no unit entry left.
+        """
+        row_ids = {r: i for i, r in enumerate(dict.fromkeys(self.rows))}
+        positions = {}
+        for j, c in enumerate(self.cols):
+            positions.setdefault(c, []).append(j)
+        cols = [{} for _ in self.cols]
+        for (r, c), v in self.entries.items():
+            if v:
+                for j in positions[c]:
+                    cols[j][row_ids[r]] = v
+        row_cols = {}
+        for j, col in enumerate(cols):
+            for i in col:
+                row_cols.setdefault(i, set()).add(j)
+        moves = [{j: 1} for j in range(len(cols))]
+        retired = [False] * len(cols)
+
+        def fill(i, j):
+            return (len(row_cols[i]) - 1) * (len(cols[j]) - 1)
+
+        buckets = {}  # fill -> unit entries (i, j) queued at that fill
+
+        def push(i, j):
+            if cols[j][i] in (1, -1):
+                buckets.setdefault(fill(i, j), []).append((i, j))
+
+        for j, col in enumerate(cols):
+            for i in col:
+                push(i, j)
+        pivots = 0
+        while buckets:
+            cost = min(buckets)
+            queued = buckets[cost]
+            i, j = queued.pop()
+            if not queued:
+                del buckets[cost]
+            pivot = cols[j]
+            v = pivot.get(i)
+            # entries whose fill changed were pushed again at the new cost
+            if retired[j] or v not in (1, -1) or cost != fill(i, j):
+                continue
+            changed = []
+            for k in row_cols[i] - {j}:
+                target, factor = cols[k], cols[k][i] * v
+                for ii, w in pivot.items():
+                    new = target.get(ii, 0) - factor * w
+                    if new:
+                        target[ii] = new
+                        row_cols[ii].add(k)
+                    else:
+                        del target[ii]
+                        row_cols[ii].discard(k)
+                kept = moves[k]
+                for jj, w in moves[j].items():
+                    new = kept.get(jj, 0) - factor * w
+                    if new:
+                        kept[jj] = new
+                    else:
+                        del kept[jj]
+                changed.append(k)
+            for ii in pivot:
+                row_cols[ii].discard(j)
+            retired[j] = True
+            pivots += 1
+            for ii in pivot:
+                for k in row_cols[ii]:
+                    push(ii, k)
+            for k in changed:
+                for ii in cols[k]:
+                    push(ii, k)
+        live = [j for j in range(len(cols)) if not retired[j]]
+        kernel = [moves[j] for j in live if not cols[j]]
+        leftover = [(cols[j], moves[j]) for j in live if cols[j]]
+        return pivots, kernel, leftover
 
     def column_support(self, col):
         return {r for (r, c) in self.entries if c == col}
@@ -219,6 +314,12 @@ class SparseIntMatrix:
             len(self.cols),
             len(self.entries),
         )
+
+
+def _dense_block(leftover):
+    """Dense rows of the leftover columns, over the rows they meet."""
+    rows = sorted({i for col, _ in leftover for i in col})
+    return [[col.get(i, 0) for col, _ in leftover] for i in rows]
 
 
 def check_injective(mat):

@@ -115,6 +115,31 @@ def test_check_d13_tilde_kernel_one_per_splitting(capsys):
     assert verdicts["kernel_rank"] == 4
 
 
+@pytest.mark.parametrize("target", ["d13", "d13-tilde"])
+def test_kernel_pattern_mismatch_is_a_failed_check(capsys, monkeypatch, target):
+    from torelli3 import specseq
+
+    monkeypatch.setattr(specseq, "_kernel_matches_pattern", lambda *args: False)
+    code, report, _ = run_cli(capsys, "check", target)
+    assert code == 1
+    assert report["ok"] is False
+    assert "pattern" in report["verdicts"]["error"]
+    assert "kernel_rank" not in report["verdicts"]
+
+
+def test_kernel_pattern_mismatch_fails_the_report(capsys, monkeypatch):
+    from torelli3 import specseq
+
+    monkeypatch.setattr(specseq, "_kernel_matches_pattern", lambda *args: False)
+    code, report, _ = run_cli(capsys, "report", "--K", "2")
+    assert code == 1
+    assert report["ok"] is False
+    sections = report["verdicts"]
+    assert sections["d13"]["ok"] is False
+    assert sections["d13-tilde"]["ok"] is False
+    assert sections["d31"]["ok"] is True
+
+
 def test_kernel_table(capsys):
     code, report, _ = run_cli(capsys, "kernel")
     assert code == 0

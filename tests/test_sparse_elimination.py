@@ -1,0 +1,141 @@
+"""Sparse unit-pivot elimination against the dense normal forms.
+
+`SparseIntMatrix.rank` and `kernel_vectors` eliminate on ±1 pivots and
+hand only a leftover block without unit entries to the dense Smith
+normal form.  The dense `lattice` routines and sympy are the oracles.
+"""
+
+import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from torelli3 import specseq
+from torelli3.cycles import build_ladder
+from torelli3.lattice import (
+    A3,
+    B3,
+    SymplecticSubgroup,
+    hermite_row_form,
+    kernel_basis,
+    matrix_rank,
+)
+from torelli3.specseq import (
+    SparseIntMatrix,
+    Truncation,
+    build_e1,
+    d22_apply,
+    d31_apply,
+)
+from torelli3.surface import classify_types
+
+
+ALL_ENTRIES = (0, 1, -1, 2, -2, 3, -3)
+NON_UNIT_ENTRIES = (0, 2, -2, 3, -3)
+
+
+@st.composite
+def dense_matrices(draw):
+    """(rows, column count) with 0-12 rows and columns.
+
+    Some columns carry no unit entry at all, so the leftover block runs.
+    """
+    nrows = draw(st.integers(0, 12))
+    ncols = draw(st.integers(0, 12))
+    columns = []
+    for _ in range(ncols):
+        alphabet = draw(st.sampled_from((ALL_ENTRIES, NON_UNIT_ENTRIES)))
+        columns.append(
+            draw(st.lists(st.sampled_from(alphabet), min_size=nrows, max_size=nrows))
+        )
+    return [[columns[j][i] for j in range(ncols)] for i in range(nrows)], ncols
+
+
+def sparse(dense, ncols):
+    """Label rows and columns by index and keep the zero entries too."""
+    entries = {
+        (i, j): value for i, row in enumerate(dense) for j, value in enumerate(row)
+    }
+    return SparseIntMatrix(range(len(dense)), range(ncols), entries)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dense_matrices())
+def test_rank_matches_dense_and_sympy(matrix):
+    dense, ncols = matrix
+    rank = sparse(dense, ncols).rank()
+    assert rank == matrix_rank(dense)
+    assert rank == sympy.Matrix(len(dense), ncols, [v for row in dense for v in row]).rank()
+
+
+@settings(max_examples=300, deadline=None)
+@given(dense_matrices())
+def test_kernel_annihilated_and_saturated(matrix):
+    dense, ncols = matrix
+    mat = sparse(dense, ncols)
+    kernel = mat.kernel_vectors()
+    assert all(len(vec) == ncols for vec in kernel)
+    for vec in kernel:
+        assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in dense)
+    assert len(kernel) == ncols - mat.rank()
+    assert hermite_row_form(kernel) == hermite_row_form(kernel_basis(dense, ncols))
+
+
+def test_leftover_block_keeps_kernel_saturated():
+    mat = sparse([[2, 3], [4, 6]], 2)
+    assert mat.rank() == 1
+    assert hermite_row_form(mat.kernel_vectors()) == ((3, -2),)
+
+
+def test_leftover_after_unit_pivots():
+    # the unit in column 0 clears row 0, leaving 2*c1 + 4*c2 = 0 below it
+    dense = [[1, 5, 7], [0, 2, 4], [0, 4, 8]]
+    mat = sparse(dense, 3)
+    assert mat.rank() == 2
+    kernel = mat.kernel_vectors()
+    assert hermite_row_form(kernel) == hermite_row_form(kernel_basis(dense, 3))
+    assert len(kernel) == 1
+
+
+def test_duplicate_column_labels_share_entries():
+    mat = SparseIntMatrix(["r"], ["c", "c"], {("r", "c"): 1})
+    assert mat.rank() == 1
+    assert hermite_row_form(mat.kernel_vectors()) == ((1, -1),)
+
+
+def test_unit_matrices_never_reach_the_dense_forms(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense normal form on a matrix with unit pivots")
+
+    monkeypatch.setattr(specseq, "matrix_rank", refuse)
+    monkeypatch.setattr(specseq, "kernel_basis", refuse)
+    orbits = tuple(str(e.fingerprint) for e in classify_types(3, 3))
+    mat = d31_apply(build_e1((3, 1), Truncation(K=16, orbits=orbits)))
+    assert mat.rank() == 32
+    assert mat.kernel_vectors() == []
+
+
+def test_d31_rank_at_k_256():
+    orbits = tuple(str(e.fingerprint) for e in classify_types(3, 3))
+    mat = d31_apply(build_e1((3, 1), Truncation(K=256, orbits=orbits)))
+    assert (len(mat.rows), len(mat.cols)) == (1024, 512)
+    assert mat.rank() == 512
+
+
+def test_d22_kernel_empty_on_ladder_1_5_at_k_32():
+    ladder = build_ladder(1, 5, 32)
+    u = SymplecticSubgroup.spanned_by([A3, B3])
+    src = build_e1((2, 2), Truncation(K=32, ladder=ladder, subgroups=(u,), height=1))
+    mat = d22_apply(src, ladder)
+    assert len(mat.cols) == 148
+    assert mat.kernel_vectors() == []
+    assert mat.rank() == len(mat.cols)
+
+
+@pytest.mark.parametrize("ncols", [0, 3])
+def test_no_rows_gives_identity_kernel(ncols):
+    mat = SparseIntMatrix([], range(ncols), {})
+    assert mat.rank() == 0
+    assert mat.kernel_vectors() == [
+        tuple(int(i == j) for j in range(ncols)) for i in range(ncols)
+    ]
