@@ -33,6 +33,7 @@ from .lattice import (
     B2,
     B3,
     STANDARD_SPLITTING,
+    ZERO,
     Splitting,
     SymplecticSubgroup,
     apply_matrix,
@@ -69,7 +70,6 @@ EXIT_USAGE = 2
 
 DEFAULT_K = 3
 DEFAULT_MN = (1, 2)
-ZERO = A1 - A1
 
 
 def _span(*vectors):

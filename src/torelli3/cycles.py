@@ -5,20 +5,19 @@ nonnegative real weights on the curves whose weighted class sum is x.
 Its vertices are the basic cycles (positive integer weights on an
 independent subset of curves).  This module enumerates those vertices,
 computes cell dimensions and weight sums, produces oriented boundary
-faces, assembles the two-dimensional "ladder" subcomplex attached to a
-bounding pair class, and builds the disjointness predicate used when a
-fixed curve is removed from the picture.
+faces, and assembles the two-dimensional "ladder" subcomplex attached
+to a bounding pair class.
 """
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 from .lattice import (
     A1,
     A2,
     HVector,
-    intersection,
+    bareiss_determinant,
     matrix_rank,
     solve_rational,
 )
@@ -304,26 +303,6 @@ def _coordinates(frame, vector):
     return sol
 
 
-def _det(rows):
-    a = [list(map(Fraction, row)) for row in rows]
-    n = len(a)
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                f = a[r][col] / inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return det
-
-
 def boundary_faces(c):
     """Signed codimension-one faces of a cell.
 
@@ -365,7 +344,14 @@ def boundary_faces(c):
         columns = [_coordinates(cell_frame, normal)] + [
             _coordinates(cell_frame, row) for row in face_frame
         ]
-        det = _det([[columns[j][i] for j in range(dim)] for i in range(dim)])
+        # clear each row's denominators so Bareiss stays in the integers;
+        # a positive row factor keeps the sign of the determinant
+        rows = []
+        for i in range(dim):
+            row = [columns[j][i] for j in range(dim)]
+            scale = lcm(*(v.denominator for v in row))
+            rows.append([int(v * scale) for v in row])
+        det = bareiss_determinant(rows)
         if det == 0:
             raise InternalInconsistencyError("degenerate face frame")
         sign = 1 if det > 0 else -1
@@ -872,59 +858,3 @@ def _check_external_witnesses(ladder, classes, x):
         have = {frozenset(v.coefficients.items()) for v in witness.verts}
         if not edge_pair <= have:
             raise InternalInconsistencyError("vertical edge left its witnesses")
-
-
-def restrict_to_alpha(x, alpha_class, y):
-    """Predicate for cells that stay clear of a fixed curve of class x.
-
-    The returned callable accepts a multicurve targeting y exactly when
-    the curve system extends by one more curve of class x, placed either
-    as a loop on a positive-genus piece or by splitting a piece in two,
-    with every piece keeping negative Euler characteristic.
-    """
-    if alpha_class != x:
-        raise PreconditionError("the distinguished curve must carry the class x")
-    if y.is_zero():
-        raise PreconditionError("the target class must be nonzero")
-    if y == x:
-        raise PreconditionError("the target class must differ from x")
-    if intersection(x, y) != 0:
-        raise PreconditionError("x and y must have vanishing pairing")
-
-    def predicate(m):
-        if m.x != y:
-            raise PreconditionError("cell does not target the restricted class")
-        if any(intersection(x, c) != 0 for c in m.classes.values()):
-            return False
-        return _extends_disjointly(m, x)
-
-    return predicate
-
-
-def _extends_disjointly(m, x):
-    rows = m.class_rows()
-    in_span = matrix_rank(rows + [list(x.coords)]) == matrix_rank(rows)
-    if not in_span:
-        return any(g >= 1 for _, g in m.graph.vertices)
-    for v, g in m.graph.vertices:
-        half = []
-        for e, tail, head in m.graph.edges:
-            if tail == v:
-                half.append(m.class_of(e))
-            if head == v:
-                half.append(-1 * m.class_of(e))
-        deg = len(half)
-        for mask in range(1 << deg):
-            total = HVector([0] * 6)
-            size = 0
-            for i in range(deg):
-                if mask >> i & 1:
-                    total = total + half[i]
-                    size += 1
-            if total + x != HVector([0] * 6):
-                continue
-            need_left = max(0, (2 - size + 1) // 2)
-            need_right = max(0, (2 - (deg - size) + 1) // 2)
-            if need_left + need_right <= g:
-                return True
-    return False

@@ -72,40 +72,24 @@ ZERO = HVector((0, 0, 0, 0, 0, 0))
 BASIS = (A1, B1, A2, B2, A3, B3)
 
 
-class SymplecticForm:
-    """The standard alternating pairing, <a_i, b_i> = 1."""
-
-    __slots__ = ("gram",)
-
-    def __init__(self):
-        g = [[0] * 6 for _ in range(6)]
-        for i in (0, 2, 4):
-            g[i][i + 1] = 1
-            g[i + 1][i] = -1
-        self.gram = tuple(tuple(row) for row in g)
-
-    def pairing(self, u, v):
-        g = self.gram
-        uc, vc = u.coords, v.coords
-        return sum(uc[i] * g[i][j] * vc[j] for i in range(6) for j in range(6))
-
-    def form_row(self, u):
-        """The linear functional <u, .> as a coefficient row."""
-        g = self.gram
-        uc = u.coords
-        return tuple(sum(uc[i] * g[i][j] for i in range(6)) for j in range(6))
-
-
-STANDARD_FORM = SymplecticForm()
-
-
 def intersection(u, v):
-    """Algebraic intersection number of two classes.
+    """Algebraic intersection number of two classes, <a_i, b_i> = 1.
 
     >>> intersection(A1 + 2 * B2, 3 * A2 - B1)
     -7
     """
-    return STANDARD_FORM.pairing(u, v)
+    a, b = u.coords, v.coords
+    return (
+        a[0] * b[1] - a[1] * b[0]
+        + a[2] * b[3] - a[3] * b[2]
+        + a[4] * b[5] - a[5] * b[4]
+    )
+
+
+def form_row(u):
+    """The linear functional <u, .> as a coefficient row."""
+    a = u.coords
+    return (-a[1], a[0], -a[3], a[2], -a[5], a[4])
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +427,7 @@ def is_symplectic_rank2(u):
 
 def orthogonal_complement(u):
     """The saturated orthogonal complement with respect to the pairing."""
-    form_rows = [STANDARD_FORM.form_row(v) for v in u.vectors()]
+    form_rows = [form_row(v) for v in u.vectors()]
     return SymplecticSubgroup(kernel_basis(form_rows, 6))
 
 
@@ -582,7 +566,7 @@ def transvection(c, v, power=1):
 
 def transvection_matrix(c, power=1):
     """The 6x6 matrix of the c-transvection acting on column vectors."""
-    row = STANDARD_FORM.form_row(c)
+    row = form_row(c)
     # <v, c> = -<c, v>, so as a functional of v use the negated form row of c
     functional = tuple(-x for x in row)
     mat = identity_matrix(6)
@@ -633,7 +617,7 @@ def enumerate_symplectic_rank2(height):
                     row[j2] = p2
                     for idx, v in zip(free2, vals):
                         row[idx] = v
-                    row2_list.append((tuple(row), STANDARD_FORM.form_row(HVector(row))))
+                    row2_list.append((tuple(row), form_row(HVector(row))))
                 for p1 in range(1, height + 1):
                     for top in range(0, min(height, p2 - 1) + 1):
                         for vals in product(span, repeat=len(free1)):
@@ -668,7 +652,7 @@ def _splittings_cached(bound):
     rows = [None] * len(row_ids)
     for row, idx in row_ids.items():
         rows[idx] = row
-    forms = [STANDARD_FORM.form_row(HVector(r)) for r in rows]
+    forms = [form_row(HVector(r)) for r in rows]
     subs_using = [0] * len(rows)
     sub_rows = []
     for i, u in enumerate(subs):

@@ -11,13 +11,13 @@ an s-class into the kernel of the page differential.
 
 from .cycles import PreconditionError
 from .lattice import (
-    STANDARD_FORM,
+    SymplecticSubgroup,
     identity_matrix,
     intersection,
-    kernel_basis,
     hermite_row_form,
     matrix_product,
     matrix_rank,
+    orthogonal_complement,
     primitive_part,
     smith_normal_form,
     splitting_type_wrt_x,
@@ -189,19 +189,9 @@ def s3_equivariance_check():
     return True
 
 
-def _span_key(vector_rows):
-    return hermite_row_form([list(r) for r in vector_rows])
-
-
 def _mod_gamma_key(vectors, gamma):
     rows = [list(v.coords) for v in vectors] + [list(gamma.coords)]
-    return _span_key(rows)
-
-
-def _orthogonal_rows(vectors):
-    """Integer basis of the common pairing kernel of the given vectors."""
-    form_rows = [STANDARD_FORM.form_row(v) for v in vectors]
-    return kernel_basis(form_rows, _RANK)
+    return hermite_row_form(rows)
 
 
 class NuHomomorphism:
@@ -281,8 +271,10 @@ def nu_eval(generator, nu):
         if any(intersection(gamma, v) != 0 for v in u.vectors()):
             raise PreconditionError("twist data crosses the curve")
         near = _mod_gamma_key(u.vectors(), gamma)
-        far_rows = _orthogonal_rows(list(u.vectors()) + [gamma])
-        far = _span_key(far_rows + [list(gamma.coords)])
+        far_side = orthogonal_complement(
+            SymplecticSubgroup.spanned_by(list(u.vectors()) + [gamma])
+        )
+        far = _mod_gamma_key(far_side.vectors(), gamma)
         if {near, far} == set(nu.side_keys()):
             return 1
         return 0

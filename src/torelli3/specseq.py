@@ -24,7 +24,6 @@ from .lattice import (
     splitting_type_wrt_y,
 )
 from .cycles import CellInstance, boundary_faces
-from .relcycles import dim_cd_inequality
 from .surface import (
     DecompGraph,
     LabeledMulticurve,
@@ -115,13 +114,11 @@ class Truncation:
         "K",
         "height",
         "orbits",
-        "cells",
         "splittings",
         "x",
         "y",
         "ladder",
         "subgroups",
-        "sheets",
     )
     __slots__ = _FIELDS
 
@@ -440,7 +437,6 @@ def _build_21(trunc):
 
 def _build_ladder_position(position, trunc):
     ladder = trunc.ladder
-    sheets = trunc.sheets or ("plain", "appended")
     height = 1 if trunc.height is None else trunc.height
     subgroups = trunc.subgroups
     tags = ladder.two_cells() if position == (2, 2) else ladder.edges()
@@ -448,7 +444,7 @@ def _build_ladder_position(position, trunc):
         ladder.cell_cells if position == (2, 2) else ladder.edge_cells
     )
     basis = []
-    for sheet in sheets:
+    for sheet in ("plain", "appended"):
         for tag in tags:
             cell = cells[tag]
             if sheet == "appended":
@@ -736,6 +732,12 @@ def e2_13_tilde_kernel(src):
     if not _kernel_matches_pattern(src, mat, pattern):
         raise AdmissibilityError("kernel does not match the expected pattern")
     return {"rank": len(pattern), "basis": pattern, "matrix": mat}
+
+
+def dim_cd_inequality(dim_sigma, cd_stab, g):
+    """Whether a cell of the given dimension can carry a stabilizer of
+    the given cohomological dimension on the 2g-punctured sphere."""
+    return dim_sigma + cd_stab <= 2 * g - 3
 
 
 def vanishing_census():

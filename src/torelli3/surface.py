@@ -60,29 +60,13 @@ class DecompGraph:
         self.edges = edges
         self._genus = genus
         self._degree = degree
-        if not self._is_connected():
+        if len(_reachable(((t, h) for _, t, h in edges), ids[0])) != len(ids):
             raise MalformedGraphError("graph is not connected")
         for v in known:
             if self.euler_char(v) > -1:
                 raise MalformedGraphError(
                     f"vertex {v!r} would be a disk or annulus piece"
                 )
-
-    def _is_connected(self):
-        start = self.vertices[0][0]
-        seen = {start}
-        frontier = [start]
-        neighbors = {v: set() for v, _ in self.vertices}
-        for _, t, h in self.edges:
-            neighbors[t].add(h)
-            neighbors[h].add(t)
-        while frontier:
-            v = frontier.pop()
-            for w in neighbors[v]:
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        return len(seen) == len(self.vertices)
 
     @property
     def vertex_ids(self):
@@ -134,29 +118,14 @@ class DecompGraph:
         ]
         return DecompGraph(self.vertices, edges)
 
-    def without_orientations_key(self):
-        """Structure key ignoring edge orientations and all id names."""
-        order = {v: i for i, (v, _) in enumerate(self.vertices)}
-        genera = tuple(g for _, g in self.vertices)
-        pairs = tuple(
-            sorted(tuple(sorted((order[t], order[h]))) for _, t, h in self.edges)
-        )
-        return genera, pairs
-
     def canonical_key(self):
         """Isomorphism invariant: minimum structure key over relabelings."""
-        n = len(self.vertices)
-        base_genera = [g for _, g in self.vertices]
         order = {v: i for i, (v, _) in enumerate(self.vertices)}
-        base_pairs = [tuple(sorted((order[t], order[h]))) for _, t, h in self.edges]
-        best = None
-        for perm in permutations(range(n)):
-            genera = tuple(base_genera[perm.index(i)] for i in range(n))
-            pairs = tuple(sorted(tuple(sorted((perm[a], perm[b]))) for a, b in base_pairs))
-            key = (genera, pairs)
-            if best is None or key < best:
-                best = key
-        return best
+        return _canonical_combo(
+            len(self.vertices),
+            [g for _, g in self.vertices],
+            [(order[t], order[h]) for _, t, h in self.edges],
+        )
 
     def __eq__(self, other):
         if not isinstance(other, DecompGraph):
@@ -283,26 +252,28 @@ def cd_arithmetic_line(m):
 # realizability
 
 
+def _reachable(pairs, start):
+    """Vertices joined to ``start`` by a path along the given edge pairs."""
+    neighbors = {}
+    for a, b in pairs:
+        neighbors.setdefault(a, set()).add(b)
+        neighbors.setdefault(b, set()).add(a)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        for w in neighbors.get(frontier.pop(), ()):
+            if w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    return seen
+
+
 def _has_bridge(graph):
-    if len(graph.vertices) == 1:
-        return False
     for cut, t, h in graph.edges:
         if t == h:
             continue
-        neighbors = {v: set() for v in graph.vertex_ids}
-        for e, a, b in graph.edges:
-            if e != cut:
-                neighbors[a].add(b)
-                neighbors[b].add(a)
-        seen = {t}
-        frontier = [t]
-        while frontier:
-            v = frontier.pop()
-            for w in neighbors[v]:
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        if h not in seen:
+        rest = ((a, b) for e, a, b in graph.edges if e != cut)
+        if h not in _reachable(rest, t):
             return True
     return False
 
@@ -504,14 +475,14 @@ def _census(p):
     for ne in range(max(nv - 1, 0), p + 4):
         total_genus = p + 3 - ne
         for combo in combinations_with_replacement(pairs, ne):
+            if len(_reachable(combo, 0)) != nv:
+                continue
             degree = [0] * nv
             for a, b in combo:
                 degree[a] += 1
                 degree[b] += 1
             for genera in _compositions(total_genus, nv):
                 if any(2 - 2 * g - d > -1 for g, d in zip(genera, degree)):
-                    continue
-                if not _connected_combo(nv, combo):
                     continue
                 key = _canonical_combo(nv, genera, combo)
                 if key in seen:
@@ -529,25 +500,9 @@ def _census(p):
     return tuple(entries)
 
 
-def _connected_combo(nv, combo):
-    if nv == 1:
-        return True
-    neighbors = {v: set() for v in range(nv)}
-    for a, b in combo:
-        neighbors[a].add(b)
-        neighbors[b].add(a)
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        v = frontier.pop()
-        for w in neighbors[v]:
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return len(seen) == nv
-
-
 def _canonical_combo(nv, genera, combo):
+    """Least (genera, edge pairs) key over relabelings of vertices 0..nv-1;
+    edge orientations are forgotten."""
     best = None
     for perm in permutations(range(nv)):
         pg = tuple(genera[perm.index(i)] for i in range(nv))

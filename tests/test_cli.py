@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -214,6 +215,31 @@ def test_reports_deterministic_modulo_timing(capsys):
     first.pop("timing")
     second.pop("timing")
     assert first == second
+
+
+GOLDEN_REPORT = Path(__file__).resolve().parent.parent / "perfbench" / "golden_report.json"
+
+
+def without_seeds(node):
+    """The JSON tree with the ``seed`` entry of every ``config`` removed."""
+    if isinstance(node, dict):
+        out = {}
+        for key, value in node.items():
+            if key == "config" and isinstance(value, dict):
+                value = {k: v for k, v in value.items() if k != "seed"}
+            out[key] = without_seeds(value)
+        return out
+    if isinstance(node, list):
+        return [without_seeds(v) for v in node]
+    return node
+
+
+def test_report_matches_golden_outside_timing(capsys):
+    code, report, _ = run_cli(capsys, "report", "--seed", "1")
+    assert code == 0
+    report.pop("timing")
+    got = json.dumps(without_seeds(report), indent=2, sort_keys=True, ensure_ascii=False)
+    assert got == GOLDEN_REPORT.read_text(encoding="utf-8").rstrip("\n")
 
 
 def test_version_flag(capsys):

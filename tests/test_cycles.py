@@ -1,15 +1,18 @@
 """Tests for basic cycles, oriented cell faces, and the ladder complex."""
 
-import pytest
+from math import gcd
 
-from torelli3.lattice import A1, A2, A3, B1, B3, HVector
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from torelli3.lattice import A1, A2, A3, HVector
 from torelli3.cycles import (
     BasicCycle,
     CellInstance,
     DegenerateInputError,
     InternalInconsistencyError,
     MalformedCellError,
-    PreconditionError,
     boundary_faces,
     build_ladder,
     cell_dim,
@@ -17,7 +20,6 @@ from torelli3.cycles import (
     psi,
     psi_max,
     remove_edges,
-    restrict_to_alpha,
 )
 from torelli3.surface import DecompGraph, LabeledMulticurve
 
@@ -262,6 +264,19 @@ def test_boundary_squares_to_zero():
         assert chain_boundary_squared(ladder.cell_cells[tag]) == {}
 
 
+COPRIME_PAIRS = [(m, n) for m in range(1, 6) for n in range(1, 6) if gcd(m, n) == 1]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(COPRIME_PAIRS), st.integers(1, 3))
+def test_ladder_boundary_squares_to_zero_and_euler_is_one(mn, K):
+    ladder = build_ladder(*mn, K)
+    for tag in ladder.two_cells():
+        assert chain_boundary_squared(ladder.cell_cells[tag]) == {}
+    v, e, c = len(ladder.vertices()), len(ladder.edges()), len(ladder.two_cells())
+    assert v - e + c == 1
+
+
 def test_remove_edges_merges_and_adds_genus():
     m = three_double_chain()
     sub = remove_edges(m, {"A1"})
@@ -382,57 +397,3 @@ def test_ladder_json_roundtrip():
     dumped = json.loads(json.dumps(cell.to_dict()))
     assert dumped["dim"] == 3
     assert len(dumped["verts"]) == 8
-
-
-def test_restrict_accepts_far_handle_pair():
-    pred = restrict_to_alpha(A1, A1, A3)
-    assert pred(bounding_pair(A3)) is True
-
-
-def test_restrict_rejects_on_pairing():
-    alpha = B1 - B3
-    pred = restrict_to_alpha(alpha, alpha, A1 + A3)
-    graph = DecompGraph(
-        [(0, 0), (1, 1)], [("e1", 0, 1), ("e2", 0, 1), ("e3", 1, 0)]
-    )
-    m = LabeledMulticurve(
-        graph, {"e1": A1, "e2": A3, "e3": A1 + A3}, A1 + A3
-    )
-    assert pred(m) is False
-
-
-def test_restrict_rejects_when_genus_is_used_up():
-    graph = DecompGraph(
-        [(0, 0), (1, 0)],
-        [("e1", 0, 1), ("e2", 0, 1), ("e3", 0, 1), ("e4", 1, 0)],
-    )
-    m = LabeledMulticurve(
-        graph,
-        {"e1": A1, "e2": A2, "e3": A3, "e4": A1 + A2 + A3},
-        A1 + A2 + A3,
-    )
-    pred = restrict_to_alpha(A1, A1, A1 + A2 + A3)
-    assert pred(m) is False
-
-
-def test_restrict_accepts_piece_split():
-    graph = DecompGraph([(0, 0)], [("e1", 0, 0), ("e2", 0, 0), ("e3", 0, 0)])
-    m = LabeledMulticurve(
-        graph, {"e1": A1, "e2": A2, "e3": A3}, A1 + A2 + A3
-    )
-    pred = restrict_to_alpha(A1, A1, A1 + A2 + A3)
-    assert pred(m) is True
-
-
-def test_restrict_preconditions():
-    with pytest.raises(PreconditionError):
-        restrict_to_alpha(A1, A2, A3)
-    with pytest.raises(PreconditionError):
-        restrict_to_alpha(A1, A1, HVector([0] * 6))
-    with pytest.raises(PreconditionError):
-        restrict_to_alpha(A1, A1, A1)
-    with pytest.raises(PreconditionError):
-        restrict_to_alpha(A1, A1, B1)
-    pred = restrict_to_alpha(A1, A1, A3)
-    with pytest.raises(PreconditionError):
-        pred(bounding_pair(A2))

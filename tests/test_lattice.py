@@ -11,13 +11,15 @@ from itertools import product
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from torelli3.lattice import (
     A1, A2, A3, B1, B2, B3, BASIS, ZERO,
     HVector, Splitting, SymplecticSubgroup, STANDARD_SPLITTING,
     bareiss_determinant, enumerate_splittings, enumerate_symplectic_rank2,
-    hermite_row_form, intersection, is_symplectic_rank2, kernel_basis,
+    form_row, hermite_row_form, intersection, is_symplectic_rank2, kernel_basis,
     matrix_product, matrix_rank, orthogonal_complement, primitive_part,
     saturate, smith_normal_form, solve_rational, splitting_type_wrt_x,
     splitting_type_wrt_y, transvection, transvection_matrix, apply_matrix,
@@ -199,6 +201,30 @@ def test_basis_hyperbolic_pairs():
         for j, other in enumerate(BASIS):
             if other not in (a, b):
                 assert intersection(a, other) == 0
+
+
+# the pairing as first defined: a sum over this Gram matrix of three
+# hyperbolic planes, kept as the reference for the closed forms
+GRAM = (
+    (0, 1, 0, 0, 0, 0),
+    (-1, 0, 0, 0, 0, 0),
+    (0, 0, 0, 1, 0, 0),
+    (0, 0, -1, 0, 0, 0),
+    (0, 0, 0, 0, 0, 1),
+    (0, 0, 0, 0, -1, 0),
+)
+
+COORDS = st.lists(st.integers(-50, 50), min_size=6, max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(COORDS, COORDS)
+def test_closed_form_pairing_matches_gram_sum(u, v):
+    gram_sum = sum(u[i] * GRAM[i][j] * v[j] for i in range(6) for j in range(6))
+    assert intersection(HVector(u), HVector(v)) == gram_sum
+    assert sum(a * b for a, b in zip(form_row(HVector(u)), v)) == gram_sum
+    j = sympy.Matrix(GRAM)
+    assert (sympy.Matrix([u]) * j * sympy.Matrix(v))[0, 0] == gram_sum
 
 
 def test_intersection_antisymmetric_bilinear():

@@ -30,6 +30,7 @@ from torelli3.specseq import (
     d13_tilde_apply,
     d22_apply,
     d31_apply,
+    dim_cd_inequality,
     e2_13_kernel,
     e2_13_tilde_kernel,
     is_admissible,
@@ -467,6 +468,12 @@ def test_position_03_labels():
     src = build_e1((0, 3), Truncation(splittings=family))
     assert len(src) == len(family)
     assert all(tag.kind == "a3" for _, tag in src.basis)
+
+
+def test_dim_cd_inequality_examples():
+    assert dim_cd_inequality(0, 3, 3) is True
+    assert dim_cd_inequality(1, 3, 3) is False
+    assert dim_cd_inequality(0, 0, 1) is False
 
 
 def test_vanishing_census_table():

@@ -4,6 +4,8 @@ from itertools import product
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torelli3.lattice import A1, A2, A3, HVector, ZERO, intersection
 from torelli3.surface import (
@@ -296,6 +298,24 @@ def test_canonical_key_separates_census_types():
         for entry in classify_types(3, p):
             keys.add(entry.graph.canonical_key())
     assert len(keys) == 14
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_canonical_key_ignores_labels_and_orientations(data):
+    graphs = [entry.graph for p in range(4) for entry in classify_types(3, p)]
+    g = data.draw(st.sampled_from(graphs))
+    ids = g.vertex_ids
+    rename = dict(zip(ids, data.draw(st.permutations(range(len(ids))))))
+    n = len(g.edges)
+    flips = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    vertices = sorted((rename[v], gen) for v, gen in g.vertices)
+    edges = [
+        (e, rename[h], rename[t]) if flip else (e, rename[t], rename[h])
+        for (e, t, h), flip in zip(g.edges, flips)
+    ]
+    relabeled = DecompGraph(vertices, data.draw(st.permutations(edges)))
+    assert relabeled.canonical_key() == g.canonical_key()
 
 
 def test_multiedge_profile_conventions():
