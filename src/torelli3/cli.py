@@ -8,8 +8,9 @@ a JSON report with the shape::
 
 Exit status is 0 when every verdict agrees with the packaged
 expectations, 1 on a mismatch (a page kernel that misses its predicted
-pattern included), and 2 on usage errors or when a truncation window is
-too small for the requested computation.  Set the
+pattern included), 2 on usage errors or when a truncation window is
+too small for the requested computation, and 3 when two independent
+computations of the same quantity disagree (an internal error).  Set the
 ``TORELLI3_LOG`` environment variable (``debug``, ``info``, ...) to see
 progress on stderr.
 """
@@ -24,7 +25,7 @@ import time
 from importlib import resources
 
 from . import __version__
-from .cycles import PreconditionError, build_ladder
+from .cycles import InternalInconsistencyError, PreconditionError, build_ladder
 from .lattice import (
     A1,
     A2,
@@ -67,6 +68,7 @@ log = logging.getLogger("torelli3")
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 DEFAULT_K = 3
 DEFAULT_MN = (1, 2)
@@ -354,14 +356,19 @@ def run_lantern(exp, seed=None):
     return {"seed": seed}, verdicts, ok
 
 
+# Each suite reads its arguments off the parsed command line, for a
+# subcommand and for ``report`` alike.  ``run_*`` are looked up when
+# called, so a wrapper set on ``cli.run_*`` sees every call.
 REPORT_SUITES = (
-    ("types", lambda exp, args: run_types(exp)),
+    ("types", lambda exp, args: run_types(exp, args.dim)),
     ("cells", lambda exp, args: run_cells(exp)),
     ("ladder", lambda exp, args: run_ladder(exp, args.mn[0], args.mn[1], args.K)),
     ("d31", lambda exp, args: run_check_d31(exp, args.K)),
     (
         "d22",
-        lambda exp, args: run_check_d22(exp, args.mn[0], args.mn[1], args.K, 1),
+        lambda exp, args: run_check_d22(
+            exp, args.mn[0], args.mn[1], args.K, args.height
+        ),
     ),
     ("d13", lambda exp, args: run_check_d13(exp)),
     ("d13-tilde", lambda exp, args: run_check_d13_tilde(exp)),
@@ -391,47 +398,14 @@ def run_report(exp, args):
 # wiring
 
 
-def _cmd_types(args, exp):
-    return run_types(exp, dim=args.dim)
-
-
-def _cmd_cells(args, exp):
-    return run_cells(exp)
-
-
-def _cmd_ladder(args, exp):
-    return run_ladder(exp, args.mn[0], args.mn[1], args.K)
-
-
-def _cmd_check(args, exp):
-    if args.target == "d31":
-        config, verdicts, ok = run_check_d31(exp, args.K)
-    elif args.target == "d22":
-        config, verdicts, ok = run_check_d22(
-            exp, args.mn[0], args.mn[1], args.K, args.height
-        )
-    elif args.target == "d13":
-        config, verdicts, ok = run_check_d13(exp)
-    else:
-        config, verdicts, ok = run_check_d13_tilde(exp)
-    config = {"target": args.target, **config}
-    return config, verdicts, ok
-
-
-def _cmd_kernel(args, exp):
-    return run_kernel(exp)
-
-
-def _cmd_smodule(args, exp):
-    return run_smodule(exp)
-
-
-def _cmd_lantern(args, exp):
-    return run_lantern(exp, seed=args.seed)
-
-
-def _cmd_report(args, exp):
-    return run_report(exp, args)
+def _run_command(args, exp):
+    """Run the suite the command line names; ``check`` adds its target."""
+    if args.command == "report":
+        return run_report(exp, args)
+    if args.command != "check":
+        return dict(REPORT_SUITES)[args.command](exp, args)
+    config, verdicts, ok = dict(REPORT_SUITES)[args.target](exp, args)
+    return {"target": args.target, **config}, verdicts, ok
 
 
 def _mn(text):
@@ -462,19 +436,16 @@ def build_parser():
         "types", parents=[common], help="count multicurve types by dimension"
     )
     p.add_argument("--dim", type=int, help="restrict to one dimension")
-    p.set_defaults(run=_cmd_types)
 
     p = sub.add_parser(
         "cells", parents=[common], help="dimension bounds over the census"
     )
-    p.set_defaults(run=_cmd_cells)
 
     p = sub.add_parser(
         "ladder", parents=[common], help="build and audit a truncated ladder"
     )
     p.add_argument("--mn", type=_mn, default=DEFAULT_MN, help="weights, e.g. 1,2")
     p.add_argument("--K", type=int, default=DEFAULT_K, help="truncation window")
-    p.set_defaults(run=_cmd_ladder)
 
     p = sub.add_parser(
         "check", parents=[common], help="differential injectivity and kernels"
@@ -483,23 +454,19 @@ def build_parser():
     p.add_argument("--mn", type=_mn, default=DEFAULT_MN, help="weights, e.g. 1,2")
     p.add_argument("--K", type=int, default=DEFAULT_K, help="truncation window")
     p.add_argument("--height", type=int, default=1, help="subgroup height cap")
-    p.set_defaults(run=_cmd_check)
 
     p = sub.add_parser(
         "kernel", parents=[common], help="stabilizer vanishing table"
     )
-    p.set_defaults(run=_cmd_kernel)
 
     p = sub.add_parser(
         "smodule", parents=[common], help="splitting class module structure"
     )
-    p.set_defaults(run=_cmd_smodule)
 
     p = sub.add_parser(
         "lantern", parents=[common], help="lantern relation configurations"
     )
     p.add_argument("--seed", type=int, help="also check random translates")
-    p.set_defaults(run=_cmd_lantern)
 
     p = sub.add_parser(
         "report", parents=[common], help="run every suite and aggregate"
@@ -507,7 +474,7 @@ def build_parser():
     p.add_argument("--mn", type=_mn, default=DEFAULT_MN, help="weights, e.g. 1,2")
     p.add_argument("--K", type=int, default=DEFAULT_K, help="truncation window")
     p.add_argument("--seed", type=int, help="seed for the lantern translates")
-    p.set_defaults(run=_cmd_report)
+    p.set_defaults(dim=None, height=1)
 
     return parser
 
@@ -529,13 +496,16 @@ def main(argv=None):
     expectations = load_expectations()
     started = time.perf_counter()
     try:
-        config, verdicts, ok = args.run(args, expectations)
+        config, verdicts, ok = _run_command(args, expectations)
     except TruncationOverflowError as err:
         print(f"error: {err}; rerun with a larger --K", file=sys.stderr)
         return EXIT_USAGE
     except (PreconditionError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    except InternalInconsistencyError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_INTERNAL
     report = {
         "command": args.command,
         "config": config,

@@ -16,6 +16,7 @@ from math import gcd, lcm
 from .lattice import (
     A1,
     A2,
+    A3,
     HVector,
     bareiss_determinant,
     matrix_rank,
@@ -42,6 +43,10 @@ class InternalInconsistencyError(RuntimeError):
 
 class PreconditionError(ValueError):
     """An argument combination outside the stated contract."""
+
+
+class AdmissibilityError(ValueError):
+    """A cell or generator does not fit the labeling scheme of its position."""
 
 
 class BasicCycle:
@@ -204,28 +209,6 @@ class CellInstance:
         return f"CellInstance(dim={self.dim}, verts={len(self.verts)})"
 
 
-def cell_dim(c):
-    """Dimension of the cell, cross-checked three ways.
-
-    Curve count minus class rank, piece count minus one, and the affine
-    rank of the vertex weight vectors must agree; a mismatch means the
-    cell was assembled inconsistently and is reported as such.
-    """
-    m = c.multicurve
-    by_rank = len(m.edge_ids()) - matrix_rank(m.class_rows())
-    by_graph = len(m.graph.vertices) - 1
-    vectors = c.vectors()
-    diffs = [
-        [a - b for a, b in zip(vec, vectors[0])] for vec in vectors[1:]
-    ]
-    by_verts = matrix_rank(diffs) if diffs else 0
-    if not (by_rank == by_graph == by_verts):
-        raise InternalInconsistencyError(
-            f"dimension mismatch: rank {by_rank}, graph {by_graph}, verts {by_verts}"
-        )
-    return by_rank
-
-
 def psi_max(c):
     """Largest total weight over the cell's basic cycles."""
     if not isinstance(c, CellInstance) or not c.verts:
@@ -246,7 +229,7 @@ def remove_edges(m, drop, x=None):
     if unknown:
         raise MalformedCellError(f"cannot drop unknown curves {sorted(map(str, unknown))}")
     parent = {v: v for v in m.graph.vertex_ids}
-    genus = {v: m.graph.genus(v) for v in m.graph.vertex_ids}
+    genus = dict(m.graph.vertices)
 
     def find(v):
         while parent[v] != v:
@@ -361,46 +344,41 @@ def boundary_faces(c):
     return faces
 
 
-def _loop_graph(genus, names):
-    """Single piece of the given genus carrying one loop per name."""
-    return DecompGraph([(0, genus)], [(e, 0, 0) for e in names])
-
-
-def _point_cell(coeffs, classes, x):
-    """Zero-dimensional cell: loops on one piece, one basic cycle."""
-    names = list(coeffs)
-    genus = 3 - len(names)
-    graph = _loop_graph(genus, names)
-    m = LabeledMulticurve(graph, {e: classes[e] for e in names}, x)
+def _cell(pieces, edges, classes, x):
+    """Cell of the multicurve with the given pieces and (id, tail, head)
+    curves, each curve carrying its class from ``classes``.  The vertices
+    must span exactly the cell's dimension."""
+    graph = DecompGraph(pieces, edges)
+    m = LabeledMulticurve(graph, {e: classes[e] for e, _, _ in edges}, x)
     cell = CellInstance(m)
-    assert cell.dim == 0 and len(cell.verts) == 1
-    assert cell.verts[0].coefficients == coeffs
+    assert len(_affine_frame(cell.vectors())[1]) == cell.dim
     return cell
 
 
-def _triple_cell(names, classes, orient, x):
-    """One-dimensional cell: three curves bundled between two pieces."""
-    edges = [
-        (e, 0, 1) if orient[e] else (e, 1, 0) for e in names
-    ]
-    graph = DecompGraph([(0, 0), (1, 1)], edges)
-    m = LabeledMulticurve(graph, {e: classes[e] for e in names}, x)
-    cell = CellInstance(m)
-    assert cell.dim == 1
-    return cell
+def append_loop(cell):
+    """The same cell with one extra loop ``beta`` of class a3 on a
+    positive-genus piece.
+
+    The loop spends one unit of genus and carries a class independent of
+    the others, so the polytope combinatorics are unchanged while every
+    multicurve in sight gains the loop.
+    """
+    m = cell.multicurve
+    host = None
+    for v, g in m.graph.vertices:
+        if g >= 1:
+            host = v
+            break
+    if host is None:
+        raise AdmissibilityError("no piece can host the loop")
+    pieces = [(v, g - 1 if v == host else g) for v, g in m.graph.vertices]
+    edges = list(m.graph.edges) + [("beta", host, host)]
+    return _cell(pieces, edges, {**m.classes, "beta": A3}, m.x + A3)
 
 
-def _rung_cell(k, classes, x):
-    """One-dimensional cell joining the two bounding-pair weightings: the
-    sheet curve is a loop on a genus-0 piece, the pair bounds a genus-1
-    piece."""
-    edges = [(f"u{k}", 0, 0), ("delta1", 0, 1), ("delta2", 1, 0)]
-    graph = DecompGraph([(0, 0), (1, 1)], edges)
-    names = [e for e, _, _ in edges]
-    m = LabeledMulticurve(graph, {e: classes[e] for e in names}, x)
-    cell = CellInstance(m)
-    assert cell.dim == 1
-    return cell
+# pieces of the ladder's one-cells and two-cells: (id, genus)
+_EDGE_PIECES = ((0, 0), (1, 1))
+_FACE_PIECES = ((0, 0), (1, 0), (2, 1))
 
 
 class LadderComplex:
@@ -413,6 +391,10 @@ class LadderComplex:
     between neighbouring sheets, vertical edges e+/e- reach the mixed
     weighting, and the two-cells are rectangles, one closing triangle,
     and one vertical triangle per sheet.
+
+    ``build_ladder`` fills the tables.  ``cell_faces`` keeps the signed
+    boundary faces of each two-cell, and ``appended_cell`` keeps each
+    cell with the appended loop once it has been built.
     """
 
     __slots__ = (
@@ -431,29 +413,30 @@ class LadderComplex:
         "cell_kind",
         "cell_psi",
         "cell_cells",
+        "cell_faces",
         "closing",
+        "_appended",
     )
 
-    def __init__(self, m, n, K, tables):
+    def __init__(self, m, n, K):
         self.m = m
         self.n = n
         self.K = K
         self.l = n // m
         self.t = (n - 1) // m
-        (
-            self.vertex_psi,
-            self.vertex_cells,
-            self.edge_endpoints,
-            self.edge_kind,
-            self.edge_cells,
-            self.edge_external,
-            self.cell_boundary,
-            self.cell_kind,
-            self.cell_psi,
-            self.cell_cells,
-            self.closing,
-        ) = tables
-        self._check_chain_complex()
+        self.vertex_psi = {}
+        self.vertex_cells = {}
+        self.edge_endpoints = {}
+        self.edge_kind = {}
+        self.edge_cells = {}
+        self.edge_external = {}
+        self.cell_boundary = {}
+        self.cell_kind = {}
+        self.cell_psi = {}
+        self.cell_cells = {}
+        self.cell_faces = {}
+        self.closing = None
+        self._appended = {}
 
     def _check_chain_complex(self):
         for tag, boundary in self.cell_boundary.items():
@@ -467,6 +450,13 @@ class LadderComplex:
                 raise InternalInconsistencyError(
                     f"boundary of {tag} does not close up: {bad}"
                 )
+
+    def appended_cell(self, tag):
+        """``append_loop`` of the edge or two-cell ``tag``, built once."""
+        if tag not in self._appended:
+            cells = self.cell_cells if tag in self.cell_cells else self.edge_cells
+            self._appended[tag] = append_loop(cells[tag])
+        return self._appended[tag]
 
     def vertices(self):
         return sorted(self.vertex_psi, key=str)
@@ -597,15 +587,6 @@ class LadderComplex:
         )
 
 
-def _ladder_classes(m, n, lo, hi_plus):
-    alpha, y = A1, A2
-    classes = {"delta1": y, "delta2": y}
-    for k in range(lo, hi_plus + 1):
-        classes[f"u{k}"] = alpha + k * y
-        classes[f"w{k}"] = y - (alpha + k * y)
-    return classes
-
-
 def build_ladder(m, n, K):
     """Assemble the truncated ladder for the class m*alpha + n*y.
 
@@ -622,12 +603,15 @@ def build_ladder(m, n, K):
         raise ValueError("invalid parameters: (m, n) must be coprime")
     if K < 1:
         raise ValueError("invalid parameters: truncation depth must be >= 1")
-    l = n // m
-    t = (n - 1) // m
+    ladder = LadderComplex(m, n, K)
+    l, t = ladder.l, ladder.t
     hi = min(t, K)
     right = hi + 1 if hi < t else hi
     x = m * A1 + n * A2
-    classes = _ladder_classes(m, n, -K, right + 1)
+    classes = {"delta1": A2, "delta2": A2}
+    for k in range(-K, right + 2):
+        classes[f"u{k}"] = A1 + k * A2
+        classes[f"w{k}"] = A2 - classes[f"u{k}"]
 
     def a_map(k):
         return {f"u{k}": m, "delta1": n - m * k}
@@ -652,151 +636,101 @@ def build_ladder(m, n, K):
     if t <= K:
         vertex_maps[("T", t)] = t_map()
 
-    vertex_psi = {tag: sum(mp.values()) for tag, mp in vertex_maps.items()}
-    vertex_cells = {
-        tag: _point_cell(mp, classes, x) for tag, mp in vertex_maps.items()
-    }
+    for tag, mp in vertex_maps.items():
+        # zero-dimensional cell: loops on one piece, one basic cycle
+        cell = _cell([(0, 3 - len(mp))], [(e, 0, 0) for e in mp], classes, x)
+        assert [v.coefficients for v in cell.verts] == [mp]
+        ladder.vertex_psi[tag] = sum(mp.values())
+        ladder.vertex_cells[tag] = cell
 
-    edge_endpoints = {}
-    edge_kind = {}
-    edge_cells = {}
-    rung_range = list(range(-K, right + 1))
-    for k in rung_range:
-        edge_endpoints[("d", k)] = (("A", k), ("B", k))
-        edge_kind[("d", k)] = "horizontal"
-        edge_cells[("d", k)] = _rung_cell(k, classes, x)
+    for k in range(-K, right + 1):
+        # the rung joins the two bounding-pair weightings: the sheet curve
+        # is a loop on the genus-0 piece, the pair bounds the genus-1 piece
+        rung = ("d", k)
+        ladder.edge_endpoints[rung] = (("A", k), ("B", k))
+        ladder.edge_kind[rung] = "horizontal"
+        ladder.edge_cells[rung] = _cell(
+            _EDGE_PIECES,
+            [(f"u{k}", 0, 0), ("delta1", 0, 1), ("delta2", 1, 0)],
+            classes,
+            x,
+        )
     for k in range(-K, hi + 1):
-        nxt = ("T", t) if k == t else ("A", k + 1)
-        edge_endpoints[("c+", k)] = (("A", k), nxt)
-        nxt_b = ("T", t) if k == t else ("B", k + 1)
-        edge_endpoints[("c-", k)] = (("B", k), nxt_b)
-        edge_endpoints[("e+", k)] = (("A", k), ("C", k))
-        edge_endpoints[("e-", k)] = (("B", k), ("C", k))
-        edge_kind[("c+", k)] = edge_kind[("c-", k)] = "horizontal"
-        edge_kind[("e+", k)] = edge_kind[("e-", k)] = "vertical"
-        edge_cells[("c+", k)] = _triple_cell(
-            [f"u{k}", f"u{k + 1}", "delta1"],
-            classes,
-            {f"u{k}": True, "delta1": True, f"u{k + 1}": False},
-            x,
-        )
-        edge_cells[("c-", k)] = _triple_cell(
-            [f"u{k}", f"u{k + 1}", "delta2"],
-            classes,
-            {f"u{k}": True, "delta2": True, f"u{k + 1}": False},
-            x,
-        )
-        edge_cells[("e+", k)] = _triple_cell(
-            [f"u{k}", f"w{k}", "delta1"],
-            classes,
-            {f"u{k}": True, f"w{k}": True, "delta1": False},
-            x,
-        )
-        edge_cells[("e-", k)] = _triple_cell(
-            [f"u{k}", f"w{k}", "delta2"],
-            classes,
-            {f"u{k}": True, f"w{k}": True, "delta2": False},
-            x,
-        )
+        # the other edges bundle three curves between the two pieces
+        u, u_next, w = f"u{k}", f"u{k + 1}", f"w{k}"
+        for side, start, delta in (("+", "A", "delta1"), ("-", "B", "delta2")):
+            c, e = ("c" + side, k), ("e" + side, k)
+            nxt = ("T", t) if k == t else (start, k + 1)
+            ladder.edge_endpoints[c] = ((start, k), nxt)
+            ladder.edge_endpoints[e] = ((start, k), ("C", k))
+            ladder.edge_kind[c] = "horizontal"
+            ladder.edge_kind[e] = "vertical"
+            ladder.edge_cells[c] = _cell(
+                _EDGE_PIECES, [(u, 0, 1), (u_next, 1, 0), (delta, 0, 1)], classes, x
+            )
+            ladder.edge_cells[e] = _cell(
+                _EDGE_PIECES, [(u, 0, 1), (w, 0, 1), (delta, 1, 0)], classes, x
+            )
+            ladder.edge_external[e] = {
+                "horizontal_cofaces": 2,
+                "shapes": ["rectangular", "triangular"],
+                "psi": m + 2 * (n - m * k),
+            }
 
-    edge_external = {}
-    for k in range(-K, hi + 1):
-        meta = {
-            "horizontal_cofaces": 2,
-            "shapes": ["rectangular", "triangular"],
-            "psi": m + 2 * (n - m * k),
-        }
-        edge_external[("e+", k)] = dict(meta)
-        edge_external[("e-", k)] = dict(meta)
-
-    cell_boundary = {}
-    cell_kind = {}
-    cell_psi = {}
-    cell_cells = {}
     rect_top = hi if hi < t else hi - 1
-    for k in range(-K, rect_top + 1):
-        tag = ("R", k)
-        cell_boundary[tag] = {
-            ("c+", k): 1,
-            ("d", k + 1): 1,
-            ("c-", k): -1,
-            ("d", k): -1,
-        }
-        cell_kind[tag] = "rectangle"
-        cell_psi[tag] = m + n - m * k
-        cell_cells[tag] = _rect_cell(k, classes, x)
-    closing = None
+    horizontal = [
+        (
+            ("R", k),
+            "rectangle",
+            {("c+", k): 1, ("d", k + 1): 1, ("c-", k): -1, ("d", k): -1},
+        )
+        for k in range(-K, rect_top + 1)
+    ]
     if t <= K:
-        closing = ("tri", t)
-        cell_boundary[closing] = {("c+", t): 1, ("c-", t): -1, ("d", t): -1}
-        cell_kind[closing] = "closing-triangle"
-        cell_psi[closing] = m + n - m * t
-        cell_cells[closing] = _rect_cell(t, classes, x)
+        ladder.closing = ("tri", t)
+        horizontal.append(
+            (
+                ladder.closing,
+                "closing-triangle",
+                {("c+", t): 1, ("c-", t): -1, ("d", t): -1},
+            )
+        )
+    for tag, kind, boundary in horizontal:
+        # two genus-0 pieces joined by the sheet pair, with the bounding
+        # pair hanging off the genus-1 piece
+        k = tag[1]
+        ladder.cell_boundary[tag] = boundary
+        ladder.cell_kind[tag] = kind
+        ladder.cell_psi[tag] = m + n - m * k
+        ladder.cell_cells[tag] = _cell(
+            _FACE_PIECES,
+            [(f"u{k}", 0, 1), (f"u{k + 1}", 1, 0), ("delta1", 0, 2), ("delta2", 2, 1)],
+            classes,
+            x,
+        )
     for k in range(-K, hi + 1):
         tag = ("V", k)
-        cell_boundary[tag] = {("e+", k): 1, ("e-", k): -1, ("d", k): -1}
-        cell_kind[tag] = "vertical"
-        cell_psi[tag] = m + 2 * (n - m * k)
-        cell_cells[tag] = _vert_cell(k, classes, x)
+        ladder.cell_boundary[tag] = {("e+", k): 1, ("e-", k): -1, ("d", k): -1}
+        ladder.cell_kind[tag] = "vertical"
+        ladder.cell_psi[tag] = m + 2 * (n - m * k)
+        ladder.cell_cells[tag] = _cell(
+            _FACE_PIECES,
+            [(f"u{k}", 0, 1), (f"w{k}", 0, 1), ("delta1", 2, 0), ("delta2", 1, 2)],
+            classes,
+            x,
+        )
 
-    ladder = LadderComplex(
-        m,
-        n,
-        K,
-        (
-            vertex_psi,
-            vertex_cells,
-            edge_endpoints,
-            edge_kind,
-            edge_cells,
-            edge_external,
-            cell_boundary,
-            cell_kind,
-            cell_psi,
-            cell_cells,
-            closing,
-        ),
-    )
+    ladder._check_chain_complex()
     _check_geometry(ladder, vertex_maps)
     _check_external_witnesses(ladder, classes, x)
     return ladder
 
 
-def _rect_cell(k, classes, x):
-    """Two genus-0 pieces joined by the sheet pair, with the bounding
-    pair hanging off a genus-1 piece.  Holds the rectangle cells and,
-    at the closing sheet, the triangle."""
-    edges = [
-        (f"u{k}", 0, 1),
-        (f"u{k + 1}", 1, 0),
-        ("delta1", 0, 2),
-        ("delta2", 2, 1),
-    ]
-    graph = DecompGraph([(0, 0), (1, 0), (2, 1)], edges)
-    names = [e for e, _, _ in edges]
-    m = LabeledMulticurve(graph, {e: classes[e] for e in names}, x)
-    cell = CellInstance(m)
-    assert cell.dim == 2
-    return cell
-
-
-def _vert_cell(k, classes, x):
-    edges = [
-        (f"u{k}", 0, 1),
-        (f"w{k}", 0, 1),
-        ("delta1", 2, 0),
-        ("delta2", 1, 2),
-    ]
-    graph = DecompGraph([(0, 0), (1, 0), (2, 1)], edges)
-    names = [e for e, _, _ in edges]
-    m = LabeledMulticurve(graph, {e: classes[e] for e in names}, x)
-    cell = CellInstance(m)
-    assert cell.dim == 2
-    return cell
-
-
 def _check_geometry(ladder, vertex_maps):
-    """Abstract incidence must match the geometric cells edge for edge."""
+    """Abstract incidence must match the geometric cells edge for edge.
+
+    The signed faces of each two-cell are kept in ``ladder.cell_faces``.
+    """
     for tag, (tail, head) in ladder.edge_endpoints.items():
         cell = ladder.edge_cells[tag]
         got = {frozenset(v.coefficients.items()) for v in cell.verts}
@@ -807,10 +741,10 @@ def _check_geometry(ladder, vertex_maps):
         if got != want:
             raise InternalInconsistencyError(f"edge {tag} endpoints drifted")
     for tag, boundary in ladder.cell_boundary.items():
-        cell = ladder.cell_cells[tag]
+        faces = boundary_faces(ladder.cell_cells[tag])
         geometric = {
             frozenset(str(e) for e in face.multicurve.edge_ids())
-            for _, face in boundary_faces(cell)
+            for _, face in faces
         }
         abstract = {
             frozenset(
@@ -820,30 +754,20 @@ def _check_geometry(ladder, vertex_maps):
         }
         if geometric != abstract:
             raise InternalInconsistencyError(f"cell {tag} faces drifted")
+        ladder.cell_faces[tag] = faces
 
 
 def _check_external_witnesses(ladder, classes, x):
     """The vertical edges really lie on one rectangular and one
     triangular horizontal cell outside the ladder, at the stated weight."""
     k = 0 if -ladder.K <= 0 <= min(ladder.t, ladder.K) else min(ladder.t, ladder.K)
-    u, w, y = classes[f"u{k}"], classes[f"w{k}"], classes["delta1"]
-    tri_edges = [(f"u{k}", 0, 1), ("delta1", 1, 0), (f"w{k}", 0, 2), ("w'", 2, 1)]
-    tri_graph = DecompGraph([(0, 0), (1, 0), (2, 1)], tri_edges)
-    tri = CellInstance(
-        LabeledMulticurve(
-            tri_graph,
-            {f"u{k}": u, "delta1": y, f"w{k}": w, "w'": w},
-            x,
-        )
+    u, w = f"u{k}", f"w{k}"
+    doubled = {**classes, "w'": classes[w], "u'": classes[u]}
+    tri = _cell(
+        _FACE_PIECES, [(u, 0, 1), ("delta1", 1, 0), (w, 0, 2), ("w'", 2, 1)], doubled, x
     )
-    rect_edges = [(f"w{k}", 0, 1), ("delta1", 1, 0), (f"u{k}", 0, 2), ("u'", 2, 1)]
-    rect_graph = DecompGraph([(0, 0), (1, 0), (2, 1)], rect_edges)
-    rect = CellInstance(
-        LabeledMulticurve(
-            rect_graph,
-            {f"w{k}": w, "delta1": y, f"u{k}": u, "u'": u},
-            x,
-        )
+    rect = _cell(
+        _FACE_PIECES, [(w, 0, 1), ("delta1", 1, 0), (u, 0, 2), ("u'", 2, 1)], doubled, x
     )
     if not (len(tri.verts) == 3 and len(rect.verts) == 4):
         raise InternalInconsistencyError("external witness shapes drifted")

@@ -11,7 +11,6 @@ clipped.
 """
 
 from .lattice import (
-    A3 as _A3_CLASS,
     HVector,
     Splitting,
     SymplecticSubgroup,
@@ -23,21 +22,13 @@ from .lattice import (
     splitting_type_wrt_x,
     splitting_type_wrt_y,
 )
-from .cycles import CellInstance, boundary_faces
-from .surface import (
-    DecompGraph,
-    LabeledMulticurve,
-    cd_upper_bound,
-    classify_types,
-)
+from .cycles import AdmissibilityError, boundary_faces
+from .cycles import append_loop  # noqa: F401  re-exported: specseq.append_loop
+from .surface import cd_upper_bound, classify_types
 
 
 class TruncationOverflowError(ValueError):
     """An image label falls outside the truncation window."""
-
-
-class AdmissibilityError(ValueError):
-    """A generator does not fit the labeling scheme of its position."""
 
 
 class GeneratorTag:
@@ -446,9 +437,7 @@ def _build_ladder_position(position, trunc):
     basis = []
     for sheet in ("plain", "appended"):
         for tag in tags:
-            cell = cells[tag]
-            if sheet == "appended":
-                cell = append_loop(cell)
+            cell = cells[tag] if sheet == "plain" else ladder.appended_cell(tag)
             for u in subgroups:
                 if u.height() > height:
                     raise AdmissibilityError(
@@ -460,31 +449,6 @@ def _build_ladder_position(position, trunc):
                     )
                 basis.append(((tag, sheet), GeneratorTag.a2(u)))
     return E1Truncation(position, basis, trunc)
-
-
-def append_loop(cell, name="beta", cls=_A3_CLASS):
-    """The same cell with one extra loop on a positive-genus piece.
-
-    The loop spends one unit of genus and carries a class independent of
-    the others, so the polytope combinatorics are unchanged while every
-    multicurve in sight gains the loop.
-    """
-    m = cell.multicurve
-    host = None
-    for v, g in m.graph.vertices:
-        if g >= 1:
-            host = v
-            break
-    if host is None:
-        raise AdmissibilityError("no piece can host the loop")
-    vertices = [
-        (v, g - 1 if v == host else g) for v, g in m.graph.vertices
-    ]
-    edges = list(m.graph.edges) + [(name, host, host)]
-    classes = dict(m.classes)
-    classes[name] = cls
-    graph = DecompGraph(vertices, edges)
-    return CellInstance(LabeledMulticurve(graph, classes, m.x + cls))
 
 
 def d31_apply(src):
@@ -526,14 +490,13 @@ def d22_apply(src, ladder):
 
 def check_image_separation(ladder, u):
     """Faces of plain cells never meet the subgroup; faces of appended
-    cells always do, through the loop class."""
+    cells always do, through the loop class.  Plain faces and appended
+    cells come from the ladder, which built them once."""
     for tag in ladder.two_cells():
-        plain = ladder.cell_cells[tag]
-        for _, face in boundary_faces(plain):
+        for _, face in ladder.cell_faces[tag]:
             if any(u.contains(c) for c in face.multicurve.classes.values()):
                 return False
-        appended = append_loop(plain)
-        for _, face in boundary_faces(appended):
+        for _, face in boundary_faces(ladder.appended_cell(tag)):
             if not any(
                 u.contains(c) for c in face.multicurve.classes.values()
             ):

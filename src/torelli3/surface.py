@@ -31,7 +31,7 @@ class DecompGraph:
     so no piece is a disk or an annulus.
     """
 
-    __slots__ = ("vertices", "edges", "_genus", "_degree")
+    __slots__ = ("vertices", "edges")
 
     def __init__(self, vertices, edges):
         vertices = tuple((v, int(g)) for v, g in vertices)
@@ -58,12 +58,10 @@ class DecompGraph:
             degree[h] += 1
         self.vertices = vertices
         self.edges = edges
-        self._genus = genus
-        self._degree = degree
         if len(_reachable(((t, h) for _, t, h in edges), ids[0])) != len(ids):
             raise MalformedGraphError("graph is not connected")
         for v in known:
-            if self.euler_char(v) > -1:
+            if 2 - 2 * genus[v] - degree[v] > -1:
                 raise MalformedGraphError(
                     f"vertex {v!r} would be a disk or annulus piece"
                 )
@@ -76,14 +74,9 @@ class DecompGraph:
     def edge_ids(self):
         return tuple(e for e, _, _ in self.edges)
 
-    def genus(self, v):
-        return self._genus[v]
-
-    def degree(self, v):
-        return self._degree[v]
-
     def euler_char(self, v):
-        return 2 - 2 * self._genus[v] - self._degree[v]
+        degree = sum((t == v) + (h == v) for _, t, h in self.edges)
+        return 2 - 2 * dict(self.vertices)[v] - degree
 
     def endpoints(self, e):
         for eid, t, h in self.edges:

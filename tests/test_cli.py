@@ -141,6 +141,22 @@ def test_kernel_pattern_mismatch_fails_the_report(capsys, monkeypatch):
     assert sections["d31"]["ok"] is True
 
 
+@pytest.mark.parametrize(
+    "argv", [["ladder"], ["report", "--K", "2"]], ids=["ladder", "report"]
+)
+def test_internal_inconsistency_is_its_own_exit_code(capsys, monkeypatch, argv):
+    from torelli3.cycles import InternalInconsistencyError
+
+    def contradict(*args):
+        raise InternalInconsistencyError("cell R[0] faces drifted")
+
+    monkeypatch.setattr(cli, "run_ladder", contradict)
+    code, report, err = run_cli(capsys, *argv)
+    assert code == cli.EXIT_INTERNAL == 3
+    assert report is None
+    assert err.startswith("error: cell R[0] faces drifted")
+
+
 def test_kernel_table(capsys):
     code, report, _ = run_cli(capsys, "kernel")
     assert code == 0

@@ -13,9 +13,9 @@ from torelli3.cycles import (
     DegenerateInputError,
     InternalInconsistencyError,
     MalformedCellError,
+    append_loop,
     boundary_faces,
     build_ladder,
-    cell_dim,
     enumerate_basic_cycles,
     psi,
     psi_max,
@@ -122,16 +122,16 @@ def test_basic_cycle_validation():
 
 
 def test_cell_dimensions():
-    assert cell_dim(CellInstance(single_loop())) == 0
-    assert cell_dim(CellInstance(double_with_two_loops())) == 1
-    assert cell_dim(CellInstance(three_double_chain())) == 3
+    assert CellInstance(single_loop()).dim == 0
+    assert CellInstance(double_with_two_loops()).dim == 1
+    assert CellInstance(three_double_chain()).dim == 3
 
 
 def test_cell_dim_cross_check_detects_tampering():
     cell = CellInstance(three_double_chain())
     cell.verts = cell.verts[:2]
-    with pytest.raises(InternalInconsistencyError):
-        cell_dim(cell)
+    with pytest.raises(InternalInconsistencyError, match="vertex span"):
+        boundary_faces(cell)
 
 
 def test_uncovered_curve_is_malformed():
@@ -272,7 +272,11 @@ COPRIME_PAIRS = [(m, n) for m in range(1, 6) for n in range(1, 6) if gcd(m, n) =
 def test_ladder_boundary_squares_to_zero_and_euler_is_one(mn, K):
     ladder = build_ladder(*mn, K)
     for tag in ladder.two_cells():
-        assert chain_boundary_squared(ladder.cell_cells[tag]) == {}
+        cell = ladder.cell_cells[tag]
+        assert chain_boundary_squared(cell) == {}
+        # the faces and appended cells the ladder keeps match fresh ones
+        assert ladder.cell_faces[tag] == boundary_faces(cell)
+        assert ladder.appended_cell(tag) == append_loop(cell)
     v, e, c = len(ladder.vertices()), len(ladder.edges()), len(ladder.two_cells())
     assert v - e + c == 1
 

@@ -298,9 +298,19 @@ def test_d22_kernel_zero(shape):
         assert mat.kernel_vectors() == []
 
 
-def test_d22_separation():
+@pytest.mark.parametrize(
+    "u, separated",
+    [
+        (U33, True),
+        (SymplecticSubgroup.spanned_by([A1, B1]), False),
+        (U23, False),
+        (SymplecticSubgroup.spanned_by([B1 + A3, B3]), False),
+    ],
+    ids=["a3b3", "a1b1", "a2b2", "b1+a3_b3"],
+)
+def test_d22_separation(u, separated):
     ladder = build_ladder(1, 2, 2)
-    assert check_image_separation(ladder, U33)
+    assert check_image_separation(ladder, u) is separated
 
 
 def test_d22_rejects_inadmissible_subgroup():
