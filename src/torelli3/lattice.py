@@ -72,24 +72,23 @@ ZERO = HVector((0, 0, 0, 0, 0, 0))
 BASIS = (A1, B1, A2, B2, A3, B3)
 
 
+def _pairing(a, b):
+    """The alternating form on coordinate tuples: the one pairing formula."""
+    return a[0] * b[1] - a[1] * b[0] + a[2] * b[3] - a[3] * b[2] + a[4] * b[5] - a[5] * b[4]
+
+
 def intersection(u, v):
     """Algebraic intersection number of two classes, <a_i, b_i> = 1.
 
     >>> intersection(A1 + 2 * B2, 3 * A2 - B1)
     -7
     """
-    a, b = u.coords, v.coords
-    return (
-        a[0] * b[1] - a[1] * b[0]
-        + a[2] * b[3] - a[3] * b[2]
-        + a[4] * b[5] - a[5] * b[4]
-    )
+    return _pairing(u.coords, v.coords)
 
 
 def form_row(u):
     """The linear functional <u, .> as a coefficient row."""
-    a = u.coords
-    return (-a[1], a[0], -a[3], a[2], -a[5], a[4])
+    return tuple(_pairing(u.coords, e.coords) for e in BASIS)
 
 
 # ---------------------------------------------------------------------------
@@ -98,10 +97,6 @@ def form_row(u):
 
 def identity_matrix(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def transpose(m):
-    return [list(col) for col in zip(*m)]
 
 
 def matrix_product(a, b):
@@ -302,11 +297,14 @@ def bareiss_determinant(m):
                 return 0
             a[k], a[swap] = a[swap], a[k]
             sign = -sign
-        for i in range(k + 1, n):
+        top = a[k]
+        pivot = top[k]
+        for row in a[k + 1 :]:
+            f = row[k]
             for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
+                row[j] = (row[j] * pivot - f * top[j]) // prev
+            row[k] = 0
+        prev = pivot
     return sign * a[n - 1][n - 1]
 
 
@@ -396,10 +394,6 @@ class SymplecticSubgroup:
             coords = [x - q * y for x, y in zip(coords, row)]
         return all(x == 0 for x in coords)
 
-    def gram(self):
-        vs = self.vectors()
-        return [[intersection(u, v) for v in vs] for u in vs]
-
     def height(self):
         return max((abs(x) for row in self.basis for x in row), default=0)
 
@@ -420,9 +414,7 @@ def is_symplectic_rank2(u):
     """True iff the rank-2 subgroup is unimodular for the restricted form."""
     if u.rank != 2:
         raise ValueError("rank-2 subgroup required, got rank %d" % u.rank)
-    g = u.gram()
-    det = g[0][0] * g[1][1] - g[0][1] * g[1][0]
-    return det == 1
+    return _pairing(*u.basis) in (1, -1)
 
 
 def orthogonal_complement(u):
@@ -449,43 +441,37 @@ class Splitting:
                 raise TypeError("parts must be SymplecticSubgroup instances")
             if p.rank != 2 or not is_symplectic_rank2(p):
                 raise ValueError("each part must be a unimodular symplectic plane")
-        for i in range(3):
-            for j in range(i + 1, 3):
-                for vi in parts[i].vectors():
-                    for vj in parts[j].vectors():
-                        if intersection(vi, vj) != 0:
-                            raise ValueError("parts %d and %d are not orthogonal" % (i, j))
-        stacked = [list(row) for p in parts for row in p.basis]
-        det = bareiss_determinant(stacked)
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            for u in parts[i].basis:
+                for v in parts[j].basis:
+                    if _pairing(u, v) != 0:
+                        raise ValueError("parts %d and %d are not orthogonal" % (i, j))
+        det = bareiss_determinant([row for p in parts for row in p.basis])
         if det not in (1, -1):
             raise ValueError("parts do not span the full lattice (det %d)" % det)
         self.parts = parts
 
     def decompose(self, x):
-        """Write x as a sum of one component per part."""
-        stacked = [list(row) for p in self.parts for row in p.basis]
-        sol = solve_rational(transpose(stacked), list(x.coords))
-        assert sol is not None
-        coeffs = []
-        for c in sol:
-            assert c.denominator == 1
-            coeffs.append(int(c))
+        """Write x as a sum of one component per part.
+
+        The parts are orthogonal, so the part with basis (u, v) and
+        w = <u, v> = +-1 takes the component w<x, v> u + w<u, x> v.
+        """
+        xc = x.coords
         comps = []
-        for i in range(3):
-            comp = ZERO
-            for c, row in zip(coeffs[2 * i : 2 * i + 2], self.parts[i].basis):
-                comp = comp + c * HVector(row)
-            comps.append(comp)
-        return tuple(comps)
+        for p in self.parts:
+            u, v = p.basis
+            w = _pairing(u, v)
+            s, t = w * _pairing(xc, v), w * _pairing(u, xc)
+            comps.append(tuple(s * a + t * b for a, b in zip(u, v)))
+        assert tuple(map(sum, zip(*comps))) == xc, "components do not sum to x"
+        return tuple(HVector(c) for c in comps)
 
     def ordered_key(self):
         return tuple(p.basis for p in self.parts)
 
     def unordered_key(self):
         return tuple(sorted(p.basis for p in self.parts))
-
-    def canonical(self):
-        return Splitting(sorted(self.parts, key=lambda p: p.basis))
 
     def __eq__(self, other):
         return isinstance(other, Splitting) and self.ordered_key() == other.ordered_key()
@@ -617,7 +603,7 @@ def enumerate_symplectic_rank2(height):
                     row[j2] = p2
                     for idx, v in zip(free2, vals):
                         row[idx] = v
-                    row2_list.append((tuple(row), form_row(HVector(row))))
+                    row2_list.append(tuple(row))
                 for p1 in range(1, height + 1):
                     for top in range(0, min(height, p2 - 1) + 1):
                         for vals in product(span, repeat=len(free1)):
@@ -626,9 +612,8 @@ def enumerate_symplectic_rank2(height):
                             row1[j2] = top
                             for idx, v in zip(free1, vals):
                                 row1[idx] = v
-                            for row2, fr2 in row2_list:
-                                pair = -sum(a * b for a, b in zip(row1, fr2))
-                                if pair in (1, -1):
+                            for row2 in row2_list:
+                                if _pairing(row1, row2) in (1, -1):
                                     found.append(SymplecticSubgroup((tuple(row1), row2)))
     seen = {}
     for u in found:
@@ -652,7 +637,6 @@ def _splittings_cached(bound):
     rows = [None] * len(row_ids)
     for row, idx in row_ids.items():
         rows[idx] = row
-    forms = [form_row(HVector(r)) for r in rows]
     subs_using = [0] * len(rows)
     sub_rows = []
     for i, u in enumerate(subs):
@@ -661,19 +645,15 @@ def _splittings_cached(bound):
         for rid in ids:
             subs_using[rid] |= 1 << i
     full_mask = (1 << n) - 1
-    # both_mask[r]: planes both of whose basis rows pair to zero with row r
-    both_mask = []
-    for f in forms:
-        bad = 0
-        for other, r in enumerate(rows):
-            s = (
-                f[0] * r[0] + f[1] * r[1] + f[2] * r[2]
-                + f[3] * r[3] + f[4] * r[4] + f[5] * r[5]
-            )
-            if s != 0:
-                bad |= subs_using[other]
-        both_mask.append(full_mask & ~bad)
-    orth = [both_mask[ids[0]] & both_mask[ids[1]] for ids in sub_rows]
+    # bad[r]: planes with a basis row that pairs nonzero with row r; the
+    # pairing is alternating, so each unordered pair of rows is tested once
+    bad = [0] * len(rows)
+    for r, f in enumerate(rows):
+        for other in range(r + 1, len(rows)):
+            if _pairing(f, rows[other]) != 0:
+                bad[r] |= subs_using[other]
+                bad[other] |= subs_using[r]
+    orth = [full_mask & ~(bad[ids[0]] | bad[ids[1]]) for ids in sub_rows]
 
     found = []
     for i in range(n):
@@ -688,9 +668,9 @@ def _splittings_cached(bound):
                 lowk = common & -common
                 common ^= lowk
                 k = lowk.bit_length() - 1
-                parts = sorted([subs[i], subs[j], subs[k]], key=lambda u: u.key())
-                found.append(Splitting(parts))
-    found.sort(key=lambda s: s.ordered_key())
+                found.append(Splitting((subs[i], subs[j], subs[k])))
+    # subs is sorted by key and i < j < k grow in that order, so each
+    # splitting's parts and the list itself are already in ordered-key order
     return tuple(found)
 
 

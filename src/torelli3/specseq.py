@@ -11,9 +11,6 @@ clipped.
 """
 
 from .lattice import (
-    HVector,
-    Splitting,
-    SymplecticSubgroup,
     enumerate_symplectic_rank2,
     hermite_row_form,
     intersection,

@@ -12,7 +12,7 @@ types.
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations, product
 
-from .lattice import A1, A2, A3, HVector, ZERO, intersection, kernel_basis, matrix_rank
+from .lattice import A1, A2, A3, ZERO, intersection, kernel_basis, matrix_rank
 
 ISOTROPIC_BASIS = (A1, A2, A3)
 

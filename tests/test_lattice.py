@@ -7,7 +7,7 @@ the height-1 enumeration results.
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 import sympy
@@ -28,6 +28,7 @@ from torelli3.lattice import (
 
 # frozen enumeration results, confirmed by the box oracle below
 RANK2_HEIGHT1_COUNT = 4767
+RANK2_HEIGHT1_PAIRING_MINUS_ONE = 1740
 SPLITTINGS_BOUND1_COUNT = 12657
 PLANES_ORTHOGONAL_TO_A1B1 = 70
 SPLITTINGS_THROUGH_A1B1 = 33
@@ -305,6 +306,60 @@ def test_standard_splitting_decompose():
     assert comps[0] + comps[1] + comps[2] == x
 
 
+def _decompose_oracle(splitting, x):
+    """The decomposition as first computed: an exact solve against the
+    stacked part bases, kept as the reference for the closed form."""
+    stacked = [row for p in splitting.parts for row in p.basis]
+    sol = solve_rational([list(col) for col in zip(*stacked)], list(x.coords))
+    assert sol is not None and all(c.denominator == 1 for c in sol)
+    comps = []
+    for i, p in enumerate(splitting.parts):
+        s, t = int(sol[2 * i]), int(sol[2 * i + 1])
+        comps.append(HVector(s * a + t * b for a, b in zip(*p.basis)))
+    return tuple(comps)
+
+
+def _moved_standard_splitting(moves):
+    s = STANDARD_SPLITTING
+    for c, power in moves:
+        s = transform_splitting(transvection_matrix(HVector(c), power), s)
+    return s
+
+
+MOVES = st.lists(
+    st.tuples(
+        st.lists(st.integers(-2, 2), min_size=6, max_size=6),
+        st.sampled_from((-2, -1, 1, 2)),
+    ),
+    max_size=4,
+)
+SPLITTINGS = st.one_of(
+    st.integers(0, SPLITTINGS_BOUND1_COUNT - 1).map(lambda i: enumerate_splittings(1)[i]),
+    MOVES.map(_moved_standard_splitting),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(SPLITTINGS, COORDS)
+def test_decompose_matches_linear_solve(splitting, coords):
+    x = HVector(coords)
+    comps = splitting.decompose(x)
+    assert comps == _decompose_oracle(splitting, x)
+    for comp, part in zip(comps, splitting.parts):
+        assert part.contains(comp)
+    assert comps[0] + comps[1] + comps[2] == x
+
+
+def test_plane_pairings_take_both_signs():
+    # the closed form multiplies by w = <u, v>, so both signs must occur
+    # among the Hermite bases the enumeration and the splittings use
+    signs = [intersection(*u.vectors()) for u in enumerate_symplectic_rank2(1)]
+    assert signs.count(-1) == RANK2_HEIGHT1_PAIRING_MINUS_ONE
+    assert signs.count(1) == RANK2_HEIGHT1_COUNT - RANK2_HEIGHT1_PAIRING_MINUS_ONE
+    w = {intersection(*p.vectors()) for s in enumerate_splittings(1) for p in s.parts}
+    assert w == {1, -1}
+
+
 def test_splitting_rejects_bad_parts():
     with pytest.raises(ValueError):
         Splitting([
@@ -324,6 +379,23 @@ def test_splitting_rejects_bad_parts():
             SymplecticSubgroup([A2, B2]),
             SymplecticSubgroup([A3, A2]),  # isotropic, not symplectic
         ])
+
+
+def test_splitting_checks_every_cross_pairing():
+    # <a3, b3 + a1> is a unimodular plane orthogonal to <a2, b2> but not to
+    # <a1, b1>, and the stacked basis still has determinant +-1, so only the
+    # pairing checks can reject it, whichever two positions the planes take
+    planes = (
+        SymplecticSubgroup([A1, B1]),
+        SymplecticSubgroup([A2, B2]),
+        SymplecticSubgroup([A3, B3 + A1]),
+    )
+    stacked = [row for p in planes for row in p.basis]
+    assert bareiss_determinant(stacked) in (1, -1)
+    for order in permutations(range(3)):
+        bad = tuple(sorted((order.index(0), order.index(2))))
+        with pytest.raises(ValueError, match="parts %d and %d are not" % bad):
+            Splitting([planes[i] for i in order])
 
 
 def test_splitting_type_wrt_x_examples():
