@@ -8,9 +8,10 @@ a JSON report with the shape::
 
 Exit status is 0 when every verdict agrees with the packaged
 expectations, 1 on a mismatch (a page kernel that misses its predicted
-pattern included), 2 on usage errors or when a truncation window is
-too small for the requested computation, and 3 when two independent
-computations of the same quantity disagree (an internal error).  Set the
+pattern included), 2 on usage errors (``--K`` above ``MAX_K`` too) or
+when a truncation window is too small for the requested computation,
+and 3 when two independent computations of the same quantity disagree
+or an internal assertion fails (an internal error).  Set the
 ``TORELLI3_LOG`` environment variable (``debug``, ``info``, ...) to see
 progress on stderr.
 """
@@ -71,6 +72,7 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 DEFAULT_K = 3
+MAX_K = 1792  # `check d22 --mn 2,5` takes 26 s there, 26-34 s at 2048 (2-vCPU host)
 DEFAULT_MN = (1, 2)
 
 
@@ -493,6 +495,9 @@ def main(argv=None):
     _configure_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "K", 0) > MAX_K:
+        print(f"error: --K {args.K} is above the limit {MAX_K}", file=sys.stderr)
+        return EXIT_USAGE
     expectations = load_expectations()
     started = time.perf_counter()
     try:
@@ -503,8 +508,8 @@ def main(argv=None):
     except (PreconditionError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except InternalInconsistencyError as err:
-        print(f"error: {err}", file=sys.stderr)
+    except (InternalInconsistencyError, AssertionError) as err:
+        print(f"error: {err or 'internal assertion failed'}", file=sys.stderr)
         return EXIT_INTERNAL
     report = {
         "command": args.command,

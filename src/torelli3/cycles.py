@@ -9,18 +9,19 @@ faces, and assembles the two-dimensional "ladder" subcomplex attached
 to a bounding pair class.
 """
 
-from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd
 
 from .lattice import (
     A1,
     A2,
     A3,
-    HVector,
+    ZERO,
+    InternalInconsistencyError,
     bareiss_determinant,
+    echelon,
     matrix_rank,
-    solve_rational,
+    solve_integer,
 )
 from .surface import (
     DecompGraph,
@@ -35,10 +36,6 @@ class DegenerateInputError(ValueError):
 
 class MalformedCellError(ValueError):
     """A cell instance violates the vertex or coverage requirements."""
-
-
-class InternalInconsistencyError(RuntimeError):
-    """Two independent computations of the same quantity disagree."""
 
 
 class PreconditionError(ValueError):
@@ -68,9 +65,7 @@ class BasicCycle:
         rows = [list(multicurve.class_of(e).coords) for e in coefficients]
         if matrix_rank(rows) != len(coefficients):
             raise MalformedCellError("support classes are dependent")
-        total = HVector([0] * 6)
-        for e, k in coefficients.items():
-            total = total + k * multicurve.class_of(e)
+        total = sum((k * multicurve.class_of(e) for e, k in coefficients.items()), ZERO)
         if total != target:
             raise MalformedCellError("weighted class sum misses the target")
         self.multicurve = multicurve
@@ -107,30 +102,23 @@ class BasicCycle:
 def enumerate_basic_cycles(m, x):
     """All basic cycles of the multicurve ``m`` with target class ``x``.
 
-    Scans independent curve subsets, solves the class equation exactly
-    over the rationals, and keeps the solutions that are positive
-    integers throughout.  The result is deterministic: sorted by weight
-    vector in the multicurve's edge order.
+    Eliminates [classes | x] once per curve subset: the rank gives
+    independence, and the integer back-substitution gives consistency and
+    integrality; positive solutions are kept.  The result is deterministic:
+    sorted by weight vector in the multicurve's edge order.
     """
     if x.is_zero():
         raise DegenerateInputError("the zero class supports no basic cycle")
     edge_order = m.edge_ids()
+    classes = {e: m.class_of(e).coords for e in edge_order}
     found = []
-    for size in range(1, len(edge_order) + 1):
-        if size > 6:
-            break
+    for size in range(1, min(len(edge_order), 6) + 1):
         for subset in combinations(edge_order, size):
-            cols = [m.class_of(e).coords for e in subset]
-            if matrix_rank([list(c) for c in cols]) != size:
+            matrix = [[classes[e][i] for e in subset] for i in range(6)]
+            rank, sol = solve_integer(matrix, x.coords)
+            if rank != size or sol is None or min(sol) < 1:
                 continue
-            matrix = [[cols[j][i] for j in range(size)] for i in range(6)]
-            sol = solve_rational(matrix, list(x.coords))
-            if sol is None:
-                continue
-            if any(v.denominator != 1 or v < 1 for v in sol):
-                continue
-            coeffs = {e: int(v) for e, v in zip(subset, sol)}
-            found.append(BasicCycle(m, coeffs, x))
+            found.append(BasicCycle(m, dict(zip(subset, sol)), x))
     found.sort(key=lambda v: v.vector(edge_order))
     return found
 
@@ -259,31 +247,18 @@ def remove_edges(m, drop, x=None):
 def _affine_frame(vectors):
     """Greedy affine basis of lexicographically sorted weight vectors.
 
-    Returns (origin, frame) where frame rows are differences spanning the
+    The frame rows are differences from the first vector that span the
     affine hull.  Sorting first makes the choice canonical, and padding a
     vector list with constant zero columns does not change the order.
     """
     ordered = sorted(vectors)
     origin = ordered[0]
     frame = []
-    rank = 0
     for vec in ordered[1:]:
         candidate = frame + [[a - b for a, b in zip(vec, origin)]]
-        if matrix_rank(candidate) > rank:
+        if matrix_rank(candidate) > len(frame):
             frame = candidate
-            rank += 1
-    return origin, frame
-
-
-def _coordinates(frame, vector):
-    """Exact coordinates of ``vector`` in the span of the frame rows."""
-    if not frame:
-        return []
-    matrix = [[row[i] for row in frame] for i in range(len(vector))]
-    sol = solve_rational(matrix, list(vector))
-    if sol is None:
-        raise InternalInconsistencyError("vector left the cell's direction space")
-    return sol
+    return frame
 
 
 def boundary_faces(c):
@@ -291,8 +266,11 @@ def boundary_faces(c):
 
     Each face arises from the vertices vanishing on some curve; its sign
     orients the face frame against the cell frame, with the outward
-    direction taken from face barycenter minus cell barycenter.  Curves
-    with a constant positive weight on every vertex never produce faces.
+    direction taken from face barycenter minus cell barycenter.  Both
+    frames are compared on the pivot coordinates of the cell frame, where
+    it is invertible, so the sign is that of two integer determinants.
+    Curves with a constant positive weight on every vertex never produce
+    faces.
     """
     m = c.multicurve
     order = m.edge_ids()
@@ -300,12 +278,12 @@ def boundary_faces(c):
     dim = c.dim
     if dim == 0:
         return []
-    origin, cell_frame = _affine_frame(vectors)
+    cell_frame = _affine_frame(vectors)
     if len(cell_frame) != dim:
         raise InternalInconsistencyError("vertex span disagrees with the dimension")
-    cell_bary = [
-        Fraction(sum(col), len(vectors)) for col in zip(*vectors)
-    ]
+    coords = echelon(cell_frame, len(order))[1]
+    base = bareiss_determinant([[row[j] for j in coords] for row in cell_frame])
+    cell_sum = [sum(col) for col in zip(*vectors)]
     faces = []
     seen = set()
     for i, e in enumerate(order):
@@ -318,26 +296,21 @@ def boundary_faces(c):
         key = frozenset(support)
         if key in seen:
             continue
-        _, face_frame = _affine_frame(face_vecs)
+        face_frame = _affine_frame(face_vecs)
         if len(face_frame) != dim - 1:
             continue
         seen.add(key)
-        face_bary = [Fraction(sum(col), len(face_vecs)) for col in zip(*face_vecs)]
-        normal = [a - b for a, b in zip(face_bary, cell_bary)]
-        columns = [_coordinates(cell_frame, normal)] + [
-            _coordinates(cell_frame, row) for row in face_frame
-        ]
-        # clear each row's denominators so Bareiss stays in the integers;
-        # a positive row factor keeps the sign of the determinant
-        rows = []
-        for i in range(dim):
-            row = [columns[j][i] for j in range(dim)]
-            scale = lcm(*(v.denominator for v in row))
-            rows.append([int(v * scale) for v in row])
-        det = bareiss_determinant(rows)
+        # the barycenter difference, scaled by both vertex counts
+        face_sum = [sum(col) for col in zip(*face_vecs)]
+        n, n_face = len(vectors), len(face_vecs)
+        normal = [n * a - n_face * b for a, b in zip(face_sum, cell_sum)]
+        rows = [normal] + face_frame
+        if matrix_rank(cell_frame + rows) != dim:
+            raise InternalInconsistencyError("vector left the cell's direction space")
+        det = bareiss_determinant([[row[j] for j in coords] for row in rows])
         if det == 0:
             raise InternalInconsistencyError("degenerate face frame")
-        sign = 1 if det > 0 else -1
+        sign = 1 if (det > 0) == (base > 0) else -1
         sub = remove_edges(m, set(order) - support)
         faces.append((sign, CellInstance(sub)))
     faces.sort(key=lambda sf: sf[1].support_key())
@@ -351,7 +324,7 @@ def _cell(pieces, edges, classes, x):
     graph = DecompGraph(pieces, edges)
     m = LabeledMulticurve(graph, {e: classes[e] for e, _, _ in edges}, x)
     cell = CellInstance(m)
-    assert len(_affine_frame(cell.vectors())[1]) == cell.dim
+    assert len(_affine_frame(cell.vectors())) == cell.dim
     return cell
 
 

@@ -2,17 +2,20 @@
 
 The ambient lattice is Z^6 with ordered basis (a1, b1, a2, b2, a3, b3) and the
 standard alternating form built from three hyperbolic planes.  Everything runs
-over plain Python integers; the few spots that need division go through
-fractions.Fraction and check integrality afterwards.
+over plain Python integers: ranks, determinants, solves and one-dimensional
+kernels come from one fraction-free elimination, whose divisions are exact.
 
 Matrices are sequences of rows.  Sublattices are always stored through their
 Hermite canonical basis, so equal sublattices compare equal.
 """
 
-from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from math import gcd
+
+
+class InternalInconsistencyError(RuntimeError):
+    """Two independent computations of the same quantity disagree."""
 
 
 class HVector:
@@ -102,10 +105,6 @@ def identity_matrix(n):
 def matrix_product(a, b):
     bt = list(zip(*b))
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
-def matrix_vector(m, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in m]
 
 
 def smith_normal_form(m):
@@ -206,10 +205,93 @@ def smith_normal_form(m):
     return factors, left, right
 
 
+def echelon(m, ncols):
+    """Row echelon form by fraction-free elimination (Bareiss, 1968).
+
+    Returns (rows, pivots, sign): row i of the echelon has its leading
+    entry in column pivots[i], and that entry is the minor of the input
+    on the first i + 1 rows (in their swapped order) and the columns
+    pivots[: i + 1]; sign is the parity of the row swaps.  Every division
+    is exact by Sylvester's identity.  Zero rows are dropped first.
+    """
+    a = [list(row) for row in m if any(row)]
+    pivots = []
+    sign = prev = 1
+    for j in range(ncols):
+        r = len(pivots)
+        if r == len(a):
+            break
+        if a[r][j] == 0:
+            swap = next((i for i in range(r + 1, len(a)) if a[i][j] != 0), None)
+            if swap is None:
+                continue
+            a[r], a[swap] = a[swap], a[r]
+            sign = -sign
+        top = a[r]
+        pivot = top[j]
+        # rows below r vanish left of column j; a row with 0 under the pivot
+        # is only rescaled by pivot / prev, which is 1 when they are equal
+        for row in a[r + 1 :]:
+            f = row[j]
+            if f == 0 and pivot == prev:
+                continue
+            for k in range(j + 1, ncols):
+                row[k] = (row[k] * pivot - f * top[k]) // prev
+            row[j] = 0
+        pivots.append(j)
+        prev = pivot
+    return a, pivots, sign
+
+
+def _back_substitute(rows, pivots, x):
+    """Fill x at the pivot columns so that every echelon row annihilates it.
+
+    x arrives holding its free entries.  Returns False as soon as a
+    division leaves a remainder, that is when the solution is not integral.
+    """
+    for i in range(len(pivots) - 1, -1, -1):
+        j = pivots[i]
+        row = rows[i]
+        q, rem = divmod(-sum(row[k] * x[k] for k in range(j + 1, len(x))), row[j])
+        if rem:
+            return False
+        x[j] = q
+    return True
+
+
 def matrix_rank(m):
-    if not m:
-        return 0
-    return sum(1 for f in smith_normal_form(m)[0] if f != 0)
+    return len(echelon(m, len(m[0]))[1]) if m else 0
+
+
+def solve_integer(m, target):
+    """Rank of m and the solution x of m x = target with free entries zero.
+
+    The solution is None when the system is inconsistent or its solution
+    is not integral.
+    """
+    cols = len(m[0])
+    rows, pivots, _ = echelon([list(r) + [t] for r, t in zip(m, target)], cols + 1)
+    if pivots and pivots[-1] == cols:
+        return len(pivots) - 1, None
+    x = [0] * cols + [-1]
+    return len(pivots), (x[:cols] if _back_substitute(rows, pivots, x) else None)
+
+
+def kernel_line(m, ncols):
+    """A generator of the kernel of m when that kernel is a line, else None.
+
+    The free entry is the last pivot, the minor that clears every
+    denominator (Cramer's rule); the generator need not be primitive.
+    """
+    rows, pivots, _ = echelon(m, ncols)
+    if len(pivots) != ncols - 1:
+        return None
+    x = [0] * ncols
+    free = next(j for j in range(ncols) if j not in pivots)
+    x[free] = rows[len(pivots) - 1][pivots[-1]] if pivots else 1
+    if not _back_substitute(rows, pivots, x):
+        raise InternalInconsistencyError("kernel generator left the integers")
+    return x
 
 
 def kernel_basis(m, ncols=None):
@@ -223,11 +305,7 @@ def kernel_basis(m, ncols=None):
         return [tuple(row) for row in identity_matrix(ncols)]
     factors, _left, right = smith_normal_form(rows)
     rank = sum(1 for f in factors if f != 0)
-    cols = []
-    for j in range(ncols):
-        if j >= rank:
-            cols.append(tuple(right[i][j] for i in range(ncols)))
-    return cols
+    return [tuple(right[i][j] for i in range(ncols)) for j in range(rank, ncols)]
 
 
 def saturate(rows, ncols=None):
@@ -249,11 +327,7 @@ def hermite_row_form(m):
     r = 0
     for j in range(ncols):
         # gcd-eliminate column j below row r
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][j] != 0:
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][j] != 0), None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
@@ -283,65 +357,11 @@ def hermite_row_form(m):
 
 
 def bareiss_determinant(m):
-    """Fraction-free determinant of a square integer matrix."""
-    n = len(m)
-    if n == 0:
-        return 1
-    a = [list(row) for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        top = a[k]
-        pivot = top[k]
-        for row in a[k + 1 :]:
-            f = row[k]
-            for j in range(k + 1, n):
-                row[j] = (row[j] * pivot - f * top[j]) // prev
-            row[k] = 0
-        prev = pivot
-    return sign * a[n - 1][n - 1]
-
-
-def solve_rational(m, target):
-    """One exact solution x of m x = target, or None if inconsistent.
-
-    Free variables are set to zero.  Entries of the result are Fractions.
-    """
-    rows = len(m)
-    if rows == 0:
-        return [] if all(t == 0 for t in target) else None
-    cols = len(m[0])
-    a = [[Fraction(x) for x in row] + [Fraction(t)] for row, t in zip(m, target)]
-    pivots = []
-    r = 0
-    for j in range(cols):
-        piv = next((i for i in range(r, rows) if a[i][j] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        scale = a[r][j]
-        a[r] = [x / scale for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][j] != 0:
-                f = a[i][j]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(j)
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if a[i][cols] != 0:
-            return None
-    x = [Fraction(0)] * cols
-    for i, j in enumerate(pivots):
-        x[j] = a[i][cols]
-    return x
+    """Determinant of a square integer matrix: the last echelon pivot."""
+    rows, pivots, sign = echelon(m, len(m))
+    if len(pivots) < len(m):
+        return 0
+    return sign * rows[-1][-1] if m else 1
 
 
 # ---------------------------------------------------------------------------
@@ -351,9 +371,9 @@ def solve_rational(m, target):
 class SymplecticSubgroup:
     """A primitive sublattice of H, stored by its Hermite canonical basis.
 
-    The constructor insists the given rows already span a primitive lattice
-    (all Smith factors 1); use spanned_by() to saturate arbitrary generators
-    first.
+    The constructor insists the given rows already span a primitive lattice:
+    the gcd of the maximal minors, the product of the Smith factors, is 1.
+    Use spanned_by() to saturate arbitrary generators first.
     """
 
     __slots__ = ("basis",)
@@ -366,10 +386,13 @@ class SymplecticSubgroup:
                 raise ValueError("basis rows must have 6 coordinates")
             clean.append(coords)
         h = hermite_row_form(clean)
-        if h:
-            factors = smith_normal_form([list(row) for row in h])[0]
-            if any(f != 1 for f in factors[: len(h)]):
-                raise ValueError("generators span a non-primitive sublattice")
+        g = 0
+        for cols in combinations(range(6), len(h)):
+            g = gcd(g, bareiss_determinant([[row[j] for j in cols] for row in h]))
+            if g == 1:
+                break
+        if g != 1:
+            raise ValueError("generators span a non-primitive sublattice")
         self.basis = h
 
     @classmethod
@@ -563,7 +586,7 @@ def transvection_matrix(c, power=1):
 
 
 def apply_matrix(mat, v):
-    return HVector(matrix_vector(mat, list(v.coords)))
+    return HVector(sum(x * y for x, y in zip(row, v.coords)) for row in mat)
 
 
 def transform_subgroup(mat, u):

@@ -12,7 +12,7 @@ types.
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations, product
 
-from .lattice import A1, A2, A3, ZERO, intersection, kernel_basis, matrix_rank
+from .lattice import A1, A2, A3, ZERO, intersection, kernel_line, matrix_rank
 
 ISOTROPIC_BASIS = (A1, A2, A3)
 
@@ -317,18 +317,16 @@ def _no_positive_relation(rows, edge_order):
 
     A violating combination of minimal support lives on a subset whose
     coefficient kernel is one-dimensional and generated by a strictly
-    sign-definite vector, so scanning all subsets is exact.
+    sign-definite vector, so scanning all subsets is exact.  Sign
+    definiteness does not depend on scale, so any generator will do.
     """
     n = len(edge_order)
     width = len(rows[edge_order[0]]) if n else 0
     for mask in range(1, 1 << n):
         chosen = [edge_order[i] for i in range(n) if mask >> i & 1]
         matrix = [[rows[e][i] for e in chosen] for i in range(width)]
-        ker = kernel_basis(matrix, ncols=len(chosen))
-        if len(ker) != 1:
-            continue
-        gen = ker[0]
-        if all(k > 0 for k in gen) or all(k < 0 for k in gen):
+        gen = kernel_line(matrix, len(chosen))
+        if gen and (all(k > 0 for k in gen) or all(k < 0 for k in gen)):
             return False
     return True
 

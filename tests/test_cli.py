@@ -157,6 +157,37 @@ def test_internal_inconsistency_is_its_own_exit_code(capsys, monkeypatch, argv):
     assert err.startswith("error: cell R[0] faces drifted")
 
 
+@pytest.mark.parametrize(
+    "argv", [["ladder"], ["report", "--K", "2"]], ids=["ladder", "report"]
+)
+def test_internal_assertion_is_an_internal_error(capsys, monkeypatch, argv):
+    def contradict(*args):
+        raise AssertionError("components do not sum to x")
+
+    monkeypatch.setattr(cli, "run_ladder", contradict)
+    code, report, err = run_cli(capsys, *argv)
+    assert code == cli.EXIT_INTERNAL == 3
+    assert report is None
+    assert err.startswith("error: components do not sum to x")
+
+
+@pytest.mark.parametrize(
+    "argv", [["ladder"], ["check", "d22"], ["report"]], ids=["ladder", "check", "report"]
+)
+def test_window_above_the_bound_is_refused_before_any_work(capsys, monkeypatch, argv):
+    from torelli3 import cycles
+
+    def refuse(*args):
+        raise AssertionError("a ladder was built")
+
+    monkeypatch.setattr(cycles, "build_ladder", refuse)
+    monkeypatch.setattr(cli, "build_ladder", refuse)
+    code, report, err = run_cli(capsys, *argv, "--K", str(cli.MAX_K + 1))
+    assert code == cli.EXIT_USAGE == 2
+    assert report is None
+    assert err.startswith(f"error: --K {cli.MAX_K + 1} is above the limit")
+
+
 def test_kernel_table(capsys):
     code, report, _ = run_cli(capsys, "kernel")
     assert code == 0

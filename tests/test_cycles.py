@@ -1,12 +1,14 @@
 """Tests for basic cycles, oriented cell faces, and the ladder complex."""
 
-from math import gcd
+from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torelli3.lattice import A1, A2, A3, HVector
+from oracles import solve_rational
+from torelli3.lattice import A1, A2, A3, HVector, bareiss_determinant, smith_normal_form
 from torelli3.cycles import (
     BasicCycle,
     CellInstance,
@@ -21,7 +23,7 @@ from torelli3.cycles import (
     psi_max,
     remove_edges,
 )
-from torelli3.surface import DecompGraph, LabeledMulticurve
+from torelli3.surface import DecompGraph, LabeledMulticurve, classify_types
 
 
 def single_loop(target=A1):
@@ -279,6 +281,99 @@ def test_ladder_boundary_squares_to_zero_and_euler_is_one(mn, K):
         assert ladder.appended_cell(tag) == append_loop(cell)
     v, e, c = len(ladder.vertices()), len(ladder.edges()), len(ladder.two_cells())
     assert v - e + c == 1
+
+
+def fraction_boundary_faces(c):
+    """``boundary_faces`` as it was computed with rationals: face
+    coordinates solved in the cell frame, denominators cleared row by
+    row, ranks read off the Smith form.  Kept as the reference."""
+
+    def rank(rows):
+        return sum(1 for f in smith_normal_form(rows)[0] if f != 0) if rows else 0
+
+    def affine_frame(vectors):
+        ordered = sorted(vectors)
+        frame = []
+        for vec in ordered[1:]:
+            candidate = frame + [[a - b for a, b in zip(vec, ordered[0])]]
+            if rank(candidate) > len(frame):
+                frame = candidate
+        return frame
+
+    def coordinates(frame, vector):
+        matrix = [[row[i] for row in frame] for i in range(len(vector))]
+        sol = solve_rational(matrix, list(vector))
+        assert sol is not None
+        return sol
+
+    m = c.multicurve
+    order = m.edge_ids()
+    vectors = c.vectors()
+    dim = c.dim
+    if dim == 0:
+        return []
+    cell_frame = affine_frame(vectors)
+    assert len(cell_frame) == dim
+    cell_bary = [Fraction(sum(col), len(vectors)) for col in zip(*vectors)]
+    faces = []
+    seen = set()
+    for i, e in enumerate(order):
+        face_vecs = [vec for vec in vectors if vec[i] == 0]
+        if not face_vecs:
+            continue
+        support = set()
+        for vec in face_vecs:
+            support |= {order[j] for j, k in enumerate(vec) if k}
+        key = frozenset(support)
+        if key in seen:
+            continue
+        face_frame = affine_frame(face_vecs)
+        if len(face_frame) != dim - 1:
+            continue
+        seen.add(key)
+        face_bary = [Fraction(sum(col), len(face_vecs)) for col in zip(*face_vecs)]
+        normal = [a - b for a, b in zip(face_bary, cell_bary)]
+        columns = [coordinates(cell_frame, normal)] + [
+            coordinates(cell_frame, row) for row in face_frame
+        ]
+        rows = []
+        for i in range(dim):
+            row = [columns[j][i] for j in range(dim)]
+            scale = lcm(*(v.denominator for v in row))
+            rows.append([int(v * scale) for v in row])
+        det = bareiss_determinant(rows)
+        assert det != 0
+        sub = remove_edges(m, set(order) - support)
+        faces.append((1 if det > 0 else -1, CellInstance(sub)))
+    faces.sort(key=lambda sf: sf[1].support_key())
+    return faces
+
+
+def assert_faces_match_fraction_oracle(cell):
+    """Faces and signs agree with the rational reference, one level down too."""
+    faces = boundary_faces(cell)
+    assert faces == fraction_boundary_faces(cell)
+    for _, face in faces:
+        assert boundary_faces(face) == fraction_boundary_faces(face)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(COPRIME_PAIRS), st.integers(1, 3))
+def test_face_signs_match_fraction_oracle_on_ladders(mn, K):
+    ladder = build_ladder(*mn, K)
+    for tag in ladder.two_cells():
+        assert_faces_match_fraction_oracle(ladder.cell_cells[tag])
+        assert_faces_match_fraction_oracle(ladder.appended_cell(tag))
+
+
+def test_face_signs_match_fraction_oracle_on_census_cells():
+    cells = [CellInstance(three_double_chain()), CellInstance(shared_class_triple())]
+    cells += [CellInstance(e.witness) for p in range(4) for e in classify_types(3, p)]
+    negative = 0
+    for cell in cells:
+        assert_faces_match_fraction_oracle(cell)
+        negative += sum(1 for sign, _ in boundary_faces(cell) if sign < 0)
+    assert negative > 0
 
 
 def test_remove_edges_merges_and_adds_genus():

@@ -15,13 +15,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
+from oracles import solve_rational
+from torelli3 import lattice
 from torelli3.lattice import (
     A1, A2, A3, B1, B2, B3, BASIS, ZERO,
     HVector, Splitting, SymplecticSubgroup, STANDARD_SPLITTING,
+    InternalInconsistencyError,
     bareiss_determinant, enumerate_splittings, enumerate_symplectic_rank2,
     form_row, hermite_row_form, intersection, is_symplectic_rank2, kernel_basis,
-    matrix_product, matrix_rank, orthogonal_complement, primitive_part,
-    saturate, smith_normal_form, solve_rational, splitting_type_wrt_x,
+    kernel_line, matrix_product, matrix_rank, orthogonal_complement,
+    primitive_part, saturate, smith_normal_form, solve_integer,
+    splitting_type_wrt_x,
     splitting_type_wrt_y, transvection, transvection_matrix, apply_matrix,
     transform_splitting,
 )
@@ -93,6 +97,146 @@ def test_bareiss_matches_sympy_random():
         n = rng.randint(1, 5)
         m = random_matrix(rng, n, n)
         assert bareiss_determinant(m) == sympy.Matrix(m).det()
+
+
+# ---------------------------------------------------------------------------
+# fraction-free elimination
+
+SMALL_ENTRIES = (0, 1, -1, 2, -2, 3, -3)
+
+
+@st.composite
+def small_matrices(draw, max_rows=5, max_cols=5):
+    """Matrices with entries in {0, +-1, +-2, +-3}.
+
+    Some columns are zero and some rows are combinations of others, so
+    rank-deficient inputs are common.
+    """
+    nrows = draw(st.integers(1, max_rows))
+    ncols = draw(st.integers(1, max_cols))
+    m = [
+        draw(st.lists(st.sampled_from(SMALL_ENTRIES), min_size=ncols, max_size=ncols))
+        for _ in range(nrows)
+    ]
+    for j in draw(st.sets(st.integers(0, ncols - 1), max_size=ncols)):
+        for row in m:
+            row[j] = 0
+    if nrows > 1 and draw(st.booleans()):
+        k = draw(st.sampled_from((1, -1, 2)))
+        m[-1] = [a + k * b for a, b in zip(m[0], m[1 % (nrows - 1)])]
+    return m
+
+
+def snf_rank(m):
+    return sum(1 for f in smith_normal_form(m)[0] if f != 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_matrices(max_rows=6, max_cols=6))
+def test_echelon_rank_matches_snf_and_sympy(m):
+    assert matrix_rank(m) == snf_rank(m) == sympy.Matrix(m).rank()
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_matrices(max_rows=6, max_cols=6), st.data())
+def test_solve_integer_matches_rational_oracle(m, data):
+    cols = len(m[0])
+    if data.draw(st.booleans()):
+        x = data.draw(st.lists(st.integers(-3, 3), min_size=cols, max_size=cols))
+        target = [sum(a * v for a, v in zip(row, x)) for row in m]
+    else:
+        target = data.draw(
+            st.lists(st.integers(-4, 4), min_size=len(m), max_size=len(m))
+        )
+    rank, sol = solve_integer(m, target)
+    assert rank == sympy.Matrix(m).rank()
+    want = solve_rational(m, target)
+    if want is None or any(v.denominator != 1 for v in want):
+        assert sol is None
+    else:
+        assert sol == [int(v) for v in want]
+
+
+def test_solve_integer_rejects_fractional_and_inconsistent():
+    assert solve_integer([[2], [0]], [1, 0]) == (1, None)
+    assert solve_integer([[2], [4]], [2, 4]) == (1, [1])
+    assert solve_integer([[1, 1], [1, 1]], [0, 1]) == (1, None)
+    assert solve_integer([[0, 2], [0, 0]], [6, 0]) == (1, [0, 3])
+
+
+def signs(v):
+    return [(k > 0) - (k < 0) for k in v]
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_matrices(max_rows=5, max_cols=6))
+def test_kernel_line_is_a_multiple_of_kernel_basis(m):
+    ncols = len(m[0])
+    gen = kernel_line(m, ncols)
+    ker = kernel_basis(m, ncols)
+    if len(ker) != 1:
+        assert gen is None
+        return
+    (ref,) = ker
+    assert any(gen)
+    assert all(sum(a * v for a, v in zip(row, gen)) == 0 for row in m)
+    # proportional with a nonzero ratio, so the sign pattern agrees up to sign
+    assert all(gen[i] * ref[j] == gen[j] * ref[i] for i in range(ncols) for j in range(ncols))
+    assert signs(gen) in (signs(ref), signs(-k for k in ref))
+
+
+def test_kernel_line_refuses_to_leave_the_integers(monkeypatch):
+    # an echelon whose last pivot does not clear the denominators
+    monkeypatch.setattr(lattice, "echelon", lambda m, n: ([[2, 0, 1], [0, 3, 1]], [0, 1], 1))
+    with pytest.raises(InternalInconsistencyError, match="left the integers"):
+        kernel_line([[1, 0, 0]], 3)
+
+
+def test_bareiss_determinant_sign_follows_row_swaps():
+    assert bareiss_determinant([[0, 1], [1, 0]]) == -1
+    assert bareiss_determinant([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+    assert bareiss_determinant([[0, 1, 0], [0, 0, 1], [1, 0, 0]]) == 1
+    assert bareiss_determinant([[1, 2], [2, 4]]) == 0
+    assert bareiss_determinant([]) == 1
+
+
+def snf_primitive(rows):
+    h = hermite_row_form(rows)
+    return all(f == 1 for f in smith_normal_form([list(r) for r in h])[0]) if h else True
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_minor_gcd_primitivity_matches_smith_factors(nrows, data):
+    rows = [
+        data.draw(st.lists(st.sampled_from(SMALL_ENTRIES), min_size=6, max_size=6))
+        for _ in range(nrows)
+    ]
+    if data.draw(st.booleans()):
+        k = data.draw(st.sampled_from((2, 3)))
+        rows[0] = [k * v for v in rows[0]]
+    try:
+        SymplecticSubgroup(rows)
+        accepted = True
+    except ValueError as err:
+        assert "non-primitive" in str(err)
+        accepted = False
+    assert accepted == snf_primitive(rows)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[2, 0, 0, 0, 0, 0]],
+        [[1, 1, 0, 0, 0, 0], [1, -1, 0, 0, 0, 0]],
+        [[1, 0, 1, 0, 0, 0], [0, 2, 0, 0, 0, 0], [0, 0, 2, 0, 0, 0]],
+        [[0, 0, 0, 0, 3, 3]],
+    ],
+)
+def test_non_primitive_rows_rejected(rows):
+    assert not snf_primitive(rows)
+    with pytest.raises(ValueError, match="generators span a non-primitive sublattice"):
+        SymplecticSubgroup(rows)
 
 
 # ---------------------------------------------------------------------------
