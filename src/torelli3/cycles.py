@@ -9,7 +9,6 @@ faces, and assembles the two-dimensional "ladder" subcomplex attached
 to a bounding pair class.
 """
 
-from itertools import combinations
 from math import gcd
 
 from .lattice import (
@@ -21,13 +20,8 @@ from .lattice import (
     bareiss_determinant,
     echelon,
     matrix_rank,
-    solve_integer,
 )
-from .surface import (
-    DecompGraph,
-    LabeledMulticurve,
-    _no_positive_relation,
-)
+from .surface import DecompGraph, LabeledMulticurve, scan_subsets
 
 
 class DegenerateInputError(ValueError):
@@ -102,25 +96,20 @@ class BasicCycle:
 def enumerate_basic_cycles(m, x):
     """All basic cycles of the multicurve ``m`` with target class ``x``.
 
-    Eliminates [classes | x] once per curve subset: the rank gives
-    independence, and the integer back-substitution gives consistency and
-    integrality; positive solutions are kept.  The result is deterministic:
-    sorted by weight vector in the multicurve's edge order.
+    The vertex view of ``scan_subsets``, one elimination of
+    [classes | x] per curve subset, which also raises when the weight
+    polytope is unbounded.  Sorted by weight vector in edge order.
     """
     if x.is_zero():
         raise DegenerateInputError("the zero class supports no basic cycle")
     edge_order = m.edge_ids()
     classes = {e: m.class_of(e).coords for e in edge_order}
-    found = []
-    for size in range(1, min(len(edge_order), 6) + 1):
-        for subset in combinations(edge_order, size):
-            matrix = [[classes[e][i] for e in subset] for i in range(6)]
-            rank, sol = solve_integer(matrix, x.coords)
-            if rank != size or sol is None or min(sol) < 1:
-                continue
-            found.append(BasicCycle(m, dict(zip(subset, sol)), x))
-    found.sort(key=lambda v: v.vector(edge_order))
-    return found
+    found, bounded = scan_subsets(classes, edge_order, x.coords)
+    if not bounded:
+        raise MalformedCellError("the weight polytope is unbounded")
+    verts = [BasicCycle(m, dict(zip(subset, sol)), x) for subset, sol in found]
+    verts.sort(key=lambda v: v.vector(edge_order))
+    return verts
 
 
 def psi(v):
@@ -134,7 +123,8 @@ class CellInstance:
     ``verts`` lists every basic cycle for the multicurve's own target
     class; ``dim`` is the count of curves minus the rank of their span,
     which the multicurve contract makes equal to one less than the
-    number of pieces.
+    number of pieces.  One scan finds the vertices and checks the
+    polytope is bounded; every curve must lie on a vertex.
     """
 
     __slots__ = ("multicurve", "verts", "dim")
@@ -152,9 +142,6 @@ class CellInstance:
                 "curves outside every basic cycle: %s"
                 % sorted(str(e) for e in missing)
             )
-        rows = {e: tuple(multicurve.class_of(e).coords) for e in multicurve.edge_ids()}
-        if not _no_positive_relation(rows, multicurve.edge_ids()):
-            raise MalformedCellError("the weight polytope is unbounded")
         self.multicurve = multicurve
         self.verts = verts
         self.dim = len(multicurve.graph.vertices) - 1
@@ -204,46 +191,6 @@ def psi_max(c):
     return max(psi(v) for v in c.verts)
 
 
-def remove_edges(m, drop, x=None):
-    """Sub-multicurve after deleting the given curves.
-
-    Pieces joined by a deleted curve merge; a deleted curve inside one
-    piece (including any loop) raises that piece's genus by one.  The
-    merged piece keeps the smallest of the original ids so that deleting
-    in two steps or in one gives identical results.
-    """
-    drop = set(drop)
-    unknown = drop - set(m.edge_ids())
-    if unknown:
-        raise MalformedCellError(f"cannot drop unknown curves {sorted(map(str, unknown))}")
-    parent = {v: v for v in m.graph.vertex_ids}
-    genus = dict(m.graph.vertices)
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for e, t, h in m.graph.edges:
-        if e not in drop:
-            continue
-        rt, rh = find(t), find(h)
-        if rt == rh:
-            genus[rt] += 1
-        else:
-            keep, gone = sorted((rt, rh), key=str)
-            parent[gone] = keep
-            genus[keep] += genus[gone]
-    rep = {v: find(v) for v in m.graph.vertex_ids}
-    vertices = sorted(
-        ((r, genus[r]) for r in set(rep.values())), key=lambda p: str(p[0])
-    )
-    edges = [(e, rep[t], rep[h]) for e, t, h in m.graph.edges if e not in drop]
-    classes = {e: m.class_of(e) for e, _, _ in edges}
-    return LabeledMulticurve(DecompGraph(vertices, edges), classes, m.x if x is None else x)
-
-
 def _affine_frame(vectors):
     """Greedy affine basis of lexicographically sorted weight vectors.
 
@@ -261,8 +208,8 @@ def _affine_frame(vectors):
     return frame
 
 
-def boundary_faces(c):
-    """Signed codimension-one faces of a cell.
+def face_geometry(c):
+    """Sign, support and vertex vectors (in edge order) of each facet.
 
     Each face arises from the vertices vanishing on some curve; its sign
     orients the face frame against the cell frame, with the outward
@@ -272,8 +219,7 @@ def boundary_faces(c):
     Curves with a constant positive weight on every vertex never produce
     faces.
     """
-    m = c.multicurve
-    order = m.edge_ids()
+    order = c.multicurve.edge_ids()
     vectors = c.vectors()
     dim = c.dim
     if dim == 0:
@@ -310,9 +256,42 @@ def boundary_faces(c):
         det = bareiss_determinant([[row[j] for j in coords] for row in rows])
         if det == 0:
             raise InternalInconsistencyError("degenerate face frame")
-        sign = 1 if (det > 0) == (base > 0) else -1
-        sub = remove_edges(m, set(order) - support)
-        faces.append((sign, CellInstance(sub)))
+        faces.append((1 if (det > 0) == (base > 0) else -1, key, face_vecs))
+    return faces
+
+
+def match_faces(tag, cell, edge_cells):
+    """The signed faces of the two-cell ``tag``, as the given edge cells.
+
+    Each geometric face of ``cell`` must be one edge cell with the same
+    curve ids, classes, x and vertex set; an error names the two-cell,
+    the face's curve ids and the property that differs.
+    """
+    m = cell.multicurve
+    order = m.edge_ids()
+    geometric = {support: (sign, vecs) for sign, support, vecs in face_geometry(cell)}
+    faces = []
+    for edge_cell in edge_cells:
+        face = edge_cell.multicurve
+        ids = frozenset(face.edge_ids())
+        problem = "curve ids differ"
+        if ids in geometric:
+            sign, vecs = geometric.pop(ids)
+            want = {frozenset((order[j], k) for j, k in enumerate(v) if k) for v in vecs}
+            have = {frozenset(v.coefficients.items()) for v in edge_cell.verts}
+            checks = (
+                ("classes differ", all(face.class_of(e) == m.class_of(e) for e in ids)),
+                ("x differs", face.x == m.x),
+                ("vertex set differs", have == want),
+            )
+            problem = next((what for what, same in checks if not same), None)
+        if problem:
+            ids = sorted(map(str, ids))
+            raise InternalInconsistencyError(f"cell {tag} face {ids}: {problem}")
+        faces.append((sign, edge_cell))
+    if geometric:
+        ids = sorted(map(str, next(iter(geometric))))
+        raise InternalInconsistencyError(f"cell {tag} face {ids}: curve ids differ")
     faces.sort(key=lambda sf: sf[1].support_key())
     return faces
 
@@ -365,9 +344,10 @@ class LadderComplex:
     weighting, and the two-cells are rectangles, one closing triangle,
     and one vertical triangle per sheet.
 
-    ``build_ladder`` fills the tables.  ``cell_faces`` keeps the signed
-    boundary faces of each two-cell, and ``appended_cell`` keeps each
-    cell with the appended loop once it has been built.
+    ``build_ladder`` fills the tables, building each cell once.  The
+    signed faces of a two-cell (``cell_faces``) are its edges' cells;
+    ``appended_cell`` builds a cell with the appended loop once, and
+    ``appended_faces`` are the appended cells of its edges.
     """
 
     __slots__ = (
@@ -431,6 +411,11 @@ class LadderComplex:
             self._appended[tag] = append_loop(cells[tag])
         return self._appended[tag]
 
+    def appended_faces(self, tag):
+        """Faces of ``appended_cell(tag)``: its edges' appended cells."""
+        edges = [self.appended_cell(e) for e in self.cell_boundary[tag]]
+        return match_faces(tag, self.appended_cell(tag), edges)
+
     def vertices(self):
         return sorted(self.vertex_psi, key=str)
 
@@ -440,10 +425,16 @@ class LadderComplex:
     def two_cells(self):
         return sorted(self.cell_boundary, key=str)
 
+    def _coface_index(self):
+        """Edge -> the two-cells whose boundary holds it, in table order."""
+        index = {}
+        for tag, boundary in self.cell_boundary.items():
+            for edge in boundary:
+                index.setdefault(edge, []).append(tag)
+        return index
+
     def cofaces(self, edge):
-        return sorted(
-            (tag for tag, b in self.cell_boundary.items() if edge in b), key=str
-        )
+        return sorted(self._coface_index().get(edge, ()), key=str)
 
     def glued_vertex(self, v):
         """Image of a vertex after identifying the two rung endpoints."""
@@ -463,36 +454,28 @@ class LadderComplex:
 
     def check_rung_cofaces(self):
         """Every rung away from the truncation edge bounds three 2-cells."""
+        index = self._coface_index()
         hi = min(self.t, self.K)
         for k in range(-self.K + 1, hi + 1):
-            if len(self.cofaces(("d", k))) != 3:
+            if len(index.get(("d", k), ())) != 3:
                 return False
         return True
 
     def check_ladder_property(self):
         """Dropping the vertical cells frees a horizontal edge of every
         horizontal cell, and every vertical cell owns its rung."""
-        horizontals = [t for t in self.cell_boundary if self.cell_kind[t] != "vertical"]
-        for tag in horizontals:
-            free = False
-            for edge in self.cell_boundary[tag]:
-                if self.edge_kind[edge] == "vertical":
-                    continue
-                others = [
-                    o
-                    for o in horizontals
-                    if o != tag and edge in self.cell_boundary[o]
-                ]
-                if not others:
-                    free = True
-                    break
-            if not free:
-                return False
-        verticals = [t for t in self.cell_boundary if self.cell_kind[t] == "vertical"]
-        for tag in verticals:
-            rung = ("d", tag[1])
-            owners = [o for o in verticals if rung in self.cell_boundary[o]]
-            if owners != [tag]:
+        index = self._coface_index()
+        verticals = {t for t, kind in self.cell_kind.items() if kind == "vertical"}
+        for tag, boundary in self.cell_boundary.items():
+            if tag in verticals:
+                owners = [o for o in index.get(("d", tag[1]), ()) if o in verticals]
+                if owners != [tag]:
+                    return False
+            elif not any(
+                self.edge_kind[edge] != "vertical"
+                and all(o == tag or o in verticals for o in index[edge])
+                for edge in boundary
+            ):
                 return False
         return True
 
@@ -702,7 +685,7 @@ def build_ladder(m, n, K):
 def _check_geometry(ladder, vertex_maps):
     """Abstract incidence must match the geometric cells edge for edge.
 
-    The signed faces of each two-cell are kept in ``ladder.cell_faces``.
+    ``ladder.cell_faces`` keeps the matched faces of each two-cell.
     """
     for tag, (tail, head) in ladder.edge_endpoints.items():
         cell = ladder.edge_cells[tag]
@@ -714,20 +697,9 @@ def _check_geometry(ladder, vertex_maps):
         if got != want:
             raise InternalInconsistencyError(f"edge {tag} endpoints drifted")
     for tag, boundary in ladder.cell_boundary.items():
-        faces = boundary_faces(ladder.cell_cells[tag])
-        geometric = {
-            frozenset(str(e) for e in face.multicurve.edge_ids())
-            for _, face in faces
-        }
-        abstract = {
-            frozenset(
-                str(e) for e in ladder.edge_cells[edge].multicurve.edge_ids()
-            )
-            for edge in boundary
-        }
-        if geometric != abstract:
-            raise InternalInconsistencyError(f"cell {tag} faces drifted")
-        ladder.cell_faces[tag] = faces
+        ladder.cell_faces[tag] = match_faces(
+            tag, ladder.cell_cells[tag], [ladder.edge_cells[e] for e in boundary]
+        )
 
 
 def _check_external_witnesses(ladder, classes, x):

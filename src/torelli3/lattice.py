@@ -264,34 +264,32 @@ def matrix_rank(m):
 
 
 def solve_integer(m, target):
-    """Rank of m and the solution x of m x = target with free entries zero.
+    """Rank of m, the solution x of m x = target with free entries zero,
+    and a generator of the kernel of m when that kernel is a line.
 
-    The solution is None when the system is inconsistent or its solution
-    is not integral.
+    One echelon of [m | target] gives all three; its pivots left of the
+    target column are those of m.  The solution is None when the system
+    is inconsistent or not integral.  The generator's free entry is the
+    last pivot of m, the minor that clears every denominator (Cramer's
+    rule), so it need not be primitive.
     """
     cols = len(m[0])
     rows, pivots, _ = echelon([list(r) + [t] for r, t in zip(m, target)], cols + 1)
     if pivots and pivots[-1] == cols:
-        return len(pivots) - 1, None
-    x = [0] * cols + [-1]
-    return len(pivots), (x[:cols] if _back_substitute(rows, pivots, x) else None)
-
-
-def kernel_line(m, ncols):
-    """A generator of the kernel of m when that kernel is a line, else None.
-
-    The free entry is the last pivot, the minor that clears every
-    denominator (Cramer's rule); the generator need not be primitive.
-    """
-    rows, pivots, _ = echelon(m, ncols)
-    if len(pivots) != ncols - 1:
-        return None
-    x = [0] * ncols
-    free = next(j for j in range(ncols) if j not in pivots)
-    x[free] = rows[len(pivots) - 1][pivots[-1]] if pivots else 1
-    if not _back_substitute(rows, pivots, x):
-        raise InternalInconsistencyError("kernel generator left the integers")
-    return x
+        pivots, sol = pivots[:-1], None
+    elif not any(target):
+        sol = [0] * cols  # homogeneous: zero free entries force zero
+    else:
+        x = [0] * cols + [-1]
+        sol = x[:cols] if _back_substitute(rows, pivots, x) else None
+    line = None
+    if len(pivots) == cols - 1:
+        line = [0] * cols
+        free = next(j for j in range(cols) if j not in pivots)
+        line[free] = rows[len(pivots) - 1][pivots[-1]] if pivots else 1
+        if not _back_substitute(rows, pivots, line):
+            raise InternalInconsistencyError("kernel generator left the integers")
+    return len(pivots), sol, line
 
 
 def kernel_basis(m, ncols=None):

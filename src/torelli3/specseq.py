@@ -19,7 +19,7 @@ from .lattice import (
     splitting_type_wrt_x,
     splitting_type_wrt_y,
 )
-from .cycles import AdmissibilityError, boundary_faces
+from .cycles import AdmissibilityError
 from .cycles import append_loop  # noqa: F401  re-exported: specseq.append_loop
 from .surface import cd_upper_bound, classify_types
 
@@ -487,13 +487,13 @@ def d22_apply(src, ladder):
 
 def check_image_separation(ladder, u):
     """Faces of plain cells never meet the subgroup; faces of appended
-    cells always do, through the loop class.  Plain faces and appended
-    cells come from the ladder, which built them once."""
+    cells always do, through the loop class.  Every face is an edge cell
+    or appended edge cell the ladder built once."""
     for tag in ladder.two_cells():
         for _, face in ladder.cell_faces[tag]:
             if any(u.contains(c) for c in face.multicurve.classes.values()):
                 return False
-        for _, face in boundary_faces(ladder.appended_cell(tag)):
+        for _, face in ladder.appended_faces(tag):
             if not any(
                 u.contains(c) for c in face.multicurve.classes.values()
             ):

@@ -12,7 +12,7 @@ types.
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations, product
 
-from .lattice import A1, A2, A3, ZERO, intersection, kernel_line, matrix_rank
+from .lattice import A1, A2, A3, ZERO, intersection, matrix_rank, solve_integer
 
 ISOTROPIC_BASIS = (A1, A2, A3)
 
@@ -312,23 +312,30 @@ def _cycle_rows(graph):
     return rows, chords
 
 
-def _no_positive_relation(rows, edge_order):
-    """Condition (i): no nontrivial nonnegative combination of classes is 0.
+def scan_subsets(rows, edge_order, target):
+    """One elimination of [rows of S | target] per nonempty curve subset S.
 
-    A violating combination of minimal support lives on a subset whose
-    coefficient kernel is one-dimensional and generated by a strictly
-    sign-definite vector, so scanning all subsets is exact.  Sign
-    definiteness does not depend on scale, so any generator will do.
+    Returns the positive solutions (S, weights) of the subsets of full
+    rank, and condition (i): no nontrivial nonnegative combination of the
+    rows vanishes.  A violation of minimal support is a subset whose
+    kernel is a line with a sign-definite generator (of any scale), so
+    reading each kernel line is exact.  The scan stops at the first
+    violation, its solutions then incomplete.  A zero target has no
+    positive solution: the scan then decides (i) alone.
     """
-    n = len(edge_order)
-    width = len(rows[edge_order[0]]) if n else 0
+    n, width = len(edge_order), len(target)
+    found = []
     for mask in range(1, 1 << n):
-        chosen = [edge_order[i] for i in range(n) if mask >> i & 1]
-        matrix = [[rows[e][i] for e in chosen] for i in range(width)]
-        gen = kernel_line(matrix, len(chosen))
-        if gen and (all(k > 0 for k in gen) or all(k < 0 for k in gen)):
-            return False
-    return True
+        subset = [edge_order[i] for i in range(n) if mask >> i & 1]
+        if len(subset) > width + 1:
+            continue
+        matrix = [[rows[e][i] for e in subset] for i in range(width)]
+        rank, sol, line = solve_integer(matrix, target)
+        if rank == len(subset) and sol is not None and min(sol) > 0:
+            found.append((subset, sol))
+        elif line and (min(line) > 0 or max(line) < 0):
+            return found, False
+    return found, True
 
 
 def _common_cycle_class(rows, edge_order, weight_bound=3):
@@ -382,7 +389,7 @@ def realizability_check(graph):
         candidate = graph.reoriented(flipped)
         rows, chords = _cycle_rows(candidate)
         assert len(chords) == rank
-        if not _no_positive_relation(rows, edge_order):
+        if not scan_subsets(rows, edge_order, (0,) * rank)[1]:
             continue
         target = _common_cycle_class(rows, edge_order)
         if target is None:

@@ -2,10 +2,18 @@
 
 ``solve_rational`` is the rational Gauss-Jordan solve the package used
 before its linear algebra went fraction-free; the integer routines are
-checked against it.
+checked against it.  ``two_scan`` is the route cells took before one
+elimination per curve subset served both vertices and boundedness.
+``boundary_faces`` builds every face of a cell as a fresh cell, as the
+ladder did before it kept its own edge cells as faces.
 """
 
 from fractions import Fraction
+from itertools import combinations
+
+from torelli3.cycles import CellInstance, MalformedCellError, face_geometry
+from torelli3.lattice import kernel_basis, solve_integer
+from torelli3.surface import DecompGraph, LabeledMulticurve
 
 
 def solve_rational(m, target):
@@ -42,3 +50,91 @@ def solve_rational(m, target):
     for i, j in enumerate(pivots):
         x[j] = a[i][cols]
     return x
+
+
+def two_scan(rows, edge_order, target):
+    """``surface.scan_subsets`` by its old two routes, one elimination each.
+
+    Vertices: ``solve_integer`` on [rows of S | target] for every subset S
+    of at most ``len(target)`` curves, keeping positive solutions of full
+    rank.  Boundedness: the kernel of the rows of every subset alone, over
+    all subsets; a one-dimensional kernel with a strictly sign-definite
+    generator is a vanishing nonnegative combination.  Kernels come from
+    the Smith form, so this route shares no echelon with the scan.
+    """
+    width = len(target)
+    found = []
+    for size in range(1, min(len(edge_order), width) + 1):
+        for subset in combinations(edge_order, size):
+            matrix = [[rows[e][i] for e in subset] for i in range(width)]
+            rank, sol, _ = solve_integer(matrix, target)
+            if rank == size and sol is not None and min(sol) > 0:
+                found.append((subset, sol))
+    bounded = True
+    n = len(edge_order)
+    for mask in range(1, 1 << n):
+        chosen = [edge_order[i] for i in range(n) if mask >> i & 1]
+        matrix = [[rows[e][i] for e in chosen] for i in range(width)]
+        kernel = kernel_basis(matrix, len(chosen))
+        if len(kernel) == 1 and (min(kernel[0]) > 0 or max(kernel[0]) < 0):
+            bounded = False
+    return found, bounded
+
+
+def remove_edges(m, drop):
+    """Sub-multicurve after deleting the given curves.
+
+    Pieces joined by a deleted curve merge; a deleted curve inside one
+    piece (including any loop) raises that piece's genus by one.  The
+    merged piece keeps the smallest of the original ids so that deleting
+    in two steps or in one gives identical results.
+    """
+    drop = set(drop)
+    unknown = drop - set(m.edge_ids())
+    if unknown:
+        raise MalformedCellError(f"cannot drop unknown curves {sorted(map(str, unknown))}")
+    parent = {v: v for v in m.graph.vertex_ids}
+    genus = dict(m.graph.vertices)
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for e, t, h in m.graph.edges:
+        if e not in drop:
+            continue
+        rt, rh = find(t), find(h)
+        if rt == rh:
+            genus[rt] += 1
+        else:
+            keep, gone = sorted((rt, rh), key=str)
+            parent[gone] = keep
+            genus[keep] += genus[gone]
+    rep = {v: find(v) for v in m.graph.vertex_ids}
+    vertices = sorted(
+        ((r, genus[r]) for r in set(rep.values())), key=lambda p: str(p[0])
+    )
+    edges = [(e, rep[t], rep[h]) for e, t, h in m.graph.edges if e not in drop]
+    classes = {e: m.class_of(e) for e, _, _ in edges}
+    return LabeledMulticurve(DecompGraph(vertices, edges), classes, m.x)
+
+
+def boundary_faces(c):
+    """Signed codimension-one faces of a cell, each built as a fresh cell.
+
+    The sign and the support of each face come from
+    ``cycles.face_geometry``; the face cell is the multicurve left after
+    deleting the curves off its support.  The package builds no face
+    cells: a ladder matches its own edge cells to the same geometry
+    (``cycles.match_faces``), and the tests compare those with these.
+    """
+    m = c.multicurve
+    order = set(m.edge_ids())
+    faces = [
+        (sign, CellInstance(remove_edges(m, order - support)))
+        for sign, support, _ in face_geometry(c)
+    ]
+    faces.sort(key=lambda sf: sf[1].support_key())
+    return faces

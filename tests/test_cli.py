@@ -297,7 +297,10 @@ def test_version_flag(capsys):
 
 
 def test_log_environment_variable():
-    env = dict(os.environ, TORELLI3_LOG="info")
+    # the child imports the package from where the tests found it
+    package_root = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, TORELLI3_LOG="info", PYTHONPATH=path)
     proc = subprocess.run(
         [sys.executable, "-m", "torelli3.cli", "types"],
         capture_output=True,

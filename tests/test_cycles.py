@@ -1,29 +1,30 @@
 """Tests for basic cycles, oriented cell faces, and the ladder complex."""
 
 from fractions import Fraction
+from itertools import permutations
 from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import solve_rational
+from oracles import boundary_faces, remove_edges, solve_rational, two_scan
+from torelli3 import cycles
 from torelli3.lattice import A1, A2, A3, HVector, bareiss_determinant, smith_normal_form
 from torelli3.cycles import (
     BasicCycle,
     CellInstance,
     DegenerateInputError,
     InternalInconsistencyError,
+    LadderComplex,
     MalformedCellError,
     append_loop,
-    boundary_faces,
     build_ladder,
     enumerate_basic_cycles,
     psi,
     psi_max,
-    remove_edges,
 )
-from torelli3.surface import DecompGraph, LabeledMulticurve, classify_types
+from torelli3.surface import DecompGraph, LabeledMulticurve, classify_types, scan_subsets
 
 
 def single_loop(target=A1):
@@ -141,6 +142,111 @@ def test_uncovered_curve_is_malformed():
     m = LabeledMulticurve(graph, {"d1": A1, "d2": -1 * A1}, A1)
     with pytest.raises(MalformedCellError):
         CellInstance(m)
+    # bounded, but only e1 carries the target
+    triple = shared_class_triple()
+    m = LabeledMulticurve(triple.graph, triple.classes, A1)
+    with pytest.raises(MalformedCellError, match=r"outside every basic cycle: \['e2', 'e3'\]"):
+        CellInstance(m)
+
+
+def test_unbounded_polytope_is_malformed():
+    """Every curve lies on a vertex, yet a + b = 0 is a recession ray."""
+    graph = DecompGraph(
+        [("P", 1), ("Q", 0), ("R", 0)],
+        [("a", "P", "Q"), ("b", "P", "R"), ("c", "R", "Q"), ("d", "Q", "R")],
+    )
+    m = LabeledMulticurve(graph, {"a": A1, "b": -1 * A1, "c": A2, "d": A1 + A2}, A1 + 2 * A2)
+    found, bounded = two_scan(*scan_inputs_of(m), m.x.coords)
+    assert sorted(found) == [(("a", "c"), [1, 2]), (("b", "d"), [1, 2]), (("c", "d"), [1, 1])]
+    assert not bounded
+    with pytest.raises(MalformedCellError, match="the weight polytope is unbounded"):
+        CellInstance(m)
+
+
+COPRIME_PAIRS = [(m, n) for m in range(1, 6) for n in range(1, 6) if gcd(m, n) == 1]
+
+
+def scan_inputs_of(m):
+    """Class rows by curve id and the edge order of a multicurve."""
+    return {e: m.class_of(e).coords for e in m.edge_ids()}, list(m.edge_ids())
+
+
+def normalized(scan):
+    found, bounded = scan
+    return sorted((tuple(s), tuple(w)) for s, w in found), bounded
+
+
+def assert_scan_matches_oracle(rows, order, target):
+    """The merged scan against the two-route oracle: the same verdict, and
+    the same vertices when bounded (an unbounded scan stops early)."""
+    found, bounded = normalized(scan_subsets(rows, order, target))
+    want, want_bounded = normalized(two_scan(rows, order, target))
+    assert bounded == want_bounded
+    if bounded:
+        assert found == want
+    else:
+        assert set(found) <= set(want)
+
+
+@st.composite
+def scan_inputs(draw):
+    """Integer columns with zero columns, dependent columns and planted
+    sign-definite relations, and a target that is often a positive
+    combination of them."""
+    width = draw(st.integers(1, 6))
+    entry = st.integers(-3, 3)
+    columns = []
+    for _ in range(draw(st.integers(1, 7))):
+        kind = draw(st.sampled_from(["random", "random", "zero", "dependent", "planted"]))
+        if kind == "zero":
+            col = [0] * width
+        elif kind == "random" or len(columns) < 2:
+            col = draw(st.lists(entry, min_size=width, max_size=width))
+        else:
+            picks = draw(st.lists(st.sampled_from(columns), min_size=2, max_size=3))
+            if kind == "planted":
+                coeffs = [-draw(st.integers(1, 3)) for _ in picks]
+            else:
+                coeffs = draw(st.lists(entry, min_size=len(picks), max_size=len(picks)))
+            col = [sum(k * c[i] for k, c in zip(coeffs, picks)) for i in range(width)]
+        columns.append(col)
+    if draw(st.booleans()):
+        weights = draw(st.lists(st.integers(0, 3), min_size=len(columns), max_size=len(columns)))
+        target = [sum(w * c[i] for w, c in zip(weights, columns)) for i in range(width)]
+    else:
+        target = draw(st.lists(entry, min_size=width, max_size=width))
+    order = [f"c{i}" for i in range(len(columns))]
+    return dict(zip(order, columns)), order, target
+
+
+@settings(max_examples=300, deadline=None)
+@given(scan_inputs())
+def test_merged_scan_matches_two_scan_oracle(case):
+    rows, order, target = case
+    assert_scan_matches_oracle(rows, order, target)
+    assert_scan_matches_oracle(rows, order, [0] * len(target))
+
+
+def test_merged_scan_matches_oracle_on_census_witnesses():
+    for p in range(4):
+        for entry in classify_types(3, p):
+            m = entry.witness
+            for target in (m.x.coords, (0,) * 6):
+                assert_scan_matches_oracle(*scan_inputs_of(m), target)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from(COPRIME_PAIRS), st.integers(1, 2), st.data())
+def test_merged_scan_matches_oracle_on_ladder_cells(mn, K, data):
+    ladder = build_ladder(*mn, K)
+    tags = ladder.edges() + ladder.two_cells()
+    picked = data.draw(st.lists(st.sampled_from(tags), min_size=1, max_size=6, unique=True))
+    cells = [ladder.vertex_cells[v] for v in ladder.vertices()[:2]]
+    for tag in picked:
+        plain = ladder.edge_cells.get(tag) or ladder.cell_cells[tag]
+        cells += [plain, ladder.appended_cell(tag)]
+    for cell in cells:
+        assert_scan_matches_oracle(*scan_inputs_of(cell.multicurve), cell.multicurve.x.coords)
 
 
 FROZEN_CHAIN_VERTS = [
@@ -266,7 +372,34 @@ def test_boundary_squares_to_zero():
         assert chain_boundary_squared(ladder.cell_cells[tag]) == {}
 
 
-COPRIME_PAIRS = [(m, n) for m in range(1, 6) for n in range(1, 6) if gcd(m, n) == 1]
+def vertex_set(cell):
+    return {frozenset(v.coefficients.items()) for v in cell.verts}
+
+
+def assert_same_faces(kept, fresh):
+    """Kept faces are the ladder's own edge cells, fresh ones are built
+    from the two-cell: sign, curve ids, classes, x and vertex set agree
+    exactly, the graphs up to piece ids and curve directions."""
+    assert len(kept) == len(fresh)
+    for (sign, face), (fresh_sign, fresh_face) in zip(kept, fresh):
+        assert sign == fresh_sign
+        a, b = face.multicurve, fresh_face.multicurve
+        assert a.classes == b.classes and a.x == b.x
+        assert vertex_set(face) == vertex_set(fresh_face)
+        # a relabeling of pieces that fixes every curve id, each curve
+        # reversed or not
+        genus_a, genus_b = dict(a.graph.vertices), dict(b.graph.vertices)
+        assert any(
+            all(genus_a[v] == genus_b[relabel[v]] for v in genus_a)
+            and all(
+                sorted((relabel[t], relabel[h]), key=str)
+                == sorted(b.graph.endpoints(e), key=str)
+                for e, t, h in a.graph.edges
+            )
+            for relabel in (
+                dict(zip(genus_a, perm)) for perm in permutations(genus_b)
+            )
+        )
 
 
 @settings(max_examples=20, deadline=None)
@@ -277,8 +410,11 @@ def test_ladder_boundary_squares_to_zero_and_euler_is_one(mn, K):
         cell = ladder.cell_cells[tag]
         assert chain_boundary_squared(cell) == {}
         # the faces and appended cells the ladder keeps match fresh ones
-        assert ladder.cell_faces[tag] == boundary_faces(cell)
+        assert_same_faces(ladder.cell_faces[tag], boundary_faces(cell))
         assert ladder.appended_cell(tag) == append_loop(cell)
+        assert_same_faces(
+            ladder.appended_faces(tag), boundary_faces(ladder.appended_cell(tag))
+        )
     v, e, c = len(ladder.vertices()), len(ladder.edges()), len(ladder.two_cells())
     assert v - e + c == 1
 
@@ -459,6 +595,53 @@ def test_ladder_truncated_before_closing():
     assert v - e + c == 1
     assert ladder.check_rung_cofaces()
     assert ladder.check_ladder_property()
+
+
+def test_ladder_audits_catch_a_missing_rung():
+    ladder = build_ladder(1, 2, 3)
+    for tag, boundary in ladder.cell_boundary.items():
+        for rung in [e for e in boundary if e[0] == "d" and e[1] > -ladder.K]:
+            sign = boundary.pop(rung)
+            assert not ladder.check_rung_cofaces(), (tag, rung)
+            if tag[0] == "V":
+                assert not ladder.check_ladder_property(), (tag, rung)
+            boundary[rung] = sign
+    assert ladder.check_rung_cofaces() and ladder.check_ladder_property()
+    # the free edges c+(-1) and c-(-1) of R(-1) gain a second horizontal coface
+    ladder.cell_boundary[("R", -2)][("c+", -1)] = 1
+    ladder.cell_boundary[("R", -2)][("c-", -1)] = -1
+    assert not ladder.check_ladder_property()
+
+
+def test_face_matching_names_the_differing_vertex_set(monkeypatch):
+    geometry = cycles.face_geometry
+
+    def drop_a_vertex(c):
+        faces = geometry(c)
+        sign, support, vecs = faces[0]
+        return [(sign, support, vecs[1:])] + faces[1:]
+
+    monkeypatch.setattr(cycles, "face_geometry", drop_a_vertex)
+    with pytest.raises(
+        InternalInconsistencyError,
+        match=r"cell \('R', -1\) face \['delta1', 'delta2', 'u0'\]: vertex set differs",
+    ):
+        build_ladder(1, 2, 1)
+
+
+def test_face_matching_names_the_differing_class(monkeypatch):
+    check = LadderComplex._check_chain_complex
+
+    def tamper(ladder):
+        check(ladder)
+        ladder.edge_cells[("d", 0)].multicurve.classes["delta1"] = A3
+
+    monkeypatch.setattr(LadderComplex, "_check_chain_complex", tamper)
+    with pytest.raises(
+        InternalInconsistencyError,
+        match=r"cell \('R', -1\) face \['delta1', 'delta2', 'u0'\]: classes differ",
+    ):
+        build_ladder(1, 2, 1)
 
 
 def test_ladder_rejects_bad_parameters():

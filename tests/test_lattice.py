@@ -23,7 +23,7 @@ from torelli3.lattice import (
     InternalInconsistencyError,
     bareiss_determinant, enumerate_splittings, enumerate_symplectic_rank2,
     form_row, hermite_row_form, intersection, is_symplectic_rank2, kernel_basis,
-    kernel_line, matrix_product, matrix_rank, orthogonal_complement,
+    matrix_product, matrix_rank, orthogonal_complement,
     primitive_part, saturate, smith_normal_form, solve_integer,
     splitting_type_wrt_x,
     splitting_type_wrt_y, transvection, transvection_matrix, apply_matrix,
@@ -148,7 +148,7 @@ def test_solve_integer_matches_rational_oracle(m, data):
         target = data.draw(
             st.lists(st.integers(-4, 4), min_size=len(m), max_size=len(m))
         )
-    rank, sol = solve_integer(m, target)
+    rank, sol, _ = solve_integer(m, target)
     assert rank == sympy.Matrix(m).rank()
     want = solve_rational(m, target)
     if want is None or any(v.denominator != 1 for v in want):
@@ -158,10 +158,10 @@ def test_solve_integer_matches_rational_oracle(m, data):
 
 
 def test_solve_integer_rejects_fractional_and_inconsistent():
-    assert solve_integer([[2], [0]], [1, 0]) == (1, None)
-    assert solve_integer([[2], [4]], [2, 4]) == (1, [1])
-    assert solve_integer([[1, 1], [1, 1]], [0, 1]) == (1, None)
-    assert solve_integer([[0, 2], [0, 0]], [6, 0]) == (1, [0, 3])
+    assert solve_integer([[2], [0]], [1, 0]) == (1, None, None)
+    assert solve_integer([[2], [4]], [2, 4]) == (1, [1], None)
+    assert solve_integer([[1, 1], [1, 1]], [0, 1]) == (1, None, [-1, 1])
+    assert solve_integer([[0, 2], [0, 0]], [6, 0]) == (1, [0, 3], [2, 0])
 
 
 def signs(v):
@@ -169,27 +169,32 @@ def signs(v):
 
 
 @settings(max_examples=300, deadline=None)
-@given(small_matrices(max_rows=5, max_cols=6))
-def test_kernel_line_is_a_multiple_of_kernel_basis(m):
+@given(small_matrices(max_rows=5, max_cols=6), st.data())
+def test_kernel_line_is_a_multiple_of_kernel_basis(m, data):
     ncols = len(m[0])
-    gen = kernel_line(m, ncols)
     ker = kernel_basis(m, ncols)
-    if len(ker) != 1:
-        assert gen is None
-        return
-    (ref,) = ker
-    assert any(gen)
-    assert all(sum(a * v for a, v in zip(row, gen)) == 0 for row in m)
-    # proportional with a nonzero ratio, so the sign pattern agrees up to sign
-    assert all(gen[i] * ref[j] == gen[j] * ref[i] for i in range(ncols) for j in range(ncols))
-    assert signs(gen) in (signs(ref), signs(-k for k in ref))
+    # the line of m is read from the echelon of [m | target], whatever target
+    target = data.draw(st.lists(st.integers(-4, 4), min_size=len(m), max_size=len(m)))
+    for rhs in ([0] * len(m), target):
+        gen = solve_integer(m, rhs)[2]
+        if len(ker) != 1:
+            assert gen is None
+            continue
+        (ref,) = ker
+        assert any(gen)
+        assert all(sum(a * v for a, v in zip(row, gen)) == 0 for row in m)
+        # proportional with a nonzero ratio, so the sign pattern agrees up to sign
+        assert all(gen[i] * ref[j] == gen[j] * ref[i] for i in range(ncols) for j in range(ncols))
+        assert signs(gen) in (signs(ref), signs(-k for k in ref))
 
 
 def test_kernel_line_refuses_to_leave_the_integers(monkeypatch):
-    # an echelon whose last pivot does not clear the denominators
-    monkeypatch.setattr(lattice, "echelon", lambda m, n: ([[2, 0, 1], [0, 3, 1]], [0, 1], 1))
+    # an echelon of [m | 0] whose last pivot does not clear the denominators
+    monkeypatch.setattr(
+        lattice, "echelon", lambda m, n: ([[2, 0, 1, 0], [0, 3, 1, 0]], [0, 1], 1)
+    )
     with pytest.raises(InternalInconsistencyError, match="left the integers"):
-        kernel_line([[1, 0, 0]], 3)
+        solve_integer([[1, 0, 0]], [0])
 
 
 def test_bareiss_determinant_sign_follows_row_swaps():

@@ -1,6 +1,7 @@
 import pytest
 
-from torelli3.cycles import CellInstance, boundary_faces, build_ladder
+from oracles import boundary_faces
+from torelli3.cycles import CellInstance, InternalInconsistencyError, build_ladder
 from torelli3.lattice import (
     A1,
     A2,
@@ -311,6 +312,41 @@ def test_d22_kernel_zero(shape):
 def test_d22_separation(u, separated):
     ladder = build_ladder(1, 2, 2)
     assert check_image_separation(ladder, u) is separated
+
+
+def test_d22_separation_checks_each_appended_face():
+    ladder = build_ladder(1, 2, 2)
+    edge = ladder.appended_cell(("d", 0))
+    edge.verts = edge.verts[:1]
+    with pytest.raises(
+        InternalInconsistencyError,
+        match=r"cell \('R', -1\) face \['beta', 'delta1', 'delta2', 'u0'\]: vertex set differs",
+    ):
+        check_image_separation(ladder, U33)
+    ladder = build_ladder(1, 2, 2)
+    ladder.appended_cell(("c+", 0)).multicurve.classes["beta"] = B3
+    with pytest.raises(
+        InternalInconsistencyError,
+        match=r"cell \('R', 0\) face \['beta', 'delta1', 'u0', 'u1'\]: classes differ",
+    ):
+        check_image_separation(ladder, U33)
+
+
+def test_d22_corner_builds_each_cell_once(monkeypatch):
+    """Ladder, (2, 2) page and separation at (2, 5), K=32: every cell
+    instance is distinct by its curve classes and target."""
+    built = []
+    init = CellInstance.__init__
+
+    def counting(cell, multicurve):
+        init(cell, multicurve)
+        built.append((frozenset(multicurve.classes.items()), multicurve.x))
+
+    monkeypatch.setattr(CellInstance, "__init__", counting)
+    ladder = build_ladder(2, 5, 32)
+    build_e1((2, 2), Truncation(K=32, ladder=ladder, subgroups=[U33], height=1))
+    assert check_image_separation(ladder, U33)
+    assert len(built) == len(set(built)) == 598
 
 
 def test_d22_rejects_inadmissible_subgroup():
