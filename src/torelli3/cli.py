@@ -8,12 +8,12 @@ a JSON report with the shape::
 
 Exit status is 0 when every verdict agrees with the packaged
 expectations, 1 on a mismatch (a page kernel that misses its predicted
-pattern included), 2 on usage errors (``--K`` above ``MAX_K`` too) or
-when a truncation window is too small for the requested computation,
-and 3 when two independent computations of the same quantity disagree
-or an internal assertion fails (an internal error).  Set the
-``TORELLI3_LOG`` environment variable (``debug``, ``info``, ...) to see
-progress on stderr.
+pattern included), 2 on usage errors (``--K`` above ``MAX_K`` and
+``--bound`` above ``MAX_BOUND`` too) or when a truncation window is too
+small for the requested computation, and 3 when two independent
+computations of the same quantity disagree or an internal assertion
+fails (an internal error).  Set the ``TORELLI3_LOG`` environment
+variable (``debug``, ``info``, ...) to see progress on stderr.
 """
 
 import argparse
@@ -39,6 +39,7 @@ from .lattice import (
     Splitting,
     SymplecticSubgroup,
     apply_matrix,
+    enumerate_splittings,
     smith_normal_form,
     transform_splitting,
     transvection_matrix,
@@ -74,6 +75,7 @@ EXIT_INTERNAL = 3
 DEFAULT_K = 3
 MAX_K = 1792  # `check d22 --mn 2,5` takes 26 s there, 26-34 s at 2048 (2-vCPU host)
 DEFAULT_MN = (1, 2)
+MAX_BOUND = 1  # bound 2 has 437,427 planes, 24 s to enumerate alone
 
 
 def _span(*vectors):
@@ -237,7 +239,7 @@ def run_check_d22(exp, m, n, K, height):
     trunc = Truncation(K=K, ladder=ladder, subgroups=(u,), height=height)
     src = build_e1((2, 2), trunc)
     mat = d22_apply(src, ladder)
-    kernel_rank = len(mat.kernel_vectors())
+    kernel_rank = len(mat.kernel_combos())
     separation = check_image_separation(ladder, u)
     verdicts = {
         "basis": len(src),
@@ -264,8 +266,13 @@ def _kernel_verdict(kernel, src, verdicts):
     return {}, verdicts, result["rank"] == verdicts["expected_rank"]
 
 
-def run_check_d13(exp):
-    family = plain_splitting_family()
+def run_check_d13(exp, bound=None):
+    """The plain (1, 3) page over the default family, or over every
+    splitting of the bound, whose counts and rank are frozen."""
+    if bound is None:
+        family = plain_splitting_family()
+    else:
+        family = enumerate_splittings(bound)
     trunc = Truncation(splittings=family, x=A1)
     src = build_e1((1, 3), trunc)
     letters = {}
@@ -278,7 +285,16 @@ def run_check_d13(exp):
         "counts": counts,
         "expected_rank": expected_rank,
     }
-    return _kernel_verdict(e2_13_kernel, src, verdicts)
+    _, verdicts, ok = _kernel_verdict(e2_13_kernel, src, verdicts)
+    if bound is None:
+        return {}, verdicts, ok
+    want = exp["check"]["d13"]["bound"][str(bound)]
+    ok = (
+        ok
+        and counts == want["counts"]
+        and verdicts["kernel_rank"] == want["kernel_rank"]
+    )
+    return {"bound": bound}, verdicts, ok
 
 
 def run_check_d13_tilde(exp):
@@ -372,7 +388,7 @@ REPORT_SUITES = (
             exp, args.mn[0], args.mn[1], args.K, args.height
         ),
     ),
-    ("d13", lambda exp, args: run_check_d13(exp)),
+    ("d13", lambda exp, args: run_check_d13(exp, args.bound)),
     ("d13-tilde", lambda exp, args: run_check_d13_tilde(exp)),
     ("kernel", lambda exp, args: run_kernel(exp)),
     ("smodule", lambda exp, args: run_smodule(exp)),
@@ -456,6 +472,9 @@ def build_parser():
     p.add_argument("--mn", type=_mn, default=DEFAULT_MN, help="weights, e.g. 1,2")
     p.add_argument("--K", type=int, default=DEFAULT_K, help="truncation window")
     p.add_argument("--height", type=int, default=1, help="subgroup height cap")
+    p.add_argument(
+        "--bound", type=int, help="d13 over every splitting of this height bound"
+    )
 
     p = sub.add_parser(
         "kernel", parents=[common], help="stabilizer vanishing table"
@@ -476,7 +495,7 @@ def build_parser():
     p.add_argument("--mn", type=_mn, default=DEFAULT_MN, help="weights, e.g. 1,2")
     p.add_argument("--K", type=int, default=DEFAULT_K, help="truncation window")
     p.add_argument("--seed", type=int, help="seed for the lantern translates")
-    p.set_defaults(dim=None, height=1)
+    p.set_defaults(dim=None, height=1, bound=None)
 
     return parser
 
@@ -497,6 +516,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if getattr(args, "K", 0) > MAX_K:
         print(f"error: --K {args.K} is above the limit {MAX_K}", file=sys.stderr)
+        return EXIT_USAGE
+    bound = getattr(args, "bound", None)
+    if bound is not None and args.target != "d13":
+        print("error: --bound applies to check d13 only", file=sys.stderr)
+        return EXIT_USAGE
+    if bound is not None and bound > MAX_BOUND:
+        print(f"error: --bound {bound} is above the limit {MAX_BOUND}", file=sys.stderr)
         return EXIT_USAGE
     expectations = load_expectations()
     started = time.perf_counter()

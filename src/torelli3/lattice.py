@@ -394,6 +394,23 @@ class SymplecticSubgroup:
         self.basis = h
 
     @classmethod
+    def _trusted(cls, basis):
+        """A plane from `enumerate_symplectic_rank2`, with no checks run.
+
+        It skips the Hermite form and the minor-gcd primitivity test.
+        The enumerator builds its rows in Hermite shape, and it keeps a
+        pair only when the pairing is +-1, a combination of 2x2 minors,
+        so their gcd is 1.  Every plane of height 1 passes __init__
+        unchanged in the enumerator test
+        ``test_enumerated_planes_pass_the_public_constructor``, and drawn
+        candidates of height up to 3 do in
+        ``test_hermite_candidates_with_unit_pairing_are_planes``.
+        """
+        u = object.__new__(cls)
+        u.basis = basis
+        return u
+
+    @classmethod
     def spanned_by(cls, vectors):
         rows = [v.coords if isinstance(v, HVector) else tuple(v) for v in vectors]
         return cls(saturate(rows, 6))
@@ -471,6 +488,23 @@ class Splitting:
         if det not in (1, -1):
             raise ValueError("parts do not span the full lattice (det %d)" % det)
         self.parts = parts
+
+    @classmethod
+    def _trusted(cls, parts):
+        """A splitting from `_splittings_cached`, with no checks run.
+
+        It skips the part types and ranks, the unimodularity of each
+        part, the cross-part pairings and the determinant.  The parts
+        are planes of `enumerate_symplectic_rank2`, each with pairing
+        +-1; the enumerator pairs every two basis rows exactly; and
+        det(B)^2 = det(B J B^T) = 1 for the stacked basis B and the form
+        J.  Every splitting of bound 1 passes __init__ unchanged in the
+        enumerator test
+        ``test_enumerated_splittings_pass_the_public_constructor``.
+        """
+        s = object.__new__(cls)
+        s.parts = parts
+        return s
 
     def decompose(self, x):
         """Write x as a sum of one component per part.
@@ -635,7 +669,7 @@ def enumerate_symplectic_rank2(height):
                                 row1[idx] = v
                             for row2 in row2_list:
                                 if _pairing(row1, row2) in (1, -1):
-                                    found.append(SymplecticSubgroup((tuple(row1), row2)))
+                                    found.append(SymplecticSubgroup._trusted((tuple(row1), row2)))
     seen = {}
     for u in found:
         seen[u.key()] = u
@@ -674,22 +708,26 @@ def _splittings_cached(bound):
             if _pairing(f, rows[other]) != 0:
                 bad[r] |= subs_using[other]
                 bad[other] |= subs_using[r]
-    orth = [full_mask & ~(bad[ids[0]] | bad[ids[1]]) for ids in sub_rows]
+    # bit b of up[i]: plane i + 1 + b is orthogonal to plane i
+    up = [
+        (full_mask & ~(bad[ids[0]] | bad[ids[1]])) >> (i + 1)
+        for i, ids in enumerate(sub_rows)
+    ]
 
     found = []
     for i in range(n):
-        mi = orth[i] & (full_mask << (i + 1))
-        m = mi
+        m = up[i]
         while m:
             low = m & -m
             m ^= low
-            j = low.bit_length() - 1
-            common = orth[i] & orth[j] & (full_mask << (j + 1))
+            b = low.bit_length()
+            j = i + b
+            common = (up[i] >> b) & up[j]
             while common:
                 lowk = common & -common
                 common ^= lowk
-                k = lowk.bit_length() - 1
-                found.append(Splitting((subs[i], subs[j], subs[k])))
+                k = j + lowk.bit_length()
+                found.append(Splitting._trusted((subs[i], subs[j], subs[k])))
     # subs is sorted by key and i < j < k grow in that order, so each
     # splitting's parts and the list itself are already in ordered-key order
     return tuple(found)

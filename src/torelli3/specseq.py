@@ -12,10 +12,10 @@ clipped.
 
 from .lattice import (
     enumerate_symplectic_rank2,
-    hermite_row_form,
     intersection,
     kernel_basis,
     matrix_rank,
+    smith_normal_form,
     splitting_type_wrt_x,
     splitting_type_wrt_y,
 )
@@ -32,9 +32,9 @@ class GeneratorTag:
     """Symbolic stabilizer-homology generator.
 
     Kinds: ``bp`` (conjugated bounding-pair twist class, integer index),
-    ``sep`` (separating twist, a rank-2 subgroup), ``a2`` (abelian cycle
-    of two commuting twists), ``a2pair`` (two orthogonal subgroups,
-    stored in canonical order with a sign), ``a3`` (a full splitting).
+    ``a2`` (abelian cycle of two commuting twists), ``a2pair`` (two
+    orthogonal subgroups, stored in canonical order with a sign), ``a3``
+    (a full splitting).
     """
 
     __slots__ = ("kind", "data")
@@ -46,10 +46,6 @@ class GeneratorTag:
     @classmethod
     def bp_twist(cls, k):
         return cls("bp", int(k))
-
-    @classmethod
-    def sep_twist(cls, u):
-        return cls("sep", u.key())
 
     @classmethod
     def a2(cls, u):
@@ -183,8 +179,9 @@ class SparseIntMatrix:
             return pivots
         return pivots + matrix_rank(_dense_block(leftover))
 
-    def kernel_vectors(self):
-        """Basis of the saturated integer kernel, one tuple per vector."""
+    def kernel_combos(self):
+        """Basis of the saturated integer kernel, one {column index:
+        coefficient} dict per vector, as the eliminator records them."""
         _, kernel, leftover = self._eliminate()
         if leftover:
             block = _dense_block(leftover)
@@ -193,14 +190,35 @@ class SparseIntMatrix:
                 for coeff, (_, moves) in zip(vec, leftover):
                     for j, w in moves.items():
                         combo[j] = combo.get(j, 0) + coeff * w
-                kernel.append(combo)
+                kernel.append({j: w for j, w in combo.items() if w})
+        return kernel
+
+    def kernel_vectors(self):
+        """The kernel combos as dense tuples, one per vector."""
         basis = []
-        for combo in kernel:
+        for combo in self.kernel_combos():
             vec = [0] * len(self.cols)
             for j, w in combo.items():
                 vec[j] = w
             basis.append(tuple(vec))
         return basis
+
+    def columns_saturated(self):
+        """Whether the columns are independent and span a saturated lattice.
+
+        The retired columns carry a unit-triangular minor on their pivot
+        rows, where every other column is zero, so the Smith factors are
+        those of the leftover block plus ones: that block must have full
+        column rank and unit factors.  A column that became zero is a
+        dependence.
+        """
+        _, kernel, leftover = self._eliminate()
+        if kernel:
+            return False
+        if not leftover:
+            return True
+        factors = smith_normal_form(_dense_block(leftover))[0]
+        return len(factors) == len(leftover) and all(f == 1 for f in factors)
 
     def _eliminate(self):
         """Sparse elimination by integer column operations on unit pivots.
@@ -547,21 +565,30 @@ def d13_apply(src):
 
 
 def _kernel_matches_pattern(src, mat, pattern):
-    """The SNF kernel lattice must equal the span of the pattern rows."""
+    """Whether the pattern vectors are a basis of the saturated kernel.
+
+    Three sparse exact checks: mat annihilates every pattern vector,
+    there are cols - rank of them, and taken as columns they are
+    independent and span a saturated lattice.  A saturated lattice
+    inside the kernel with the kernel's rank is the whole kernel.
+    """
     labels = [(orbit, tag.key()) for orbit, tag in src.basis]
-    position = {label: i for i, label in enumerate(labels)}
-    rows = []
-    for combo in pattern:
-        vec = [0] * len(labels)
+    column_of = dict(zip(labels, mat.cols))
+    images = {}
+    for (r, c), v in mat.entries.items():
+        images.setdefault(c, []).append((r, v))
+    entries = {}
+    for k, combo in enumerate(pattern):
+        image = {}
         for label, coeff in combo.items():
-            vec[position[label]] = coeff
-        rows.append(vec)
-    kernel = mat.kernel_vectors()
-    if len(kernel) != len(rows):
+            entries[(label, k)] = coeff
+            for r, v in images.get(column_of[label], ()):
+                image[r] = image.get(r, 0) + coeff * v
+        if any(image.values()):
+            return False
+    if len(pattern) != len(mat.cols) - mat.rank():
         return False
-    if not rows:
-        return True
-    return hermite_row_form(rows) == hermite_row_form(kernel)
+    return SparseIntMatrix(labels, range(len(pattern)), entries).columns_saturated()
 
 
 def e2_13_kernel(src):

@@ -6,13 +6,16 @@ checked against it.  ``two_scan`` is the route cells took before one
 elimination per curve subset served both vertices and boundedness.
 ``boundary_faces`` builds every face of a cell as a fresh cell, as the
 ladder did before it kept its own edge cells as faces.
+``dense_kernel_matches_pattern`` is the page kernel check as it was
+before it went sparse: the Hermite forms of the pattern and of the dense
+kernel basis must agree.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
 from torelli3.cycles import CellInstance, MalformedCellError, face_geometry
-from torelli3.lattice import kernel_basis, solve_integer
+from torelli3.lattice import hermite_row_form, kernel_basis, solve_integer
 from torelli3.surface import DecompGraph, LabeledMulticurve
 
 
@@ -138,3 +141,25 @@ def boundary_faces(c):
     ]
     faces.sort(key=lambda sf: sf[1].support_key())
     return faces
+
+
+def dense_kernel_matches_pattern(src, mat, pattern):
+    """Whether the pattern rows span the saturated kernel of mat.
+
+    The pattern becomes dense rows over the page labels and is compared
+    with the dense kernel basis through their Hermite forms.
+    """
+    labels = [(orbit, tag.key()) for orbit, tag in src.basis]
+    position = {label: i for i, label in enumerate(labels)}
+    rows = []
+    for combo in pattern:
+        vec = [0] * len(labels)
+        for label, coeff in combo.items():
+            vec[position[label]] = coeff
+        rows.append(vec)
+    kernel = mat.kernel_vectors()
+    if len(kernel) != len(rows):
+        return False
+    if not rows:
+        return True
+    return hermite_row_form(rows) == hermite_row_form(kernel)

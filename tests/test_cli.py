@@ -116,6 +116,58 @@ def test_check_d13_tilde_kernel_one_per_splitting(capsys):
     assert verdicts["kernel_rank"] == 4
 
 
+def test_check_d13_over_the_whole_bound_1_family(capsys, monkeypatch):
+    from torelli3.specseq import SparseIntMatrix
+
+    def refuse(self):
+        raise AssertionError("dense kernel vectors built")
+
+    monkeypatch.setattr(SparseIntMatrix, "kernel_vectors", refuse)
+    code, report, _ = run_cli(capsys, "check", "d13", "--bound", "1")
+    assert code == 0
+    assert report["config"] == {"target": "d13", "bound": 1}
+    verdicts = report["verdicts"]
+    want = cli.load_expectations()["check"]["d13"]["bound"]["1"]
+    assert verdicts["splittings"] == 12657
+    assert verdicts["counts"] == want["counts"] == {"a": 1297, "b": 5392, "c": 5968}
+    assert verdicts["kernel_rank"] == want["kernel_rank"] == 24017
+
+
+def test_bound_1_letters_recounted_from_decompose():
+    # the letter counts the nonzero components of x = a1, not the classifier
+    from torelli3.lattice import A1, enumerate_splittings
+
+    counts = {"a": 0, "b": 0, "c": 0}
+    for s in enumerate_splittings(1):
+        touched = sum(1 for comp in s.decompose(A1) if not comp.is_zero())
+        counts["abc"[touched - 1]] += 1
+    want = cli.load_expectations()["check"]["d13"]["bound"]["1"]
+    assert counts == want["counts"]
+    assert counts["a"] + 2 * counts["b"] + 2 * counts["c"] == want["kernel_rank"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["check", "d13", "--bound", "2"], "error: --bound 2 is above the limit 1"),
+        (["check", "d31", "--bound", "1"], "error: --bound applies to check d13 only"),
+    ],
+    ids=["above-limit", "other-target"],
+)
+def test_bound_is_refused_before_any_work(capsys, monkeypatch, argv, message):
+    from torelli3 import lattice
+
+    def refuse(*args):
+        raise AssertionError("splittings were enumerated")
+
+    monkeypatch.setattr(lattice, "_splittings_cached", refuse)
+    monkeypatch.setattr(cli, "enumerate_splittings", refuse)
+    code, report, err = run_cli(capsys, *argv)
+    assert code == cli.EXIT_USAGE == 2
+    assert report is None
+    assert err.startswith(message)
+
+
 @pytest.mark.parametrize("target", ["d13", "d13-tilde"])
 def test_kernel_pattern_mismatch_is_a_failed_check(capsys, monkeypatch, target):
     from torelli3 import specseq

@@ -11,7 +11,7 @@ from itertools import permutations, product
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
@@ -744,3 +744,70 @@ def test_splittings_through_fixed_part_recounted():
         1 for s in enumerate_splittings(1) if u.key() in [p.key() for p in s.parts]
     )
     assert through == SPLITTINGS_THROUGH_A1B1
+
+
+# ---------------------------------------------------------------------------
+# the enumerators' trusted constructors against the public ones
+
+
+def test_enumerated_planes_pass_the_public_constructor():
+    for u in enumerate_symplectic_rank2(1):
+        assert hermite_row_form(u.basis) == u.basis
+        assert SymplecticSubgroup(u.basis).basis == u.basis
+
+
+def test_enumerated_splittings_pass_the_public_constructor():
+    for s in enumerate_splittings(1):
+        assert Splitting(s.parts) == s
+        assert bareiss_determinant([row for p in s.parts for row in p.basis]) in (1, -1)
+
+
+@st.composite
+def hermite_candidates(draw, height=3):
+    """Two rows in the Hermite shape `enumerate_symplectic_rank2` builds,
+    entries in [-height, height], redrawn until their pairing is +-1."""
+    span = st.integers(-height, height)
+    for _ in range(30):
+        j1, j2 = sorted(draw(st.lists(st.integers(0, 5), min_size=2, max_size=2, unique=True)))
+        p2 = draw(st.integers(1, height))
+        row1 = [0] * 6
+        row1[j1] = draw(st.integers(1, height))
+        row1[j2] = draw(st.integers(0, min(height, p2 - 1)))
+        for j in range(j1 + 1, 6):
+            if j != j2:
+                row1[j] = draw(span)
+        row2 = [0] * j2 + [p2] + [draw(span) for _ in range(j2 + 1, 6)]
+        if intersection(HVector(row1), HVector(row2)) in (1, -1):
+            return tuple(row1), tuple(row2)
+    assume(False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hermite_candidates())
+def test_hermite_candidates_with_unit_pairing_are_planes(basis):
+    assert hermite_row_form(basis) == basis
+    assert SymplecticSubgroup(basis).basis == basis
+    assert SymplecticSubgroup._trusted(basis) == SymplecticSubgroup(basis)
+
+
+def test_public_routes_still_reject_bad_planes_and_triples():
+    u1, u2 = SymplecticSubgroup([A1, B1]), SymplecticSubgroup([A2, B2])
+    with pytest.raises(ValueError, match="non-primitive"):
+        SymplecticSubgroup([A3, 2 * B3])
+    # <a3, a2 + 2 b3> is primitive, so spanned_by keeps it, but its pairing is 2
+    skew = SymplecticSubgroup.spanned_by([A3, A2 + 2 * B3])
+    assert skew.rank == 2 and not is_symplectic_rank2(skew)
+    with pytest.raises(ValueError, match="unimodular"):
+        Splitting([u1, u2, skew])
+    with pytest.raises(ValueError, match="not orthogonal"):
+        Splitting([u1, u2, SymplecticSubgroup.spanned_by([A3, B3 + A1])])
+    # a shear a3 -> a3 + a1 is not symplectic: the moved third part meets b1
+    shear = lattice.identity_matrix(6)
+    shear[0][4] = 1
+    with pytest.raises(ValueError, match="not orthogonal"):
+        transform_splitting(shear, STANDARD_SPLITTING)
+    # doubling b3 makes the third part non-primitive
+    double = lattice.identity_matrix(6)
+    double[5][5] = 2
+    with pytest.raises(ValueError, match="non-primitive"):
+        transform_splitting(double, STANDARD_SPLITTING)

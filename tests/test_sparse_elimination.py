@@ -2,7 +2,9 @@
 
 `SparseIntMatrix.rank` and `kernel_vectors` eliminate on ±1 pivots and
 hand only a leftover block without unit entries to the dense Smith
-normal form.  The dense `lattice` routines and sympy are the oracles.
+normal form.  The dense `lattice` routines and sympy are the oracles;
+the sparse page kernel check is compared with the dense Hermite-form
+check it replaced.
 """
 
 import pytest
@@ -10,6 +12,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import dense_kernel_matches_pattern
 from torelli3 import specseq
 from torelli3.cycles import build_ladder
 from torelli3.lattice import (
@@ -19,10 +22,14 @@ from torelli3.lattice import (
     hermite_row_form,
     kernel_basis,
     matrix_rank,
+    smith_normal_form,
 )
 from torelli3.specseq import (
+    E1Truncation,
+    GeneratorTag,
     SparseIntMatrix,
     Truncation,
+    _kernel_matches_pattern,
     build_e1,
     d22_apply,
     d31_apply,
@@ -139,3 +146,90 @@ def test_no_rows_gives_identity_kernel(ncols):
     assert mat.kernel_vectors() == [
         tuple(int(i == j) for j in range(ncols)) for i in range(ncols)
     ]
+
+
+# ---------------------------------------------------------------------------
+# the sparse page kernel check against the dense Hermite-form oracle
+
+TAG = GeneratorTag.bp_twist(0)
+
+
+def page(dense, ncols):
+    """A page with generator j labeled (j, TAG), and its matrix."""
+    labels = [(j, TAG) for j in range(ncols)]
+    entries = {
+        (i, labels[j]): value for i, row in enumerate(dense) for j, value in enumerate(row)
+    }
+    src = E1Truncation((2, 1), labels, Truncation())
+    return src, SparseIntMatrix(range(len(dense)), labels, entries)
+
+
+def pattern_of(vectors):
+    return [{(j, TAG.key()): c for j, c in enumerate(vec) if c} for vec in vectors]
+
+
+MUTATIONS = ("none", "mixed", "scaled", "outside", "dropped", "repeated")
+
+
+@settings(max_examples=300, deadline=None)
+@given(dense_matrices(), st.sampled_from(MUTATIONS), st.data())
+def test_sparse_pattern_check_agrees_with_dense_oracle(matrix, mutation, data):
+    dense, ncols = matrix
+    src, mat = page(dense, ncols)
+    basis = [list(vec) for vec in kernel_basis(dense, ncols)]
+    pick = st.integers(0, max(len(basis) - 1, 0))
+    moved = [j for j in range(ncols) if any(row[j] for row in dense)]
+    expected = True
+    if mutation == "mixed" and len(basis) >= 2:
+        i, k = data.draw(st.permutations(range(len(basis))))[:2]
+        factor = data.draw(st.integers(-3, 3))
+        basis[i] = [a + factor * b for a, b in zip(basis[i], basis[k])]
+    elif mutation == "scaled" and basis:
+        i = data.draw(pick)
+        basis[i] = [2 * a for a in basis[i]]
+        expected = False
+    elif mutation == "outside" and moved:
+        j = data.draw(st.sampled_from(moved))
+        if basis:
+            basis[data.draw(pick)][j] += 1
+        else:
+            basis.append([int(k == j) for k in range(ncols)])
+        expected = False
+    elif mutation == "dropped" and basis:
+        basis.pop(data.draw(pick))
+        expected = False
+    elif mutation == "repeated" and len(basis) >= 2:
+        i, k = data.draw(st.permutations(range(len(basis))))[:2]
+        basis[i] = list(basis[k])
+        expected = False
+    pattern = pattern_of(basis)
+    got = _kernel_matches_pattern(src, mat, pattern)
+    assert got == dense_kernel_matches_pattern(src, mat, pattern)
+    assert got == expected
+
+
+def test_pattern_without_unit_entries_takes_the_dense_route(monkeypatch):
+    # neither the matrix nor the pattern has a unit entry to pivot on
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return smith_normal_form(m)
+
+    monkeypatch.setattr(specseq, "smith_normal_form", counted)
+    src, mat = page([[3, -2]], 2)
+    assert _kernel_matches_pattern(src, mat, pattern_of([(2, 3)]))
+    assert calls == [[[2], [3]]]
+    assert not _kernel_matches_pattern(src, mat, pattern_of([(4, 6)]))
+    assert calls[-1] == [[4], [6]]
+
+
+def test_kernel_combos_are_the_sparse_kernel_vectors():
+    dense = [[1, 5, 7, 0], [0, 2, 4, 0], [0, 4, 8, 0]]
+    mat = sparse(dense, 4)
+    combos = mat.kernel_combos()
+    assert all(all(combo.values()) for combo in combos)
+    assert [
+        tuple(combo.get(j, 0) for j in range(4)) for combo in combos
+    ] == mat.kernel_vectors()
+    assert len(combos) == 2
