@@ -153,25 +153,6 @@ class CellInstance:
     def support_key(self):
         return tuple(sorted(str(e) for e in self.multicurve.edge_ids()))
 
-    def to_dict(self):
-        g = self.multicurve.graph
-        return {
-            "x": list(self.multicurve.x.coords),
-            "edges": [
-                {
-                    "id": str(e),
-                    "tail": str(t),
-                    "head": str(h),
-                    "class": list(self.multicurve.class_of(e).coords),
-                }
-                for e, t, h in g.edges
-            ],
-            "verts": [
-                {str(e): k for e, k in v.coefficients.items()} for v in self.verts
-            ],
-            "dim": self.dim,
-        }
-
     def __eq__(self, other):
         if not isinstance(other, CellInstance):
             return NotImplemented
@@ -494,45 +475,6 @@ class LadderComplex:
 
     def _span(self):
         return range(-self.K, min(self.t, self.K) + 1)
-
-    def to_json(self):
-        def s(tag):
-            return "%s[%s]" % (tag[0], tag[1])
-
-        return {
-            "m": self.m,
-            "n": self.n,
-            "K": self.K,
-            "l": self.l,
-            "t": self.t,
-            "vertices": [
-                {"tag": s(v), "psi": self.vertex_psi[v]} for v in self.vertices()
-            ],
-            "edges": [
-                {
-                    "tag": s(e),
-                    "kind": self.edge_kind[e],
-                    "tail": s(self.edge_endpoints[e][0]),
-                    "head": s(self.edge_endpoints[e][1]),
-                    **(
-                        {"external": self.edge_external[e]}
-                        if e in self.edge_external
-                        else {}
-                    ),
-                }
-                for e in self.edges()
-            ],
-            "cells": [
-                {
-                    "tag": s(c),
-                    "kind": self.cell_kind[c],
-                    "psi": self.cell_psi[c],
-                    "closes": c == self.closing,
-                    "boundary": {s(e): sign for e, sign in self.cell_boundary[c].items()},
-                }
-                for c in self.two_cells()
-            ],
-        }
 
     def __repr__(self):
         return "LadderComplex(m=%d, n=%d, K=%d, cells=%d)" % (

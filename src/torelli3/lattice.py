@@ -506,21 +506,24 @@ class Splitting:
         s.parts = parts
         return s
 
-    def decompose(self, x):
-        """Write x as a sum of one component per part.
+    def components(self, xc):
+        """Write the coordinate tuple xc as a sum of one component per part.
 
         The parts are orthogonal, so the part with basis (u, v) and
         w = <u, v> = +-1 takes the component w<x, v> u + w<u, x> v.
+        Returns the three component tuples.
         """
-        xc = x.coords
         comps = []
-        for p in self.parts:
-            u, v = p.basis
+        for u, v in (p.basis for p in self.parts):
             w = _pairing(u, v)
             s, t = w * _pairing(xc, v), w * _pairing(u, xc)
             comps.append(tuple(s * a + t * b for a, b in zip(u, v)))
         assert tuple(map(sum, zip(*comps))) == xc, "components do not sum to x"
-        return tuple(HVector(c) for c in comps)
+        return comps
+
+    def decompose(self, x):
+        """The components of x (see `components`) as HVectors."""
+        return tuple(HVector(c) for c in self.components(x.coords))
 
     def ordered_key(self):
         return tuple(p.basis for p in self.parts)
@@ -555,30 +558,34 @@ def splitting_type_wrt_x(x, splitting):
     """
     if x.is_zero():
         raise ValueError("x must be nonzero")
-    comps = splitting.decompose(x)
-    touched = [i for i in range(3) if not comps[i].is_zero()]
-    letter = {1: "a", 2: "b", 3: "c"}[len(touched)]
-    perm = tuple(touched + [i for i in range(3) if i not in touched])
+    nonzero = [any(c) for c in splitting.components(x.coords)]
+    touched = [i for i in range(3) if nonzero[i]]
+    letter = "abc"[len(touched) - 1]
+    perm = tuple(touched + [i for i in range(3) if not nonzero[i]])
     return letter, perm
 
 
 def splitting_type_wrt_y(y, splitting, x_part):
     """Classify the second class y relative to the part holding x.
 
-    Types 1..4 record whether y touches the x-part and how many of the other
-    two parts it touches.  A class y inside the x-part has no type.
+    Returns (type, others): types 1..4 record whether y touches the
+    x-part and how many of the other two parts it touches; others lists
+    those two part indices, the touched ones first.  A class y inside
+    the x-part has no type.
     """
     if x_part not in (0, 1, 2):
         raise ValueError("x_part must be 0, 1 or 2")
     if y.is_zero():
         raise ValueError("y must be nonzero")
-    comps = splitting.decompose(y)
-    in_x = not comps[x_part].is_zero()
-    others = sum(1 for i in range(3) if i != x_part and not comps[i].is_zero())
-    if others == 1:
-        return 2 if in_x else 1
-    if others == 2:
-        return 4 if in_x else 3
+    nonzero = [any(c) for c in splitting.components(y.coords)]
+    rest = [i for i in range(3) if i != x_part]
+    touched = [i for i in rest if nonzero[i]]
+    others = tuple(touched + [i for i in rest if not nonzero[i]])
+    in_x = nonzero[x_part]
+    if len(touched) == 1:
+        return (2 if in_x else 1), others
+    if len(touched) == 2:
+        return (4 if in_x else 3), others
     raise ValueError("y lies in the part containing x; no type applies")
 
 

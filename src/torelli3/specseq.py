@@ -11,6 +11,7 @@ clipped.
 """
 
 from .lattice import (
+    _pairing,
     enumerate_symplectic_rank2,
     intersection,
     kernel_basis,
@@ -54,13 +55,11 @@ class GeneratorTag:
     @classmethod
     def a2_pair(cls, u1, u2):
         """Tag for a pair of orthogonal subgroups; swapping flips sign."""
-        if u1.key() == u2.key():
-            raise AdmissibilityError("pair parts must differ")
-        for v in u1.vectors():
-            for w in u2.vectors():
-                if intersection(v, w) != 0:
-                    raise AdmissibilityError("pair parts must be orthogonal")
         a, b = u1.key(), u2.key()
+        if a == b:
+            raise AdmissibilityError("pair parts must differ")
+        if any(_pairing(v, w) for v in a for w in b):
+            raise AdmissibilityError("pair parts must be orthogonal")
         if a <= b:
             return cls("a2pair", (a, b, 1))
         return cls("a2pair", (b, a, -1))
@@ -83,9 +82,6 @@ class GeneratorTag:
 
     def __hash__(self):
         return hash(self.key())
-
-    def __lt__(self, other):
-        return str(self.key()) < str(other.key())
 
     def __repr__(self):
         return f"GeneratorTag({self.kind}, {self.data!r})"
@@ -164,8 +160,11 @@ class SparseIntMatrix:
 
     @classmethod
     def from_columns(cls, columns):
-        """columns: list of (col_label, {row_label: entry})."""
-        rows = sorted({r for _, col in columns for r in col}, key=str)
+        """columns: list of (col_label, {row_label: entry}).
+
+        Rows come in the order the columns first name them.
+        """
+        rows = list(dict.fromkeys(r for _, col in columns for r in col))
         entries = {}
         for label, col in columns:
             for r, v in col.items():
@@ -604,7 +603,7 @@ def e2_13_kernel(src):
         letter, key, i = orbit
         groups.setdefault((letter, key), []).append(((orbit, tag.key()), i))
     pattern = []
-    for (letter, _), gens in sorted(groups.items(), key=str):
+    for (letter, _), gens in groups.items():
         gens.sort(key=lambda g: g[1])
         labels = [g[0] for g in gens]
         if letter == "a":
@@ -634,37 +633,29 @@ def _build_13_tilde(trunc):
         if letter != "a":
             raise AdmissibilityError("x must lie in a single part")
         x_part = perm[0]
-        ytype = splitting_type_wrt_y(y, s, x_part)
-        comps = s.decompose(y)
-        touched = [
-            i for i in range(3) if i != x_part and not comps[i].is_zero()
-        ]
-        untouched = [
-            i for i in range(3) if i != x_part and comps[i].is_zero()
-        ]
+        # the other two parts, those y touches first: (touched, free) for
+        # types 1 and 2, both touched in increasing order for 3 and 4
+        ytype, (j, k) = splitting_type_wrt_y(y, s, x_part)
         key = s.unordered_key()
         index[key] = s
         u = s.parts
         if ytype == 1:
-            gens = [("t1", GeneratorTag.a2_pair(u[x_part], u[untouched[0]]))]
+            gens = [("t1", GeneratorTag.a2_pair(u[x_part], u[k]))]
         elif ytype == 2:
-            j, free = touched[0], untouched[0]
             gens = [
-                ("t22", GeneratorTag.a2_pair(u[j], u[free])),
-                ("t22p", GeneratorTag.a2_pair(u[x_part], u[free])),
+                ("t22", GeneratorTag.a2_pair(u[j], u[k])),
+                ("t22p", GeneratorTag.a2_pair(u[x_part], u[k])),
             ]
         elif ytype == 3:
-            j2, j3 = touched
             gens = [
-                ("t32a", GeneratorTag.a2_pair(u[j3], u[x_part])),
-                ("t32b", GeneratorTag.a2_pair(u[x_part], u[j2])),
+                ("t32a", GeneratorTag.a2_pair(u[k], u[x_part])),
+                ("t32b", GeneratorTag.a2_pair(u[x_part], u[j])),
             ]
         else:
-            j2, j3 = touched
             gens = [
-                ("t42", GeneratorTag.a2_pair(u[j2], u[j3])),
-                ("t52a", GeneratorTag.a2_pair(u[j3], u[x_part])),
-                ("t52b", GeneratorTag.a2_pair(u[x_part], u[j2])),
+                ("t42", GeneratorTag.a2_pair(u[j], u[k])),
+                ("t52a", GeneratorTag.a2_pair(u[k], u[x_part])),
+                ("t52b", GeneratorTag.a2_pair(u[x_part], u[j])),
             ]
         for name, gen in gens:
             basis.append(((ytype, key, name), gen))
@@ -707,7 +698,7 @@ def e2_13_tilde_kernel(src):
         ytype, key, name = orbit
         groups.setdefault((ytype, key), {})[name] = (orbit, tag.key())
     pattern = []
-    for (ytype, _), gens in sorted(groups.items(), key=str):
+    for (ytype, _), gens in groups.items():
         if ytype == 1:
             pattern.append({gens["t1"]: 1})
         elif ytype == 2:

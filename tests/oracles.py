@@ -8,14 +8,19 @@ elimination per curve subset served both vertices and boundedness.
 ladder did before it kept its own edge cells as faces.
 ``dense_kernel_matches_pattern`` is the page kernel check as it was
 before it went sparse: the Hermite forms of the pattern and of the dense
-kernel basis must agree.
+kernel basis must agree.  ``letter_by_decompose``, ``ytype_by_decompose``
+and ``pair_tag_by_vectors`` are the splitting-page routes as they were
+before they moved to coordinate tuples: components as ``HVector``s tested
+with ``is_zero()``, and pair orthogonality through ``vectors()`` and
+``intersection``.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
 from torelli3.cycles import CellInstance, MalformedCellError, face_geometry
-from torelli3.lattice import hermite_row_form, kernel_basis, solve_integer
+from torelli3.lattice import hermite_row_form, intersection, kernel_basis, solve_integer
+from torelli3.specseq import AdmissibilityError, GeneratorTag
 from torelli3.surface import DecompGraph, LabeledMulticurve
 
 
@@ -163,3 +168,39 @@ def dense_kernel_matches_pattern(src, mat, pattern):
     if not rows:
         return True
     return hermite_row_form(rows) == hermite_row_form(kernel)
+
+
+def letter_by_decompose(x, splitting):
+    """(letter, perm) of ``splitting_type_wrt_x`` from HVector components."""
+    comps = splitting.decompose(x)
+    touched = [i for i in range(3) if not comps[i].is_zero()]
+    letter = {1: "a", 2: "b", 3: "c"}[len(touched)]
+    return letter, tuple(touched + [i for i in range(3) if i not in touched])
+
+
+def ytype_by_decompose(y, splitting, x_part):
+    """(type, others) of ``splitting_type_wrt_y`` from HVector components."""
+    comps = splitting.decompose(y)
+    in_x = not comps[x_part].is_zero()
+    rest = [i for i in range(3) if i != x_part]
+    touched = [i for i in rest if not comps[i].is_zero()]
+    others = tuple(touched + [i for i in rest if comps[i].is_zero()])
+    if len(touched) == 1:
+        return (2 if in_x else 1), others
+    if len(touched) == 2:
+        return (4 if in_x else 3), others
+    raise ValueError("y lies in the part containing x; no type applies")
+
+
+def pair_tag_by_vectors(u1, u2):
+    """``GeneratorTag.a2_pair`` with its checks run on HVectors."""
+    if u1.key() == u2.key():
+        raise AdmissibilityError("pair parts must differ")
+    for v in u1.vectors():
+        for w in u2.vectors():
+            if intersection(v, w) != 0:
+                raise AdmissibilityError("pair parts must be orthogonal")
+    a, b = u1.key(), u2.key()
+    if a <= b:
+        return GeneratorTag("a2pair", (a, b, 1))
+    return GeneratorTag("a2pair", (b, a, -1))

@@ -661,21 +661,3 @@ def test_ladder_glued_pairs():
         assert tuple(map(ladder.glued_vertex, cp)) == tuple(
             map(ladder.glued_vertex, cm)
         )
-
-
-def test_ladder_json_roundtrip():
-    import json
-
-    ladder = build_ladder(1, 1, 1)
-    blob = json.loads(json.dumps(ladder.to_json()))
-    assert blob["m"] == 1 and blob["n"] == 1 and blob["K"] == 1
-    tags = {c["tag"] for c in blob["cells"]}
-    assert "tri[0]" in tags
-    closing = [c for c in blob["cells"] if c["closes"]]
-    assert len(closing) == 1 and closing[0]["tag"] == "tri[0]"
-    kinds = {c["kind"] for c in blob["cells"]}
-    assert kinds == {"rectangle", "closing-triangle", "vertical"}
-    cell = CellInstance(three_double_chain())
-    dumped = json.loads(json.dumps(cell.to_dict()))
-    assert dumped["dim"] == 3
-    assert len(dumped["verts"]) == 8

@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from oracles import solve_rational
+from oracles import letter_by_decompose, solve_rational, ytype_by_decompose
 from torelli3 import lattice
 from torelli3.lattice import (
     A1, A2, A3, B1, B2, B3, BASIS, ZERO,
@@ -492,11 +492,15 @@ SPLITTINGS = st.one_of(
 @given(SPLITTINGS, COORDS)
 def test_decompose_matches_linear_solve(splitting, coords):
     x = HVector(coords)
-    comps = splitting.decompose(x)
-    assert comps == _decompose_oracle(splitting, x)
+    want = _decompose_oracle(splitting, x)
+    comps = splitting.components(x.coords)
+    assert tuple(HVector(c) for c in comps) == want
+    assert splitting.decompose(x) == want
     for comp, part in zip(comps, splitting.parts):
         assert part.contains(comp)
-    assert comps[0] + comps[1] + comps[2] == x
+    assert tuple(map(sum, zip(*comps))) == x.coords
+    if not x.is_zero():
+        assert splitting_type_wrt_x(x, splitting) == letter_by_decompose(x, splitting)
 
 
 def test_plane_pairings_take_both_signs():
@@ -560,14 +564,40 @@ def test_splitting_type_wrt_x_examples():
 
 def test_splitting_type_wrt_y_examples():
     s = STANDARD_SPLITTING
-    assert splitting_type_wrt_y(A2, s, 0) == 1
-    assert splitting_type_wrt_y(B1 + A2, s, 0) == 2
-    assert splitting_type_wrt_y(A2 + A3, s, 0) == 3
-    assert splitting_type_wrt_y(B1 + A2 + A3, s, 0) == 4
+    assert splitting_type_wrt_y(A2, s, 0) == (1, (1, 2))
+    assert splitting_type_wrt_y(B1 + A2, s, 0) == (2, (1, 2))
+    assert splitting_type_wrt_y(A2 + A3, s, 0) == (3, (1, 2))
+    assert splitting_type_wrt_y(B1 + A2 + A3, s, 0) == (4, (1, 2))
+    assert splitting_type_wrt_y(B3, s, 1) == (1, (2, 0))
+    assert splitting_type_wrt_y(A1 + B2 + A3, s, 2) == (4, (0, 1))
     with pytest.raises(ValueError):
         splitting_type_wrt_y(B1, s, 0)
     with pytest.raises(ValueError):
         splitting_type_wrt_y(A2, s, 5)
+
+
+def _outcome(classify, *args):
+    try:
+        return classify(*args)
+    except ValueError as err:
+        return str(err)
+
+
+def test_splitting_types_match_the_decompose_route_on_bound_1():
+    # the tuple route against HVector components and is_zero(), over every
+    # splitting of bound 1 and each part as the x-part of y = a2 + a3
+    y = A2 + A3
+    letters, ytypes = set(), set()
+    for s in enumerate_splittings(1):
+        letter = splitting_type_wrt_x(A1, s)
+        assert letter == letter_by_decompose(A1, s)
+        letters.add(letter[0])
+        for part in range(3):
+            got = _outcome(splitting_type_wrt_y, y, s, part)
+            assert got == _outcome(ytype_by_decompose, y, s, part)
+            ytypes.add(got if isinstance(got, str) else got[0])
+    assert letters == {"a", "b", "c"}
+    assert ytypes == {1, 2, 3, 4, "y lies in the part containing x; no type applies"}
 
 
 def test_primitive_part():

@@ -1,6 +1,11 @@
-import pytest
+from collections import Counter
+from functools import lru_cache
 
-from oracles import boundary_faces
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import boundary_faces, pair_tag_by_vectors
 from torelli3.cycles import CellInstance, InternalInconsistencyError, build_ladder
 from torelli3.lattice import (
     A1,
@@ -12,6 +17,8 @@ from torelli3.lattice import (
     STANDARD_SPLITTING,
     Splitting,
     SymplecticSubgroup,
+    enumerate_splittings,
+    enumerate_symplectic_rank2,
     splitting_type_wrt_x,
     transvection,
 )
@@ -120,6 +127,33 @@ def test_pair_tag_rejects_bad_parts():
     overlapping = SymplecticSubgroup.spanned_by([B2 + A3, B3])
     with pytest.raises(AdmissibilityError):
         GeneratorTag.a2_pair(U23, overlapping)
+
+
+def _tag_outcome(tag, u1, u2):
+    try:
+        return tag(u1, u2).key()
+    except AdmissibilityError as err:
+        return str(err)
+
+
+PLANE = st.integers(0, 4766).map(lambda i: enumerate_symplectic_rank2(1)[i])
+PLANE_PAIRS = st.one_of(
+    st.tuples(PLANE, PLANE),
+    PLANE.map(lambda u: (u, u)),
+    st.tuples(st.integers(0, 12656), st.permutations(range(3))).map(
+        lambda t: tuple(enumerate_splittings(1)[t[0]].parts[i] for i in t[1][:2])
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(PLANE_PAIRS)
+def test_pair_tag_matches_the_vector_route(pair):
+    # equal, orthogonal (two parts of one splitting) and random pairs of
+    # height-1 planes: the same tag or the same rejection from both routes
+    assert _tag_outcome(GeneratorTag.a2_pair, *pair) == _tag_outcome(
+        pair_tag_by_vectors, *pair
+    )
 
 
 def test_admissible_for_bounding_pair():
@@ -532,3 +566,60 @@ def test_vanishing_census_table():
     assert by_fp[(4, 6, (0, 0, 0, 0), ())]["zero_above"] == 0
     assert table["tilde_0_4_zero"]
     assert rows
+
+
+@lru_cache(maxsize=None)
+def _isolating_a1():
+    """The splittings of bound 1 that put a1 in one part."""
+    return [s for s in enumerate_splittings(1) if splitting_type_wrt_x(A1, s)[0] == "a"]
+
+
+def _page_summary(kernel, family, **fields):
+    """Rank, per-splitting type counts, kernel pattern and page rows,
+    each independent of the order of the family."""
+    src = build_e1((1, 3), Truncation(splittings=family, **fields))
+    result = kernel(src)  # raises when the kernel misses its pattern
+    types = {orbit[1]: orbit[0] for orbit, _ in src.basis}
+    return (
+        result["rank"],
+        Counter(types.values()),
+        {frozenset(combo.items()) for combo in result["basis"]},
+        set(result["matrix"].rows),
+    )
+
+
+def _shuffled_sample(pool_size, max_size):
+    return st.lists(
+        st.integers(0, pool_size - 1), min_size=1, max_size=max_size, unique=True
+    ).flatmap(lambda idx: st.tuples(st.just(idx), st.permutations(idx)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_shuffled_sample(12657, 40))
+def test_d13_kernel_is_independent_of_family_order(orders):
+    splittings = enumerate_splittings(1)
+    ordered, shuffled = ([splittings[i] for i in idx] for idx in orders)
+    assert _page_summary(e2_13_kernel, ordered, x=A1) == _page_summary(
+        e2_13_kernel, shuffled, x=A1
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(_shuffled_sample(1297, 40))
+def test_d13_tilde_kernel_is_independent_of_family_order(orders):
+    pool = _isolating_a1()
+    ordered, shuffled = ([pool[i] for i in idx] for idx in orders)
+    fields = {"x": A1, "y": A2 + A3}
+    assert _page_summary(e2_13_tilde_kernel, ordered, **fields) == _page_summary(
+        e2_13_tilde_kernel, shuffled, **fields
+    )
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.permutations(range(4)))
+def test_tilde_family_kernel_is_independent_of_order(order):
+    family = tilde_family()
+    fields = {"x": A1, "y": A2 + A3}
+    assert _page_summary(e2_13_tilde_kernel, family, **fields) == _page_summary(
+        e2_13_tilde_kernel, [family[i] for i in order], **fields
+    )
