@@ -521,10 +521,6 @@ class Splitting:
         assert tuple(map(sum, zip(*comps))) == xc, "components do not sum to x"
         return comps
 
-    def decompose(self, x):
-        """The components of x (see `components`) as HVectors."""
-        return tuple(HVector(c) for c in self.components(x.coords))
-
     def ordered_key(self):
         return tuple(p.basis for p in self.parts)
 

@@ -38,11 +38,12 @@ class GeneratorTag:
     (a full splitting).
     """
 
-    __slots__ = ("kind", "data")
+    __slots__ = ("kind", "data", "_hash")
 
     def __init__(self, kind, data):
         self.kind = kind
         self.data = data
+        self._hash = hash((kind, data))
 
     @classmethod
     def bp_twist(cls, k):
@@ -81,7 +82,7 @@ class GeneratorTag:
         return self.key() == other.key()
 
     def __hash__(self):
-        return hash(self.key())
+        return self._hash
 
     def __repr__(self):
         return f"GeneratorTag({self.kind}, {self.data!r})"

@@ -10,7 +10,7 @@ types.
 """
 
 from functools import lru_cache
-from itertools import combinations_with_replacement, permutations, product
+from itertools import permutations, product
 
 from .lattice import A1, A2, A3, ZERO, intersection, matrix_rank, solve_integer
 
@@ -464,24 +464,46 @@ def _compositions(total, parts):
             yield (first,) + rest
 
 
+def _capped_multisets(nv, ne, cap):
+    """(multiset, degrees) for each multiset of ``ne`` pairs i <= j (loops
+    included) with no degree above ``cap``, in combinations_with_replacement order."""
+    pairs = [(i, j) for i in range(nv) for j in range(i, nv)]
+    degree = [0] * nv
+    combo = []
+
+    def extend(start):
+        if len(combo) == ne:
+            yield tuple(combo), tuple(degree)
+            return
+        for k in range(start, len(pairs)):
+            a, b = pairs[k]
+            degree[a] += 1
+            degree[b] += 1
+            if degree[a] <= cap and degree[b] <= cap:
+                combo.append(pairs[k])
+                yield from extend(k)
+                combo.pop()
+            degree[a] -= 1
+            degree[b] -= 1
+
+    return extend(0)
+
+
 @lru_cache(maxsize=None)
 def _census(p):
     nv = p + 1
     entries = []
     seen = set()
-    pairs = [(i, j) for i in range(nv) for j in range(i, nv)]
     for ne in range(max(nv - 1, 0), p + 4):
         total_genus = p + 3 - ne
-        for combo in combinations_with_replacement(pairs, ne):
-            if len(_reachable(combo, 0)) != nv:
+        # each piece has chi <= -1 and the chis sum to -4: chi >= nv - 5, so d <= 7 - nv
+        for combo, degree in _capped_multisets(nv, ne, 7 - nv):
+            least = [max(0, (4 - d) // 2) for d in degree]  # least g with chi <= -1
+            spare = total_genus - sum(least)
+            if spare < 0 or len(_reachable(combo, 0)) != nv:
                 continue
-            degree = [0] * nv
-            for a, b in combo:
-                degree[a] += 1
-                degree[b] += 1
-            for genera in _compositions(total_genus, nv):
-                if any(2 - 2 * g - d > -1 for g, d in zip(genera, degree)):
-                    continue
+            for extra in _compositions(spare, nv):
+                genera = [g + e for g, e in zip(least, extra)]
                 key = _canonical_combo(nv, genera, combo)
                 if key in seen:
                     continue
@@ -500,15 +522,14 @@ def _census(p):
 
 def _canonical_combo(nv, genera, combo):
     """Least (genera, edge pairs) key over relabelings of vertices 0..nv-1;
-    edge orientations are forgotten."""
-    best = None
-    for perm in permutations(range(nv)):
-        pg = tuple(genera[perm.index(i)] for i in range(nv))
-        pp = tuple(sorted(tuple(sorted((perm[a], perm[b]))) for a, b in combo))
-        key = (pg, pp)
-        if best is None or key < best:
-            best = key
-    return best
+    edge orientations are forgotten.  Keys compare genera first, so only
+    the relabelings that sort the genera are tried."""
+    target = tuple(sorted(genera))
+    return target, min(
+        tuple(sorted(tuple(sorted((order.index(a), order.index(b)))) for a, b in combo))
+        for order in permutations(range(nv))
+        if tuple(genera[v] for v in order) == target
+    )
 
 
 def classify_types(g, p):

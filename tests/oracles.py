@@ -12,16 +12,24 @@ kernel basis must agree.  ``letter_by_decompose``, ``ytype_by_decompose``
 and ``pair_tag_by_vectors`` are the splitting-page routes as they were
 before they moved to coordinate tuples: components as ``HVector``s tested
 with ``is_zero()``, and pair orthogonality through ``vectors()`` and
-``intersection``.
+``intersection``; ``decompose`` is the ``HVector`` view of
+``Splitting.components`` they read.  ``census_by_filter`` is the genus-3
+census as it was before its enumeration was capped by the Euler bound:
+every edge multiset from ``combinations_with_replacement``, connectivity
+first, then every genus composition filtered piece by piece, deduplicated
+by ``canonical_combo_all_perms``, the least key over all relabelings.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement, permutations
 
 from torelli3.cycles import CellInstance, MalformedCellError, face_geometry
-from torelli3.lattice import hermite_row_form, intersection, kernel_basis, solve_integer
+from torelli3 import surface
+from torelli3.lattice import (
+    HVector, hermite_row_form, intersection, kernel_basis, solve_integer,
+)
 from torelli3.specseq import AdmissibilityError, GeneratorTag
-from torelli3.surface import DecompGraph, LabeledMulticurve
+from torelli3.surface import CensusEntry, DecompGraph, LabeledMulticurve
 
 
 def solve_rational(m, target):
@@ -170,9 +178,14 @@ def dense_kernel_matches_pattern(src, mat, pattern):
     return hermite_row_form(rows) == hermite_row_form(kernel)
 
 
+def decompose(splitting, x):
+    """The components of x (see ``Splitting.components``) as HVectors."""
+    return tuple(HVector(c) for c in splitting.components(x.coords))
+
+
 def letter_by_decompose(x, splitting):
     """(letter, perm) of ``splitting_type_wrt_x`` from HVector components."""
-    comps = splitting.decompose(x)
+    comps = decompose(splitting, x)
     touched = [i for i in range(3) if not comps[i].is_zero()]
     letter = {1: "a", 2: "b", 3: "c"}[len(touched)]
     return letter, tuple(touched + [i for i in range(3) if i not in touched])
@@ -180,7 +193,7 @@ def letter_by_decompose(x, splitting):
 
 def ytype_by_decompose(y, splitting, x_part):
     """(type, others) of ``splitting_type_wrt_y`` from HVector components."""
-    comps = splitting.decompose(y)
+    comps = decompose(splitting, y)
     in_x = not comps[x_part].is_zero()
     rest = [i for i in range(3) if i != x_part]
     touched = [i for i in rest if not comps[i].is_zero()]
@@ -204,3 +217,53 @@ def pair_tag_by_vectors(u1, u2):
     if a <= b:
         return GeneratorTag("a2pair", (a, b, 1))
     return GeneratorTag("a2pair", (b, a, -1))
+
+
+def canonical_combo_all_perms(nv, genera, combo):
+    """Least (genera, edge pairs) key over every relabeling of 0..nv-1."""
+    best = None
+    for perm in permutations(range(nv)):
+        pg = tuple(genera[perm.index(i)] for i in range(nv))
+        pp = tuple(sorted(tuple(sorted((perm[a], perm[b]))) for a, b in combo))
+        key = (pg, pp)
+        if best is None or key < best:
+            best = key
+    return best
+
+
+def census_by_filter(p):
+    """Census entries of dimension p by the unpruned enumeration.
+
+    ``surface.realizability_check`` is looked up on each call, so a test
+    can wrap it and see the graphs this route hands it.
+    """
+    nv = p + 1
+    entries = []
+    seen = set()
+    pairs = [(i, j) for i in range(nv) for j in range(i, nv)]
+    for ne in range(max(nv - 1, 0), p + 4):
+        total_genus = p + 3 - ne
+        for combo in combinations_with_replacement(pairs, ne):
+            if len(surface._reachable(combo, 0)) != nv:
+                continue
+            degree = [0] * nv
+            for a, b in combo:
+                degree[a] += 1
+                degree[b] += 1
+            for genera in surface._compositions(total_genus, nv):
+                if any(2 - 2 * g - d > -1 for g, d in zip(genera, degree)):
+                    continue
+                key = canonical_combo_all_perms(nv, genera, combo)
+                if key in seen:
+                    continue
+                seen.add(key)
+                canon_genera, canon_pairs = key
+                graph = DecompGraph(
+                    [(v, g) for v, g in enumerate(canon_genera)],
+                    [(i, a, b) for i, (a, b) in enumerate(canon_pairs)],
+                )
+                witness = surface.realizability_check(graph)
+                if witness is not None:
+                    entries.append(CensusEntry(witness))
+    entries.sort(key=lambda entry: entry.fingerprint)
+    return tuple(entries)

@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from oracles import letter_by_decompose, solve_rational, ytype_by_decompose
+from oracles import decompose, letter_by_decompose, solve_rational, ytype_by_decompose
 from torelli3 import lattice
 from torelli3.lattice import (
     A1, A2, A3, B1, B2, B3, BASIS, ZERO,
@@ -450,7 +450,7 @@ def test_is_symplectic_rank2():
 
 def test_standard_splitting_decompose():
     x = A1 + 2 * B2 - A3
-    comps = STANDARD_SPLITTING.decompose(x)
+    comps = decompose(STANDARD_SPLITTING, x)
     assert comps == (A1, 2 * B2, -1 * A3)
     assert comps[0] + comps[1] + comps[2] == x
 
@@ -495,7 +495,7 @@ def test_decompose_matches_linear_solve(splitting, coords):
     want = _decompose_oracle(splitting, x)
     comps = splitting.components(x.coords)
     assert tuple(HVector(c) for c in comps) == want
-    assert splitting.decompose(x) == want
+    assert decompose(splitting, x) == want
     for comp, part in zip(comps, splitting.parts):
         assert part.contains(comp)
     assert tuple(map(sum, zip(*comps))) == x.coords
@@ -640,7 +640,7 @@ def test_transvection_moves_splittings():
     assert moved.unordered_key() != STANDARD_SPLITTING.unordered_key()
     # still a valid splitting: constructor validated it, spot check decompose
     x = A1 + A2
-    comps = moved.decompose(x)
+    comps = decompose(moved, x)
     assert comps[0] + comps[1] + comps[2] == x
 
 

@@ -137,12 +137,11 @@ def _tag_outcome(tag, u1, u2):
 
 
 PLANE = st.integers(0, 4766).map(lambda i: enumerate_symplectic_rank2(1)[i])
+ORTHOGONAL_PAIRS = st.tuples(st.integers(0, 12656), st.permutations(range(3))).map(
+    lambda t: tuple(enumerate_splittings(1)[t[0]].parts[i] for i in t[1][:2])
+)
 PLANE_PAIRS = st.one_of(
-    st.tuples(PLANE, PLANE),
-    PLANE.map(lambda u: (u, u)),
-    st.tuples(st.integers(0, 12656), st.permutations(range(3))).map(
-        lambda t: tuple(enumerate_splittings(1)[t[0]].parts[i] for i in t[1][:2])
-    ),
+    st.tuples(PLANE, PLANE), PLANE.map(lambda u: (u, u)), ORTHOGONAL_PAIRS
 )
 
 
@@ -154,6 +153,25 @@ def test_pair_tag_matches_the_vector_route(pair):
     assert _tag_outcome(GeneratorTag.a2_pair, *pair) == _tag_outcome(
         pair_tag_by_vectors, *pair
     )
+
+
+@settings(max_examples=100, deadline=None)
+@given(ORTHOGONAL_PAIRS)
+def test_stored_tag_hash_matches_the_key(pair):
+    # the hash is computed once per tag; equal tags built by either route,
+    # in either order, or rebuilt from their data must hash alike
+    u1, u2 = pair
+    for a, b in ((u1, u2), (u2, u1)):
+        tag = GeneratorTag.a2_pair(a, b)
+        twin = pair_tag_by_vectors(a, b)
+        rebuilt = GeneratorTag(tag.kind, tag.data)
+        assert tag == twin == rebuilt
+        assert hash(tag) == hash(twin) == hash(rebuilt) == hash(tag.key())
+    others = (
+        GeneratorTag.bp_twist(-3), GeneratorTag.a2(u1), GeneratorTag.a3(STANDARD_SPLITTING)
+    )
+    for tag in others:
+        assert hash(tag) == hash(tag.key())
 
 
 def test_admissible_for_bounding_pair():

@@ -1,12 +1,14 @@
 """Tests for decomposition graphs, labelings, and the genus-3 census."""
 
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import canonical_combo_all_perms, census_by_filter
+from torelli3 import surface
 from torelli3.lattice import A1, A2, A3, HVector, ZERO, intersection
 from torelli3.surface import (
     CensusEntry, DecompGraph, LabeledMulticurve, MalformedGraphError,
@@ -316,6 +318,88 @@ def test_canonical_key_ignores_labels_and_orientations(data):
     ]
     relabeled = DecompGraph(vertices, data.draw(st.permutations(edges)))
     assert relabeled.canonical_key() == g.canonical_key()
+
+
+def test_census_matches_the_unpruned_oracle():
+    for p in range(4):
+        got, want = classify_types(3, p), census_by_filter(p)
+        assert [e.fingerprint for e in got] == [e.fingerprint for e in want]
+        # graphs, classes and x: LabeledMulticurve equality compares all three
+        assert [e.witness for e in got] == [e.witness for e in want]
+
+
+def test_census_checks_realizability_of_the_same_graphs(monkeypatch):
+    seen = []
+    check = surface.realizability_check
+
+    def counting(graph):
+        seen.append(graph)
+        return check(graph)
+
+    monkeypatch.setattr(surface, "realizability_check", counting)
+    for p in range(4):
+        surface._census.__wrapped__(p)
+    pruned, seen[:] = list(seen), []
+    for p in range(4):
+        census_by_filter(p)
+    assert len(pruned) == 42
+    assert pruned == seen
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 6), st.integers(0, 8))
+def test_capped_multisets_are_the_filtered_multisets(nv, ne, cap):
+    pairs = [(i, j) for i in range(nv) for j in range(i, nv)]
+    want = []
+    for combo in combinations_with_replacement(pairs, ne):
+        degree = [0] * nv
+        for a, b in combo:
+            degree[a] += 1
+            degree[b] += 1
+        if max(degree) <= cap:
+            want.append((combo, tuple(degree)))
+    assert list(surface._capped_multisets(nv, ne, cap)) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_canonical_combo_matches_all_relabelings(data):
+    nv = data.draw(st.integers(1, 4))
+    genera = data.draw(st.lists(st.integers(0, 3), min_size=nv, max_size=nv))
+    vertex = st.integers(0, nv - 1)
+    combo = data.draw(st.lists(st.tuples(vertex, vertex), max_size=6))
+    assert surface._canonical_combo(nv, genera, combo) == canonical_combo_all_perms(
+        nv, genera, combo
+    )
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_census_is_unchanged_under_relabeling(data):
+    # each witness graph is its own canonical form; any vertex relabeling
+    # and edge reorientation keeps that key and stays realizable
+    for p in range(4):
+        for entry in classify_types(3, p):
+            g = entry.graph
+            key = (
+                tuple(gen for _, gen in g.vertices),
+                tuple((min(t, h), max(t, h)) for _, t, h in g.edges),
+            )
+            assert g.canonical_key() == key
+            n = len(g.vertices)
+            rename = data.draw(st.permutations(range(n)))
+            flips = data.draw(st.lists(st.booleans(), min_size=len(g.edges), max_size=len(g.edges)))
+            relabeled = DecompGraph(
+                sorted((rename[v], gen) for v, gen in g.vertices),
+                [
+                    (e, rename[h], rename[t]) if flip else (e, rename[t], rename[h])
+                    for (e, t, h), flip in zip(g.edges, flips)
+                ],
+            )
+            assert relabeled.canonical_key() == key
+            witness = realizability_check(relabeled)
+            assert witness is not None
+            assert witness.graph.vertices == relabeled.vertices
 
 
 def test_multiedge_profile_conventions():
