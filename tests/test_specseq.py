@@ -167,10 +167,11 @@ def test_stored_tag_hash_matches_the_key(pair):
         rebuilt = GeneratorTag(tag.kind, tag.data)
         assert tag == twin == rebuilt
         assert hash(tag) == hash(twin) == hash(rebuilt) == hash(tag.key())
-    others = (
-        GeneratorTag.bp_twist(-3), GeneratorTag.a2(u1), GeneratorTag.a3(STANDARD_SPLITTING)
-    )
-    for tag in others:
+    for tag in (
+        GeneratorTag.bp_twist(-3),
+        GeneratorTag.a2(u1),
+        GeneratorTag.a3(STANDARD_SPLITTING),
+    ):
         assert hash(tag) == hash(tag.key())
 
 
