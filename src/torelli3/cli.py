@@ -73,7 +73,9 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 DEFAULT_K = 3
-MAX_K = 1792  # `check d22 --mn 2,5` takes 26 s there, 26-34 s at 2048 (2-vCPU host)
+# the largest window at which every measured `check d22 --mn 2,5` stayed inside 30 s
+# (2-vCPU host): 23-24 s and 216 MB there, 27-32 s at 6144; 2.6 s at K=512, 8 s at 1792
+MAX_K = 5120
 DEFAULT_MN = (1, 2)
 MAX_BOUND = 1  # bound 2 has 437,427 planes, 24 s to enumerate alone
 

@@ -9,6 +9,7 @@ faces, and assembles the two-dimensional "ladder" subcomplex attached
 to a bounding pair class.
 """
 
+from functools import lru_cache
 from math import gcd
 
 from .lattice import (
@@ -20,8 +21,9 @@ from .lattice import (
     bareiss_determinant,
     echelon,
     matrix_rank,
+    solve_integer,
 )
-from .surface import DecompGraph, LabeledMulticurve, scan_subsets
+from .surface import DecompGraph, LabeledMulticurve
 
 
 class DegenerateInputError(ValueError):
@@ -66,6 +68,26 @@ class BasicCycle:
         self.coefficients = coefficients
         self.target = target
 
+    @classmethod
+    def _trusted(cls, multicurve, coefficients, target):
+        """A vertex from `enumerate_basic_cycles`, with no checks run.
+
+        It skips the support ids, the positive integer weights, the
+        independence of the support classes and the class sum.  The
+        pattern solve proves each: the support is a subset of the edge
+        order, every weight is an exact integer quotient that passed the
+        positivity test, the subset's pivot minor has a nonzero
+        determinant, and R w = y holds on every row of the reduced form,
+        whose solutions are those of the class sum.  Every vertex of
+        random ladder cells passes __init__ unchanged in
+        ``test_pattern_route_matches_scan_subsets_on_ladder_cells``.
+        """
+        v = object.__new__(cls)
+        v.multicurve = multicurve
+        v.coefficients = coefficients
+        v.target = target
+        return v
+
     @property
     def support(self):
         return frozenset(self.coefficients)
@@ -93,21 +115,145 @@ class BasicCycle:
         return "BasicCycle({%s})" % inner
 
 
+def _reduced_system(columns, target):
+    """(R, y): the system sum_e w_e c_e = target in canonical coordinates.
+
+    One fraction-free echelon of [classes | target], reduced upward so
+    that each pivot column is zero off its row.  Every row is divided by
+    the gcd of all its entries, then by the gcd of its class entries,
+    with its pivot made positive.  R is then the reduced row echelon
+    form of the classes with primitive rows: it depends only on their
+    row space, so two class matrices with one kernel share it.  R w = y
+    has the solutions of the system; y is None when no integer w solves
+    it, because the target lies outside the span of the classes or a
+    class gcd does not divide its row's target entry.
+    """
+    n = len(columns)
+    rows, pivots, _ = echelon(
+        [[c[i] for c in columns] + [t] for i, t in enumerate(target)], n + 1
+    )
+    solvable = not pivots or pivots[-1] < n
+    if not solvable:
+        pivots = pivots[:-1]
+    reduced = []
+    for i in range(len(pivots) - 1, -1, -1):
+        row = rows[i]
+        for below, j in zip(reduced, pivots[i + 1 :]):
+            f = row[j]
+            if f:
+                row = [a * below[j] - f * b for a, b in zip(row, below)]
+        g = gcd(*row) if row[pivots[i]] > 0 else -gcd(*row)
+        reduced.insert(0, [a // g for a in row])
+    R, y = [], []
+    for row in reduced:
+        g = gcd(*row[:n])
+        R.append(tuple(a // g for a in row[:n]))
+        # the whole row is primitive: the target entry is a multiple of g only when g == 1
+        solvable = solvable and g == 1
+        y.append(row[n])
+    return tuple(R), (y if solvable else None)
+
+
+def _adjugate(m):
+    """Integer adjugate of a square matrix: m * adj = det(m) * identity."""
+    k = len(m)
+    return tuple(
+        tuple(
+            (-1) ** (i + j)
+            * bareiss_determinant(
+                [[m[r][c] for c in range(k) if c != i] for r in range(k) if r != j]
+            )
+            for j in range(k)
+        )
+        for i in range(k)
+    )
+
+
+@lru_cache(maxsize=None)
+def _pattern(n, R):
+    """(bounded, solvers) of the reduced class form R on n curves.
+
+    The subset scan of ``surface.scan_subsets``, run once per pattern on
+    R, which has the kernel of every class matrix reducing to it.  A
+    subset whose kernel is a line with a sign-definite generator makes
+    the polytope unbounded, and the scan stops there.  Each independent
+    subset (its columns) gets a solver: its pivot rows of R, the
+    adjugate and determinant of the pivot minor, and the other rows
+    restricted to the subset, which a solution must also satisfy.
+    """
+    r = len(R)
+    solvers = []
+    for mask in range(1, 1 << n):
+        cols = tuple(j for j in range(n) if mask >> j & 1)
+        k = len(cols)
+        if k > r + 1:
+            continue  # a kernel of dimension two or more: no line, no vertex
+        matrix = [[row[j] for j in cols] for row in R] or [[0] * k]
+        rank, _, line = solve_integer(matrix, [0] * len(matrix))
+        if rank == k:
+            # the pivots of the transposed columns are independent rows of R
+            pivot_rows = echelon([[row[j] for row in R] for j in cols], r)[1]
+            minor = [[R[i][j] for j in cols] for i in pivot_rows]
+            checks = tuple(
+                (i, tuple(R[i][j] for j in cols)) for i in range(r) if i not in pivot_rows
+            )
+            solvers.append(
+                (cols, tuple(pivot_rows), _adjugate(minor), bareiss_determinant(minor), checks)
+            )
+        elif line and (min(line) > 0 or max(line) < 0):
+            return False, ()
+    return True, tuple(solvers)
+
+
+def _scan_by_pattern(columns, target):
+    """(found, bounded) of ``surface.scan_subsets`` by the pattern route.
+
+    ``found`` lists (column indices, weights) of the positive integer
+    solutions on independent subsets, which the pattern's solvers give
+    by one adjugate product and one exact division each; it is empty
+    when the polytope is unbounded.
+    """
+    R, y = _reduced_system(columns, target)
+    bounded, solvers = _pattern(len(columns), R)
+    found = []
+    if not bounded or y is None:
+        return found, bounded
+    for cols, pivot_rows, adj, det, checks in solvers:
+        sub = [y[i] for i in pivot_rows]
+        weights = []
+        for adj_row in adj:
+            w, rem = divmod(sum(a * b for a, b in zip(adj_row, sub)), det)
+            if rem or w <= 0:
+                break
+            weights.append(w)
+        else:
+            if all(sum(a * w for a, w in zip(row, weights)) == y[i] for i, row in checks):
+                found.append((cols, weights))
+    return found, True
+
+
 def enumerate_basic_cycles(m, x):
     """All basic cycles of the multicurve ``m`` with target class ``x``.
 
-    The vertex view of ``scan_subsets``, one elimination of
-    [classes | x] per curve subset, which also raises when the weight
-    polytope is unbounded.  Sorted by weight vector in edge order.
+    The pattern route: one echelon of [classes | x] puts the system in
+    its canonical reduced form R w = y (``_reduced_system``).  The
+    subset scan runs once per distinct R (``_pattern``) and decides
+    boundedness, raising before any solve when the polytope is
+    unbounded; each cell then solves every independent subset by an
+    adjugate product and an exact division.  ``surface.scan_subsets``,
+    one elimination per curve subset, is the oracle of the tests.
+    Sorted by weight vector in edge order.
     """
     if x.is_zero():
         raise DegenerateInputError("the zero class supports no basic cycle")
     edge_order = m.edge_ids()
-    classes = {e: m.class_of(e).coords for e in edge_order}
-    found, bounded = scan_subsets(classes, edge_order, x.coords)
+    found, bounded = _scan_by_pattern([m.class_of(e).coords for e in edge_order], x.coords)
     if not bounded:
         raise MalformedCellError("the weight polytope is unbounded")
-    verts = [BasicCycle(m, dict(zip(subset, sol)), x) for subset, sol in found]
+    verts = [
+        BasicCycle._trusted(m, {edge_order[j]: w for j, w in zip(cols, weights)}, x)
+        for cols, weights in found
+    ]
     verts.sort(key=lambda v: v.vector(edge_order))
     return verts
 
@@ -123,8 +269,10 @@ class CellInstance:
     ``verts`` lists every basic cycle for the multicurve's own target
     class; ``dim`` is the count of curves minus the rank of their span,
     which the multicurve contract makes equal to one less than the
-    number of pieces.  One scan finds the vertices and checks the
-    polytope is bounded; every curve must lie on a vertex.
+    number of pieces.  ``enumerate_basic_cycles`` finds the vertices
+    by the pattern route, after the scan of the cell's relation pattern
+    has checked that the polytope is bounded; every curve must lie on a
+    vertex.
     """
 
     __slots__ = ("multicurve", "verts", "dim")

@@ -149,13 +149,18 @@ def test_uncovered_curve_is_malformed():
         CellInstance(m)
 
 
-def test_unbounded_polytope_is_malformed():
-    """Every curve lies on a vertex, yet a + b = 0 is a recession ray."""
+def unbounded_labeling():
+    """Graph and classes with the recession ray a + b = 0."""
     graph = DecompGraph(
         [("P", 1), ("Q", 0), ("R", 0)],
         [("a", "P", "Q"), ("b", "P", "R"), ("c", "R", "Q"), ("d", "Q", "R")],
     )
-    m = LabeledMulticurve(graph, {"a": A1, "b": -1 * A1, "c": A2, "d": A1 + A2}, A1 + 2 * A2)
+    return graph, {"a": A1, "b": -1 * A1, "c": A2, "d": A1 + A2}
+
+
+def test_unbounded_polytope_is_malformed():
+    """Every curve lies on a vertex, yet a + b = 0 is a recession ray."""
+    m = LabeledMulticurve(*unbounded_labeling(), A1 + 2 * A2)
     found, bounded = two_scan(*scan_inputs_of(m), m.x.coords)
     assert sorted(found) == [(("a", "c"), [1, 2]), (("b", "d"), [1, 2]), (("c", "d"), [1, 1])]
     assert not bounded
@@ -247,6 +252,100 @@ def test_merged_scan_matches_oracle_on_ladder_cells(mn, K, data):
         cells += [plain, ladder.appended_cell(tag)]
     for cell in cells:
         assert_scan_matches_oracle(*scan_inputs_of(cell.multicurve), cell.multicurve.x.coords)
+
+
+def assert_pattern_route_matches(columns, order, target, oracle):
+    """``cycles._scan_by_pattern`` against an oracle with the interface of
+    ``surface.scan_subsets``: the same verdict, and the same vertices
+    when bounded."""
+    found, bounded = cycles._scan_by_pattern([columns[e] for e in order], target)
+    want, want_bounded = normalized(oracle(columns, order, target))
+    assert bounded == want_bounded
+    if bounded:
+        assert sorted((tuple(order[j] for j in cols), tuple(w)) for cols, w in found) == want
+    else:
+        assert found == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(scan_inputs())
+def test_pattern_route_matches_two_scan_oracle(case):
+    rows, order, target = case
+    assert_pattern_route_matches(rows, order, target, two_scan)
+    assert_pattern_route_matches(rows, order, [0] * len(target), two_scan)
+
+
+@pytest.mark.parametrize(
+    "columns, target, bounded, found",
+    [
+        ([(2,)], (1,), True, []),  # y = 1/2 is not integral
+        ([(2, 0), (0, 1)], (3, 1), True, []),  # the same, one row down
+        ([(2, 0), (0, 1)], (4, 1), True, [((0, 1), [2, 1])]),
+        ([(1, 0), (2, 0)], (0, 1), True, []),  # x outside the span
+        ([(1, 0), (-1, 0)], (0, 1), False, []),  # unbounded before the span
+        ([(0, 0)], (1, 0), False, []),  # a zero class is a recession ray
+        ([], (1,), True, []),
+    ],
+)
+def test_pattern_route_examples(columns, target, bounded, found):
+    assert cycles._scan_by_pattern(columns, target) == (found, bounded)
+    order = list(range(len(columns)))
+    assert_pattern_route_matches(dict(enumerate(columns)), order, target, scan_subsets)
+
+
+def test_pattern_cache_separates_forms_with_equal_pivots():
+    """Three curves of rank 2 with pivots in the first two columns, once
+    bounded and once with c1 + c2 + c3 = 0: a cache keyed on anything
+    coarser than the reduced form would hand one the other's scan."""
+    target = (1, 2)
+    for third in [(1, 1), (-1, -1), (1, 2), (1, -1), (2, 1)]:
+        columns = {"c1": (1, 0), "c2": (0, 1), "c3": third}
+        assert_pattern_route_matches(columns, ["c1", "c2", "c3"], target, scan_subsets)
+        assert_pattern_route_matches(columns, ["c3", "c1", "c2"], target, scan_subsets)
+
+
+def test_unbounded_polytope_raises_before_the_span_test():
+    """The recession ray a + b = 0 is found even when x lies outside the
+    span of the classes, so no basic cycle exists."""
+    m = LabeledMulticurve(*unbounded_labeling(), A3)
+    with pytest.raises(MalformedCellError, match="the weight polytope is unbounded"):
+        CellInstance(m)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(COPRIME_PAIRS), st.integers(1, 6))
+def test_pattern_route_matches_scan_subsets_on_ladder_cells(mn, K):
+    """Every cell a ladder builds (vertex, edge, two-cell, appended and
+    external-witness cells) against the per-cell scan, and every vertex
+    through the checked ``BasicCycle`` constructor."""
+    calls = []
+    original = cycles.enumerate_basic_cycles
+
+    def recording(m, x):
+        verts = original(m, x)
+        calls.append((m, x, verts))
+        return verts
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cycles, "enumerate_basic_cycles", recording)
+        ladder = build_ladder(*mn, K)
+        for tag in ladder.edges() + ladder.two_cells():
+            ladder.appended_cell(tag)
+    cells = (
+        len(ladder.vertex_cells) + len(ladder.edge_cells) + 2 * len(ladder.cell_cells)
+        + len(ladder.edge_cells) + 2
+    )
+    assert len(calls) == cells
+    for m, x, verts in calls:
+        rows, order = scan_inputs_of(m)
+        found, bounded = normalized(scan_subsets(rows, order, x.coords))
+        assert bounded
+        assert sorted((tuple(v.coefficients), tuple(v.coefficients.values())) for v in verts) == found
+        for v in verts:
+            checked = BasicCycle(m, v.coefficients, x)
+            assert (checked.multicurve, checked.coefficients, checked.target) == (
+                v.multicurve, v.coefficients, v.target,
+            )
 
 
 FROZEN_CHAIN_VERTS = [

@@ -239,6 +239,32 @@ def test_sparse_matrix_validates_labels():
         SparseIntMatrix(["r"], ["c"], {("bad", "c"): 1})
 
 
+def test_trusted_pages_pass_the_checked_constructor(monkeypatch):
+    """The d13, d13-tilde and d22 pages and the pattern matrices of the
+    two kernel checks, rebuilt through __init__, keep rows, cols and
+    entries."""
+    trusted = SparseIntMatrix._trusted
+    built = []
+
+    def checking(cls, rows, cols, entries):
+        mat = trusted(rows, cols, entries)
+        checked = SparseIntMatrix(rows, cols, entries)
+        assert (checked.rows, checked.cols, checked.entries) == (mat.rows, mat.cols, mat.entries)
+        built.append(len(mat.entries))
+        return mat
+
+    monkeypatch.setattr(SparseIntMatrix, "_trusted", classmethod(checking))
+    x = A1
+    e2_13_kernel(build_e1((1, 3), Truncation(splittings=plain_13_family(), x=x)))
+    e2_13_tilde_kernel(
+        build_e1((1, 3), Truncation(splittings=tilde_family(), x=x, y=A2 + A3))
+    )
+    ladder = build_ladder(1, 2, 3)
+    src = build_e1((2, 2), Truncation(ladder=ladder, subgroups=[U33], height=1))
+    d22_apply(src, ladder)
+    assert len(built) == 5 and all(built)
+
+
 def test_check_injective_examples():
     yes = SparseIntMatrix(["r1", "r2"], ["c"], {("r1", "c"): 1, ("r2", "c"): -1})
     assert check_injective(yes)
