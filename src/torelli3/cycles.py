@@ -177,9 +177,10 @@ def _pattern(n, R):
     R, which has the kernel of every class matrix reducing to it.  A
     subset whose kernel is a line with a sign-definite generator makes
     the polytope unbounded, and the scan stops there.  Each independent
-    subset (its columns) gets a solver: its pivot rows of R, the
-    adjugate and determinant of the pivot minor, and the other rows
-    restricted to the subset, which a solution must also satisfy.
+    subset of columns gets a solver: the rows of R where its minor is
+    invertible (the pivot rows), the adjugate and determinant of that
+    minor, and the other rows restricted to the subset, which a solution
+    must also satisfy.
     """
     r = len(R)
     solvers = []
@@ -188,7 +189,7 @@ def _pattern(n, R):
         k = len(cols)
         if k > r + 1:
             continue  # a kernel of dimension two or more: no line, no vertex
-        matrix = [[row[j] for j in cols] for row in R] or [[0] * k]
+        matrix = [[row[j] for j in cols] for row in R] or [[0] * k]  # R = (): zero classes
         rank, _, line = solve_integer(matrix, [0] * len(matrix))
         if rank == k:
             # the pivots of the transposed columns are independent rows of R
@@ -271,8 +272,9 @@ class CellInstance:
     which the multicurve contract makes equal to one less than the
     number of pieces.  ``enumerate_basic_cycles`` finds the vertices
     by the pattern route, after the scan of the cell's relation pattern
-    has checked that the polytope is bounded; every curve must lie on a
-    vertex.
+    has checked that the polytope is bounded (the tests compare both
+    with the per-cell ``surface.scan_subsets``); every curve must lie on
+    a vertex.
     """
 
     __slots__ = ("multicurve", "verts", "dim")

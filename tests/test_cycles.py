@@ -331,11 +331,9 @@ def test_pattern_route_matches_scan_subsets_on_ladder_cells(mn, K):
         ladder = build_ladder(*mn, K)
         for tag in ladder.edges() + ladder.two_cells():
             ladder.appended_cell(tag)
-    cells = (
-        len(ladder.vertex_cells) + len(ladder.edge_cells) + 2 * len(ladder.cell_cells)
-        + len(ladder.edge_cells) + 2
-    )
-    assert len(calls) == cells
+    plain = len(ladder.vertex_cells) + len(ladder.edge_cells) + len(ladder.cell_cells)
+    appended = len(ladder.edge_cells) + len(ladder.cell_cells)
+    assert len(calls) == plain + appended + 2  # and the two external witnesses
     for m, x, verts in calls:
         rows, order = scan_inputs_of(m)
         found, bounded = normalized(scan_subsets(rows, order, x.coords))
