@@ -71,19 +71,6 @@ class SClassElement:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def to_json(self):
-        out = []
-        for key in sorted(self.terms, key=str):
-            out.append(
-                {
-                    "splitting_key_triple": [
-                        [list(v) for v in part] for part in key
-                    ],
-                    "coefficient": self.terms[key],
-                }
-            )
-        return out
-
     def __repr__(self):
         return f"SClassElement({len(self.terms)} terms)"
 

@@ -13,6 +13,7 @@ from functools import lru_cache
 from itertools import permutations, product
 
 from .lattice import A1, A2, A3, ZERO, intersection, matrix_rank, solve_integer
+from .lattice import InternalInconsistencyError
 
 ISOTROPIC_BASIS = (A1, A2, A3)
 
@@ -320,8 +321,8 @@ def scan_subsets(rows, edge_order, target):
     rows vanishes.  A violation of minimal support is a subset whose
     kernel is a line with a sign-definite generator (of any scale), so
     reading each kernel line is exact.  The scan stops at the first
-    violation, its solutions then incomplete.  A zero target has no
-    positive solution: the scan then decides (i) alone.
+    violation, its solutions then incomplete.  The kernel lines do not
+    depend on the target; a zero target (tests only) decides (i) alone.
     """
     n, width = len(edge_order), len(target)
     found = []
@@ -338,35 +339,6 @@ def scan_subsets(rows, edge_order, target):
     return found, True
 
 
-def _common_cycle_class(rows, edge_order, weight_bound=3):
-    """Condition (ii) witness: a class carried by a basic cycle through
-    every edge, searched over positive integer weights up to the bound."""
-    width = len(rows[edge_order[0]])
-    hits = {e: set() for e in edge_order}
-    n = len(edge_order)
-    for mask in range(1, 1 << n):
-        chosen = [edge_order[i] for i in range(n) if mask >> i & 1]
-        if len(chosen) > width:
-            continue
-        vecs = [rows[e] for e in chosen]
-        if matrix_rank(vecs) != len(chosen):
-            continue
-        for weights in product(range(1, weight_bound + 1), repeat=len(chosen)):
-            total = tuple(
-                sum(w * rows[e][i] for w, e in zip(weights, chosen))
-                for i in range(width)
-            )
-            assert any(total), "independent positive combinations cannot vanish"
-            for e in chosen:
-                hits[e].add(total)
-    common = None
-    for e in edge_order:
-        common = hits[e] if common is None else common & hits[e]
-        if not common:
-            return None
-    return min(common)
-
-
 def realizability_check(graph):
     """Search for a homology labeling making the graph a genuine multicurve.
 
@@ -375,6 +347,18 @@ def realizability_check(graph):
     every curve), or ``None`` when no labeling exists.  Separating curves
     are impossible in such a labeling, so any bridge is an immediate
     rejection, as is the empty multicurve.
+
+    Each orientation costs one ``scan_subsets`` of its fundamental-cycle
+    rows against x = sum_e rows[e]: its bounded flag is condition (i) and
+    its positive solutions are the basic cycles carrying x, which must
+    cover every edge for (ii).  Under (i) they do (Caratheodory, keeping
+    one vector): from the all-ones weights, a relation on a dependent
+    support has both signs by (i), so moving along it without lowering
+    edge e's weight drops another edge, ending at a basic cycle through e
+    with positive rational weights.  The rows form a fundamental-cycle
+    matrix, which is totally unimodular (Schrijver, *Theory of Linear and
+    Integer Programming*, ch. 19), so basic solutions are integral and x
+    needs no scale.  An uncovered edge is an internal inconsistency.
     """
     if not graph.edges:
         return None
@@ -389,11 +373,15 @@ def realizability_check(graph):
         candidate = graph.reoriented(flipped)
         rows, chords = _cycle_rows(candidate)
         assert len(chords) == rank
-        if not scan_subsets(rows, edge_order, (0,) * rank)[1]:
+        target = tuple(map(sum, zip(*rows.values())))
+        found, bounded = scan_subsets(rows, edge_order, target)
+        if not bounded:
             continue
-        target = _common_cycle_class(rows, edge_order)
-        if target is None:
-            continue
+        uncovered = set(edge_order).difference(*(subset for subset, _ in found))
+        if uncovered:
+            raise InternalInconsistencyError(
+                f"edges {uncovered} lie on no basic cycle carrying x = {target}"
+            )
         basis = ISOTROPIC_BASIS[:rank]
         classes = {}
         for e in edge_order:
@@ -401,10 +389,7 @@ def realizability_check(graph):
             for coef, vec in zip(rows[e], basis):
                 value = value + coef * vec
             classes[e] = value
-        x = ZERO
-        for coef, vec in zip(target, basis):
-            x = x + coef * vec
-        witness = LabeledMulticurve(candidate, classes, x)
+        witness = LabeledMulticurve(candidate, classes, sum(classes.values(), ZERO))
         for e in edge_order:
             for f in edge_order:
                 assert intersection(classes[e], classes[f]) == 0

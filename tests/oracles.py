@@ -18,18 +18,25 @@ census as it was before its enumeration was capped by the Euler bound:
 every edge multiset from ``combinations_with_replacement``, connectivity
 first, then every genus composition filtered piece by piece, deduplicated
 by ``canonical_combo_all_perms``, the least key over all relabelings.
+``realizability_by_search`` is ``surface.realizability_check`` as it was
+before one scan against x = sum of the rows decided both conditions: a
+zero-target ``scan_subsets`` for condition (i), then the weight search
+``common_cycle_class`` for condition (ii), whose least class is x.
 """
 
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 from torelli3.cycles import CellInstance, MalformedCellError, face_geometry
 from torelli3 import surface
 from torelli3.lattice import (
-    HVector, hermite_row_form, intersection, kernel_basis, solve_integer,
+    ZERO, HVector, hermite_row_form, intersection, kernel_basis, matrix_rank,
+    solve_integer,
 )
 from torelli3.specseq import AdmissibilityError, GeneratorTag
-from torelli3.surface import CensusEntry, DecompGraph, LabeledMulticurve
+from torelli3.surface import (
+    ISOTROPIC_BASIS, CensusEntry, DecompGraph, LabeledMulticurve,
+)
 
 
 def solve_rational(m, target):
@@ -267,3 +274,57 @@ def census_by_filter(p):
                     entries.append(CensusEntry(witness))
     entries.sort(key=lambda entry: entry.fingerprint)
     return tuple(entries)
+
+
+def common_cycle_class(rows, edge_order, weight_bound=3):
+    """Condition (ii) witness: a class carried by a basic cycle through
+    every edge, searched over positive integer weights up to the bound."""
+    width = len(rows[edge_order[0]])
+    hits = {e: set() for e in edge_order}
+    n = len(edge_order)
+    for mask in range(1, 1 << n):
+        chosen = [edge_order[i] for i in range(n) if mask >> i & 1]
+        if len(chosen) > width:
+            continue
+        vecs = [rows[e] for e in chosen]
+        if matrix_rank(vecs) != len(chosen):
+            continue
+        for weights in product(range(1, weight_bound + 1), repeat=len(chosen)):
+            total = tuple(
+                sum(w * rows[e][i] for w, e in zip(weights, chosen))
+                for i in range(width)
+            )
+            assert any(total), "independent positive combinations cannot vanish"
+            for e in chosen:
+                hits[e].add(total)
+    common = None
+    for e in edge_order:
+        common = hits[e] if common is None else common & hits[e]
+        if not common:
+            return None
+    return min(common)
+
+
+def realizability_by_search(graph):
+    """``surface.realizability_check`` by the zero-target scan and the search."""
+    if not graph.edges:
+        return None
+    rank = len(graph.edges) - (len(graph.vertices) - 1)
+    if rank < 1 or rank > len(ISOTROPIC_BASIS):
+        return None
+    if surface._has_bridge(graph):
+        return None
+    edge_order = list(graph.edge_ids)
+    for flips in product((False, True), repeat=len(edge_order)):
+        candidate = graph.reoriented([e for e, f in zip(edge_order, flips) if f])
+        rows, _ = surface._cycle_rows(candidate)
+        if not surface.scan_subsets(rows, edge_order, (0,) * rank)[1]:
+            continue
+        target = common_cycle_class(rows, edge_order)
+        if target is None:
+            continue
+        basis = ISOTROPIC_BASIS[:rank]
+        classes = {e: sum((c * v for c, v in zip(rows[e], basis)), ZERO) for e in edge_order}
+        x = sum((c * v for c, v in zip(target, basis)), ZERO)
+        return LabeledMulticurve(candidate, classes, x)
+    return None

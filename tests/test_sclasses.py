@@ -104,14 +104,6 @@ def test_element_validation():
     assert SClassElement({("x", "y", "z"): 0}).is_zero()
 
 
-def test_element_json_shape():
-    entry = SClassElement.generator(STANDARD_SPLITTING).to_json()
-    assert len(entry) == 1
-    assert set(entry[0]) == {"splitting_key_triple", "coefficient"}
-    assert entry[0]["coefficient"] == 1
-    assert len(entry[0]["splitting_key_triple"]) == 3
-
-
 def test_relation_matrix_snf():
     rows = relation_matrix()
     assert len(rows) == 5 and all(len(r) == 6 for r in rows)

@@ -7,9 +7,12 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import canonical_combo_all_perms, census_by_filter
-from torelli3 import surface
-from torelli3.lattice import A1, A2, A3, HVector, ZERO, intersection
+from oracles import (
+    canonical_combo_all_perms, census_by_filter, common_cycle_class,
+    realizability_by_search,
+)
+from torelli3 import cli, surface
+from torelli3.lattice import A1, A2, A3, HVector, ZERO, InternalInconsistencyError, intersection
 from torelli3.surface import (
     CensusEntry, DecompGraph, LabeledMulticurve, MalformedGraphError,
     ambient_genus, bp_count, cd_arithmetic_line, cd_upper_bound, census_json,
@@ -339,7 +342,8 @@ def test_census_matches_the_unpruned_oracle():
         assert [e.witness for e in got] == [e.witness for e in want]
 
 
-def test_census_checks_realizability_of_the_same_graphs(monkeypatch):
+def graphs_checked_by(census):
+    """Every graph ``census(p)`` hands ``realizability_check``, p = 0..3."""
     seen = []
     check = surface.realizability_check
 
@@ -347,14 +351,149 @@ def test_census_checks_realizability_of_the_same_graphs(monkeypatch):
         seen.append(graph)
         return check(graph)
 
-    monkeypatch.setattr(surface, "realizability_check", counting)
-    for p in range(4):
-        surface._census.__wrapped__(p)
-    pruned, seen[:] = list(seen), []
-    for p in range(4):
-        census_by_filter(p)
-    assert len(pruned) == 42
-    assert pruned == seen
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(surface, "realizability_check", counting)
+        for p in range(4):
+            census(p)
+    return seen
+
+
+@pytest.fixture(scope="module")
+def census_graphs():
+    return graphs_checked_by(surface._census.__wrapped__)
+
+
+def test_census_checks_realizability_of_the_same_graphs(census_graphs):
+    assert len(census_graphs) == 42
+    assert census_graphs == graphs_checked_by(census_by_filter)
+
+
+def sum_of_rows(rows):
+    return tuple(map(sum, zip(*rows.values())))
+
+
+def test_weight_search_oracle_agrees_on_every_census_graph(census_graphs):
+    accepted = 0
+    for graph in census_graphs:
+        got, want = realizability_check(graph), realizability_by_search(graph)
+        assert (got is None) == (want is None)
+        if got is not None:
+            accepted += 1
+            assert got.graph == want.graph  # the same first orientation
+            assert got.classes == want.classes
+    assert accepted == 14
+    passing = 0
+    for graph in census_graphs:
+        order = list(graph.edge_ids)
+        for flips in product((False, True), repeat=len(order)):
+            oriented = graph.reoriented([e for e, f in zip(order, flips) if f])
+            rows, chords = surface._cycle_rows(oriented)
+            if not chords or not surface.scan_subsets(rows, order, (0,) * len(chords))[1]:
+                continue
+            passing += 1
+            assert common_cycle_class(rows, order) is not None
+            found, bounded = surface.scan_subsets(rows, order, sum_of_rows(rows))
+            assert bounded
+            assert {e for subset, _ in found for e in subset} == set(order)
+    assert passing == 138
+
+
+def test_one_scan_per_orientation_tried(census_graphs, monkeypatch):
+    calls = {"rows": 0, "scans": 0}
+    cycle_rows, scan = surface._cycle_rows, surface.scan_subsets
+
+    def counting_rows(graph):
+        calls["rows"] += 1
+        return cycle_rows(graph)
+
+    def counting_scan(*args):
+        calls["scans"] += 1
+        return scan(*args)
+
+    monkeypatch.setattr(surface, "_cycle_rows", counting_rows)
+    monkeypatch.setattr(surface, "scan_subsets", counting_scan)
+    for graph in census_graphs:
+        before = dict(calls)
+        realizability_check(graph)
+        assert calls["scans"] - before["scans"] == calls["rows"] - before["rows"]
+    assert calls["scans"] > 42
+
+
+@pytest.fixture
+def scan_dropping_a_solution(monkeypatch):
+    """``surface.scan_subsets`` with its first positive solution left out,
+    and the census cache cleared before and after."""
+    scan = surface.scan_subsets
+
+    def lossy(*args):
+        found, bounded = scan(*args)
+        return found[1:], bounded
+
+    monkeypatch.setattr(surface, "scan_subsets", lossy)
+    surface._census.cache_clear()
+    yield
+    surface._census.cache_clear()
+
+
+def test_uncovered_edge_is_an_internal_error(scan_dropping_a_solution, capsys):
+    loop = DecompGraph([(0, 1)], [("l", 0, 0)])
+    with pytest.raises(InternalInconsistencyError, match="lie on no basic cycle carrying"):
+        realizability_check(loop)
+    with pytest.raises(InternalInconsistencyError):
+        classify_types(3, 0)
+    assert cli.main(["types"]) == cli.EXIT_INTERNAL == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: edges")
+
+
+@st.composite
+def oriented_multigraphs(draw):
+    """A connected multigraph on at most 4 vertices and 6 edges, loops
+    allowed, of cycle rank 1 to 3, with a random orientation: a spanning
+    tree first, then the extra edges.  Genera make every piece legal."""
+    nv = draw(st.integers(1, 4))
+    rank = draw(st.integers(1, 3))
+    vertex = st.integers(0, nv - 1)
+    pairs = [(draw(st.integers(0, v - 1)), v) for v in range(1, nv)]
+    pairs += [(draw(vertex), draw(vertex)) for _ in range(rank)]
+    edges = [
+        (i, b, a) if draw(st.booleans()) else (i, a, b) for i, (a, b) in enumerate(pairs)
+    ]
+    degree = [sum((t == v) + (h == v) for _, t, h in edges) for v in range(nv)]
+    return DecompGraph([(v, max(0, (4 - d) // 2)) for v, d in enumerate(degree)], edges)
+
+
+def strongly_connected(graph):
+    start = graph.vertex_ids[0]
+    for arcs in ([(t, h) for _, t, h in graph.edges], [(h, t) for _, t, h in graph.edges]):
+        seen, frontier = {start}, [start]
+        while frontier:
+            v = frontier.pop()
+            for a, b in arcs:
+                if a == v and b not in seen:
+                    seen.add(b)
+                    frontier.append(b)
+        if len(seen) != len(graph.vertices):
+            return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(oriented_multigraphs())
+def test_condition_i_is_strong_connectivity(graph):
+    # a nonnegative vanishing combination of the rows is a flow orthogonal
+    # to every cycle, so a directed cut; none exists exactly when the
+    # orientation is strongly connected
+    rows, chords = surface._cycle_rows(graph)
+    order = list(graph.edge_ids)
+    bounded = surface.scan_subsets(rows, order, (0,) * len(chords))[1]
+    assert bounded == strongly_connected(graph)
+    if bounded:
+        found, bounded = surface.scan_subsets(rows, order, sum_of_rows(rows))
+        assert bounded
+        assert {e for subset, _ in found for e in subset} == set(order)
+        assert all(type(w) is int and w > 0 for _, weights in found for w in weights)
 
 
 @settings(max_examples=200, deadline=None)
