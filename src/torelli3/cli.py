@@ -8,12 +8,12 @@ a JSON report with the shape::
 
 Exit status is 0 when every verdict agrees with the packaged
 expectations, 1 on a mismatch (a page kernel that misses its predicted
-pattern included), 2 on usage errors (``--K`` above ``MAX_K`` and
-``--bound`` above ``MAX_BOUND`` too) or when a truncation window is too
-small for the requested computation, and 3 when two independent
-computations of the same quantity disagree or an internal assertion
-fails (an internal error).  Set the ``TORELLI3_LOG`` environment
-variable (``debug``, ``info``, ...) to see progress on stderr.
+pattern included), 2 on usage errors (``--K`` outside 1 to ``MAX_K``
+and ``--bound`` above ``MAX_BOUND`` too), and 3 on an internal error:
+two computations of the same quantity disagree, or any other exception
+escapes.  A raised error's status is the ``exit_code`` of its
+``lattice.Torelli3Error`` class.  ``TORELLI3_LOG`` (``debug``, ``info``,
+...) shows progress on stderr.
 """
 
 import argparse
@@ -26,7 +26,7 @@ import time
 from importlib import resources
 
 from . import __version__
-from .cycles import InternalInconsistencyError, PreconditionError, build_ladder
+from .cycles import build_ladder
 from .lattice import (
     A1,
     A2,
@@ -36,8 +36,12 @@ from .lattice import (
     B3,
     STANDARD_SPLITTING,
     ZERO,
+    InternalInconsistencyError,
+    MismatchError,
     Splitting,
     SymplecticSubgroup,
+    Torelli3Error,
+    UsageError,
     apply_matrix,
     enumerate_splittings,
     smith_normal_form,
@@ -52,9 +56,7 @@ from .sclasses import (
     s3_equivariance_check,
 )
 from .specseq import (
-    AdmissibilityError,
     Truncation,
-    TruncationOverflowError,
     build_e1,
     check_image_separation,
     d22_apply,
@@ -68,9 +70,9 @@ from .surface import cd_arithmetic_line, census_json, classify_types
 log = logging.getLogger("torelli3")
 
 EXIT_OK = 0
-EXIT_MISMATCH = 1
-EXIT_USAGE = 2
-EXIT_INTERNAL = 3
+EXIT_MISMATCH = MismatchError.exit_code
+EXIT_USAGE = UsageError.exit_code
+EXIT_INTERNAL = InternalInconsistencyError.exit_code
 
 DEFAULT_K = 3
 # the largest window at which every measured `check d22 --mn 2,5` stayed inside 30 s
@@ -262,7 +264,7 @@ def _kernel_verdict(kernel, src, verdicts):
     """
     try:
         result = kernel(src)
-    except AdmissibilityError as err:
+    except MismatchError as err:
         return {}, {**verdicts, "error": str(err)}, False
     verdicts["kernel_rank"] = result["rank"]
     return {}, verdicts, result["rank"] == verdicts["expected_rank"]
@@ -429,13 +431,11 @@ def _run_command(args, exp):
 
 
 def _mn(text):
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError("expected two integers like 1,2")
     try:
-        return int(parts[0]), int(parts[1])
+        m, n = map(int, text.split(","))
     except ValueError as err:
         raise argparse.ArgumentTypeError("expected two integers like 1,2") from err
+    return m, n
 
 
 def build_parser():
@@ -512,46 +512,47 @@ def _configure_logging():
     )
 
 
+def _check_limits(args):
+    K = getattr(args, "K", 1)
+    if K < 1:
+        raise UsageError(f"--K {K} is below 1")
+    if K > MAX_K:
+        raise UsageError(f"--K {K} is above the limit {MAX_K}")
+    bound = getattr(args, "bound", None)
+    if bound is not None and args.target != "d13":
+        raise UsageError("--bound applies to check d13 only")
+    if bound is not None and bound > MAX_BOUND:
+        raise UsageError(f"--bound {bound} is above the limit {MAX_BOUND}")
+
+
 def main(argv=None):
     _configure_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "K", 0) > MAX_K:
-        print(f"error: --K {args.K} is above the limit {MAX_K}", file=sys.stderr)
-        return EXIT_USAGE
-    bound = getattr(args, "bound", None)
-    if bound is not None and args.target != "d13":
-        print("error: --bound applies to check d13 only", file=sys.stderr)
-        return EXIT_USAGE
-    if bound is not None and bound > MAX_BOUND:
-        print(f"error: --bound {bound} is above the limit {MAX_BOUND}", file=sys.stderr)
-        return EXIT_USAGE
-    expectations = load_expectations()
-    started = time.perf_counter()
     try:
+        _check_limits(args)
+        expectations = load_expectations()
+        started = time.perf_counter()
         config, verdicts, ok = _run_command(args, expectations)
-    except TruncationOverflowError as err:
-        print(f"error: {err}; rerun with a larger --K", file=sys.stderr)
-        return EXIT_USAGE
-    except (PreconditionError, ValueError) as err:
+        report = {
+            "command": args.command,
+            "config": config,
+            "verdicts": verdicts,
+            "ok": ok,
+            "timing": {"seconds": round(time.perf_counter() - started, 3)},
+            "tool": {"name": "torelli3", "version": __version__},
+        }
+        text = json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False)
+        print(text)
+        if args.json:
+            with open(args.json, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
+    except Torelli3Error as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except (InternalInconsistencyError, AssertionError) as err:
-        print(f"error: {err or 'internal assertion failed'}", file=sys.stderr)
+        return err.exit_code
+    except Exception as err:
+        print(f"error: {str(err) or type(err).__name__}", file=sys.stderr)
         return EXIT_INTERNAL
-    report = {
-        "command": args.command,
-        "config": config,
-        "verdicts": verdicts,
-        "ok": ok,
-        "timing": {"seconds": round(time.perf_counter() - started, 3)},
-        "tool": {"name": "torelli3", "version": __version__},
-    }
-    text = json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False)
-    print(text)
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
     return EXIT_OK if ok else EXIT_MISMATCH
 
 

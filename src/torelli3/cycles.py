@@ -18,28 +18,13 @@ from .lattice import (
     A3,
     ZERO,
     InternalInconsistencyError,
+    UsageError,
     bareiss_determinant,
     echelon,
     matrix_rank,
     solve_integer,
 )
 from .surface import DecompGraph, LabeledMulticurve
-
-
-class DegenerateInputError(ValueError):
-    """A requested target class makes the construction collapse."""
-
-
-class MalformedCellError(ValueError):
-    """A cell instance violates the vertex or coverage requirements."""
-
-
-class PreconditionError(ValueError):
-    """An argument combination outside the stated contract."""
-
-
-class AdmissibilityError(ValueError):
-    """A cell or generator does not fit the labeling scheme of its position."""
 
 
 class BasicCycle:
@@ -51,19 +36,19 @@ class BasicCycle:
     def __init__(self, multicurve, coefficients, target):
         coefficients = dict(coefficients)
         if not coefficients:
-            raise MalformedCellError("a basic cycle needs a nonempty support")
+            raise UsageError("a basic cycle needs a nonempty support")
         edge_ids = set(multicurve.edge_ids())
         for e, k in coefficients.items():
             if e not in edge_ids:
-                raise MalformedCellError(f"unknown curve {e!r} in support")
+                raise UsageError(f"unknown curve {e!r} in support")
             if not isinstance(k, int) or k < 1:
-                raise MalformedCellError(f"weight of {e!r} must be a positive integer")
+                raise UsageError(f"weight of {e!r} must be a positive integer")
         rows = [list(multicurve.class_of(e).coords) for e in coefficients]
         if matrix_rank(rows) != len(coefficients):
-            raise MalformedCellError("support classes are dependent")
+            raise UsageError("support classes are dependent")
         total = sum((k * multicurve.class_of(e) for e, k in coefficients.items()), ZERO)
         if total != target:
-            raise MalformedCellError("weighted class sum misses the target")
+            raise UsageError("weighted class sum misses the target")
         self.multicurve = multicurve
         self.coefficients = coefficients
         self.target = target
@@ -246,11 +231,11 @@ def enumerate_basic_cycles(m, x):
     Sorted by weight vector in edge order.
     """
     if x.is_zero():
-        raise DegenerateInputError("the zero class supports no basic cycle")
+        raise UsageError("the zero class supports no basic cycle")
     edge_order = m.edge_ids()
     found, bounded = _scan_by_pattern([m.class_of(e).coords for e in edge_order], x.coords)
     if not bounded:
-        raise MalformedCellError("the weight polytope is unbounded")
+        raise UsageError("the weight polytope is unbounded")
     verts = [
         BasicCycle._trusted(m, {edge_order[j]: w for j, w in zip(cols, weights)}, x)
         for cols, weights in found
@@ -282,13 +267,13 @@ class CellInstance:
     def __init__(self, multicurve):
         verts = enumerate_basic_cycles(multicurve, multicurve.x)
         if not verts:
-            raise MalformedCellError("no basic cycle carries the target class")
+            raise UsageError("no basic cycle carries the target class")
         covered = set()
         for v in verts:
             covered |= v.support
         missing = set(multicurve.edge_ids()) - covered
         if missing:
-            raise MalformedCellError(
+            raise UsageError(
                 "curves outside every basic cycle: %s"
                 % sorted(str(e) for e in missing)
             )
@@ -318,7 +303,7 @@ class CellInstance:
 def psi_max(c):
     """Largest total weight over the cell's basic cycles."""
     if not isinstance(c, CellInstance) or not c.verts:
-        raise MalformedCellError("cell carries no basic cycles")
+        raise UsageError("cell carries no basic cycles")
     return max(psi(v) for v in c.verts)
 
 
@@ -453,7 +438,7 @@ def append_loop(cell):
             host = v
             break
     if host is None:
-        raise AdmissibilityError("no piece can host the loop")
+        raise UsageError("no piece can host the loop")
     pieces = [(v, g - 1 if v == host else g) for v, g in m.graph.vertices]
     edges = list(m.graph.edges) + [("beta", host, host)]
     return _cell(pieces, edges, {**m.classes, "beta": A3}, m.x + A3)
@@ -644,13 +629,13 @@ def build_ladder(m, n, K):
     zero and to agree with the geometric faces of those cells.
     """
     if not all(isinstance(v, int) for v in (m, n, K)):
-        raise ValueError("invalid parameters: m, n, K must be integers")
+        raise UsageError("invalid parameters: m, n, K must be integers")
     if m <= 0 or n <= 0:
-        raise ValueError("invalid parameters: need positive m and n")
+        raise UsageError("invalid parameters: need positive m and n")
     if gcd(m, n) != 1:
-        raise ValueError("invalid parameters: (m, n) must be coprime")
+        raise UsageError("invalid parameters: (m, n) must be coprime")
     if K < 1:
-        raise ValueError("invalid parameters: truncation depth must be >= 1")
+        raise UsageError("invalid parameters: truncation depth must be >= 1")
     ladder = LadderComplex(m, n, K)
     l, t = ladder.l, ladder.t
     hi = min(t, K)

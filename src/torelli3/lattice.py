@@ -14,8 +14,28 @@ from itertools import combinations, product
 from math import gcd
 
 
-class InternalInconsistencyError(RuntimeError):
+class Torelli3Error(Exception):
+    """Base of the package's errors; ``exit_code`` is the CLI's exit status."""
+
+    exit_code = 3
+
+
+class UsageError(Torelli3Error, ValueError):
+    """An argument outside the contract of the routine it was given to."""
+
+    exit_code = 2
+
+
+class MismatchError(Torelli3Error):
+    """A computed kernel misses the pattern predicted for it."""
+
+    exit_code = 1
+
+
+class InternalInconsistencyError(Torelli3Error):
     """Two independent computations of the same quantity disagree."""
+
+    exit_code = 3
 
 
 class HVector:
@@ -26,7 +46,7 @@ class HVector:
     def __init__(self, coords):
         coords = tuple(int(c) for c in coords)
         if len(coords) != 6:
-            raise ValueError("expected 6 coordinates, got %d" % len(coords))
+            raise UsageError("expected 6 coordinates, got %d" % len(coords))
         self.coords = coords
 
     def __add__(self, other):
@@ -296,7 +316,7 @@ def kernel_basis(m, ncols=None):
     """Basis rows for the saturated kernel {x : m x = 0}."""
     if ncols is None:
         if not m:
-            raise ValueError("empty matrix needs an explicit column count")
+            raise UsageError("empty matrix needs an explicit column count")
         ncols = len(m[0])
     rows = [list(r) for r in m if any(r)]
     if not rows:
@@ -381,7 +401,7 @@ class SymplecticSubgroup:
         for r in rows:
             coords = r.coords if isinstance(r, HVector) else tuple(int(c) for c in r)
             if len(coords) != 6:
-                raise ValueError("basis rows must have 6 coordinates")
+                raise UsageError("basis rows must have 6 coordinates")
             clean.append(coords)
         h = hermite_row_form(clean)
         g = 0
@@ -390,7 +410,7 @@ class SymplecticSubgroup:
             if g == 1:
                 break
         if g != 1:
-            raise ValueError("generators span a non-primitive sublattice")
+            raise UsageError("generators span a non-primitive sublattice")
         self.basis = h
 
     @classmethod
@@ -451,7 +471,7 @@ class SymplecticSubgroup:
 def is_symplectic_rank2(u):
     """True iff the rank-2 subgroup is unimodular for the restricted form."""
     if u.rank != 2:
-        raise ValueError("rank-2 subgroup required, got rank %d" % u.rank)
+        raise UsageError("rank-2 subgroup required, got rank %d" % u.rank)
     return _pairing(*u.basis) in (1, -1)
 
 
@@ -473,20 +493,20 @@ class Splitting:
     def __init__(self, parts):
         parts = tuple(parts)
         if len(parts) != 3:
-            raise ValueError("a splitting needs exactly 3 parts")
+            raise UsageError("a splitting needs exactly 3 parts")
         for p in parts:
             if not isinstance(p, SymplecticSubgroup):
-                raise TypeError("parts must be SymplecticSubgroup instances")
+                raise UsageError("parts must be SymplecticSubgroup instances")
             if p.rank != 2 or not is_symplectic_rank2(p):
-                raise ValueError("each part must be a unimodular symplectic plane")
+                raise UsageError("each part must be a unimodular symplectic plane")
         for i, j in ((0, 1), (0, 2), (1, 2)):
             for u in parts[i].basis:
                 for v in parts[j].basis:
                     if _pairing(u, v) != 0:
-                        raise ValueError("parts %d and %d are not orthogonal" % (i, j))
+                        raise UsageError("parts %d and %d are not orthogonal" % (i, j))
         det = bareiss_determinant([row for p in parts for row in p.basis])
         if det not in (1, -1):
-            raise ValueError("parts do not span the full lattice (det %d)" % det)
+            raise UsageError("parts do not span the full lattice (det %d)" % det)
         self.parts = parts
 
     @classmethod
@@ -553,7 +573,7 @@ def splitting_type_wrt_x(x, splitting):
     components, perm lists the part indices with the touched ones first.
     """
     if x.is_zero():
-        raise ValueError("x must be nonzero")
+        raise UsageError("x must be nonzero")
     nonzero = [any(c) for c in splitting.components(x.coords)]
     touched = [i for i in range(3) if nonzero[i]]
     letter = "abc"[len(touched) - 1]
@@ -570,9 +590,9 @@ def splitting_type_wrt_y(y, splitting, x_part):
     the x-part has no type.
     """
     if x_part not in (0, 1, 2):
-        raise ValueError("x_part must be 0, 1 or 2")
+        raise UsageError("x_part must be 0, 1 or 2")
     if y.is_zero():
-        raise ValueError("y must be nonzero")
+        raise UsageError("y must be nonzero")
     nonzero = [any(c) for c in splitting.components(y.coords)]
     rest = [i for i in range(3) if i != x_part]
     touched = [i for i in rest if nonzero[i]]
@@ -582,7 +602,7 @@ def splitting_type_wrt_y(y, splitting, x_part):
         return (2 if in_x else 1), others
     if len(touched) == 2:
         return (4 if in_x else 3), others
-    raise ValueError("y lies in the part containing x; no type applies")
+    raise UsageError("y lies in the part containing x; no type applies")
 
 
 def primitive_part(x):
@@ -592,7 +612,7 @@ def primitive_part(x):
     2
     """
     if x.is_zero():
-        raise ValueError("the zero class has no primitive part")
+        raise UsageError("the zero class has no primitive part")
     k = 0
     for c in x.coords:
         k = gcd(k, abs(c))
@@ -647,7 +667,7 @@ def enumerate_symplectic_rank2(height):
     +-1, which also forces primitivity.
     """
     if height < 1:
-        raise ValueError("height must be at least 1")
+        raise UsageError("height must be at least 1")
     span = range(-height, height + 1)
     found = []
     for j1 in range(6):
@@ -739,5 +759,5 @@ def _splittings_cached(bound):
 def enumerate_splittings(coefficient_bound):
     """All splittings whose three parts have canonical height <= bound."""
     if coefficient_bound < 1:
-        raise ValueError("coefficient bound must be at least 1")
+        raise UsageError("coefficient bound must be at least 1")
     return list(_splittings_cached(coefficient_bound))

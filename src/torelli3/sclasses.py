@@ -9,9 +9,10 @@ abelian cycles, the homology-level lantern checker, and the map sending
 an s-class into the kernel of the page differential.
 """
 
-from .cycles import PreconditionError
 from .lattice import (
+    InternalInconsistencyError,
     SymplecticSubgroup,
+    UsageError,
     identity_matrix,
     intersection,
     hermite_row_form,
@@ -36,10 +37,10 @@ class SClassElement:
         clean = {}
         for key, coeff in (terms or {}).items():
             if not isinstance(coeff, int) or isinstance(coeff, bool):
-                raise ValueError("coefficients must be integers")
+                raise UsageError("coefficients must be integers")
             triple = tuple(key)
             if len(triple) != 3 or len(set(triple)) != 3:
-                raise ValueError("term must name three distinct parts")
+                raise UsageError("term must name three distinct parts")
             if coeff:
                 clean[triple] = clean.get(triple, 0) + coeff
         self.terms = {k: v for k, v in clean.items() if v}
@@ -132,7 +133,7 @@ def per_splitting_rank():
     factors = smith_normal_form(relation_matrix())[0]
     nonzero = [f for f in factors if f]
     if any(f != 1 for f in nonzero):
-        raise ArithmeticError("unexpected torsion in the relation quotient")
+        raise InternalInconsistencyError("unexpected torsion in the relation quotient")
     return 6 - len(nonzero)
 
 
@@ -141,7 +142,7 @@ def o_module_reduce(coeffs):
     l1, l2, l3 = coeffs
     for value in (l1, l2, l3):
         if not isinstance(value, int) or isinstance(value, bool):
-            raise ValueError("coefficients must be integers")
+            raise UsageError("coefficients must be integers")
     return (l1 - l3, l2 - l3)
 
 
@@ -189,20 +190,20 @@ class NuHomomorphism:
 
     def __init__(self, gamma, parts):
         if gamma.is_zero() or primitive_part(gamma)[0] != 1:
-            raise PreconditionError("the curve class must be primitive")
+            raise UsageError("the curve class must be primitive")
         w1, w2 = parts
         for v in tuple(w1.vectors()) + tuple(w2.vectors()):
             if intersection(gamma, v) != 0:
-                raise PreconditionError("parts must pair to zero with the curve")
+                raise UsageError("parts must pair to zero with the curve")
         for u in w1.vectors():
             for v in w2.vectors():
                 if intersection(u, v) != 0:
-                    raise PreconditionError("parts must be mutually orthogonal")
+                    raise UsageError("parts must be mutually orthogonal")
         span = [list(gamma.coords)]
         for v in tuple(w1.vectors()) + tuple(w2.vectors()):
             span.append(list(v.coords))
         if matrix_rank(span) != _RANK - 1:
-            raise PreconditionError("parts must span the cut-open homology")
+            raise UsageError("parts must span the cut-open homology")
         self.gamma = gamma
         self.parts = (w1, w2)
 
@@ -222,7 +223,7 @@ class SeparatingTwist:
 
     def __init__(self, subgroup):
         if subgroup.rank != 2:
-            raise PreconditionError("separating data must have rank 2")
+            raise UsageError("separating data must have rank 2")
         self.subgroup = subgroup
 
     def __repr__(self):
@@ -236,7 +237,7 @@ class BoundingPairTwist:
 
     def __init__(self, curve_class, induced):
         if curve_class.is_zero() or primitive_part(curve_class)[0] != 1:
-            raise PreconditionError("bounding pair class must be primitive")
+            raise UsageError("bounding pair class must be primitive")
         self.curve_class = curve_class
         self.induced = tuple(induced)
 
@@ -256,7 +257,7 @@ def nu_eval(generator, nu):
     if isinstance(generator, SeparatingTwist):
         u = generator.subgroup
         if any(intersection(gamma, v) != 0 for v in u.vectors()):
-            raise PreconditionError("twist data crosses the curve")
+            raise UsageError("twist data crosses the curve")
         near = _mod_gamma_key(u.vectors(), gamma)
         far_side = orthogonal_complement(
             SymplecticSubgroup.spanned_by(list(u.vectors()) + [gamma])
@@ -274,9 +275,9 @@ def nu_eval(generator, nu):
             )
             return -1 if induced == nu.side_keys() else 0
         if intersection(c, gamma) != 0:
-            raise PreconditionError("bounding pair crosses the curve")
+            raise UsageError("bounding pair crosses the curve")
         return 0
-    raise PreconditionError(f"cannot evaluate {generator!r}")
+    raise UsageError(f"cannot evaluate {generator!r}")
 
 
 def cup_det_pair(nu1, nu2, h1, h2):
@@ -297,7 +298,7 @@ def lantern_check(b1, b2, b3, b4, x, y, z):
     candidate at all.
     """
     if b1 + b2 + b3 != b4:
-        raise PreconditionError(
+        raise UsageError(
             "boundary classes must satisfy [b1] + [b2] + [b3] = [b4]"
         )
     lhs = identity_matrix(_RANK)
@@ -319,17 +320,15 @@ def sclass_image_in_e2(splitting, src):
     key = splitting.unordered_key()
     stored = src.splitting_index.get(key)
     if stored is None:
-        raise PreconditionError("splitting is not part of the truncation")
+        raise UsageError("splitting is not part of the truncation")
     letter, perm = splitting_type_wrt_x(src.trunc.x, stored)
     if letter != "c":
-        raise PreconditionError("splitting must meet all three parts")
+        raise UsageError("splitting must meet all three parts")
     stored_parts = [stored.parts[i] for i in perm]
     position = {p.key(): i for i, p in enumerate(stored_parts)}
-    try:
-        second = position[splitting.parts[1].key()]
-        third = position[splitting.parts[2].key()]
-    except KeyError:
-        raise PreconditionError("parts do not match the stored splitting")
+    second, third = (position.get(p.key()) for p in splitting.parts[1:])
+    if second is None or third is None:
+        raise UsageError("parts do not match the stored splitting")
     labels = {
         orbit[2]: (orbit, tag.key())
         for orbit, tag in src.basis

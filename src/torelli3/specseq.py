@@ -11,6 +11,8 @@ clipped.
 """
 
 from .lattice import (
+    MismatchError,
+    UsageError,
     _pairing,
     enumerate_symplectic_rank2,
     intersection,
@@ -20,13 +22,8 @@ from .lattice import (
     splitting_type_wrt_x,
     splitting_type_wrt_y,
 )
-from .cycles import AdmissibilityError
 from .cycles import append_loop  # noqa: F401  re-exported: specseq.append_loop
 from .surface import cd_upper_bound, classify_types
-
-
-class TruncationOverflowError(ValueError):
-    """An image label falls outside the truncation window."""
 
 
 class GeneratorTag:
@@ -58,9 +55,9 @@ class GeneratorTag:
         """Tag for a pair of orthogonal subgroups; swapping flips sign."""
         a, b = u1.key(), u2.key()
         if a == b:
-            raise AdmissibilityError("pair parts must differ")
+            raise UsageError("pair parts must differ")
         if any(_pairing(v, w) for v in a for w in b):
-            raise AdmissibilityError("pair parts must be orthogonal")
+            raise UsageError("pair parts must be orthogonal")
         if a <= b:
             return cls("a2pair", (a, b, 1))
         return cls("a2pair", (b, a, -1))
@@ -107,7 +104,7 @@ class Truncation:
         for name in self._FIELDS:
             object.__setattr__(self, name, kwargs.pop(name, None))
         if kwargs:
-            raise ValueError(f"unknown truncation fields: {sorted(kwargs)}")
+            raise UsageError(f"unknown truncation fields: {sorted(kwargs)}")
 
     def __repr__(self):
         shown = {
@@ -128,15 +125,12 @@ class E1Truncation:
         for orbit, tag in basis:
             label = (orbit, tag.key())
             if label in seen:
-                raise ValueError(f"duplicate basis label {label}")
+                raise UsageError(f"duplicate basis label {label}")
             seen.add(label)
         self.position = position
         self.basis = list(basis)
         self.trunc = trunc
         self.splitting_index = splitting_index or {}
-
-    def labels(self):
-        return [(orbit, tag) for orbit, tag in self.basis]
 
     def __len__(self):
         return len(self.basis)
@@ -157,7 +151,7 @@ class SparseIntMatrix:
         row_set, col_set = set(self.rows), set(self.cols)
         for r, c in self.entries:
             if r not in row_set or c not in col_set:
-                raise ValueError("entry outside the declared index sets")
+                raise UsageError("entry outside the declared index sets")
 
     @classmethod
     def _trusted(cls, rows, cols, entries):
@@ -434,12 +428,12 @@ def build_e1(position, trunc):
         ]
         index = {s.unordered_key(): s for s in trunc.splittings}
         return E1Truncation(position, basis, trunc, index)
-    raise ValueError(f"unsupported position {position}")
+    raise UsageError(f"unsupported position {position}")
 
 
 def _build_31(trunc):
     if not trunc.orbits or not trunc.K:
-        raise ValueError("need orbits and a conjugation window")
+        raise UsageError("need orbits and a conjugation window")
     basis = [
         ((orbit, j), GeneratorTag.bp_twist(0))
         for orbit in trunc.orbits
@@ -450,7 +444,7 @@ def _build_31(trunc):
 
 def _build_21(trunc):
     if not trunc.orbits or not trunc.K:
-        raise ValueError("need orbits and a conjugation window")
+        raise UsageError("need orbits and a conjugation window")
     basis = [
         (orbit, GeneratorTag.bp_twist(k))
         for orbit in trunc.orbits
@@ -473,11 +467,11 @@ def _build_ladder_position(position, trunc):
             cell = cells[tag] if sheet == "plain" else ladder.appended_cell(tag)
             for u in subgroups:
                 if u.height() > height:
-                    raise AdmissibilityError(
+                    raise UsageError(
                         f"subgroup {u.key()} exceeds height {height}"
                     )
                 if not is_admissible(cell, u):
-                    raise AdmissibilityError(
+                    raise UsageError(
                         f"subgroup {u.key()} not admissible for {tag}/{sheet}"
                     )
                 basis.append(((tag, sheet), GeneratorTag.a2(u)))
@@ -487,15 +481,15 @@ def _build_ladder_position(position, trunc):
 def d31_apply(src):
     """Difference of the two conjugate twist labels, per source cell."""
     if src.position != (3, 1):
-        raise ValueError("source must sit at position (3, 1)")
+        raise UsageError("source must sit at position (3, 1)")
     K = src.trunc.K
     columns = []
     for orbit, tag in src.basis:
         base, j = orbit
         if tag.kind != "bp":
-            raise AdmissibilityError(f"unexpected tag {tag!r} at (3, 1)")
+            raise UsageError(f"unexpected tag {tag!r} at (3, 1)")
         if not (0 <= j and j + 1 <= K):
-            raise TruncationOverflowError(
+            raise UsageError(
                 f"translate {j} needs window {j + 1}, have {K}"
             )
         plus = (base, GeneratorTag.bp_twist(j))
@@ -507,15 +501,15 @@ def d31_apply(src):
 def d22_apply(src, ladder):
     """Ladder boundary with the subgroup tag carried to every face."""
     if src.position != (2, 2):
-        raise ValueError("source must sit at position (2, 2)")
+        raise UsageError("source must sit at position (2, 2)")
     columns = []
     for (tag, sheet), gen in src.basis:
         if tag not in ladder.cell_boundary:
-            raise TruncationOverflowError(f"cell {tag} outside the ladder")
+            raise UsageError(f"cell {tag} outside the ladder")
         col = {}
         for edge, sign in ladder.cell_boundary[tag].items():
             if edge not in ladder.edge_endpoints:
-                raise TruncationOverflowError(f"face {edge} outside the ladder")
+                raise UsageError(f"face {edge} outside the ladder")
             col[((edge, sheet), gen)] = sign
         columns.append((((tag, sheet), gen), col))
     return SparseIntMatrix.from_columns(columns)
@@ -568,12 +562,12 @@ def _build_13(trunc):
 def d13_apply(src):
     """Types (a) and (b) die; each type-(c) generator hits its splitting."""
     if src.position != (1, 3) or src.trunc.y is not None:
-        raise ValueError("source must be the plain (1, 3) truncation")
+        raise UsageError("source must be the plain (1, 3) truncation")
     columns = []
     for orbit, tag in src.basis:
         letter, key, _ = orbit
         if letter not in ("a", "b", "c"):
-            raise AdmissibilityError(f"unclassified generator {orbit!r}")
+            raise UsageError(f"unclassified generator {orbit!r}")
         col = {}
         if letter == "c":
             s = src.splitting_index[key]
@@ -634,7 +628,7 @@ def e2_13_kernel(src):
             pattern.append({labels[0]: 1, labels[1]: -1})
             pattern.append({labels[1]: 1, labels[2]: -1})
     if not _kernel_matches_pattern(src, mat, pattern):
-        raise AdmissibilityError("kernel does not match the expected pattern")
+        raise MismatchError("kernel does not match the expected pattern")
     return {"rank": len(pattern), "basis": pattern, "matrix": mat}
 
 
@@ -650,7 +644,7 @@ def _build_13_tilde(trunc):
     for s in trunc.splittings:
         letter, perm = splitting_type_wrt_x(x, s)
         if letter != "a":
-            raise AdmissibilityError("x must lie in a single part")
+            raise UsageError("x must lie in a single part")
         x_part = perm[0]
         # the other two parts, those y touches first: (touched, free) for
         # types 1 and 2, both touched in increasing order for 3 and 4
@@ -684,7 +678,7 @@ def _build_13_tilde(trunc):
 def d13_tilde_apply(src):
     """Images per the typed list for the restricted complex."""
     if src.position != (1, 3) or src.trunc.y is None:
-        raise ValueError("source must be the restricted (1, 3) truncation")
+        raise UsageError("source must be the restricted (1, 3) truncation")
     columns = []
     for orbit, tag in src.basis:
         ytype, key, name = orbit
@@ -703,7 +697,7 @@ def d13_tilde_apply(src):
         elif name in ("t52a", "t52b"):
             col[(("b1b2b3", key), GeneratorTag.a3(s))] = 1
         else:
-            raise AdmissibilityError(f"unclassified generator {orbit!r}")
+            raise UsageError(f"unclassified generator {orbit!r}")
         columns.append(((orbit, tag), col))
     return SparseIntMatrix.from_columns(columns)
 
@@ -727,7 +721,7 @@ def e2_13_tilde_kernel(src):
         else:
             pattern.append({gens["t52a"]: 1, gens["t52b"]: -1})
     if not _kernel_matches_pattern(src, mat, pattern):
-        raise AdmissibilityError("kernel does not match the expected pattern")
+        raise MismatchError("kernel does not match the expected pattern")
     return {"rank": len(pattern), "basis": pattern, "matrix": mat}
 
 

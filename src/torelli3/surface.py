@@ -13,13 +13,9 @@ from functools import lru_cache
 from itertools import permutations, product
 
 from .lattice import A1, A2, A3, ZERO, intersection, matrix_rank, solve_integer
-from .lattice import InternalInconsistencyError
+from .lattice import InternalInconsistencyError, UsageError
 
 ISOTROPIC_BASIS = (A1, A2, A3)
-
-
-class MalformedGraphError(ValueError):
-    """A decomposition graph or its labeling breaks a structural invariant."""
 
 
 class DecompGraph:
@@ -38,21 +34,21 @@ class DecompGraph:
         vertices = tuple((v, int(g)) for v, g in vertices)
         edges = tuple((e, t, h) for e, t, h in edges)
         if not vertices:
-            raise MalformedGraphError("a decomposition graph needs at least one vertex")
+            raise UsageError("a decomposition graph needs at least one vertex")
         ids = [v for v, _ in vertices]
         if len(set(ids)) != len(ids):
-            raise MalformedGraphError("duplicate vertex ids")
+            raise UsageError("duplicate vertex ids")
         eids = [e for e, _, _ in edges]
         if len(set(eids)) != len(eids):
-            raise MalformedGraphError("duplicate edge ids")
+            raise UsageError("duplicate edge ids")
         known = set(ids)
         for e, t, h in edges:
             if t not in known or h not in known:
-                raise MalformedGraphError(f"edge {e!r} touches an unknown vertex")
+                raise UsageError(f"edge {e!r} touches an unknown vertex")
         genus = dict(vertices)
         for v, g in vertices:
             if g < 0:
-                raise MalformedGraphError(f"vertex {v!r} has negative genus")
+                raise UsageError(f"vertex {v!r} has negative genus")
         degree = {v: 0 for v in known}
         for _, t, h in edges:
             degree[t] += 1
@@ -60,10 +56,10 @@ class DecompGraph:
         self.vertices = vertices
         self.edges = edges
         if len(_reachable(((t, h) for _, t, h in edges), ids[0])) != len(ids):
-            raise MalformedGraphError("graph is not connected")
+            raise UsageError("graph is not connected")
         for v in known:
             if 2 - 2 * genus[v] - degree[v] > -1:
-                raise MalformedGraphError(
+                raise UsageError(
                     f"vertex {v!r} would be a disk or annulus piece"
                 )
 
@@ -83,7 +79,7 @@ class DecompGraph:
         for eid, t, h in self.edges:
             if eid == e:
                 return t, h
-        raise KeyError(e)
+        raise UsageError(f"unknown edge {e!r}")
 
     def is_loop(self, e):
         t, h = self.endpoints(e)
@@ -149,7 +145,7 @@ class LabeledMulticurve:
     def __init__(self, graph, classes, x):
         classes = dict(classes)
         if set(classes) != set(graph.edge_ids):
-            raise MalformedGraphError("labeling does not match the edge set")
+            raise UsageError("labeling does not match the edge set")
         for v in graph.vertex_ids:
             total = ZERO
             for e, t, h in graph.edges:
@@ -158,13 +154,13 @@ class LabeledMulticurve:
                 if h == v:
                     total = total - classes[e]
             if not total.is_zero():
-                raise MalformedGraphError(
+                raise UsageError(
                     f"boundary of vertex {v!r} is not null-homologous"
                 )
         want = len(graph.edges) - (len(graph.vertices) - 1)
         rows = [list(c.coords) for c in classes.values()]
         if matrix_rank(rows) != want:
-            raise MalformedGraphError(
+            raise UsageError(
                 f"classes span rank {matrix_rank(rows)}, expected {want}"
             )
         self.graph = graph
@@ -204,7 +200,7 @@ def ambient_genus(graph):
     """
     total = sum(graph.euler_char(v) for v in graph.vertex_ids)
     if total % 2 != 0:
-        raise MalformedGraphError("total Euler characteristic is odd")
+        raise UsageError("total Euler characteristic is odd")
     return (2 - total) // 2
 
 
@@ -230,7 +226,7 @@ def cd_upper_bound(m):
     ``6 - P - |M| + BP`` with ``P`` the number of positive-genus pieces.
     """
     if ambient_genus(m.graph) != 3:
-        raise ValueError("the bound is pinned to ambient genus 3")
+        raise UsageError("the bound is pinned to ambient genus 3")
     return 6 - positive_genus_count(m) - len(m.graph.edges) + bp_count(m)
 
 
@@ -510,11 +506,15 @@ def _canonical_combo(nv, genera, combo):
     edge orientations are forgotten.  Keys compare genera first, so only
     the relabelings that sort the genera are tried."""
     target = tuple(sorted(genera))
-    return target, min(
-        tuple(sorted(tuple(sorted((order.index(a), order.index(b)))) for a, b in combo))
-        for order in permutations(range(nv))
-        if tuple(genera[v] for v in order) == target
-    )
+    keys = []
+    for order in permutations(range(nv)):
+        if tuple(genera[v] for v in order) != target:
+            continue
+        label = [0] * nv  # the inverse relabeling: vertex order[i] becomes i
+        for i, v in enumerate(order):
+            label[v] = i
+        keys.append(tuple(sorted(tuple(sorted((label[a], label[b]))) for a, b in combo)))
+    return target, min(keys)
 
 
 def classify_types(g, p):
@@ -526,9 +526,9 @@ def classify_types(g, p):
     do not exist, so ``p > 3`` yields an empty list.
     """
     if g != 3:
-        raise ValueError("only ambient genus 3 is supported")
+        raise UsageError("only ambient genus 3 is supported")
     if p < 0:
-        raise ValueError("dimension must be nonnegative")
+        raise UsageError("dimension must be nonnegative")
     if p > 3:
         return []
     return list(_census(p))

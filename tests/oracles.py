@@ -27,13 +27,13 @@ zero-target ``scan_subsets`` for condition (i), then the weight search
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
 
-from torelli3.cycles import CellInstance, MalformedCellError, face_geometry
+from torelli3.cycles import CellInstance, face_geometry
 from torelli3 import surface
 from torelli3.lattice import (
-    ZERO, HVector, hermite_row_form, intersection, kernel_basis, matrix_rank,
-    solve_integer,
+    ZERO, HVector, UsageError, hermite_row_form, intersection, kernel_basis,
+    matrix_rank, solve_integer,
 )
-from torelli3.specseq import AdmissibilityError, GeneratorTag
+from torelli3.specseq import GeneratorTag
 from torelli3.surface import (
     ISOTROPIC_BASIS, CensusEntry, DecompGraph, LabeledMulticurve,
 )
@@ -115,7 +115,7 @@ def remove_edges(m, drop):
     drop = set(drop)
     unknown = drop - set(m.edge_ids())
     if unknown:
-        raise MalformedCellError(f"cannot drop unknown curves {sorted(map(str, unknown))}")
+        raise UsageError(f"cannot drop unknown curves {sorted(map(str, unknown))}")
     parent = {v: v for v in m.graph.vertex_ids}
     genus = dict(m.graph.vertices)
 
@@ -209,17 +209,17 @@ def ytype_by_decompose(y, splitting, x_part):
         return (2 if in_x else 1), others
     if len(touched) == 2:
         return (4 if in_x else 3), others
-    raise ValueError("y lies in the part containing x; no type applies")
+    raise UsageError("y lies in the part containing x; no type applies")
 
 
 def pair_tag_by_vectors(u1, u2):
     """``GeneratorTag.a2_pair`` with its checks run on HVectors."""
     if u1.key() == u2.key():
-        raise AdmissibilityError("pair parts must differ")
+        raise UsageError("pair parts must differ")
     for v in u1.vectors():
         for w in u2.vectors():
             if intersection(v, w) != 0:
-                raise AdmissibilityError("pair parts must be orthogonal")
+                raise UsageError("pair parts must be orthogonal")
     a, b = u1.key(), u2.key()
     if a <= b:
         return GeneratorTag("a2pair", (a, b, 1))

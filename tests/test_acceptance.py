@@ -15,7 +15,7 @@ from torelli3.cli import (
     plain_splitting_family,
     tilde_splitting_family,
 )
-from torelli3.cycles import PreconditionError, build_ladder
+from torelli3.cycles import build_ladder
 from torelli3.lattice import (
     A1,
     A2,
@@ -26,6 +26,7 @@ from torelli3.lattice import (
     STANDARD_SPLITTING,
     Splitting,
     SymplecticSubgroup,
+    UsageError,
     matrix_rank,
     smith_normal_form,
     splitting_type_wrt_x,
@@ -270,7 +271,7 @@ def test_criterion_09_lantern_suite_and_perturbations():
         perturbed = list(base)
         perturbed[slot] = perturbed[slot] + B1
         if slot < 4:
-            with pytest.raises(PreconditionError):
+            with pytest.raises(UsageError, match=r"boundary classes must satisfy \[b1\]"):
                 lantern_check(*perturbed)
         else:
             assert not lantern_check(*perturbed)

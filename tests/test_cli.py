@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from torelli3 import cli
+from torelli3.lattice import MismatchError, UsageError
 
 
 def run_cli(capsys, *argv):
@@ -225,20 +226,77 @@ def test_internal_assertion_is_an_internal_error(capsys, monkeypatch, argv):
 
 
 @pytest.mark.parametrize(
-    "argv", [["ladder"], ["check", "d22"], ["report"]], ids=["ladder", "check", "report"]
+    "argv",
+    [["ladder"], ["check", "d22"], ["report"], ["check", "d31"]],
+    ids=["ladder", "check", "report", "check-d31"],
 )
 def test_window_above_the_bound_is_refused_before_any_work(capsys, monkeypatch, argv):
-    from torelli3 import cycles
-
     def refuse(*args):
-        raise AssertionError("a ladder was built")
+        raise AssertionError("a suite ran")
 
-    monkeypatch.setattr(cycles, "build_ladder", refuse)
-    monkeypatch.setattr(cli, "build_ladder", refuse)
-    code, report, err = run_cli(capsys, *argv, "--K", str(cli.MAX_K + 1))
+    monkeypatch.setattr(cli, "_run_command", refuse)
+    for K, message in [(cli.MAX_K + 1, "is above the limit"), (0, "is below 1"), (-5, "is below 1")]:
+        code, report, err = run_cli(capsys, *argv, "--K", str(K))
+        assert code == cli.EXIT_USAGE == 2
+        assert report is None
+        assert err.startswith(f"error: --K {K} {message}")
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (KeyError("orbit"), 3),
+        (ArithmeticError("unexpected torsion"), 3),
+        (AssertionError(), 3),
+        (UsageError("dimension must be nonnegative"), 2),
+        (MismatchError("kernel does not match the expected pattern"), 1),
+    ],
+    ids=["key", "arithmetic", "bare-assertion", "usage", "mismatch"],
+)
+def test_exit_code_is_read_off_the_error(capsys, monkeypatch, error, code):
+    def fail(*args):
+        raise error
+
+    monkeypatch.setattr(cli, "run_types", fail)
+    got, report, err = run_cli(capsys, "types")
+    assert got == code
+    assert report is None
+    assert err == f"error: {str(error) or type(error).__name__}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["ladder", "--mn", "2,4"], "coprime"),
+        (["check", "d13", "--bound", "0"], "coefficient bound must be at least 1"),
+    ],
+    ids=["ladder-not-coprime", "bound-0"],
+)
+def test_usage_error_from_a_suite_exits_2(capsys, argv, message):
+    code, report, err = run_cli(capsys, *argv)
     assert code == cli.EXIT_USAGE == 2
     assert report is None
-    assert err.startswith(f"error: --K {cli.MAX_K + 1} is above the limit")
+    assert message in err
+
+
+def test_mismatch_keeps_its_report_and_only_it_is_caught(capsys, monkeypatch):
+    def mismatch(src):
+        raise MismatchError("kernel misses its pattern at ('a', 0)")
+
+    monkeypatch.setattr(cli, "e2_13_kernel", mismatch)
+    code, report, _ = run_cli(capsys, "check", "d13")
+    assert code == cli.EXIT_MISMATCH == 1
+    assert report["ok"] is False
+    assert report["verdicts"]["error"] == "kernel misses its pattern at ('a', 0)"
+
+    def usage(src):
+        raise UsageError("source must be the plain (1, 3) truncation")
+
+    monkeypatch.setattr(cli, "e2_13_kernel", usage)
+    code, report, err = run_cli(capsys, "check", "d13")
+    assert code == cli.EXIT_USAGE == 2
+    assert report is None
+    assert err.startswith("error: source must be the plain")
 
 
 def test_kernel_table(capsys):
@@ -287,6 +345,14 @@ def test_json_file_output(capsys, tmp_path):
     on_disk = json.loads(target.read_text(encoding="utf-8"))
     assert on_disk["verdicts"] == report["verdicts"]
     assert on_disk["command"] == "kernel"
+
+
+def test_unwritable_json_path_is_an_internal_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "report.json"
+    code, report, err = run_cli(capsys, "kernel", "--json", str(target))
+    assert code == cli.EXIT_INTERNAL == 3
+    assert report["ok"] is True
+    assert err.startswith("error: [Errno 2]")
 
 
 def test_report_aggregates_every_suite(capsys):

@@ -10,14 +10,14 @@ from hypothesis import strategies as st
 
 from oracles import boundary_faces, remove_edges, solve_rational, two_scan
 from torelli3 import cycles
-from torelli3.lattice import A1, A2, A3, HVector, bareiss_determinant, smith_normal_form
+from torelli3.lattice import (
+    A1, A2, A3, HVector, UsageError, bareiss_determinant, smith_normal_form,
+)
 from torelli3.cycles import (
     BasicCycle,
     CellInstance,
-    DegenerateInputError,
     InternalInconsistencyError,
     LadderComplex,
-    MalformedCellError,
     append_loop,
     build_ladder,
     enumerate_basic_cycles,
@@ -99,7 +99,7 @@ def test_shared_class_triple_has_two_cycles():
 
 
 def test_zero_target_is_degenerate():
-    with pytest.raises(DegenerateInputError):
+    with pytest.raises(UsageError, match="the zero class supports no basic cycle"):
         enumerate_basic_cycles(shared_class_triple(), HVector([0] * 6))
 
 
@@ -112,15 +112,15 @@ def test_enumeration_is_deterministic():
 
 def test_basic_cycle_validation():
     m = shared_class_triple()
-    with pytest.raises(MalformedCellError):
+    with pytest.raises(UsageError, match="a basic cycle needs a nonempty support"):
         BasicCycle(m, {}, A1 + A2)
-    with pytest.raises(MalformedCellError):
+    with pytest.raises(UsageError, match="weight of 'e1' must be a positive integer"):
         BasicCycle(m, {"e1": 0, "e2": 1}, A1 + A2)
-    with pytest.raises(MalformedCellError):
+    with pytest.raises(UsageError, match="unknown curve 'nope' in support"):
         BasicCycle(m, {"nope": 1}, A1 + A2)
-    with pytest.raises(MalformedCellError):
+    with pytest.raises(UsageError, match="weighted class sum misses the target"):
         BasicCycle(m, {"e1": 1, "e2": 2}, A1 + A2)
-    with pytest.raises(MalformedCellError):
+    with pytest.raises(UsageError, match="support classes are dependent"):
         BasicCycle(m, {"e1": 1, "e2": 1, "e3": 1}, 2 * A1 + 2 * A2)
 
 
@@ -140,12 +140,12 @@ def test_cell_dim_cross_check_detects_tampering():
 def test_uncovered_curve_is_malformed():
     graph = DecompGraph([(0, 1), (1, 1)], [("d1", 0, 1), ("d2", 0, 1)])
     m = LabeledMulticurve(graph, {"d1": A1, "d2": -1 * A1}, A1)
-    with pytest.raises(MalformedCellError):
+    with pytest.raises(UsageError, match="the weight polytope is unbounded"):
         CellInstance(m)
     # bounded, but only e1 carries the target
     triple = shared_class_triple()
     m = LabeledMulticurve(triple.graph, triple.classes, A1)
-    with pytest.raises(MalformedCellError, match=r"outside every basic cycle: \['e2', 'e3'\]"):
+    with pytest.raises(UsageError, match=r"outside every basic cycle: \['e2', 'e3'\]"):
         CellInstance(m)
 
 
@@ -164,7 +164,7 @@ def test_unbounded_polytope_is_malformed():
     found, bounded = two_scan(*scan_inputs_of(m), m.x.coords)
     assert sorted(found) == [(("a", "c"), [1, 2]), (("b", "d"), [1, 2]), (("c", "d"), [1, 1])]
     assert not bounded
-    with pytest.raises(MalformedCellError, match="the weight polytope is unbounded"):
+    with pytest.raises(UsageError, match="the weight polytope is unbounded"):
         CellInstance(m)
 
 
@@ -308,7 +308,7 @@ def test_unbounded_polytope_raises_before_the_span_test():
     """The recession ray a + b = 0 is found even when x lies outside the
     span of the classes, so no basic cycle exists."""
     m = LabeledMulticurve(*unbounded_labeling(), A3)
-    with pytest.raises(MalformedCellError, match="the weight polytope is unbounded"):
+    with pytest.raises(UsageError, match="the weight polytope is unbounded"):
         CellInstance(m)
 
 
@@ -397,7 +397,7 @@ def test_psi_max_examples():
 
 
 def test_psi_max_needs_a_cell():
-    with pytest.raises(MalformedCellError):
+    with pytest.raises(UsageError, match="cell carries no basic cycles"):
         psi_max(object())
 
 
@@ -623,7 +623,7 @@ def test_remove_edges_merges_and_adds_genus():
     assert remove_edges(m, {"A1", "A2"}) == sub2
     loopless = remove_edges(single_loop(), set())
     assert loopless == single_loop()
-    with pytest.raises(MalformedCellError):
+    with pytest.raises(UsageError, match="cannot drop unknown curves"):
         remove_edges(m, {"missing"})
 
 

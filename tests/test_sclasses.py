@@ -1,7 +1,6 @@
 import pytest
 import sympy
 
-from torelli3.cycles import PreconditionError
 from torelli3.lattice import (
     A1,
     A2,
@@ -10,9 +9,11 @@ from torelli3.lattice import (
     B2,
     B3,
     HVector,
+    InternalInconsistencyError,
     STANDARD_SPLITTING,
     Splitting,
     SymplecticSubgroup,
+    UsageError,
     intersection,
     matrix_rank,
     smith_normal_form,
@@ -117,6 +118,19 @@ def test_per_splitting_rank():
     assert per_splitting_rank() == 2
 
 
+def test_torsion_in_the_relation_quotient_is_an_internal_error(monkeypatch, capsys):
+    from torelli3 import cli, sclasses
+
+    factors, left, right = smith_normal_form(relation_matrix())
+    assert [f for f in factors if f] == [1] * 4
+    torsion = [2 if f else 0 for f in factors]
+    monkeypatch.setattr(sclasses, "smith_normal_form", lambda m: (torsion, left, right))
+    with pytest.raises(InternalInconsistencyError, match="unexpected torsion"):
+        per_splitting_rank()
+    assert cli.main(["smodule"]) == cli.EXIT_INTERNAL == 3
+    assert capsys.readouterr().err == "error: unexpected torsion in the relation quotient\n"
+
+
 def test_s3_equivariance():
     assert s3_equivariance_check()
 
@@ -152,7 +166,7 @@ def test_nu_separating_rules():
     assert nu_eval(SeparatingTwist(U33), nu) == 1
     skew = SymplecticSubgroup.spanned_by([A1, B1 + A3])
     assert nu_eval(SeparatingTwist(skew), nu) == 0
-    with pytest.raises(PreconditionError):
+    with pytest.raises(UsageError, match="twist data crosses the curve"):
         nu_eval(SeparatingTwist(U22), nu)
 
 
@@ -165,27 +179,27 @@ def test_nu_bounding_pair_rules():
     assert nu_eval(mismatched, nu) == 0
     assert nu_eval(BoundingPairTwist(-A2, (U11, U33)), nu) == -1
     assert nu_eval(BoundingPairTwist(A1, (U22, U33)), nu) == 0
-    with pytest.raises(PreconditionError):
+    with pytest.raises(UsageError, match="bounding pair crosses the curve"):
         nu_eval(BoundingPairTwist(B2, (U11, U33)), nu)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(UsageError, match="cannot evaluate"):
         nu_eval("not a generator", nu)
 
 
 def test_nu_validations():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(UsageError, match="the curve class must be primitive"):
         NuHomomorphism(2 * A2, (U11, U33))
-    with pytest.raises(PreconditionError):
+    with pytest.raises(UsageError, match="the curve class must be primitive"):
         NuHomomorphism(ZERO, (U11, U33))
-    with pytest.raises(PreconditionError):
+    with pytest.raises(UsageError, match="parts must pair to zero with the curve"):
         NuHomomorphism(A2, (U22, U33))
-    with pytest.raises(PreconditionError):
+    with pytest.raises(UsageError, match="parts must be mutually orthogonal"):
         NuHomomorphism(A1, (U22, SymplecticSubgroup.spanned_by([A2, B2 + B3])))
     isotropic = SymplecticSubgroup.spanned_by([A1, A3])
-    with pytest.raises(PreconditionError):
+    with pytest.raises(UsageError, match="parts must span the cut-open homology"):
         NuHomomorphism(A2, (isotropic, isotropic))
-    with pytest.raises(PreconditionError):
+    with pytest.raises(UsageError, match="bounding pair class must be primitive"):
         BoundingPairTwist(2 * A1, (U22, U33))
-    with pytest.raises(PreconditionError):
+    with pytest.raises(UsageError, match="separating data must have rank 2"):
         SeparatingTwist(SymplecticSubgroup.spanned_by([A1]))
 
 
@@ -276,7 +290,7 @@ def test_lantern_boundary_perturbations_raise():
     for i in range(4):
         slots = [b1, b2, b3, b4]
         slots[i] = slots[i] + B1
-        with pytest.raises(PreconditionError):
+        with pytest.raises(UsageError, match=r"boundary classes must satisfy \[b1\]"):
             lantern_check(*slots, x, y, z)
 
 
@@ -332,12 +346,12 @@ def test_sclass_tail_swap_negates():
 def test_sclass_image_errors():
     family = type_c_family()
     src = page_source(family)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(UsageError, match="splitting is not part of the truncation"):
         sclass_image_in_e2(STANDARD_SPLITTING, src)
     plain = build_e1(
         (1, 3), Truncation(splittings=family + [STANDARD_SPLITTING], x=A1)
     )
-    with pytest.raises(PreconditionError):
+    with pytest.raises(UsageError, match="splitting must meet all three parts"):
         sclass_image_in_e2(STANDARD_SPLITTING, plain)
 
 

@@ -17,18 +17,17 @@ from torelli3.lattice import (
     STANDARD_SPLITTING,
     Splitting,
     SymplecticSubgroup,
+    UsageError,
     enumerate_splittings,
     enumerate_symplectic_rank2,
     splitting_type_wrt_x,
     transvection,
 )
 from torelli3.specseq import (
-    AdmissibilityError,
     E1Truncation,
     GeneratorTag,
     SparseIntMatrix,
     Truncation,
-    TruncationOverflowError,
     admissible_subgroups,
     append_loop,
     build_e1,
@@ -122,17 +121,17 @@ def test_pair_tag_antisymmetry():
 
 
 def test_pair_tag_rejects_bad_parts():
-    with pytest.raises(AdmissibilityError):
+    with pytest.raises(UsageError, match="pair parts must differ"):
         GeneratorTag.a2_pair(U23, U23)
     overlapping = SymplecticSubgroup.spanned_by([B2 + A3, B3])
-    with pytest.raises(AdmissibilityError):
+    with pytest.raises(UsageError, match="pair parts must be orthogonal"):
         GeneratorTag.a2_pair(U23, overlapping)
 
 
 def _tag_outcome(tag, u1, u2):
     try:
         return tag(u1, u2).key()
-    except AdmissibilityError as err:
+    except UsageError as err:
         return str(err)
 
 
@@ -230,7 +229,7 @@ def test_appended_admissibility_uses_the_loop():
 def test_append_loop_needs_genus():
     ladder = build_ladder(1, 1, 2)
     appended = append_loop(ladder.cell_cells[("R", -1)])
-    with pytest.raises(AdmissibilityError):
+    with pytest.raises(UsageError, match="no piece can host the loop"):
         append_loop(appended)
 
 
@@ -334,7 +333,7 @@ def test_d31_overflow():
     src = E1Truncation(
         (3, 1), [(("O", 5), GeneratorTag.bp_twist(0))], Truncation(K=2)
     )
-    with pytest.raises(TruncationOverflowError):
+    with pytest.raises(UsageError, match="translate 5 needs window 6, have 2"):
         d31_apply(src)
 
 
@@ -431,9 +430,9 @@ def test_d22_corner_builds_each_cell_once(monkeypatch):
 def test_d22_rejects_inadmissible_subgroup():
     ladder = build_ladder(1, 1, 1)
     bad = SymplecticSubgroup.spanned_by([A1, B1])
-    with pytest.raises(AdmissibilityError):
+    with pytest.raises(UsageError, match="not admissible for"):
         build_e1((2, 2), Truncation(ladder=ladder, subgroups=[bad], height=1))
-    with pytest.raises(AdmissibilityError):
+    with pytest.raises(UsageError, match="exceeds height 0"):
         build_e1(
             (2, 2),
             Truncation(ladder=ladder, subgroups=[U33_SKEW], height=0),
@@ -447,7 +446,7 @@ def test_d22_overflow_on_foreign_cell():
         [(((("R", 99)), "plain"), GeneratorTag.a2(U33))],
         Truncation(ladder=ladder),
     )
-    with pytest.raises(TruncationOverflowError):
+    with pytest.raises(UsageError, match=r"cell \('R', 99\) outside the ladder"):
         d22_apply(src, ladder)
 
 
@@ -516,7 +515,7 @@ def test_d13_rejects_unclassified():
         [(("z", "key", 0), GeneratorTag.a2_pair(U23, U33))],
         Truncation(x=A1),
     )
-    with pytest.raises(AdmissibilityError):
+    with pytest.raises(UsageError, match="unclassified generator"):
         d13_apply(src)
 
 
@@ -581,7 +580,7 @@ def test_tilde_kernel_rank_and_pattern():
 
 
 def test_tilde_requires_isolated_x():
-    with pytest.raises(AdmissibilityError):
+    with pytest.raises(UsageError, match="x must lie in a single part"):
         build_e1(
             (1, 3),
             Truncation(splittings=[STANDARD_SPLITTING], x=A1 + A2, y=A3),

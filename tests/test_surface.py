@@ -12,9 +12,11 @@ from oracles import (
     realizability_by_search,
 )
 from torelli3 import cli, surface
-from torelli3.lattice import A1, A2, A3, HVector, ZERO, InternalInconsistencyError, intersection
+from torelli3.lattice import (
+    A1, A2, A3, HVector, ZERO, InternalInconsistencyError, UsageError, intersection,
+)
 from torelli3.surface import (
-    CensusEntry, DecompGraph, LabeledMulticurve, MalformedGraphError,
+    CensusEntry, DecompGraph, LabeledMulticurve,
     ambient_genus, bp_count, cd_arithmetic_line, cd_upper_bound, census_json,
     classify_types, dimension, positive_genus_count, realizability_check,
 )
@@ -91,32 +93,32 @@ def test_ambient_genus_examples():
 
 
 def test_graph_validation():
-    with pytest.raises(MalformedGraphError):
+    with pytest.raises(UsageError, match="duplicate vertex ids"):
         DecompGraph([(0, 1), (0, 2)], [])
-    with pytest.raises(MalformedGraphError):
+    with pytest.raises(UsageError, match="duplicate edge ids"):
         DecompGraph([(0, 3)], [("e", 0, 0), ("e", 0, 0)])
-    with pytest.raises(MalformedGraphError):
+    with pytest.raises(UsageError, match="touches an unknown vertex"):
         DecompGraph([(0, 3)], [("e", 0, 1)])
-    with pytest.raises(MalformedGraphError):
+    with pytest.raises(UsageError, match="negative genus"):
         DecompGraph([(0, -1)], [])
-    with pytest.raises(MalformedGraphError):
+    with pytest.raises(UsageError, match="not connected"):
         DecompGraph([(0, 2), (1, 2)], [])  # disconnected
-    with pytest.raises(MalformedGraphError):
+    with pytest.raises(UsageError, match="disk or annulus piece"):
         DecompGraph([(0, 0)], [])  # disk piece
-    with pytest.raises(MalformedGraphError):
+    with pytest.raises(UsageError, match="disk or annulus piece"):
         DecompGraph([(0, 0)], [("l", 0, 0)])  # annulus piece
-    with pytest.raises(MalformedGraphError):
+    with pytest.raises(UsageError, match="disk or annulus piece"):
         DecompGraph([(0, 0), (1, 2)], [("e", 0, 1)])  # vertex 0 is a disk
 
 
 def test_labeling_validation():
     graph = DecompGraph([(0, 1), (1, 1)], [("d1", 0, 1), ("d2", 1, 0)])
-    with pytest.raises(MalformedGraphError):
+    with pytest.raises(UsageError, match="labeling does not match the edge set"):
         LabeledMulticurve(graph, {"d1": A1}, A1)
-    with pytest.raises(MalformedGraphError):
+    with pytest.raises(UsageError, match="not null-homologous"):
         LabeledMulticurve(graph, {"d1": A1, "d2": A2}, A1)
     loop = DecompGraph([(0, 2)], [("l", 0, 0)])
-    with pytest.raises(MalformedGraphError):
+    with pytest.raises(UsageError, match="classes span rank 0, expected 1"):
         LabeledMulticurve(loop, {"l": ZERO}, A1)  # rank 0, expected 1
     fine = LabeledMulticurve(loop, {"l": A1}, A1)
     assert fine.class_of("l") == A1
