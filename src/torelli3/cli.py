@@ -44,7 +44,6 @@ from .lattice import (
     UsageError,
     apply_matrix,
     enumerate_splittings,
-    smith_normal_form,
     transform_splitting,
     transvection_matrix,
 )
@@ -52,7 +51,7 @@ from .sclasses import (
     lantern_check,
     o_module_reduce,
     per_splitting_rank,
-    relation_matrix,
+    relation_factors,
     s3_equivariance_check,
 )
 from .specseq import (
@@ -76,7 +75,8 @@ EXIT_INTERNAL = InternalInconsistencyError.exit_code
 
 DEFAULT_K = 3
 # the largest window at which every measured `check d22 --mn 2,5` stayed inside 30 s
-# (2-vCPU host): 23-24 s and 216 MB there, 27-32 s at 6144; 2.6 s at K=512, 8 s at 1792
+# (2-vCPU host): 23-24 s and 216 MB there, 27-32 s at 6144 when set; with the appended
+# sheet lifted, 16.5 s and 235 MB at 5120, 1.7 s at K=512, 5-6 s at 1792
 MAX_K = 5120
 DEFAULT_MN = (1, 2)
 MAX_BOUND = 1  # bound 2 has 437,427 planes, 24 s to enumerate alone
@@ -334,9 +334,8 @@ def run_kernel(exp):
 
 
 def run_smodule(exp):
-    factors, _, _ = smith_normal_form(relation_matrix())
-    nonzero = [f for f in factors if f]
-    rank = per_splitting_rank()
+    nonzero = relation_factors()
+    rank = per_splitting_rank(nonzero)
     torsion_free = all(f == 1 for f in nonzero)
     equivariant = s3_equivariance_check()
     verdicts = {

@@ -55,7 +55,8 @@ class BasicCycle:
 
     @classmethod
     def _trusted(cls, multicurve, coefficients, target):
-        """A vertex from `enumerate_basic_cycles`, with no checks run.
+        """A vertex from `enumerate_basic_cycles` or `append_loop`, with
+        no checks run.
 
         It skips the support ids, the positive integer weights, the
         independence of the support classes and the class sum.  The
@@ -63,9 +64,12 @@ class BasicCycle:
         order, every weight is an exact integer quotient that passed the
         positivity test, the subset's pivot minor has a nonzero
         determinant, and R w = y holds on every row of the reduced form,
-        whose solutions are those of the class sum.  Every vertex of
-        random ladder cells passes __init__ unchanged in
-        ``test_pattern_route_matches_scan_subsets_on_ladder_cells``.
+        whose solutions are those of the class sum.  A lifted vertex is
+        a plain one plus the loop at weight 1, proved by the lemma of
+        ``CellInstance._trusted``.  Every vertex of random ladder cells
+        passes __init__ unchanged in
+        ``test_pattern_route_matches_scan_subsets_on_ladder_cells``, and
+        every lifted one in ``test_appended_sheet_matches_the_scan_oracle``.
         """
         v = object.__new__(cls)
         v.multicurve = multicurve
@@ -259,7 +263,8 @@ class CellInstance:
     by the pattern route, after the scan of the cell's relation pattern
     has checked that the polytope is bounded (the tests compare both
     with the per-cell ``surface.scan_subsets``); every curve must lie on
-    a vertex.
+    a vertex.  An appended cell is lifted from its plain cell instead
+    (``_trusted``).
     """
 
     __slots__ = ("multicurve", "verts", "dim")
@@ -280,6 +285,32 @@ class CellInstance:
         self.multicurve = multicurve
         self.verts = verts
         self.dim = len(multicurve.graph.vertices) - 1
+
+    @classmethod
+    def _trusted(cls, multicurve, verts, dim):
+        """A cell whose vertices are known, with no scan run.
+
+        ``append_loop`` builds each appended cell this way, by lifting
+        the plain cell.  The lemma: if x lies in the span of the curve
+        classes c_e and the loop class a3 does not, then
+        sum_e w_e c_e + w_beta a3 = x + a3 forces w_beta = 1.  So the
+        basic cycles for x + a3 are the plain basic cycles for x with
+        ``beta`` at weight 1: the appended support stays independent
+        because a3 is outside the span, and the polytope is the plain one
+        times the point w_beta = 1, of the same dimension, with its
+        vertices in the same order (a constant last coordinate keeps the
+        sort by weight vector).  Both hypotheses are checked on every
+        appended cell: the plain cell has a vertex (``__init__``), whose
+        class sum puts x in the span, and the checked
+        ``LabeledMulticurve.__init__`` of the appended multicurve
+        requires rank |E| + 1 - (|V| - 1), one more than the plain
+        classes span, so a3 is outside their span.
+        """
+        cell = object.__new__(cls)
+        cell.multicurve = multicurve
+        cell.verts = verts
+        cell.dim = dim
+        return cell
 
     def vectors(self):
         order = self.multicurve.edge_ids()
@@ -376,16 +407,17 @@ def face_geometry(c):
     return faces
 
 
-def match_faces(tag, cell, edge_cells):
+def match_faces(tag, cell, edge_cells, geometry):
     """The signed faces of the two-cell ``tag``, as the given edge cells.
 
-    Each geometric face of ``cell`` must be one edge cell with the same
-    curve ids, classes, x and vertex set; an error names the two-cell,
-    the face's curve ids and the property that differs.
+    ``geometry`` is ``face_geometry(cell)``.  Each of its faces must be
+    one edge cell with the same curve ids, classes, x and vertex set; an
+    error names the two-cell, the face's curve ids and the property that
+    differs.
     """
     m = cell.multicurve
     order = m.edge_ids()
-    geometric = {support: (sign, vecs) for sign, support, vecs in face_geometry(cell)}
+    geometric = {support: (sign, vecs) for sign, support, vecs in geometry}
     faces = []
     for edge_cell in edge_cells:
         face = edge_cell.multicurve
@@ -423,25 +455,49 @@ def _cell(pieces, edges, classes, x):
     return cell
 
 
+# the loop of the appended sheet
+_LOOP = "beta"
+
+
 def append_loop(cell):
     """The same cell with one extra loop ``beta`` of class a3 on a
-    positive-genus piece.
+    positive-genus piece, lifted from ``cell`` with no scan.
 
-    The loop spends one unit of genus and carries a class independent of
-    the others, so the polytope combinatorics are unchanged while every
-    multicurve in sight gains the loop.
+    The loop spends one unit of genus.  The checked ``DecompGraph`` and
+    ``LabeledMulticurve`` constructors build the appended multicurve,
+    and the rank test of the latter puts a3 outside the span of the
+    other classes.  With the plain cell's vertices that proves the
+    lifting lemma of ``CellInstance._trusted``: the appended vertices
+    are the plain ones with ``beta`` at weight 1, in the same order, and
+    the dimension is the plain one.
     """
     m = cell.multicurve
-    host = None
-    for v, g in m.graph.vertices:
-        if g >= 1:
-            host = v
-            break
+    host = next((v for v, g in m.graph.vertices if g >= 1), None)
     if host is None:
         raise UsageError("no piece can host the loop")
     pieces = [(v, g - 1 if v == host else g) for v, g in m.graph.vertices]
-    edges = list(m.graph.edges) + [("beta", host, host)]
-    return _cell(pieces, edges, {**m.classes, "beta": A3}, m.x + A3)
+    graph = DecompGraph(pieces, list(m.graph.edges) + [(_LOOP, host, host)])
+    lifted = LabeledMulticurve(graph, {**m.classes, _LOOP: A3}, m.x + A3)
+    verts = [
+        BasicCycle._trusted(lifted, {**v.coefficients, _LOOP: 1}, lifted.x)
+        for v in cell.verts
+    ]
+    return CellInstance._trusted(lifted, verts, cell.dim)
+
+
+def _lift_faces(geometry):
+    """``face_geometry(append_loop(c))`` from ``face_geometry(c)``.
+
+    Every appended vertex vector is a plain one with a trailing 1, so
+    each face gains ``beta`` in its support and a trailing 1 on each of
+    its vectors.  The frames and the barycenter difference gain a zero
+    last column, which moves no pivot and no determinant, so every sign
+    stays; the loop, on every vertex, gives no face of its own.
+    """
+    return [
+        (sign, support | {_LOOP}, [vec + (1,) for vec in vecs])
+        for sign, support, vecs in geometry
+    ]
 
 
 # pieces of the ladder's one-cells and two-cells: (id, genus)
@@ -461,9 +517,15 @@ class LadderComplex:
     and one vertical triangle per sheet.
 
     ``build_ladder`` fills the tables, building each cell once.  The
-    signed faces of a two-cell (``cell_faces``) are its edges' cells;
-    ``appended_cell`` builds a cell with the appended loop once, and
-    ``appended_faces`` are the appended cells of its edges.
+    signed faces of a two-cell (``cell_faces``) are its edges' cells,
+    matched to the face geometry the ladder keeps (``cell_geometry``).
+    ``appended_cell`` lifts a cell to the appended sheet once, and
+    ``appended_faces`` are the appended cells of its edges, matched to
+    the lifted geometry.  Both lifts rest on the lemma of
+    ``CellInstance._trusted`` (the loop's weight is forced to 1),
+    whose hypotheses every lifted cell checks: the plain cell has a
+    vertex, and the appended multicurve passes the rank test of
+    ``LabeledMulticurve``.
     """
 
     __slots__ = (
@@ -483,6 +545,7 @@ class LadderComplex:
         "cell_psi",
         "cell_cells",
         "cell_faces",
+        "cell_geometry",
         "closing",
         "_appended",
     )
@@ -504,6 +567,7 @@ class LadderComplex:
         self.cell_psi = {}
         self.cell_cells = {}
         self.cell_faces = {}
+        self.cell_geometry = {}
         self.closing = None
         self._appended = {}
 
@@ -521,16 +585,18 @@ class LadderComplex:
                 )
 
     def appended_cell(self, tag):
-        """``append_loop`` of the edge or two-cell ``tag``, built once."""
+        """``append_loop`` of the edge or two-cell ``tag``, lifted once."""
         if tag not in self._appended:
             cells = self.cell_cells if tag in self.cell_cells else self.edge_cells
             self._appended[tag] = append_loop(cells[tag])
         return self._appended[tag]
 
     def appended_faces(self, tag):
-        """Faces of ``appended_cell(tag)``: its edges' appended cells."""
+        """Faces of ``appended_cell(tag)``: its edges' appended cells,
+        matched to the two-cell's kept face geometry, lifted."""
         edges = [self.appended_cell(e) for e in self.cell_boundary[tag]]
-        return match_faces(tag, self.appended_cell(tag), edges)
+        geometry = _lift_faces(self.cell_geometry[tag])
+        return match_faces(tag, self.appended_cell(tag), edges, geometry)
 
     def vertices(self):
         return sorted(self.vertex_psi, key=str)
@@ -762,7 +828,8 @@ def build_ladder(m, n, K):
 def _check_geometry(ladder, vertex_maps):
     """Abstract incidence must match the geometric cells edge for edge.
 
-    ``ladder.cell_faces`` keeps the matched faces of each two-cell.
+    ``ladder.cell_faces`` keeps the matched faces of each two-cell, and
+    ``ladder.cell_geometry`` its face geometry, for the appended sheet.
     """
     for tag, (tail, head) in ladder.edge_endpoints.items():
         cell = ladder.edge_cells[tag]
@@ -774,8 +841,10 @@ def _check_geometry(ladder, vertex_maps):
         if got != want:
             raise InternalInconsistencyError(f"edge {tag} endpoints drifted")
     for tag, boundary in ladder.cell_boundary.items():
+        cell = ladder.cell_cells[tag]
+        ladder.cell_geometry[tag] = geometry = face_geometry(cell)
         ladder.cell_faces[tag] = match_faces(
-            tag, ladder.cell_cells[tag], [ladder.edge_cells[e] for e in boundary]
+            tag, cell, [ladder.edge_cells[e] for e in boundary], geometry
         )
 
 

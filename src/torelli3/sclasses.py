@@ -128,13 +128,22 @@ def relation_matrix():
         rows.append(row)
     return rows
 
-def per_splitting_rank():
-    """Free rank of the quotient by the relations; torsion would be a bug."""
-    factors = smith_normal_form(relation_matrix())[0]
-    nonzero = [f for f in factors if f]
+
+def relation_factors():
+    """Nonzero invariant factors of ``relation_matrix()``, from one Smith
+    normal form; torsion in the quotient would be a bug."""
+    nonzero = [f for f in smith_normal_form(relation_matrix())[0] if f]
     if any(f != 1 for f in nonzero):
         raise InternalInconsistencyError("unexpected torsion in the relation quotient")
-    return 6 - len(nonzero)
+    return nonzero
+
+
+def per_splitting_rank(factors=None):
+    """Free rank of the quotient by the relations, read off ``factors``
+    (default: ``relation_factors()``)."""
+    if factors is None:
+        factors = relation_factors()
+    return len(PERMUTATIONS) - len(factors)
 
 
 def o_module_reduce(coeffs):
@@ -324,11 +333,10 @@ def sclass_image_in_e2(splitting, src):
     letter, perm = splitting_type_wrt_x(src.trunc.x, stored)
     if letter != "c":
         raise UsageError("splitting must meet all three parts")
+    # found by the argument's unordered part key, the stored parts are the argument's
     stored_parts = [stored.parts[i] for i in perm]
     position = {p.key(): i for i, p in enumerate(stored_parts)}
-    second, third = (position.get(p.key()) for p in splitting.parts[1:])
-    if second is None or third is None:
-        raise UsageError("parts do not match the stored splitting")
+    second, third = (position[p.key()] for p in splitting.parts[1:])
     labels = {
         orbit[2]: (orbit, tag.key())
         for orbit, tag in src.basis

@@ -518,16 +518,20 @@ def d22_apply(src, ladder):
 def check_image_separation(ladder, u):
     """Faces of plain cells never meet the subgroup; faces of appended
     cells always do, through the loop class.  Every face is an edge cell
-    or appended edge cell the ladder built once."""
+    or appended edge cell the ladder built once, and gets one verdict,
+    which each two-cell it bounds reads."""
+    meets = {}
+
+    def verdict(face):
+        if id(face) not in meets:
+            meets[id(face)] = any(u.contains(c) for c in face.multicurve.classes.values())
+        return meets[id(face)]
+
     for tag in ladder.two_cells():
-        for _, face in ladder.cell_faces[tag]:
-            if any(u.contains(c) for c in face.multicurve.classes.values()):
-                return False
-        for _, face in ladder.appended_faces(tag):
-            if not any(
-                u.contains(c) for c in face.multicurve.classes.values()
-            ):
-                return False
+        if any(verdict(face) for _, face in ladder.cell_faces[tag]):
+            return False
+        if not all(verdict(face) for _, face in ladder.appended_faces(tag)):
+            return False
     return True
 
 

@@ -195,12 +195,13 @@ class LabeledMulticurve:
 def ambient_genus(graph):
     """Genus of the closed surface the graph decomposes.
 
+    The total Euler characteristic is 2|V| - 2 sum g - 2|E|, since the
+    degrees sum to 2|E|, so it is always even.
+
     >>> ambient_genus(DecompGraph([(0, 3)], []))
     3
     """
     total = sum(graph.euler_char(v) for v in graph.vertex_ids)
-    if total % 2 != 0:
-        raise UsageError("total Euler characteristic is odd")
     return (2 - total) // 2
 
 

@@ -6,6 +6,10 @@ checked against it.  ``two_scan`` is the route cells took before one
 elimination per curve subset served both vertices and boundedness.
 ``boundary_faces`` builds every face of a cell as a fresh cell, as the
 ladder did before it kept its own edge cells as faces.
+``append_loop_by_scan`` is ``cycles.append_loop`` as it was before the
+appended cell was lifted from the plain one: the appended multicurve's
+own cell, from a full scan, whose faces come from a fresh
+``face_geometry``.
 ``dense_kernel_matches_pattern`` is the page kernel check as it was
 before it went sparse: the Hermite forms of the pattern and of the dense
 kernel basis must agree.  ``letter_by_decompose``, ``ytype_by_decompose``
@@ -27,10 +31,10 @@ zero-target ``scan_subsets`` for condition (i), then the weight search
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
 
-from torelli3.cycles import CellInstance, face_geometry
+from torelli3.cycles import CellInstance, _cell, face_geometry
 from torelli3 import surface
 from torelli3.lattice import (
-    ZERO, HVector, UsageError, hermite_row_form, intersection, kernel_basis,
+    A3, ZERO, HVector, UsageError, hermite_row_form, intersection, kernel_basis,
     matrix_rank, solve_integer,
 )
 from torelli3.specseq import GeneratorTag
@@ -161,6 +165,18 @@ def boundary_faces(c):
     ]
     faces.sort(key=lambda sf: sf[1].support_key())
     return faces
+
+
+def append_loop_by_scan(cell):
+    """The cell with the appended loop ``beta`` of class a3, built by a
+    full basic-cycle scan of the appended multicurve."""
+    m = cell.multicurve
+    host = next((v for v, g in m.graph.vertices if g >= 1), None)
+    if host is None:
+        raise UsageError("no piece can host the loop")
+    pieces = [(v, g - 1 if v == host else g) for v, g in m.graph.vertices]
+    edges = list(m.graph.edges) + [("beta", host, host)]
+    return _cell(pieces, edges, {**m.classes, "beta": A3}, m.x + A3)
 
 
 def dense_kernel_matches_pattern(src, mat, pattern):

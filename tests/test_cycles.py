@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import boundary_faces, remove_edges, solve_rational, two_scan
+from oracles import (
+    append_loop_by_scan, boundary_faces, remove_edges, solve_rational, two_scan,
+)
 from torelli3 import cycles
 from torelli3.lattice import (
     A1, A2, A3, HVector, UsageError, bareiss_determinant, smith_normal_form,
@@ -21,6 +23,7 @@ from torelli3.cycles import (
     append_loop,
     build_ladder,
     enumerate_basic_cycles,
+    face_geometry,
     psi,
     psi_max,
 )
@@ -317,7 +320,8 @@ def test_unbounded_polytope_raises_before_the_span_test():
 def test_pattern_route_matches_scan_subsets_on_ladder_cells(mn, K):
     """Every cell a ladder builds (vertex, edge, two-cell, appended and
     external-witness cells) against the per-cell scan, and every vertex
-    through the checked ``BasicCycle`` constructor."""
+    through the checked ``BasicCycle`` constructor.  Only the plain cells
+    and the witnesses scan; the appended cells are lifted from them."""
     calls = []
     original = cycles.enumerate_basic_cycles
 
@@ -329,11 +333,11 @@ def test_pattern_route_matches_scan_subsets_on_ladder_cells(mn, K):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cycles, "enumerate_basic_cycles", recording)
         ladder = build_ladder(*mn, K)
-        for tag in ladder.edges() + ladder.two_cells():
-            ladder.appended_cell(tag)
+        appended = [ladder.appended_cell(tag) for tag in ladder.edges() + ladder.two_cells()]
     plain = len(ladder.vertex_cells) + len(ladder.edge_cells) + len(ladder.cell_cells)
-    appended = len(ladder.edge_cells) + len(ladder.cell_cells)
-    assert len(calls) == plain + appended + 2  # and the two external witnesses
+    assert len(calls) == plain + 2  # and the two external witnesses
+    assert len(appended) == len(ladder.edge_cells) + len(ladder.cell_cells)
+    calls += [(c.multicurve, c.multicurve.x, c.verts) for c in appended]
     for m, x, verts in calls:
         rows, order = scan_inputs_of(m)
         found, bounded = normalized(scan_subsets(rows, order, x.coords))
@@ -344,6 +348,47 @@ def test_pattern_route_matches_scan_subsets_on_ladder_cells(mn, K):
             assert (checked.multicurve, checked.coefficients, checked.target) == (
                 v.multicurve, v.coefficients, v.target,
             )
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(COPRIME_PAIRS), st.integers(1, 6))
+def test_appended_sheet_matches_the_scan_oracle(mn, K):
+    """Each lifted appended cell against a full scan of the appended
+    multicurve: the same multicurve, vertex list (in order) and
+    dimension, every vertex through the checked constructor; each
+    two-cell's lifted faces against a fresh ``face_geometry``."""
+    ladder = build_ladder(*mn, K)
+    oracles = {}
+    for tag in ladder.edges() + ladder.two_cells():
+        lifted = ladder.appended_cell(tag)
+        oracle = oracles[tag] = append_loop_by_scan(
+            ladder.edge_cells.get(tag) or ladder.cell_cells[tag]
+        )
+        assert lifted.multicurve == oracle.multicurve
+        assert [v.coefficients for v in lifted.verts] == [v.coefficients for v in oracle.verts]
+        assert lifted.dim == oracle.dim
+        for v in lifted.verts:
+            checked = BasicCycle(lifted.multicurve, v.coefficients, v.target)
+            assert (checked.coefficients, checked.target) == (v.coefficients, oracle.multicurve.x)
+    for tag in ladder.two_cells():
+        geometry = face_geometry(oracles[tag])
+        assert cycles._lift_faces(ladder.cell_geometry[tag]) == geometry
+        faces = [(sign, frozenset(face.multicurve.edge_ids())) for sign, face in ladder.appended_faces(tag)]
+        assert len(faces) == len(geometry)
+        assert set(faces) == {(sign, support) for sign, support, _ in geometry}
+
+
+def test_append_loop_rejects_a_loop_class_in_the_span():
+    """With a3 already in the span of the classes the loop weight is not
+    forced to 1 (here x + a3 = 2 a3 is carried by e or beta alone, at
+    weight 2), so the lifting lemma fails; the rank test of the appended
+    multicurve must refuse the lift."""
+    plain = CellInstance(single_loop(A3))
+    assert [v.coefficients for v in plain.verts] == [{"e": 1}]
+    with pytest.raises(UsageError, match="classes span rank 1, expected 2"):
+        append_loop(plain)
+    with pytest.raises(UsageError, match="classes span rank 1, expected 2"):
+        append_loop_by_scan(plain)
 
 
 FROZEN_CHAIN_VERTS = [
@@ -508,7 +553,7 @@ def test_ladder_boundary_squares_to_zero_and_euler_is_one(mn, K):
         assert chain_boundary_squared(cell) == {}
         # the faces and appended cells the ladder keeps match fresh ones
         assert_same_faces(ladder.cell_faces[tag], boundary_faces(cell))
-        assert ladder.appended_cell(tag) == append_loop(cell)
+        assert ladder.appended_cell(tag) == append_loop_by_scan(cell)
         assert_same_faces(
             ladder.appended_faces(tag), boundary_faces(ladder.appended_cell(tag))
         )

@@ -410,17 +410,48 @@ def test_d22_separation_checks_each_appended_face():
         check_image_separation(ladder, U33)
 
 
+def test_d22_separation_tests_each_face_once(monkeypatch):
+    """One verdict per edge cell and per appended edge cell: under the
+    separating subgroup no plain face meets it and each appended face
+    meets it only at its last class, the loop, so every class of every
+    face is tested exactly once."""
+    ladder = build_ladder(2, 5, 8)
+    faces = {e for boundary in ladder.cell_boundary.values() for e in boundary}
+    want = sum(
+        len(ladder.edge_cells[e].multicurve.classes)
+        + len(ladder.appended_cell(e).multicurve.classes)
+        for e in faces
+    )
+    calls = []
+    contains = SymplecticSubgroup.contains
+
+    def counting(u, c):
+        calls.append(c)
+        return contains(u, c)
+
+    monkeypatch.setattr(SymplecticSubgroup, "contains", counting)
+    assert check_image_separation(ladder, U33)
+    assert len(calls) == want
+
+
 def test_d22_corner_builds_each_cell_once(monkeypatch):
     """Ladder, (2, 2) page and separation at (2, 5), K=32: every cell
-    instance is distinct by its curve classes and target."""
+    instance, scanned or lifted to the appended sheet, is distinct by its
+    curve classes and target."""
     built = []
     init = CellInstance.__init__
+    trusted = CellInstance._trusted.__func__
 
     def counting(cell, multicurve):
         init(cell, multicurve)
         built.append((frozenset(multicurve.classes.items()), multicurve.x))
 
+    def counting_trusted(cls, multicurve, verts, dim):
+        built.append((frozenset(multicurve.classes.items()), multicurve.x))
+        return trusted(cls, multicurve, verts, dim)
+
     monkeypatch.setattr(CellInstance, "__init__", counting)
+    monkeypatch.setattr(CellInstance, "_trusted", classmethod(counting_trusted))
     ladder = build_ladder(2, 5, 32)
     build_e1((2, 2), Truncation(K=32, ladder=ladder, subgroups=[U33], height=1))
     assert check_image_separation(ladder, U33)
