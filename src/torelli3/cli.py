@@ -76,7 +76,8 @@ EXIT_INTERNAL = InternalInconsistencyError.exit_code
 DEFAULT_K = 3
 # the largest window at which every measured `check d22 --mn 2,5` stayed inside 30 s
 # (2-vCPU host): 23-24 s and 216 MB there, 27-32 s at 6144 when set; with the appended
-# sheet lifted, 16.5 s and 235 MB at 5120, 1.7 s at K=512, 5-6 s at 1792
+# sheet lifted, 16.5 s and 235 MB at 5120, 1.7 s at K=512, 5-6 s at 1792; with the cell
+# checks on tuples, 15.2 s and 248 MB at 5120, 4.6-5.3 s at 1792
 MAX_K = 5120
 DEFAULT_MN = (1, 2)
 MAX_BOUND = 1  # bound 2 has 437,427 planes, 24 s to enumerate alone

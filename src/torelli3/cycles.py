@@ -304,7 +304,9 @@ class CellInstance:
         class sum puts x in the span, and the checked
         ``LabeledMulticurve.__init__`` of the appended multicurve
         requires rank |E| + 1 - (|V| - 1), one more than the plain
-        classes span, so a3 is outside their span.
+        classes span, so a3 is outside their span.  Every lifted cell
+        of random ladders equals a full scan of its multicurve in
+        ``test_appended_sheet_matches_the_scan_oracle``.
         """
         cell = object.__new__(cls)
         cell.multicurve = multicurve

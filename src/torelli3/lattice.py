@@ -12,6 +12,7 @@ Hermite canonical basis, so equal sublattices compare equal.
 from functools import lru_cache
 from itertools import combinations, product
 from math import gcd
+from operator import add, index, neg, sub
 
 
 class Torelli3Error(Exception):
@@ -38,28 +39,62 @@ class InternalInconsistencyError(Torelli3Error):
     exit_code = 3
 
 
+def as_int(value, what):
+    """``value`` as an int; a float, a string or any other non-integer,
+    even an integral float such as 2.0, is a usage error naming ``what``."""
+    try:
+        return index(value)
+    except TypeError:
+        raise UsageError(f"{what} must be an integer, got {value!r}") from None
+
+
+def as_ints(values, what):
+    """The tuple of ``as_int`` of each value."""
+    values = tuple(values)
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        raise UsageError(f"{what} must be integers, got {values!r}") from None
+
+
 class HVector:
     """A lattice element in the fixed basis (a1, b1, a2, b2, a3, b3)."""
 
     __slots__ = ("coords",)
 
     def __init__(self, coords):
-        coords = tuple(int(c) for c in coords)
+        coords = as_ints(coords, "coordinates")
         if len(coords) != 6:
             raise UsageError("expected 6 coordinates, got %d" % len(coords))
         self.coords = coords
 
+    @classmethod
+    def _trusted(cls, coords):
+        """A vector on a tuple of 6 ints, with no checks run.
+
+        The sum, difference and negation of vectors build their results
+        this way: each is a tuple of 6 ints because its operands are, so
+        the integer test of __init__ proves nothing there.  Sums,
+        differences and negations of random vectors equal the vectors
+        __init__ builds from the same coordinates in
+        ``test_hvector_arithmetic_matches_the_checked_constructor``.
+        """
+        v = object.__new__(cls)
+        v.coords = coords
+        return v
+
     def __add__(self, other):
-        return HVector(x + y for x, y in zip(self.coords, other.coords))
+        return HVector._trusted(tuple(map(add, self.coords, other.coords)))
 
     def __sub__(self, other):
-        return HVector(x - y for x, y in zip(self.coords, other.coords))
+        return HVector._trusted(tuple(map(sub, self.coords, other.coords)))
 
     def __neg__(self):
-        return HVector(-x for x in self.coords)
+        return HVector._trusted(tuple(map(neg, self.coords)))
 
     def __rmul__(self, k):
-        return HVector(int(k) * x for x in self.coords)
+        k = as_int(k, "a scalar")
+        return HVector._trusted(tuple(k * x for x in self.coords))
 
     def __eq__(self, other):
         return isinstance(other, HVector) and self.coords == other.coords
@@ -399,7 +434,7 @@ class SymplecticSubgroup:
     def __init__(self, rows):
         clean = []
         for r in rows:
-            coords = r.coords if isinstance(r, HVector) else tuple(int(c) for c in r)
+            coords = r.coords if isinstance(r, HVector) else as_ints(r, "basis entries")
             if len(coords) != 6:
                 raise UsageError("basis rows must have 6 coordinates")
             clean.append(coords)
@@ -432,7 +467,10 @@ class SymplecticSubgroup:
 
     @classmethod
     def spanned_by(cls, vectors):
-        rows = [v.coords if isinstance(v, HVector) else tuple(v) for v in vectors]
+        rows = [
+            v.coords if isinstance(v, HVector) else as_ints(v, "generator entries")
+            for v in vectors
+        ]
         return cls(saturate(rows, 6))
 
     @property
@@ -443,14 +481,19 @@ class SymplecticSubgroup:
         return [HVector(row) for row in self.basis]
 
     def contains(self, v):
-        coords = list(v.coords if isinstance(v, HVector) else v)
+        """Whether v lies in the sublattice: reduce it by each Hermite row
+        at that row's pivot, and test what is left for zero."""
+        coords = v.coords if isinstance(v, HVector) else tuple(v)
         for row in self.basis:
-            j = next(i for i, x in enumerate(row) if x != 0)
-            q, rem = divmod(coords[j], row[j])
+            for j, pivot in enumerate(row):
+                if pivot:
+                    break
+            q, rem = divmod(coords[j], pivot)
             if rem:
                 return False
-            coords = [x - q * y for x, y in zip(coords, row)]
-        return all(x == 0 for x in coords)
+            if q:
+                coords = tuple(x - q * y for x, y in zip(coords, row))
+        return not any(coords)
 
     def height(self):
         return max((abs(x) for row in self.basis for x in row), default=0)

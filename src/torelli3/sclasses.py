@@ -21,7 +21,6 @@ from .lattice import (
     orthogonal_complement,
     primitive_part,
     smith_normal_form,
-    splitting_type_wrt_x,
     transvection_matrix,
 )
 
@@ -324,22 +323,15 @@ def sclass_image_in_e2(splitting, src):
 
     The image is the difference of the two generators doubling the
     second and third listed parts, with the global sign fixed to plus.
-    Returns a label-to-coefficient map over the basis of src.
+    Returns a label-to-coefficient map over the basis of src, read off
+    the page's ``type_c_labels``.
     """
     key = splitting.unordered_key()
-    stored = src.splitting_index.get(key)
-    if stored is None:
+    if key not in src.splitting_index:
         raise UsageError("splitting is not part of the truncation")
-    letter, perm = splitting_type_wrt_x(src.trunc.x, stored)
-    if letter != "c":
+    labels = src.type_c_labels.get(key)
+    if labels is None:
         raise UsageError("splitting must meet all three parts")
-    # found by the argument's unordered part key, the stored parts are the argument's
-    stored_parts = [stored.parts[i] for i in perm]
-    position = {p.key(): i for i, p in enumerate(stored_parts)}
-    second, third = (position[p.key()] for p in splitting.parts[1:])
-    labels = {
-        orbit[2]: (orbit, tag.key())
-        for orbit, tag in src.basis
-        if orbit[0] == "c" and orbit[1] == key
-    }
-    return {labels[second]: 1, labels[third]: -1}
+    # found by the argument's unordered part key, the index is keyed by the argument's parts
+    second, third = (labels[p.key()] for p in splitting.parts[1:])
+    return {second: 1, third: -1}

@@ -14,8 +14,8 @@ from .lattice import (
     MismatchError,
     UsageError,
     _pairing,
+    as_int,
     enumerate_symplectic_rank2,
-    intersection,
     kernel_basis,
     matrix_rank,
     smith_normal_form,
@@ -44,7 +44,7 @@ class GeneratorTag:
 
     @classmethod
     def bp_twist(cls, k):
-        return cls("bp", int(k))
+        return cls("bp", as_int(k, "a twist index"))
 
     @classmethod
     def a2(cls, u):
@@ -116,11 +116,18 @@ class Truncation:
 
 
 class E1Truncation:
-    """A labeled basis of one truncated page position."""
+    """A labeled basis of one truncated page position.
 
-    __slots__ = ("position", "basis", "trunc", "splitting_index")
+    ``splitting_index`` maps the unordered part key of each splitting of
+    the page to the splitting.  On the plain (1, 3) page,
+    ``type_c_labels`` maps the key of each type-(c) splitting to the
+    labels of its three generators, each under the key of the part that
+    its pair leaves out.
+    """
 
-    def __init__(self, position, basis, trunc, splitting_index=None):
+    __slots__ = ("position", "basis", "trunc", "splitting_index", "type_c_labels")
+
+    def __init__(self, position, basis, trunc, splitting_index=None, type_c_labels=None):
         seen = set()
         for orbit, tag in basis:
             label = (orbit, tag.key())
@@ -131,6 +138,7 @@ class E1Truncation:
         self.basis = list(basis)
         self.trunc = trunc
         self.splitting_index = splitting_index or {}
+        self.type_c_labels = type_c_labels or {}
 
     def __len__(self):
         return len(self.basis)
@@ -354,47 +362,31 @@ def admissible_subgroups(cell, height):
 
 
 def is_admissible(cell, u):
-    """Whether one subgroup fits the cell (either admissibility route)."""
-    m = cell.multicurve
-    class_rows = m.class_rows()
-    base_rank = matrix_rank(class_rows)
-    has_genus = any(g >= 1 for _, g in m.graph.vertices)
-    loops = [e for e in m.edge_ids() if m.graph.is_loop(e)]
-    u_rows = [list(v.coords) for v in u.vectors()]
-    if _admissible_with_genus(m, u, class_rows, base_rank, u_rows, has_genus):
+    """Whether one subgroup fits the cell (either admissibility route).
+
+    Both routes test the pairings on the coordinate tuples of the
+    subgroup's basis first and take a rank only after they pass.
+    """
+    graph = cell.multicurve.graph
+    classes = cell.multicurve.classes
+    rows = [classes[e].coords for e in graph.edge_ids]
+    basis = list(u.basis)
+    if (
+        any(g >= 1 for _, g in graph.vertices)
+        and not any(_pairing(v, c) for v in basis for c in rows)
+        and matrix_rank(rows + basis) == matrix_rank(rows) + 2
+    ):
         return True
-    return _admissible_with_loop(m, u, loops, u_rows)
-
-
-def _admissible_with_genus(m, u, class_rows, base_rank, u_rows, has_genus):
-    if not has_genus:
-        return False
-    for v in u.vectors():
-        for c in m.classes.values():
-            if intersection(v, c) != 0:
-                return False
-    return matrix_rank(class_rows + u_rows) == base_rank + 2
-
-
-def _admissible_with_loop(m, u, loops, u_rows):
-    for e in loops:
-        cls = m.class_of(e)
-        if not u.contains(cls):
+    for i, (_, t, h) in enumerate(graph.edges):
+        if t != h or not u.contains(rows[i]):
             continue
-        rest = [
-            list(m.class_of(f).coords) for f in m.edge_ids() if f != e
-        ]
-        if any(
-            intersection(v, m.class_of(f)) != 0
-            for v in u.vectors()
-            for f in m.edge_ids()
-            if f != e
-        ):
+        rest = rows[:i] + rows[i + 1 :]
+        if any(_pairing(v, c) for v in basis for c in rest):
             continue
-        rest_rank = matrix_rank(rest) if rest else 0
-        if matrix_rank(rest + [list(cls.coords)]) == rest_rank:
+        rest_rank = matrix_rank(rest)
+        if matrix_rank(rest + [rows[i]]) == rest_rank:
             continue
-        if matrix_rank(rest + u_rows) == rest_rank + 2:
+        if matrix_rank(rest + basis) == rest_rank + 2:
             return True
     return False
 
@@ -540,6 +532,7 @@ def _build_13(trunc):
     x = trunc.x
     basis = []
     index = {}
+    type_c_labels = {}
     for s in trunc.splittings:
         letter, perm = splitting_type_wrt_x(x, s)
         parts = [s.parts[i] for i in perm]
@@ -558,9 +551,14 @@ def _build_13(trunc):
                 GeneratorTag.a2_pair(parts[2], parts[0]),
                 GeneratorTag.a2_pair(parts[0], parts[1]),
             ]
+            # generator i pairs the two parts other than parts[i]
+            type_c_labels[key] = {
+                p.key(): ((letter, key, i), gen.key())
+                for i, (p, gen) in enumerate(zip(parts, gens))
+            }
         for i, gen in enumerate(gens):
             basis.append((((letter, key, i)), gen))
-    return E1Truncation((1, 3), basis, trunc, index)
+    return E1Truncation((1, 3), basis, trunc, index, type_c_labels)
 
 
 def d13_apply(src):

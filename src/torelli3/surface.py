@@ -11,8 +11,9 @@ types.
 
 from functools import lru_cache
 from itertools import permutations, product
+from operator import add, sub
 
-from .lattice import A1, A2, A3, ZERO, intersection, matrix_rank, solve_integer
+from .lattice import A1, A2, A3, ZERO, as_ints, intersection, matrix_rank, solve_integer
 from .lattice import InternalInconsistencyError, UsageError
 
 ISOTROPIC_BASIS = (A1, A2, A3)
@@ -25,51 +26,44 @@ class DecompGraph:
     sequence of ``(id, tail, head)`` triples; the tail/head order is the
     orientation of the curve.  Loops are allowed.  The graph must be
     connected and every vertex must have Euler characteristic at most -1,
-    so no piece is a disk or an annulus.
+    so no piece is a disk or an annulus.  ``vertex_ids`` and ``edge_ids``
+    are the ids in the given order.
     """
 
-    __slots__ = ("vertices", "edges")
+    __slots__ = ("vertices", "edges", "vertex_ids", "edge_ids")
 
     def __init__(self, vertices, edges):
-        vertices = tuple((v, int(g)) for v, g in vertices)
+        vertices = tuple(vertices)
+        ids = tuple(v for v, _ in vertices)
+        vertices = tuple(zip(ids, as_ints((g for _, g in vertices), "vertex genera")))
         edges = tuple((e, t, h) for e, t, h in edges)
         if not vertices:
             raise UsageError("a decomposition graph needs at least one vertex")
-        ids = [v for v, _ in vertices]
-        if len(set(ids)) != len(ids):
+        degree = dict.fromkeys(ids, 0)
+        if len(degree) != len(ids):
             raise UsageError("duplicate vertex ids")
-        eids = [e for e, _, _ in edges]
+        eids = tuple(e for e, _, _ in edges)
         if len(set(eids)) != len(eids):
             raise UsageError("duplicate edge ids")
-        known = set(ids)
         for e, t, h in edges:
-            if t not in known or h not in known:
+            if t not in degree or h not in degree:
                 raise UsageError(f"edge {e!r} touches an unknown vertex")
-        genus = dict(vertices)
+            degree[t] += 1
+            degree[h] += 1
         for v, g in vertices:
             if g < 0:
                 raise UsageError(f"vertex {v!r} has negative genus")
-        degree = {v: 0 for v in known}
-        for _, t, h in edges:
-            degree[t] += 1
-            degree[h] += 1
         self.vertices = vertices
         self.edges = edges
+        self.vertex_ids = ids
+        self.edge_ids = eids
         if len(_reachable(((t, h) for _, t, h in edges), ids[0])) != len(ids):
             raise UsageError("graph is not connected")
-        for v in known:
-            if 2 - 2 * genus[v] - degree[v] > -1:
+        for v, g in vertices:
+            if 2 - 2 * g - degree[v] > -1:
                 raise UsageError(
                     f"vertex {v!r} would be a disk or annulus piece"
                 )
-
-    @property
-    def vertex_ids(self):
-        return tuple(v for v, _ in self.vertices)
-
-    @property
-    def edge_ids(self):
-        return tuple(e for e, _, _ in self.edges)
 
     def euler_char(self, v):
         degree = sum((t == v) + (h == v) for _, t, h in self.edges)
@@ -137,7 +131,9 @@ class LabeledMulticurve:
     meant to support.  At every vertex the outgoing-minus-incoming sum of
     incident classes must vanish (the boundary of a piece is
     null-homologous), and the classes must span a subgroup of rank
-    ``|edges| - (|vertices| - 1)``.
+    ``|edges| - (|vertices| - 1)``.  One pass over the edges sums the
+    boundaries, on coordinate tuples: each class is added at its tail
+    and subtracted at its head.
     """
 
     __slots__ = ("graph", "classes", "x")
@@ -146,19 +142,18 @@ class LabeledMulticurve:
         classes = dict(classes)
         if set(classes) != set(graph.edge_ids):
             raise UsageError("labeling does not match the edge set")
+        boundary = dict.fromkeys(graph.vertex_ids, ZERO.coords)
+        for e, t, h in graph.edges:
+            c = classes[e].coords
+            boundary[t] = tuple(map(add, boundary[t], c))
+            boundary[h] = tuple(map(sub, boundary[h], c))
         for v in graph.vertex_ids:
-            total = ZERO
-            for e, t, h in graph.edges:
-                if t == v:
-                    total = total + classes[e]
-                if h == v:
-                    total = total - classes[e]
-            if not total.is_zero():
+            if any(boundary[v]):
                 raise UsageError(
                     f"boundary of vertex {v!r} is not null-homologous"
                 )
         want = len(graph.edges) - (len(graph.vertices) - 1)
-        rows = [list(c.coords) for c in classes.values()]
+        rows = [c.coords for c in classes.values()]
         if matrix_rank(rows) != want:
             raise UsageError(
                 f"classes span rank {matrix_rank(rows)}, expected {want}"
@@ -172,9 +167,6 @@ class LabeledMulticurve:
 
     def edge_ids(self):
         return self.graph.edge_ids
-
-    def class_rows(self):
-        return [list(self.classes[e].coords) for e in self.graph.edge_ids]
 
     def __eq__(self, other):
         if not isinstance(other, LabeledMulticurve):

@@ -26,6 +26,13 @@ by ``canonical_combo_all_perms``, the least key over all relabelings.
 before one scan against x = sum of the rows decided both conditions: a
 zero-target ``scan_subsets`` for condition (i), then the weight search
 ``common_cycle_class`` for condition (ii), whose least class is x.
+``multicurve_problem_by_vertex_loop``, ``contains_by_lists`` and
+``is_admissible_by_vectors`` are the cell-layer checks as they were before
+they moved to coordinate tuples: a null-homology sum of ``HVector``s per
+vertex over all edges, the sublattice test on lists, and admissibility
+with a rank taken before any pairing.  ``sclass_image_by_scan`` is
+``sclasses.sclass_image_in_e2`` as it was before the (1, 3) page kept
+its type-(c) label index: a scan of the whole page basis per call.
 """
 
 from fractions import Fraction
@@ -35,7 +42,7 @@ from torelli3.cycles import CellInstance, _cell, face_geometry
 from torelli3 import surface
 from torelli3.lattice import (
     A3, ZERO, HVector, UsageError, hermite_row_form, intersection, kernel_basis,
-    matrix_rank, solve_integer,
+    matrix_rank, solve_integer, splitting_type_wrt_x,
 )
 from torelli3.specseq import GeneratorTag
 from torelli3.surface import (
@@ -344,3 +351,92 @@ def realizability_by_search(graph):
         x = sum((c * v for c, v in zip(target, basis)), ZERO)
         return LabeledMulticurve(candidate, classes, x)
     return None
+
+
+def multicurve_problem_by_vertex_loop(graph, classes):
+    """The message of the first check of ``LabeledMulticurve.__init__``
+    that the labeling fails, or None: the edge set, then per vertex in
+    ``vertex_ids`` order the ``HVector`` sum over every edge, then the
+    rank."""
+    classes = dict(classes)
+    if set(classes) != set(graph.edge_ids):
+        return "labeling does not match the edge set"
+    for v in graph.vertex_ids:
+        total = ZERO
+        for e, t, h in graph.edges:
+            if t == v:
+                total = total + classes[e]
+            if h == v:
+                total = total - classes[e]
+        if not total.is_zero():
+            return f"boundary of vertex {v!r} is not null-homologous"
+    want = len(graph.edges) - (len(graph.vertices) - 1)
+    rows = [list(c.coords) for c in classes.values()]
+    if matrix_rank(rows) != want:
+        return f"classes span rank {matrix_rank(rows)}, expected {want}"
+    return None
+
+
+def contains_by_lists(u, v):
+    """``SymplecticSubgroup.contains`` on lists, a row update per row."""
+    coords = list(v.coords if isinstance(v, HVector) else v)
+    for row in u.basis:
+        j = next(i for i, x in enumerate(row) if x != 0)
+        q, rem = divmod(coords[j], row[j])
+        if rem:
+            return False
+        coords = [x - q * y for x, y in zip(coords, row)]
+    return all(x == 0 for x in coords)
+
+
+def is_admissible_by_vectors(cell, u):
+    """``specseq.is_admissible`` with the class rank taken first and the
+    pairings tested on ``HVector``s."""
+    m = cell.multicurve
+    class_rows = [list(m.class_of(e).coords) for e in m.edge_ids()]
+    base_rank = matrix_rank(class_rows)
+    u_rows = [list(v.coords) for v in u.vectors()]
+    if any(g >= 1 for _, g in m.graph.vertices):
+        if all(intersection(v, c) == 0 for v in u.vectors() for c in m.classes.values()):
+            if matrix_rank(class_rows + u_rows) == base_rank + 2:
+                return True
+    loops = [e for e in m.edge_ids() if m.graph.is_loop(e)]
+    for e in loops:
+        cls = m.class_of(e)
+        if not contains_by_lists(u, cls):
+            continue
+        rest = [list(m.class_of(f).coords) for f in m.edge_ids() if f != e]
+        if any(
+            intersection(v, m.class_of(f)) != 0
+            for v in u.vectors()
+            for f in m.edge_ids()
+            if f != e
+        ):
+            continue
+        rest_rank = matrix_rank(rest) if rest else 0
+        if matrix_rank(rest + [list(cls.coords)]) == rest_rank:
+            continue
+        if matrix_rank(rest + u_rows) == rest_rank + 2:
+            return True
+    return False
+
+
+def sclass_image_by_scan(splitting, src):
+    """``sclasses.sclass_image_in_e2`` by the splitting's letter and a
+    scan of the whole page basis for its labels."""
+    key = splitting.unordered_key()
+    stored = src.splitting_index.get(key)
+    if stored is None:
+        raise UsageError("splitting is not part of the truncation")
+    letter, perm = splitting_type_wrt_x(src.trunc.x, stored)
+    if letter != "c":
+        raise UsageError("splitting must meet all three parts")
+    stored_parts = [stored.parts[i] for i in perm]
+    position = {p.key(): i for i, p in enumerate(stored_parts)}
+    second, third = (position[p.key()] for p in splitting.parts[1:])
+    labels = {
+        orbit[2]: (orbit, tag.key())
+        for orbit, tag in src.basis
+        if orbit[0] == "c" and orbit[1] == key
+    }
+    return {labels[second]: 1, labels[third]: -1}

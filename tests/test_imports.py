@@ -1,5 +1,6 @@
-"""Every name a torelli3 module imports is used in that module, and every
-error it defines or raises belongs to the package's one error model.
+"""Every name a torelli3 module imports is used in that module, every
+error it defines or raises belongs to the package's one error model, and
+every trusted constructor names the test that proves it.
 
 A deliberate re-export says so with ``# noqa: F401`` on its import.  The
 scans are AST walks, so they need no linter.
@@ -7,11 +8,13 @@ scans are AST walks, so they need no linter.
 
 import ast
 import builtins
+import re
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "torelli3"
+TESTS = Path(__file__).resolve().parent
 
 
 def unused_imports(source):
@@ -128,3 +131,68 @@ def test_error_scan_flags_foreign_classes_and_raises():
 def test_every_error_derives_from_the_package_base():
     sources = [path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))]
     assert error_model_problems(sources) == []
+
+
+def unproved_trusted(sources, test_names):
+    """(class, named tests) for each ``_trusted`` classmethod whose
+    docstring names no ``test_*`` function, or one not in ``test_names``.
+
+    A trusted constructor skips the checks of ``__init__``; the test its
+    docstring names passes what it builds through those checks.
+    """
+    problems = []
+    for tree in map(ast.parse, sources):
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            for node in cls.body:
+                if not (
+                    isinstance(node, ast.FunctionDef)
+                    and node.name == "_trusted"
+                    and any(isinstance(d, ast.Name) and d.id == "classmethod"
+                            for d in node.decorator_list)
+                ):
+                    continue
+                named = tuple(re.findall(r"\btest_\w+", ast.get_docstring(node) or ""))
+                if not named or not set(named) <= test_names:
+                    problems.append((cls.name, named))
+    return problems
+
+
+def defined_tests(sources):
+    """Names of the ``test_*`` functions the sources define."""
+    return {
+        node.name
+        for tree in map(ast.parse, sources)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("test_")
+    }
+
+
+def test_trusted_scan_flags_missing_and_unknown_tests():
+    source = (
+        "class Proved:\n"
+        "    @classmethod\n"
+        "    def _trusted(cls, x):\n"
+        "        \"\"\"Proved in ``test_proof``.\"\"\"\n"
+        "class Silent:\n"
+        "    @classmethod\n"
+        "    def _trusted(cls, x):\n"
+        "        \"\"\"No test named.\"\"\"\n"
+        "class Stale:\n"
+        "    @classmethod\n"
+        "    def _trusted(cls, x):\n"
+        "        \"\"\"See ``test_proof`` and ``test_gone``.\"\"\"\n"
+        "class Plain:\n"
+        "    def _trusted(self):\n"
+        "        pass\n"
+    )
+    assert defined_tests(["def test_proof():\n    pass\n"]) == {"test_proof"}
+    assert unproved_trusted([source], {"test_proof"}) == [
+        ("Silent", ()),
+        ("Stale", ("test_proof", "test_gone")),
+    ]
+
+
+def test_every_trusted_constructor_names_an_existing_test():
+    sources = [path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))]
+    tests = [path.read_text(encoding="utf-8") for path in sorted(TESTS.glob("*.py"))]
+    assert unproved_trusted(sources, defined_tests(tests)) == []

@@ -15,12 +15,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from oracles import decompose, letter_by_decompose, solve_rational, ytype_by_decompose
+from oracles import (
+    contains_by_lists, decompose, letter_by_decompose, solve_rational, ytype_by_decompose,
+)
 from torelli3 import lattice
 from torelli3.lattice import (
     A1, A2, A3, B1, B2, B3, BASIS, ZERO,
     HVector, Splitting, SymplecticSubgroup, STANDARD_SPLITTING,
-    InternalInconsistencyError,
+    InternalInconsistencyError, UsageError,
     bareiss_determinant, enumerate_splittings, enumerate_symplectic_rank2,
     form_row, hermite_row_form, intersection, is_symplectic_rank2, kernel_basis,
     matrix_product, matrix_rank, orthogonal_complement,
@@ -413,6 +415,24 @@ def test_subgroup_contains():
     assert u.contains(3 * A1 - 2 * B1)
     assert not u.contains(A2)
     assert u.contains(ZERO)
+
+
+small_vectors = st.lists(st.integers(-4, 4), min_size=6, max_size=6).map(tuple)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(small_vectors, min_size=1, max_size=4), st.lists(small_vectors, max_size=4),
+       st.lists(st.integers(-3, 3), min_size=4, max_size=4))
+def test_contains_matches_the_list_oracle(generators, others, coefficients):
+    """Random saturated subgroups against vectors inside them (integer
+    combinations of their basis rows) and random vectors."""
+    u = SymplecticSubgroup.spanned_by(generators)
+    inside = tuple(
+        sum(k * row[i] for k, row in zip(coefficients, u.basis)) for i in range(6)
+    )
+    for v in [inside, HVector(inside)] + others + [HVector(w) for w in others]:
+        assert u.contains(v) == contains_by_lists(u, v)
+    assert u.contains(inside)
 
 
 def test_orthogonal_complement_spec_example():
@@ -840,3 +860,63 @@ def test_public_routes_still_reject_bad_planes_and_triples():
     double[5][5] = 2
     with pytest.raises(ValueError, match="non-primitive"):
         transform_splitting(double, STANDARD_SPLITTING)
+
+
+# ---------------------------------------------------------------------------
+# the checked constructors take integers only
+
+NON_INTEGERS = (0.5, 2.0, "3")
+
+
+def test_non_integer_examples_are_usage_errors():
+    with pytest.raises(UsageError, match=r"coordinates must be integers, got \(0.5, 1.9"):
+        HVector((0.5, 1.9, 0, 0, 0, 0))
+    with pytest.raises(UsageError, match="a scalar must be an integer, got 2.7"):
+        2.7 * A2
+    with pytest.raises(UsageError, match="basis entries must be integers"):
+        SymplecticSubgroup([(1.5, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0)])
+    with pytest.raises(UsageError, match=r"coordinates must be integers, got \('3'"):
+        HVector(("3", 0, 0, 0, 0, 0))
+
+
+@pytest.mark.parametrize("bad", NON_INTEGERS)
+def test_hvector_rejects_a_non_integer_coordinate(bad):
+    with pytest.raises(UsageError, match="coordinates must be integers"):
+        HVector((1, 0, 0, 0, 0, bad))
+
+
+@pytest.mark.parametrize("bad", NON_INTEGERS)
+def test_hvector_rejects_a_non_integer_scalar(bad):
+    with pytest.raises(UsageError, match="a scalar must be an integer"):
+        bad * B3
+
+
+@pytest.mark.parametrize("bad", NON_INTEGERS)
+def test_subgroup_rejects_a_non_integer_basis_entry(bad):
+    with pytest.raises(UsageError, match="basis entries must be integers"):
+        SymplecticSubgroup([(1, 0, 0, 0, 0, 0), (0, bad, 0, 0, 0, 0)])
+    with pytest.raises(UsageError, match="generator entries must be integers"):
+        SymplecticSubgroup.spanned_by([(1, 0, 0, 0, 0, 0), (0, bad, 0, 0, 0, 0)])
+
+
+def test_integer_types_still_pass():
+    assert HVector((True, 0, 0, 0, 0, 0)) == A1
+    assert lattice.as_int(False, "a flag") == 0
+    assert (-3) * A1 == HVector((-3, 0, 0, 0, 0, 0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_vectors, small_vectors)
+def test_hvector_arithmetic_matches_the_checked_constructor(a, b):
+    """Sum, difference and negation, built through ``HVector._trusted``,
+    equal the vectors the checked __init__ builds from the same
+    coordinates, and hold a tuple of 6 ints."""
+    u, v = HVector(a), HVector(b)
+    for got, want in (
+        (u + v, [x + y for x, y in zip(a, b)]),
+        (u - v, [x - y for x, y in zip(a, b)]),
+        (-u, [-x for x in a]),
+    ):
+        assert got == HVector(want)
+        assert type(got.coords) is tuple and len(got.coords) == 6
+        assert all(type(x) is int for x in got.coords)

@@ -1,6 +1,11 @@
+import random
+from itertools import permutations
+
 import pytest
 import sympy
 
+from oracles import sclass_image_by_scan
+from torelli3.cli import plain_splitting_family
 from torelli3.lattice import (
     A1,
     A2,
@@ -14,6 +19,7 @@ from torelli3.lattice import (
     Splitting,
     SymplecticSubgroup,
     UsageError,
+    enumerate_splittings,
     intersection,
     matrix_rank,
     smith_normal_form,
@@ -374,3 +380,38 @@ def test_sclass_images_independent_across_splittings():
     assert len(vectors) == 6
     assert matrix_rank(vectors) == 6
     assert sympy.Matrix(vectors).rank() == 6
+
+
+def images_agree_with_the_scan(splittings):
+    """Every ordering of every type-(c) splitting of the page maps to the
+    same combination by the page's label index and by the basis scan,
+    and every other splitting is refused with the same message by both.
+    Returns the number of type-(c) splittings."""
+    src = page_source(splittings)
+    type_c = 0
+    for s in splittings:
+        if splitting_type_wrt_x(A1, s)[0] != "c":
+            for route in (sclass_image_in_e2, sclass_image_by_scan):
+                with pytest.raises(UsageError, match="splitting must meet all three parts"):
+                    route(s, src)
+            continue
+        type_c += 1
+        for order in permutations(s.parts):
+            ordered = Splitting(order)
+            assert sclass_image_in_e2(ordered, src) == sclass_image_by_scan(ordered, src)
+    return type_c
+
+
+def test_sclass_image_index_matches_the_scan_on_the_default_family():
+    assert images_agree_with_the_scan(list(plain_splitting_family())) == 1
+
+
+def test_sclass_image_index_matches_the_scan_on_a_bound_1_sample():
+    family = enumerate_splittings(1)
+    sample = random.Random(15).sample(family, 400)
+    assert images_agree_with_the_scan(sample) > 100
+    outside = next(s for s in family if s not in sample)
+    src = page_source(sample)
+    for route in (sclass_image_in_e2, sclass_image_by_scan):
+        with pytest.raises(UsageError, match="splitting is not part of the truncation"):
+            route(outside, src)

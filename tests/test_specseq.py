@@ -1,11 +1,13 @@
+import random
 from collections import Counter
 from functools import lru_cache
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import boundary_faces, pair_tag_by_vectors
+from oracles import boundary_faces, is_admissible_by_vectors, pair_tag_by_vectors
 from torelli3.cycles import CellInstance, InternalInconsistencyError, build_ladder
 from torelli3.lattice import (
     A1,
@@ -224,6 +226,39 @@ def test_appended_admissibility_uses_the_loop():
     shifted = SymplecticSubgroup.spanned_by([A1 + A3, B3])
     assert is_admissible(plain, shifted)
     assert not is_admissible(appended, shifted)
+
+
+COPRIME_PAIRS = [(m, n) for m in range(1, 6) for n in range(1, 6) if gcd(m, n) == 1]
+# a seeded sample of the height-1 planes, and the subgroup the pages use
+ADMISSIBILITY_PLANES = tuple(random.Random(15).sample(enumerate_symplectic_rank2(1), 30)) + (U33,)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from(COPRIME_PAIRS), st.integers(1, 6))
+def test_is_admissible_matches_the_vector_oracle_on_ladder_cells(mn, K):
+    """Every vertex, edge and two-cell of the ladder, plain and appended,
+    against the sampled planes: the tuple route and the old route (the
+    rank first, pairings on HVectors) give the same verdict, and both
+    verdicts and both routes occur."""
+    ladder = build_ladder(*mn, K)
+    tags = ladder.edges() + ladder.two_cells()
+    cells = list(ladder.vertex_cells.values())
+    cells += [ladder.edge_cells.get(tag) or ladder.cell_cells[tag] for tag in tags]
+    cells += [ladder.appended_cell(tag) for tag in tags]
+    verdicts = Counter()
+    for cell in cells:
+        genus = any(g >= 1 for _, g in cell.multicurve.graph.vertices)
+        for u in ADMISSIBILITY_PLANES:
+            got = is_admissible(cell, u)
+            assert got == is_admissible_by_vectors(cell, u)
+            verdicts[genus, got] += 1
+    assert set(verdicts) == {(True, True), (True, False), (False, True), (False, False)}
+
+
+@pytest.mark.parametrize("bad", (0.5, 2.0, "3"))
+def test_twist_index_must_be_an_integer(bad):
+    with pytest.raises(UsageError, match="a twist index must be an integer"):
+        GeneratorTag.bp_twist(bad)
 
 
 def test_append_loop_needs_genus():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     canonical_combo_all_perms, census_by_filter, common_cycle_class,
-    realizability_by_search,
+    multicurve_problem_by_vertex_loop, realizability_by_search,
 )
 from torelli3 import cli, surface
 from torelli3.lattice import (
@@ -109,6 +109,18 @@ def test_graph_validation():
         DecompGraph([(0, 0)], [("l", 0, 0)])  # annulus piece
     with pytest.raises(UsageError, match="disk or annulus piece"):
         DecompGraph([(0, 0), (1, 2)], [("e", 0, 1)])  # vertex 0 is a disk
+
+
+@pytest.mark.parametrize("bad", (0.5, 2.0, "3"))
+def test_graph_rejects_a_non_integer_genus(bad):
+    with pytest.raises(UsageError, match="vertex genera must be integers"):
+        DecompGraph([(0, 3), (1, bad)], [("e", 0, 1)])
+
+
+def test_graph_ids_are_kept_in_order():
+    g = DecompGraph([("b", 1), ("a", 1)], [("y", "a", "b"), ("x", "b", "a")])
+    assert g.vertex_ids == ("b", "a")
+    assert g.edge_ids == ("y", "x")
 
 
 def test_labeling_validation():
@@ -277,7 +289,7 @@ def test_census_rank_identity():
     for p in range(4):
         for entry in classify_types(3, p):
             m = entry.witness
-            mat = sympy.Matrix(m.class_rows())
+            mat = sympy.Matrix([list(m.class_of(e).coords) for e in m.graph.edge_ids])
             assert mat.rank() == len(m.graph.edges) - (len(m.graph.vertices) - 1)
 
 
@@ -533,3 +545,45 @@ def test_multiedge_profile_conventions():
         [("d1", 0, 1), ("d2", 0, 1), ("l", 0, 0)],
     )
     assert g.multiedge_profile() == (2,)
+
+
+small_classes = st.lists(st.integers(-3, 3), min_size=6, max_size=6).map(HVector)
+
+
+@st.composite
+def labelings(draw):
+    """A random graph of ``oriented_multigraphs`` with its vertices in a
+    random order, and a labeling of it: each class the combination of
+    random chord classes along the fundamental-cycle row of its edge,
+    so that every boundary is null-homologous, then perturbed or not by
+    adding random classes to some edges, or by dropping an edge."""
+    graph = draw(oriented_multigraphs())
+    order = draw(st.permutations(list(graph.vertices)))
+    graph = DecompGraph(order, graph.edges)
+    rows, chords = surface._cycle_rows(graph)
+    chord_classes = [draw(small_classes) for _ in chords]
+    classes = {
+        e: sum((k * h for k, h in zip(rows[e], chord_classes)), ZERO) for e in graph.edge_ids
+    }
+    for e in draw(st.lists(st.sampled_from(graph.edge_ids), max_size=2)):
+        classes[e] = classes[e] + draw(small_classes)
+    if draw(st.integers(0, 9)) == 0:
+        del classes[draw(st.sampled_from(graph.edge_ids))]
+    return graph, classes
+
+
+@settings(max_examples=400, deadline=None)
+@given(labelings(), small_classes)
+def test_null_homology_pass_matches_the_vertex_loop_oracle(case, x):
+    """The one-pass boundary sums accept and reject the labelings the
+    per-vertex loop does, with the same message: the same first bad
+    vertex in ``vertex_ids`` order, or the same rank."""
+    graph, classes = case
+    want = multicurve_problem_by_vertex_loop(graph, classes)
+    try:
+        m = LabeledMulticurve(graph, classes, x)
+    except UsageError as err:
+        assert str(err) == want
+    else:
+        assert want is None
+        assert m.classes == classes
