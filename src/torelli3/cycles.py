@@ -55,8 +55,8 @@ class BasicCycle:
 
     @classmethod
     def _trusted(cls, multicurve, coefficients, target):
-        """A vertex from `enumerate_basic_cycles` or `append_loop`, with
-        no checks run.
+        """A vertex from `enumerate_basic_cycles`, `append_loop` or
+        `_mirror`, with no checks run.
 
         It skips the support ids, the positive integer weights, the
         independence of the support classes and the class sum.  The
@@ -66,10 +66,12 @@ class BasicCycle:
         determinant, and R w = y holds on every row of the reduced form,
         whose solutions are those of the class sum.  A lifted vertex is
         a plain one plus the loop at weight 1, proved by the lemma of
-        ``CellInstance._trusted``.  Every vertex of random ladder cells
-        passes __init__ unchanged in
-        ``test_pattern_route_matches_scan_subsets_on_ladder_cells``, and
-        every lifted one in ``test_appended_sheet_matches_the_scan_oracle``.
+        ``CellInstance._trusted``; a mirrored vertex is a checked one
+        with ``delta1`` renamed ``delta2`` (``_mirror``).  Every vertex
+        of random ladder cells passes __init__ unchanged in
+        ``test_pattern_route_matches_scan_subsets_on_ladder_cells``, every
+        lifted one in ``test_appended_sheet_matches_the_scan_oracle``, and
+        every mirrored one in ``test_mirror_cells_match_the_checked_build``.
         """
         v = object.__new__(cls)
         v.multicurve = multicurve
@@ -263,8 +265,8 @@ class CellInstance:
     by the pattern route, after the scan of the cell's relation pattern
     has checked that the polytope is bounded (the tests compare both
     with the per-cell ``surface.scan_subsets``); every curve must lie on
-    a vertex.  An appended cell is lifted from its plain cell instead
-    (``_trusted``).
+    a vertex.  An appended cell is lifted from its plain cell instead,
+    and a mirror cell renamed from its + partner (``_trusted``).
     """
 
     __slots__ = ("multicurve", "verts", "dim")
@@ -290,9 +292,11 @@ class CellInstance:
     def _trusted(cls, multicurve, verts, dim):
         """A cell whose vertices are known, with no scan run.
 
-        ``append_loop`` builds each appended cell this way, by lifting
-        the plain cell.  The lemma: if x lies in the span of the curve
-        classes c_e and the loop class a3 does not, then
+        ``_mirror`` builds each mirror cell this way, by renaming a curve
+        (its docstring holds the argument).  ``append_loop`` builds each
+        appended cell this way, by lifting the plain cell.  The lemma:
+        if x lies in the span of the curve classes c_e and the loop
+        class a3 does not, then
         sum_e w_e c_e + w_beta a3 = x + a3 forces w_beta = 1.  So the
         basic cycles for x + a3 are the plain basic cycles for x with
         ``beta`` at weight 1: the appended support stays independent
@@ -306,7 +310,9 @@ class CellInstance:
         requires rank |E| + 1 - (|V| - 1), one more than the plain
         classes span, so a3 is outside their span.  Every lifted cell
         of random ladders equals a full scan of its multicurve in
-        ``test_appended_sheet_matches_the_scan_oracle``.
+        ``test_appended_sheet_matches_the_scan_oracle``, and every
+        mirror cell the checked build of its cell in
+        ``test_mirror_cells_match_the_checked_build``.
         """
         cell = object.__new__(cls)
         cell.multicurve = multicurve
@@ -502,6 +508,49 @@ def _lift_faces(geometry):
     ]
 
 
+def _mirror(cell):
+    """The cell with the curve id ``delta1`` renamed ``delta2``, with no
+    scan.
+
+    The ladder's mirror cells (``("B", k)``, ``("c-", k)``, ``("e-", k)``
+    and their appended cells) are the cells ``("A", k)``, ``("c+", k)``
+    and ``("e+", k)`` with ``delta2`` in place of ``delta1``.  Both
+    curves carry the class a2, and ``build_ladder`` checks that once per
+    build.  Renaming one curve to an id the cell does not hold keeps the
+    pieces, the incidence, the orientation and the class of every curve,
+    and x.  So every check of ``DecompGraph``, ``LabeledMulticurve`` and
+    the scan gives the same verdict on the renamed cell: the class
+    columns in edge order are the same, hence the same reduced system,
+    the same solutions and the same weight vectors, in the same order.
+    The vertices are the given cell's, re-keyed, and the dimension is
+    its dimension.  Every mirror cell of random ladders, plain and
+    appended, equals the checked build of its cell in
+    ``test_mirror_cells_match_the_checked_build``.
+    """
+    m = cell.multicurve
+    if "delta1" not in m.classes or "delta2" in m.classes:
+        raise InternalInconsistencyError(
+            f"cannot rename delta1 to delta2 among {sorted(map(str, m.classes))}"
+        )
+
+    def rename(e):
+        return "delta2" if e == "delta1" else e
+
+    graph = DecompGraph._trusted(
+        m.graph.vertices, tuple((rename(e), t, h) for e, t, h in m.graph.edges)
+    )
+    mirrored = LabeledMulticurve._trusted(
+        graph, {rename(e): c for e, c in m.classes.items()}, m.x
+    )
+    verts = [
+        BasicCycle._trusted(
+            mirrored, {rename(e): w for e, w in v.coefficients.items()}, v.target
+        )
+        for v in cell.verts
+    ]
+    return CellInstance._trusted(mirrored, verts, cell.dim)
+
+
 # pieces of the ladder's one-cells and two-cells: (id, genus)
 _EDGE_PIECES = ((0, 0), (1, 1))
 _FACE_PIECES = ((0, 0), (1, 0), (2, 1))
@@ -519,8 +568,11 @@ class LadderComplex:
     and one vertical triangle per sheet.
 
     ``build_ladder`` fills the tables, building each cell once.  The
-    signed faces of a two-cell (``cell_faces``) are its edges' cells,
-    matched to the face geometry the ladder keeps (``cell_geometry``).
+    mirror cells (B, c- and e-) are their + partners with ``delta1``
+    renamed ``delta2``, with no scan (``_mirror``), on the appended
+    sheet too.  The signed faces of a two-cell (``cell_faces``) are its
+    edges' cells, matched to the face geometry the ladder keeps
+    (``cell_geometry``).
     ``appended_cell`` lifts a cell to the appended sheet once, and
     ``appended_faces`` are the appended cells of its edges, matched to
     the lifted geometry.  Both lifts rest on the lemma of
@@ -587,10 +639,16 @@ class LadderComplex:
                 )
 
     def appended_cell(self, tag):
-        """``append_loop`` of the edge or two-cell ``tag``, lifted once."""
+        """``append_loop`` of the edge or two-cell ``tag``, lifted once; a
+        c- or e- edge's is the ``_mirror`` of its + partner's."""
         if tag not in self._appended:
-            cells = self.cell_cells if tag in self.cell_cells else self.edge_cells
-            self._appended[tag] = append_loop(cells[tag])
+            kind, k = tag
+            if kind in ("c-", "e-"):
+                cell = _mirror(self.appended_cell((kind[0] + "+", k)))
+            else:
+                cells = self.cell_cells if tag in self.cell_cells else self.edge_cells
+                cell = append_loop(cells[tag])
+            self._appended[tag] = cell
         return self._appended[tag]
 
     def appended_faces(self, tag):
@@ -694,7 +752,12 @@ def build_ladder(m, n, K):
     Requires positive coprime (m, n) and a truncation depth K >= 1.
     Every vertex, edge and two-cell tag is backed by an explicit cell
     instance, and the abstract boundary maps are verified to square to
-    zero and to agree with the geometric faces of those cells.
+    zero and to agree with the geometric faces of those cells.  The
+    cells ``("B", k)``, ``("c-", k)`` and ``("e-", k)`` are the
+    ``_mirror`` of ``("A", k)``, ``("c+", k)`` and ``("e+", k)``, with
+    no scan: ``delta2`` in place of ``delta1``, which carry one class.
+    Every check that follows the build runs on them too: the vertex
+    weights against ``b_map``, the edge endpoints, the face matching.
     """
     if not all(isinstance(v, int) for v in (m, n, K)):
         raise UsageError("invalid parameters: m, n, K must be integers")
@@ -710,6 +773,8 @@ def build_ladder(m, n, K):
     right = hi + 1 if hi < t else hi
     x = m * A1 + n * A2
     classes = {"delta1": A2, "delta2": A2}
+    if classes["delta1"] != classes["delta2"]:
+        raise InternalInconsistencyError("the mirror needs one class on delta1 and delta2")
     for k in range(-K, right + 2):
         classes[f"u{k}"] = A1 + k * A2
         classes[f"w{k}"] = A2 - classes[f"u{k}"]
@@ -738,8 +803,11 @@ def build_ladder(m, n, K):
         vertex_maps[("T", t)] = t_map()
 
     for tag, mp in vertex_maps.items():
-        # zero-dimensional cell: loops on one piece, one basic cycle
-        cell = _cell([(0, 3 - len(mp))], [(e, 0, 0) for e in mp], classes, x)
+        if tag[0] == "B":
+            cell = _mirror(ladder.vertex_cells[("A", tag[1])])
+        else:
+            # zero-dimensional cell: loops on one piece, one basic cycle
+            cell = _cell([(0, 3 - len(mp))], [(e, 0, 0) for e in mp], classes, x)
         assert [v.coefficients for v in cell.verts] == [mp]
         ladder.vertex_psi[tag] = sum(mp.values())
         ladder.vertex_cells[tag] = cell
@@ -759,19 +827,22 @@ def build_ladder(m, n, K):
     for k in range(-K, hi + 1):
         # the other edges bundle three curves between the two pieces
         u, u_next, w = f"u{k}", f"u{k + 1}", f"w{k}"
-        for side, start, delta in (("+", "A", "delta1"), ("-", "B", "delta2")):
+        c_plus = _cell(
+            _EDGE_PIECES, [(u, 0, 1), (u_next, 1, 0), ("delta1", 0, 1)], classes, x
+        )
+        e_plus = _cell(_EDGE_PIECES, [(u, 0, 1), (w, 0, 1), ("delta1", 1, 0)], classes, x)
+        for side, start, c_cell, e_cell in (
+            ("+", "A", c_plus, e_plus),
+            ("-", "B", _mirror(c_plus), _mirror(e_plus)),
+        ):
             c, e = ("c" + side, k), ("e" + side, k)
             nxt = ("T", t) if k == t else (start, k + 1)
             ladder.edge_endpoints[c] = ((start, k), nxt)
             ladder.edge_endpoints[e] = ((start, k), ("C", k))
             ladder.edge_kind[c] = "horizontal"
             ladder.edge_kind[e] = "vertical"
-            ladder.edge_cells[c] = _cell(
-                _EDGE_PIECES, [(u, 0, 1), (u_next, 1, 0), (delta, 0, 1)], classes, x
-            )
-            ladder.edge_cells[e] = _cell(
-                _EDGE_PIECES, [(u, 0, 1), (w, 0, 1), (delta, 1, 0)], classes, x
-            )
+            ladder.edge_cells[c] = c_cell
+            ladder.edge_cells[e] = e_cell
             ladder.edge_external[e] = {
                 "horizontal_cofaces": 2,
                 "shapes": ["rectangular", "triangular"],

@@ -57,13 +57,33 @@ class DecompGraph:
         self.edges = edges
         self.vertex_ids = ids
         self.edge_ids = eids
-        if len(_reachable(((t, h) for _, t, h in edges), ids[0])) != len(ids):
+        if _merges(((t, h) for _, t, h in edges), ids) != len(ids) - 1:
             raise UsageError("graph is not connected")
         for v, g in vertices:
             if 2 - 2 * g - degree[v] > -1:
                 raise UsageError(
                     f"vertex {v!r} would be a disk or annulus piece"
                 )
+
+    @classmethod
+    def _trusted(cls, vertices, edges):
+        """A graph from tuples of ``(id, genus)`` and ``(id, tail, head)``,
+        with no checks run.
+
+        ``cycles._mirror`` builds each mirror cell's graph this way: the
+        graph of a checked cell with one curve id renamed to an id it does
+        not hold.  Ids stay distinct, and the pieces, genera, incidence
+        and orientations are the checked ones, so every check of
+        ``__init__`` gives the same verdict.  Every mirror cell of random
+        ladders equals the checked build of its cell in
+        ``test_mirror_cells_match_the_checked_build``.
+        """
+        graph = object.__new__(cls)
+        graph.vertices = vertices
+        graph.edges = edges
+        graph.vertex_ids = tuple(v for v, _ in vertices)
+        graph.edge_ids = tuple(e for e, _, _ in edges)
+        return graph
 
     def euler_char(self, v):
         degree = sum((t == v) + (h == v) for _, t, h in self.edges)
@@ -162,6 +182,24 @@ class LabeledMulticurve:
         self.classes = classes
         self.x = x
 
+    @classmethod
+    def _trusted(cls, graph, classes, x):
+        """A multicurve with no checks run.
+
+        ``cycles._mirror`` builds each mirror cell's multicurve this way:
+        a checked multicurve with one curve renamed in the graph and in
+        the labeling, its class and x kept.  The renamed curve joins the
+        same pieces with the same class, so the boundary sums and the
+        rank of the classes are the checked ones.  Every mirror cell of
+        random ladders equals the checked build of its cell in
+        ``test_mirror_cells_match_the_checked_build``.
+        """
+        m = object.__new__(cls)
+        m.graph = graph
+        m.classes = classes
+        m.x = x
+        return m
+
     def class_of(self, e):
         return self.classes[e]
 
@@ -235,30 +273,30 @@ def cd_arithmetic_line(m):
 # realizability
 
 
-def _reachable(pairs, start):
-    """Vertices joined to ``start`` by a path along the given edge pairs."""
-    neighbors = {}
+def _merges(pairs, ids):
+    """Union-find over the edge pairs on the vertices ``ids``: the number
+    of merges, which is ``len(ids)`` minus the number of components."""
+    parent = {v: v for v in ids}
+    merges = 0
     for a, b in pairs:
-        neighbors.setdefault(a, set()).add(b)
-        neighbors.setdefault(b, set()).add(a)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        for w in neighbors.get(frontier.pop(), ()):
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return seen
+        while parent[a] != a:
+            a = parent[a]
+        while parent[b] != b:
+            b = parent[b]
+        if a != b:
+            parent[a] = b
+            merges += 1
+    return merges
 
 
 def _has_bridge(graph):
-    for cut, t, h in graph.edges:
-        if t == h:
-            continue
-        rest = ((a, b) for e, a, b in graph.edges if e != cut)
-        if h not in _reachable(rest, t):
-            return True
-    return False
+    """Whether removing some non-loop edge adds a component."""
+    pairs = [(t, h) for _, t, h in graph.edges]
+    whole = _merges(pairs, graph.vertex_ids)
+    return any(
+        t != h and _merges(pairs[:i] + pairs[i + 1 :], graph.vertex_ids) < whole
+        for i, (t, h) in enumerate(pairs)
+    )
 
 
 def _cycle_rows(graph):
@@ -474,7 +512,7 @@ def _census(p):
         for combo, degree in _capped_multisets(nv, ne, 7 - nv):
             least = [max(0, (4 - d) // 2) for d in degree]  # least g with chi <= -1
             spare = total_genus - sum(least)
-            if spare < 0 or len(_reachable(combo, 0)) != nv:
+            if spare < 0 or _merges(combo, range(nv)) != nv - 1:
                 continue
             for extra in _compositions(spare, nv):
                 genera = [g + e for g, e in zip(least, extra)]

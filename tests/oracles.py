@@ -17,10 +17,12 @@ and ``pair_tag_by_vectors`` are the splitting-page routes as they were
 before they moved to coordinate tuples: components as ``HVector``s tested
 with ``is_zero()``, and pair orthogonality through ``vectors()`` and
 ``intersection``; ``decompose`` is the ``HVector`` view of
-``Splitting.components`` they read.  ``census_by_filter`` is the genus-3
+``Splitting.components`` they read.  ``reachable`` is the
+breadth-first search that tested connectivity before the union-find
+``surface._merges``.  ``census_by_filter`` is the genus-3
 census as it was before its enumeration was capped by the Euler bound:
 every edge multiset from ``combinations_with_replacement``, connectivity
-first, then every genus composition filtered piece by piece, deduplicated
+(by ``reachable``) first, then every genus composition filtered piece by piece, deduplicated
 by ``canonical_combo_all_perms``, the least key over all relabelings.
 ``realizability_by_search`` is ``surface.realizability_check`` as it was
 before one scan against x = sum of the rows decided both conditions: a
@@ -261,6 +263,22 @@ def canonical_combo_all_perms(nv, genera, combo):
     return best
 
 
+def reachable(pairs, start):
+    """Vertices joined to ``start`` by a path along the given edge pairs."""
+    neighbors = {}
+    for a, b in pairs:
+        neighbors.setdefault(a, set()).add(b)
+        neighbors.setdefault(b, set()).add(a)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        for w in neighbors.get(frontier.pop(), ()):
+            if w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    return seen
+
+
 def census_by_filter(p):
     """Census entries of dimension p by the unpruned enumeration.
 
@@ -274,7 +292,7 @@ def census_by_filter(p):
     for ne in range(max(nv - 1, 0), p + 4):
         total_genus = p + 3 - ne
         for combo in combinations_with_replacement(pairs, ne):
-            if len(surface._reachable(combo, 0)) != nv:
+            if len(reachable(combo, 0)) != nv:
                 continue
             degree = [0] * nv
             for a, b in combo:

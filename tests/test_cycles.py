@@ -315,13 +315,70 @@ def test_unbounded_polytope_raises_before_the_span_test():
         CellInstance(m)
 
 
+def mirror_cells(ladder):
+    """(tag, cell) of every plain mirror cell: B, c- and e-."""
+    return [
+        (tag, cells[tag])
+        for cells in (ladder.vertex_cells, ladder.edge_cells)
+        for tag in cells
+        if tag[0] in ("B", "c-", "e-")
+    ]
+
+
+def checked_mirror_side(ladder, tag):
+    """The cell ``tag`` of the ladder's - side, by the checked ``_cell``
+    on its pieces, curves and classes, written out here."""
+    kind, k = tag
+    u, u_next, w = f"u{k}", f"u{k + 1}", f"w{k}"
+    classes = {
+        u: A1 + k * A2, u_next: A1 + (k + 1) * A2, w: -A1 + (1 - k) * A2, "delta2": A2,
+    }
+    pieces, edges = {
+        "B": ([(0, 1)], [(u, 0, 0), ("delta2", 0, 0)]),
+        "c-": (((0, 0), (1, 1)), [(u, 0, 1), (u_next, 1, 0), ("delta2", 0, 1)]),
+        "e-": (((0, 0), (1, 1)), [(u, 0, 1), (w, 0, 1), ("delta2", 1, 0)]),
+    }[kind]
+    return cycles._cell(pieces, edges, classes, ladder.m * A1 + ladder.n * A2)
+
+
+def assert_same_cell(cell, checked):
+    """The same multicurve, vertex list (in order, with coefficients in
+    edge order) and dimension."""
+    assert cell.multicurve == checked.multicurve
+    assert [list(v.coefficients.items()) for v in cell.verts] == [
+        list(v.coefficients.items()) for v in checked.verts
+    ]
+    for v in cell.verts:
+        assert v.multicurve is cell.multicurve and v.target == cell.multicurve.x
+    assert cell.dim == checked.dim
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(COPRIME_PAIRS), st.integers(1, 6))
+def test_mirror_cells_match_the_checked_build(mn, K):
+    """Each mirror cell, plain and appended, against the checked build of
+    the - side: ``_cell`` on the curves written out, and ``append_loop``
+    of it."""
+    ladder = build_ladder(*mn, K)
+    mirrored = mirror_cells(ladder)
+    partner = {"A": "B", "c+": "c-", "e+": "e-"}
+    tags = [*ladder.vertex_cells, *ladder.edge_cells]
+    assert {tag for tag, _ in mirrored} == {(partner[kind], k) for kind, k in tags if kind in partner}
+    for tag, cell in mirrored:
+        checked = checked_mirror_side(ladder, tag)
+        assert_same_cell(cell, checked)
+        if tag[0] != "B":
+            assert_same_cell(ladder.appended_cell(tag), append_loop(checked))
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(COPRIME_PAIRS), st.integers(1, 6))
 def test_pattern_route_matches_scan_subsets_on_ladder_cells(mn, K):
-    """Every cell a ladder builds (vertex, edge, two-cell, appended and
-    external-witness cells) against the per-cell scan, and every vertex
-    through the checked ``BasicCycle`` constructor.  Only the plain cells
-    and the witnesses scan; the appended cells are lifted from them."""
+    """Every cell a ladder builds (vertex, edge, two-cell, mirror,
+    appended and external-witness cells) against the per-cell scan, and
+    every vertex through the checked ``BasicCycle`` constructor.  Only the
+    plain cells other than the mirror cells, and the witnesses, scan; the
+    mirror cells are renamed and the appended cells lifted from them."""
     calls = []
     original = cycles.enumerate_basic_cycles
 
@@ -335,9 +392,10 @@ def test_pattern_route_matches_scan_subsets_on_ladder_cells(mn, K):
         ladder = build_ladder(*mn, K)
         appended = [ladder.appended_cell(tag) for tag in ladder.edges() + ladder.two_cells()]
     plain = len(ladder.vertex_cells) + len(ladder.edge_cells) + len(ladder.cell_cells)
-    assert len(calls) == plain + 2  # and the two external witnesses
+    mirrored = [c for tag, c in mirror_cells(ladder)]
+    assert len(calls) == plain - len(mirrored) + 2  # and the two external witnesses
     assert len(appended) == len(ladder.edge_cells) + len(ladder.cell_cells)
-    calls += [(c.multicurve, c.multicurve.x, c.verts) for c in appended]
+    calls += [(c.multicurve, c.multicurve.x, c.verts) for c in mirrored + appended]
     for m, x, verts in calls:
         rows, order = scan_inputs_of(m)
         found, bounded = normalized(scan_subsets(rows, order, x.coords))

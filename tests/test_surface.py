@@ -1,6 +1,7 @@
 """Tests for decomposition graphs, labelings, and the genus-3 census."""
 
 from itertools import combinations_with_replacement, product
+from types import SimpleNamespace
 
 import pytest
 import sympy
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     canonical_combo_all_perms, census_by_filter, common_cycle_class,
-    multicurve_problem_by_vertex_loop, realizability_by_search,
+    multicurve_problem_by_vertex_loop, realizability_by_search, reachable,
 )
 from torelli3 import cli, surface
 from torelli3.lattice import (
@@ -508,6 +509,30 @@ def test_condition_i_is_strong_connectivity(graph):
         assert bounded
         assert {e for subset, _ in found for e in subset} == set(order)
         assert all(type(w) is int and w > 0 for _, weights in found for w in weights)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_union_find_matches_the_bfs_oracle(data):
+    """Connectivity, and the bridge verdict of every edge, by the
+    union-find ``surface._merges`` against the breadth-first search, on
+    multigraphs with loops that may be disconnected."""
+    nv = data.draw(st.integers(1, 5))
+    vertex = st.integers(0, nv - 1)
+    pairs = data.draw(st.lists(st.tuples(vertex, vertex), max_size=7))
+    ids = range(nv)
+    whole = surface._merges(pairs, ids)
+    assert (whole == nv - 1) == (len(reachable(pairs, 0)) == nv)
+    bridges = []
+    for i, (t, h) in enumerate(pairs):
+        rest = pairs[:i] + pairs[i + 1 :]
+        bridge = t != h and h not in reachable(rest, t)
+        assert (t != h and surface._merges(rest, ids) < whole) == bridge
+        bridges.append(bridge)
+    graph = SimpleNamespace(
+        vertex_ids=tuple(ids), edges=[(i, t, h) for i, (t, h) in enumerate(pairs)]
+    )
+    assert surface._has_bridge(graph) == any(bridges)
 
 
 @settings(max_examples=200, deadline=None)
