@@ -186,8 +186,9 @@ def run_cells(exp):
     return {}, verdicts, ok
 
 
-def run_ladder(exp, m, n, K):
-    ladder = build_ladder(m, n, K)
+def run_ladder(exp, m, n, K, ladder=None):
+    if ladder is None:
+        ladder = build_ladder(m, n, K)
     nv = len(ladder.vertices())
     ne = len(ladder.edges())
     nf = len(ladder.two_cells())
@@ -240,8 +241,9 @@ def run_check_d31(exp, K):
     return {"K": K}, verdicts, ok
 
 
-def run_check_d22(exp, m, n, K, height):
-    ladder = build_ladder(m, n, K)
+def run_check_d22(exp, m, n, K, height, ladder=None):
+    if ladder is None:
+        ladder = build_ladder(m, n, K)
     u = _span(A3, B3)
     trunc = Truncation(K=K, ladder=ladder, subgroups=(u,), height=height)
     src = build_e1((2, 2), trunc)
@@ -381,32 +383,38 @@ def run_lantern(exp, seed=None):
 
 
 # Each suite reads its arguments off the parsed command line, for a
-# subcommand and for ``report`` alike.  ``run_*`` are looked up when
-# called, so a wrapper set on ``cli.run_*`` sees every call.
+# subcommand and for ``report`` alike, and takes the run's ladder: None
+# for a subcommand, which builds its own.  ``run_*`` and ``build_ladder``
+# are looked up when called, so a wrapper set on ``cli.run_*`` or
+# ``cli.build_ladder`` sees every call.
 REPORT_SUITES = (
-    ("types", lambda exp, args: run_types(exp, args.dim)),
-    ("cells", lambda exp, args: run_cells(exp)),
-    ("ladder", lambda exp, args: run_ladder(exp, args.mn[0], args.mn[1], args.K)),
-    ("d31", lambda exp, args: run_check_d31(exp, args.K)),
+    ("types", lambda exp, args, ladder: run_types(exp, args.dim)),
+    ("cells", lambda exp, args, ladder: run_cells(exp)),
+    ("ladder", lambda exp, args, ladder: run_ladder(exp, *args.mn, args.K, ladder)),
+    ("d31", lambda exp, args, ladder: run_check_d31(exp, args.K)),
     (
         "d22",
-        lambda exp, args: run_check_d22(
-            exp, args.mn[0], args.mn[1], args.K, args.height
+        lambda exp, args, ladder: run_check_d22(
+            exp, *args.mn, args.K, args.height, ladder
         ),
     ),
-    ("d13", lambda exp, args: run_check_d13(exp, args.bound)),
-    ("d13-tilde", lambda exp, args: run_check_d13_tilde(exp)),
-    ("kernel", lambda exp, args: run_kernel(exp)),
-    ("smodule", lambda exp, args: run_smodule(exp)),
-    ("lantern", lambda exp, args: run_lantern(exp, args.seed)),
+    ("d13", lambda exp, args, ladder: run_check_d13(exp, args.bound)),
+    ("d13-tilde", lambda exp, args, ladder: run_check_d13_tilde(exp)),
+    ("kernel", lambda exp, args, ladder: run_kernel(exp)),
+    ("smodule", lambda exp, args, ladder: run_smodule(exp)),
+    ("lantern", lambda exp, args, ladder: run_lantern(exp, args.seed)),
 )
 
 
 def run_report(exp, args):
+    """Every suite, the ladder and d22 sections on one (m, n, K) ladder
+    built for this call only.  The audits only read the ladder's tables,
+    and the d22 page only adds to its memo of appended cells."""
+    ladder = build_ladder(*args.mn, args.K)
     sections = {}
     ok = True
     for name, suite in REPORT_SUITES:
-        config, verdicts, section_ok = suite(exp, args)
+        config, verdicts, section_ok = suite(exp, args, ladder)
         log.info("section %s: %s", name, "ok" if section_ok else "MISMATCH")
         sections[name] = {
             "config": config,
@@ -427,8 +435,8 @@ def _run_command(args, exp):
     if args.command == "report":
         return run_report(exp, args)
     if args.command != "check":
-        return dict(REPORT_SUITES)[args.command](exp, args)
-    config, verdicts, ok = dict(REPORT_SUITES)[args.target](exp, args)
+        return dict(REPORT_SUITES)[args.command](exp, args, None)
+    config, verdicts, ok = dict(REPORT_SUITES)[args.target](exp, args, None)
     return {"target": args.target, **config}, verdicts, ok
 
 

@@ -459,7 +459,11 @@ def _cell(pieces, edges, classes, x):
     graph = DecompGraph(pieces, edges)
     m = LabeledMulticurve(graph, {e: classes[e] for e, _, _ in edges}, x)
     cell = CellInstance(m)
-    assert len(_affine_frame(cell.vectors())) == cell.dim
+    span = len(_affine_frame(cell.vectors()))
+    if span != cell.dim:
+        raise InternalInconsistencyError(
+            f"cell on curves {graph.edge_ids}: vertices span {span}, not dim {cell.dim}"
+        )
     return cell
 
 
@@ -808,7 +812,8 @@ def build_ladder(m, n, K):
         else:
             # zero-dimensional cell: loops on one piece, one basic cycle
             cell = _cell([(0, 3 - len(mp))], [(e, 0, 0) for e in mp], classes, x)
-        assert [v.coefficients for v in cell.verts] == [mp]
+        if [v.coefficients for v in cell.verts] != [mp]:
+            raise InternalInconsistencyError(f"vertex cell {tag}: weights differ from {mp}")
         ladder.vertex_psi[tag] = sum(mp.values())
         ladder.vertex_cells[tag] = cell
 

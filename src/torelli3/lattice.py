@@ -581,7 +581,8 @@ class Splitting:
             w = _pairing(u, v)
             s, t = w * _pairing(xc, v), w * _pairing(u, xc)
             comps.append(tuple(s * a + t * b for a, b in zip(u, v)))
-        assert tuple(map(sum, zip(*comps))) == xc, "components do not sum to x"
+        if tuple(map(sum, zip(*comps))) != xc:
+            raise InternalInconsistencyError(f"components {comps} do not sum to x = {xc}")
         return comps
 
     def ordered_key(self):
@@ -738,8 +739,10 @@ def enumerate_symplectic_rank2(height):
                                     found.append(SymplecticSubgroup._trusted((tuple(row1), row2)))
     seen = {}
     for u in found:
-        seen[u.key()] = u
-    assert len(seen) == len(found), "Hermite-shape enumeration produced a duplicate"
+        if seen.setdefault(u.key(), u) is not u:
+            raise InternalInconsistencyError(
+                f"Hermite-shape enumeration produced {u.key()} twice"
+            )
     return tuple(sorted(seen.values(), key=lambda u: u.key()))
 
 
@@ -801,6 +804,7 @@ def _splittings_cached(bound):
 
 def enumerate_splittings(coefficient_bound):
     """All splittings whose three parts have canonical height <= bound."""
+    coefficient_bound = as_int(coefficient_bound, "the coefficient bound")
     if coefficient_bound < 1:
         raise UsageError("coefficient bound must be at least 1")
     return list(_splittings_cached(coefficient_bound))

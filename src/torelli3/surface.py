@@ -13,7 +13,7 @@ from functools import lru_cache
 from itertools import permutations, product
 from operator import add, sub
 
-from .lattice import A1, A2, A3, ZERO, as_ints, intersection, matrix_rank, solve_integer
+from .lattice import A1, A2, A3, ZERO, as_int, as_ints, intersection, matrix_rank, solve_integer
 from .lattice import InternalInconsistencyError, UsageError
 
 ISOTROPIC_BASIS = (A1, A2, A3)
@@ -325,7 +325,9 @@ def _cycle_rows(graph):
                 potential[t][e] = -1
                 tree[e] = True
                 changed = True
-    assert len(potential) == len(graph.vertices), "graph must be connected"
+    if len(potential) != len(graph.vertices):
+        missing = [v for v in graph.vertex_ids if v not in potential]
+        raise InternalInconsistencyError(f"vertices {missing} are cut off in {graph!r}")
     chords = [e for e, _, _ in graph.edges if e not in tree]
     rows = {}
     for e, t, h in graph.edges:
@@ -399,7 +401,10 @@ def realizability_check(graph):
         flipped = [e for e, f in zip(edge_order, flips) if f]
         candidate = graph.reoriented(flipped)
         rows, chords = _cycle_rows(candidate)
-        assert len(chords) == rank
+        if len(chords) != rank:
+            raise InternalInconsistencyError(
+                f"{len(chords)} chords, not the rank {rank}, in {candidate!r}"
+            )
         target = tuple(map(sum, zip(*rows.values())))
         found, bounded = scan_subsets(rows, edge_order, target)
         if not bounded:
@@ -419,7 +424,10 @@ def realizability_check(graph):
         witness = LabeledMulticurve(candidate, classes, sum(classes.values(), ZERO))
         for e in edge_order:
             for f in edge_order:
-                assert intersection(classes[e], classes[f]) == 0
+                if intersection(classes[e], classes[f]):
+                    raise InternalInconsistencyError(
+                        f"curves {e!r} and {f!r} of {candidate!r} pair nonzero"
+                    )
         return witness
     return None
 
@@ -505,7 +513,7 @@ def _capped_multisets(nv, ne, cap):
 def _census(p):
     nv = p + 1
     entries = []
-    seen = set()
+    seen = set()  # (genera, pairs) of every labeling of the types found so far
     for ne in range(max(nv - 1, 0), p + 4):
         total_genus = p + 3 - ne
         # each piece has chi <= -1 and the chis sum to -4: chi >= nv - 5, so d <= 7 - nv
@@ -515,12 +523,13 @@ def _census(p):
             if spare < 0 or _merges(combo, range(nv)) != nv - 1:
                 continue
             for extra in _compositions(spare, nv):
-                genera = [g + e for g, e in zip(least, extra)]
-                key = _canonical_combo(nv, genera, combo)
-                if key in seen:
+                genera = tuple(g + e for g, e in zip(least, extra))
+                if (genera, combo) in seen:
                     continue
-                seen.add(key)
-                canon_genera, canon_pairs = key
+                # a new type: seen takes every relabeling, so no later copy of
+                # it reaches _canonical_combo
+                canon_genera, canon_pairs = _canonical_combo(nv, genera, combo)
+                seen.update(_relabelings(canon_genera, canon_pairs))
                 graph = DecompGraph(
                     [(v, g) for v, g in enumerate(canon_genera)],
                     [(i, a, b) for i, (a, b) in enumerate(canon_pairs)],
@@ -548,6 +557,19 @@ def _canonical_combo(nv, genera, combo):
     return target, min(keys)
 
 
+def _relabelings(genera, pairs):
+    """Every (genera, pairs) form of one graph, vertex v renamed label[v]
+    over all labels; the pairs are sorted as ``_capped_multisets`` gives
+    them, so an isomorphic combo of the census is one of these forms."""
+    for label in permutations(range(len(genera))):
+        relabeled = [0] * len(genera)
+        for v, g in zip(label, genera):
+            relabeled[v] = g
+        yield tuple(relabeled), tuple(
+            sorted(tuple(sorted((label[a], label[b]))) for a, b in pairs)
+        )
+
+
 def classify_types(g, p):
     """Census of combinatorial multicurve types with ``p + 1`` pieces.
 
@@ -556,6 +578,7 @@ def classify_types(g, p):
     ones admitting a realizable labeling.  Types beyond the top dimension
     do not exist, so ``p > 3`` yields an empty list.
     """
+    g, p = as_int(g, "the genus"), as_int(p, "the dimension")
     if g != 3:
         raise UsageError("only ambient genus 3 is supported")
     if p < 0:

@@ -375,6 +375,41 @@ def test_report_aggregates_every_suite(capsys):
     assert report["config"]["K"] == 2
 
 
+def counting_builds(monkeypatch):
+    """The ladders ``cli.build_ladder`` returns from now on, in order."""
+    built = []
+    build = cli.build_ladder
+
+    def counting(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_ladder", counting)
+    return built
+
+
+@pytest.mark.parametrize(
+    "argv", [["report"], ["check", "d22"], ["ladder"]], ids=["report", "check-d22", "ladder"]
+)
+def test_each_run_builds_one_ladder(capsys, monkeypatch, argv):
+    built = counting_builds(monkeypatch)
+    code, report, _ = run_cli(capsys, *argv)
+    assert code == 0 and report["ok"] is True
+    assert len(built) == 1
+
+
+def test_no_ladder_outlives_its_report(capsys, monkeypatch):
+    built = counting_builds(monkeypatch)
+    reports = []
+    for _ in range(2):
+        code, report, _ = run_cli(capsys, "report")
+        assert code == 0
+        report.pop("timing")
+        reports.append(report)
+    assert reports[0] == reports[1]
+    assert len(built) == 2 and built[0] is not built[1]
+
+
 def test_reports_deterministic_modulo_timing(capsys):
     _, first, _ = run_cli(capsys, "cells")
     _, second, _ = run_cli(capsys, "cells")

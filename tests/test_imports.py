@@ -1,6 +1,7 @@
 """Every name a torelli3 module imports is used in that module, every
-error it defines or raises belongs to the package's one error model, and
-every trusted constructor names the test that proves it.
+error it defines or raises belongs to the package's one error model, no
+check is an ``assert`` that ``python -O`` would drop, and every trusted
+constructor names the test that proves it.
 
 A deliberate re-export says so with ``# noqa: F401`` on its import.  The
 scans are AST walks, so they need no linter.
@@ -131,6 +132,32 @@ def test_error_scan_flags_foreign_classes_and_raises():
 def test_every_error_derives_from_the_package_base():
     sources = [path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))]
     assert error_model_problems(sources) == []
+
+
+def assert_lines(source):
+    """Line of each ``assert`` statement, which ``python -O`` drops; an
+    internal check raises ``InternalInconsistencyError`` instead."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
+def test_assert_scan_flags_statements_only():
+    source = (
+        "def f(x):\n"
+        "    assert x, 'dropped under -O'\n"
+        "    if x != 1:\n"
+        "        raise AssertionError('kept')\n"
+        "    assert_ok = x\n"
+        "    return x  # assert in a comment\n"
+        "class C:\n"
+        "    def g(self):\n"
+        "        assert self\n"
+    )
+    assert assert_lines(source) == [2, 9]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_module_has_no_assert_statement(path):
+    assert assert_lines(path.read_text(encoding="utf-8")) == []
 
 
 def unproved_trusted(sources, test_names):

@@ -879,6 +879,20 @@ def test_non_integer_examples_are_usage_errors():
         HVector(("3", 0, 0, 0, 0, 0))
 
 
+def test_components_of_parts_that_are_not_orthogonal_are_an_internal_error():
+    # <a3, b3 + a1> pairs with <a1, b1>, so the part formula misses x = b1;
+    # the check raises under python -O as well
+    parts = (SymplecticSubgroup.spanned_by(pair) for pair in ((A1, B1), (A2, B2), (A3, B3 + A1)))
+    stale = Splitting._trusted(tuple(parts))
+    with pytest.raises(InternalInconsistencyError, match=r"do not sum to x = \(0, 1, 0"):
+        stale.components(B1.coords)
+
+
+def test_enumerate_splittings_rejects_a_non_integer_bound():
+    with pytest.raises(UsageError, match="the coefficient bound must be an integer, got 1.0"):
+        enumerate_splittings(1.0)
+
+
 @pytest.mark.parametrize("bad", NON_INTEGERS)
 def test_hvector_rejects_a_non_integer_coordinate(bad):
     with pytest.raises(UsageError, match="coordinates must be integers"):

@@ -235,6 +235,20 @@ def test_census_out_of_range():
         classify_types(3, -1)
 
 
+@pytest.mark.parametrize(
+    "g, p, message",
+    [
+        (3, 2.0, "the dimension must be an integer, got 2.0"),
+        (3, "2", "the dimension must be an integer, got '2'"),
+        (3.0, 2, "the genus must be an integer, got 3.0"),
+    ],
+    ids=["float-dimension", "string-dimension", "float-genus"],
+)
+def test_census_rejects_a_non_integer_argument(g, p, message):
+    with pytest.raises(UsageError, match=message):
+        classify_types(g, p)
+
+
 def _condition_i_brute(classes):
     vecs = [c.coords for c in classes]
     for coeffs in product(range(4), repeat=len(vecs)):
@@ -381,6 +395,37 @@ def census_graphs():
 def test_census_checks_realizability_of_the_same_graphs(census_graphs):
     assert len(census_graphs) == 42
     assert census_graphs == graphs_checked_by(census_by_filter)
+
+
+def test_cold_census_canonicalizes_each_new_type_once(monkeypatch):
+    # every later copy of a type is one of the relabelings seeded when it
+    # was found, so the 205 (genera, edges) forms met over p = 0..3 cost
+    # one canonical key per graph checked
+    keys, graphs = [], []
+    canonical, check = surface._canonical_combo, surface.realizability_check
+
+    def counting_key(*args):
+        keys.append(canonical(*args))
+        return keys[-1]
+
+    def counting_check(graph):
+        graphs.append(graph)
+        return check(graph)
+
+    monkeypatch.setattr(surface, "_canonical_combo", counting_key)
+    monkeypatch.setattr(surface, "realizability_check", counting_check)
+    surface._census.cache_clear()
+    try:
+        for p in range(4):
+            classify_types(3, p)
+    finally:
+        surface._census.cache_clear()
+    assert len(keys) == len(graphs) == 42
+    # each graph checked is the key just computed, in canonical labels
+    assert keys == [
+        (tuple(g for _, g in graph.vertices), tuple((t, h) for _, t, h in graph.edges))
+        for graph in graphs
+    ]
 
 
 def sum_of_rows(rows):
