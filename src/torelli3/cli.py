@@ -75,11 +75,7 @@ EXIT_INTERNAL = InternalInconsistencyError.exit_code
 
 DEFAULT_K = 3
 # the largest window at which every measured `check d22 --mn 2,5` stayed inside 30 s
-# (2-vCPU host): 23-24 s and 216 MB there, 27-32 s at 6144 when set; with the appended
-# sheet lifted, 16.5 s and 235 MB at 5120, 1.7 s at K=512, 5-6 s at 1792; with the cell
-# checks on tuples, 15.2 s and 248 MB at 5120, 4.6-5.3 s at 1792; with the mirror cells
-# renamed, 10.6-12.4 s and 241 MB at 5120, 3.2-3.9 s and 94 MB at 1792 (the cell-check
-# version 11.7-13.6 s and 4.0-4.8 s in alternating runs); no window above 5120 measured
+# (2-vCPU host): 13.0-15.2 s and 228 MB at 5120; no window above 5120 measured
 MAX_K = 5120
 DEFAULT_MN = (1, 2)
 MAX_BOUND = 1  # bound 2 has 437,427 planes, 24 s to enumerate alone
@@ -193,7 +189,7 @@ def run_ladder(exp, m, n, K, ladder=None):
     ne = len(ladder.edges())
     nf = len(ladder.two_cells())
     euler = nv - ne + nf
-    top = ladder.cell_psi.get(("R", 0), ladder.cell_psi[ladder.closing])
+    top = ladder.cell_psi[("R", 0) if ("R", 0) in ladder.cell_psi else ladder.closing]
     psi = {
         "top": top,
         "previous": ladder.cell_psi[("R", -1)],

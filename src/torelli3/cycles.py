@@ -16,7 +16,6 @@ from .lattice import (
     A1,
     A2,
     A3,
-    ZERO,
     InternalInconsistencyError,
     UsageError,
     bareiss_determinant,
@@ -25,85 +24,6 @@ from .lattice import (
     solve_integer,
 )
 from .surface import DecompGraph, LabeledMulticurve
-
-
-class BasicCycle:
-    """A vertex of a cell: positive integer weights on an independent
-    subset of curves whose weighted classes sum to the target."""
-
-    __slots__ = ("multicurve", "coefficients", "target")
-
-    def __init__(self, multicurve, coefficients, target):
-        coefficients = dict(coefficients)
-        if not coefficients:
-            raise UsageError("a basic cycle needs a nonempty support")
-        edge_ids = set(multicurve.edge_ids())
-        for e, k in coefficients.items():
-            if e not in edge_ids:
-                raise UsageError(f"unknown curve {e!r} in support")
-            if not isinstance(k, int) or k < 1:
-                raise UsageError(f"weight of {e!r} must be a positive integer")
-        rows = [list(multicurve.class_of(e).coords) for e in coefficients]
-        if matrix_rank(rows) != len(coefficients):
-            raise UsageError("support classes are dependent")
-        total = sum((k * multicurve.class_of(e) for e, k in coefficients.items()), ZERO)
-        if total != target:
-            raise UsageError("weighted class sum misses the target")
-        self.multicurve = multicurve
-        self.coefficients = coefficients
-        self.target = target
-
-    @classmethod
-    def _trusted(cls, multicurve, coefficients, target):
-        """A vertex from `enumerate_basic_cycles`, `append_loop` or
-        `_mirror`, with no checks run.
-
-        It skips the support ids, the positive integer weights, the
-        independence of the support classes and the class sum.  The
-        pattern solve proves each: the support is a subset of the edge
-        order, every weight is an exact integer quotient that passed the
-        positivity test, the subset's pivot minor has a nonzero
-        determinant, and R w = y holds on every row of the reduced form,
-        whose solutions are those of the class sum.  A lifted vertex is
-        a plain one plus the loop at weight 1, proved by the lemma of
-        ``CellInstance._trusted``; a mirrored vertex is a checked one
-        with ``delta1`` renamed ``delta2`` (``_mirror``).  Every vertex
-        of random ladder cells passes __init__ unchanged in
-        ``test_pattern_route_matches_scan_subsets_on_ladder_cells``, every
-        lifted one in ``test_appended_sheet_matches_the_scan_oracle``, and
-        every mirrored one in ``test_mirror_cells_match_the_checked_build``.
-        """
-        v = object.__new__(cls)
-        v.multicurve = multicurve
-        v.coefficients = coefficients
-        v.target = target
-        return v
-
-    @property
-    def support(self):
-        return frozenset(self.coefficients)
-
-    def vector(self, edge_order=None):
-        """Weight vector in the given (default: the multicurve's) edge order."""
-        if edge_order is None:
-            edge_order = self.multicurve.edge_ids()
-        return tuple(self.coefficients.get(e, 0) for e in edge_order)
-
-    def key(self):
-        return tuple(sorted(((str(e), k) for e, k in self.coefficients.items())))
-
-    def __eq__(self, other):
-        if not isinstance(other, BasicCycle):
-            return NotImplemented
-        return self.coefficients == other.coefficients and self.target == other.target
-
-    def __hash__(self):
-        return hash((self.key(), self.target))
-
-    def __repr__(self):
-        inner = ", ".join(f"{e!r}: {k}" for e, k in sorted(
-            self.coefficients.items(), key=lambda kv: str(kv[0])))
-        return "BasicCycle({%s})" % inner
 
 
 def _reduced_system(columns, target):
@@ -225,7 +145,9 @@ def _scan_by_pattern(columns, target):
 
 
 def enumerate_basic_cycles(m, x):
-    """All basic cycles of the multicurve ``m`` with target class ``x``.
+    """All basic cycles of the multicurve ``m`` with target class ``x``:
+    ``{curve id: weight}`` dicts with their keys in edge order, sorted by
+    weight vector in edge order.
 
     The pattern route: one echelon of [classes | x] puts the system in
     its canonical reduced form R w = y (``_reduced_system``).  The
@@ -234,7 +156,16 @@ def enumerate_basic_cycles(m, x):
     unbounded; each cell then solves every independent subset by an
     adjugate product and an exact division.  ``surface.scan_subsets``,
     one elimination per curve subset, is the oracle of the tests.
-    Sorted by weight vector in edge order.
+
+    A vertex needs no further check, because the solve proves each
+    property of a basic cycle: its support is a subset of the edge
+    order, every weight is an exact integer quotient that passed the
+    positivity test, the subset's pivot minor has a nonzero determinant,
+    so the support classes are independent, and R w = y holds on every
+    row of the reduced form, whose solutions are those of the class sum.
+    ``test_pattern_route_matches_scan_subsets_on_ladder_cells`` runs the
+    checks of ``tests/oracles.basic_cycle_problem`` on every vertex of
+    random ladder cells.
     """
     if x.is_zero():
         raise UsageError("the zero class supports no basic cycle")
@@ -242,31 +173,29 @@ def enumerate_basic_cycles(m, x):
     found, bounded = _scan_by_pattern([m.class_of(e).coords for e in edge_order], x.coords)
     if not bounded:
         raise UsageError("the weight polytope is unbounded")
-    verts = [
-        BasicCycle._trusted(m, {edge_order[j]: w for j, w in zip(cols, weights)}, x)
-        for cols, weights in found
-    ]
-    verts.sort(key=lambda v: v.vector(edge_order))
+    verts = [{edge_order[j]: w for j, w in zip(cols, weights)} for cols, weights in found]
+    verts.sort(key=lambda v: tuple(v.get(e, 0) for e in edge_order))
     return verts
 
 
 def psi(v):
     """Total weight of a basic cycle."""
-    return sum(v.coefficients.values())
+    return sum(v.values())
 
 
 class CellInstance:
     """A multicurve together with the full vertex set of its polytope.
 
     ``verts`` lists every basic cycle for the multicurve's own target
-    class; ``dim`` is the count of curves minus the rank of their span,
-    which the multicurve contract makes equal to one less than the
-    number of pieces.  ``enumerate_basic_cycles`` finds the vertices
-    by the pattern route, after the scan of the cell's relation pattern
-    has checked that the polytope is bounded (the tests compare both
-    with the per-cell ``surface.scan_subsets``); every curve must lie on
-    a vertex.  An appended cell is lifted from its plain cell instead,
-    and a mirror cell renamed from its + partner (``_trusted``).
+    class, as a ``{curve id: weight}`` dict; ``dim`` is the count of
+    curves minus the rank of their span, which the multicurve contract
+    makes equal to one less than the number of pieces.
+    ``enumerate_basic_cycles`` finds the vertices by the pattern route,
+    after the scan of the cell's relation pattern has checked that the
+    polytope is bounded (the tests compare both with the per-cell
+    ``surface.scan_subsets``); every curve must lie on a vertex.  An
+    appended cell is lifted from its plain cell instead, and a mirror
+    cell renamed from its + partner (``_trusted``).
     """
 
     __slots__ = ("multicurve", "verts", "dim")
@@ -275,10 +204,7 @@ class CellInstance:
         verts = enumerate_basic_cycles(multicurve, multicurve.x)
         if not verts:
             raise UsageError("no basic cycle carries the target class")
-        covered = set()
-        for v in verts:
-            covered |= v.support
-        missing = set(multicurve.edge_ids()) - covered
+        missing = set(multicurve.edge_ids()).difference(*verts)
         if missing:
             raise UsageError(
                 "curves outside every basic cycle: %s"
@@ -322,7 +248,7 @@ class CellInstance:
 
     def vectors(self):
         order = self.multicurve.edge_ids()
-        return [v.vector(order) for v in self.verts]
+        return [tuple(v.get(e, 0) for e in order) for v in self.verts]
 
     def support_key(self):
         return tuple(sorted(str(e) for e in self.multicurve.edge_ids()))
@@ -434,7 +360,7 @@ def match_faces(tag, cell, edge_cells, geometry):
         if ids in geometric:
             sign, vecs = geometric.pop(ids)
             want = {frozenset((order[j], k) for j, k in enumerate(v) if k) for v in vecs}
-            have = {frozenset(v.coefficients.items()) for v in edge_cell.verts}
+            have = {frozenset(v.items()) for v in edge_cell.verts}
             checks = (
                 ("classes differ", all(face.class_of(e) == m.class_of(e) for e in ids)),
                 ("x differs", face.x == m.x),
@@ -454,17 +380,22 @@ def match_faces(tag, cell, edge_cells, geometry):
 
 def _cell(pieces, edges, classes, x):
     """Cell of the multicurve with the given pieces and (id, tail, head)
-    curves, each curve carrying its class from ``classes``.  The vertices
-    must span exactly the cell's dimension."""
+    curves, each curve carrying its class from ``classes``.
+
+    That the vertices span exactly the cell's dimension is checked once
+    per cell, where the ladder reads it, and every verdict of a ladder
+    cell keeps it.  The rank test of ``LabeledMulticurve`` bounds the
+    span by the dimension.  A vertex cell must equal its one weighting
+    (``build_ladder``).  An edge cell's vertices must be its two
+    distinct endpoint weightings (``_check_geometry``), which span 1.  A
+    two-cell passes ``face_geometry``, which raises when the span is
+    not the dimension.  An external witness must have 3 or 4 vertices
+    (``_check_external_witnesses``): its polytope has dimension at most
+    2, and one with more than 2 vertices is no point or segment, so it
+    spans 2.
+    """
     graph = DecompGraph(pieces, edges)
-    m = LabeledMulticurve(graph, {e: classes[e] for e, _, _ in edges}, x)
-    cell = CellInstance(m)
-    span = len(_affine_frame(cell.vectors()))
-    if span != cell.dim:
-        raise InternalInconsistencyError(
-            f"cell on curves {graph.edge_ids}: vertices span {span}, not dim {cell.dim}"
-        )
-    return cell
+    return CellInstance(LabeledMulticurve(graph, {e: classes[e] for e, _, _ in edges}, x))
 
 
 # the loop of the appended sheet
@@ -490,10 +421,7 @@ def append_loop(cell):
     pieces = [(v, g - 1 if v == host else g) for v, g in m.graph.vertices]
     graph = DecompGraph(pieces, list(m.graph.edges) + [(_LOOP, host, host)])
     lifted = LabeledMulticurve(graph, {**m.classes, _LOOP: A3}, m.x + A3)
-    verts = [
-        BasicCycle._trusted(lifted, {**v.coefficients, _LOOP: 1}, lifted.x)
-        for v in cell.verts
-    ]
+    verts = [{**v, _LOOP: 1} for v in cell.verts]
     return CellInstance._trusted(lifted, verts, cell.dim)
 
 
@@ -546,12 +474,7 @@ def _mirror(cell):
     mirrored = LabeledMulticurve._trusted(
         graph, {rename(e): c for e, c in m.classes.items()}, m.x
     )
-    verts = [
-        BasicCycle._trusted(
-            mirrored, {rename(e): w for e, w in v.coefficients.items()}, v.target
-        )
-        for v in cell.verts
-    ]
+    verts = [{rename(e): w for e, w in v.items()} for v in cell.verts]
     return CellInstance._trusted(mirrored, verts, cell.dim)
 
 
@@ -812,7 +735,7 @@ def build_ladder(m, n, K):
         else:
             # zero-dimensional cell: loops on one piece, one basic cycle
             cell = _cell([(0, 3 - len(mp))], [(e, 0, 0) for e in mp], classes, x)
-        if [v.coefficients for v in cell.verts] != [mp]:
+        if cell.verts != [mp]:
             raise InternalInconsistencyError(f"vertex cell {tag}: weights differ from {mp}")
         ladder.vertex_psi[tag] = sum(mp.values())
         ladder.vertex_cells[tag] = cell
@@ -911,7 +834,7 @@ def _check_geometry(ladder, vertex_maps):
     """
     for tag, (tail, head) in ladder.edge_endpoints.items():
         cell = ladder.edge_cells[tag]
-        got = {frozenset(v.coefficients.items()) for v in cell.verts}
+        got = {frozenset(v.items()) for v in cell.verts}
         want = {
             frozenset(vertex_maps[tail].items()),
             frozenset(vertex_maps[head].items()),
@@ -943,11 +866,8 @@ def _check_external_witnesses(ladder, classes, x):
     expect = ladder.edge_external[("e+", k)]["psi"]
     if psi_max(tri) != expect or psi_max(rect) != expect:
         raise InternalInconsistencyError("external witness weights drifted")
-    edge_pair = {
-        frozenset(v.coefficients.items())
-        for v in ladder.edge_cells[("e+", k)].verts
-    }
+    edge_pair = {frozenset(v.items()) for v in ladder.edge_cells[("e+", k)].verts}
     for witness in (tri, rect):
-        have = {frozenset(v.coefficients.items()) for v in witness.verts}
+        have = {frozenset(v.items()) for v in witness.verts}
         if not edge_pair <= have:
             raise InternalInconsistencyError("vertical edge left its witnesses")

@@ -122,15 +122,6 @@ class DecompGraph:
         ]
         return DecompGraph(self.vertices, edges)
 
-    def canonical_key(self):
-        """Isomorphism invariant: minimum structure key over relabelings."""
-        order = {v: i for i, (v, _) in enumerate(self.vertices)}
-        return _canonical_combo(
-            len(self.vertices),
-            [g for _, g in self.vertices],
-            [(order[t], order[h]) for _, t, h in self.edges],
-        )
-
     def __eq__(self, other):
         if not isinstance(other, DecompGraph):
             return NotImplemented

@@ -35,6 +35,8 @@ vertex over all edges, the sublattice test on lists, and admissibility
 with a rank taken before any pairing.  ``sclass_image_by_scan`` is
 ``sclasses.sclass_image_in_e2`` as it was before the (1, 3) page kept
 its type-(c) label index: a scan of the whole page basis per call.
+``basic_cycle_problem`` runs the checks a vertex's constructor made
+before the vertices became plain weight dicts.
 """
 
 from fractions import Fraction
@@ -368,6 +370,29 @@ def realizability_by_search(graph):
         classes = {e: sum((c * v for c, v in zip(rows[e], basis)), ZERO) for e in edge_order}
         x = sum((c * v for c, v in zip(target, basis)), ZERO)
         return LabeledMulticurve(candidate, classes, x)
+    return None
+
+
+def basic_cycle_problem(multicurve, weights, target):
+    """The message of the first check that the ``{curve id: weight}``
+    dict ``weights`` fails as a basic cycle of ``multicurve`` for
+    ``target``, or None: a nonempty support, of known curve ids, with
+    positive integer weights, independent classes and a class sum equal
+    to the target."""
+    if not weights:
+        return "a basic cycle needs a nonempty support"
+    edge_ids = set(multicurve.edge_ids())
+    for e, k in weights.items():
+        if e not in edge_ids:
+            return f"unknown curve {e!r} in support"
+        if not isinstance(k, int) or k < 1:
+            return f"weight of {e!r} must be a positive integer"
+    rows = [list(multicurve.class_of(e).coords) for e in weights]
+    if matrix_rank(rows) != len(weights):
+        return "support classes are dependent"
+    total = sum((k * multicurve.class_of(e) for e, k in weights.items()), ZERO)
+    if total != target:
+        return "weighted class sum misses the target"
     return None
 
 

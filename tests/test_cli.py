@@ -61,6 +61,29 @@ def test_ladder_audit(capsys):
     assert report["config"] == {"m": 1, "n": 1, "K": 2}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ladder", "--mn", "1,5", "--K", "3"],
+        ["ladder", "--mn", "2,5", "--K", "1"],
+        ["ladder", "--mn", "1,4", "--K", "2"],
+        ["report", "--mn", "1,5", "--K", "2"],
+    ],
+)
+def test_ladder_truncated_before_its_closing_sheet(capsys, argv):
+    """K below t = (n - 1) // m leaves no closing triangle; the top weight
+    sum is read off ("R", 0)."""
+    code, report, _ = run_cli(capsys, *argv)
+    assert code == 0 and report["ok"] is True
+    m, n = map(int, argv[2].split(","))
+    verdicts = report["verdicts"]
+    if argv[0] == "report":
+        verdicts = verdicts["ladder"]["verdicts"]
+    assert verdicts["euler"] == 1
+    assert (verdicts["psi"]["top"], verdicts["psi"]["previous"]) == (m + n, 2 * m + n)
+    assert all(verdicts["checks"].values())
+
+
 def test_ladder_rejects_malformed_weights(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["ladder", "--mn", "7"])

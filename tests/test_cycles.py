@@ -9,14 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
-    append_loop_by_scan, boundary_faces, remove_edges, solve_rational, two_scan,
+    append_loop_by_scan, basic_cycle_problem, boundary_faces, remove_edges, solve_rational,
+    two_scan,
 )
 from torelli3 import cycles
 from torelli3.lattice import (
     A1, A2, A3, HVector, UsageError, bareiss_determinant, smith_normal_form,
 )
 from torelli3.cycles import (
-    BasicCycle,
     CellInstance,
     InternalInconsistencyError,
     LadderComplex,
@@ -79,14 +79,14 @@ def three_double_chain():
 def test_single_edge_has_one_unit_cycle():
     m = single_loop()
     cycles = enumerate_basic_cycles(m, A1)
-    assert [v.coefficients for v in cycles] == [{"e": 1}]
+    assert cycles == [{"e": 1}]
     assert psi(cycles[0]) == 1
 
 
 def test_bounding_pair_has_two_singleton_cycles():
     m = bounding_pair()
     cycles = enumerate_basic_cycles(m, A1)
-    assert {frozenset(v.coefficients.items()) for v in cycles} == {
+    assert {frozenset(v.items()) for v in cycles} == {
         frozenset({("d1", 1)}),
         frozenset({("d2", 1)}),
     }
@@ -95,7 +95,7 @@ def test_bounding_pair_has_two_singleton_cycles():
 def test_shared_class_triple_has_two_cycles():
     m = shared_class_triple()
     cycles = enumerate_basic_cycles(m, A1 + A2)
-    assert {frozenset(v.coefficients.items()) for v in cycles} == {
+    assert {frozenset(v.items()) for v in cycles} == {
         frozenset({("e3", 1)}),
         frozenset({("e1", 1), ("e2", 1)}),
     }
@@ -110,21 +110,24 @@ def test_enumeration_is_deterministic():
     m = three_double_chain()
     first = enumerate_basic_cycles(m, m.x)
     second = enumerate_basic_cycles(m, m.x)
-    assert [v.coefficients for v in first] == [v.coefficients for v in second]
+    assert first == second
 
 
 def test_basic_cycle_validation():
+    """The oracle's self-test: each rejected weighting names its
+    problem, and both basic cycles of the cell pass."""
     m = shared_class_triple()
-    with pytest.raises(UsageError, match="a basic cycle needs a nonempty support"):
-        BasicCycle(m, {}, A1 + A2)
-    with pytest.raises(UsageError, match="weight of 'e1' must be a positive integer"):
-        BasicCycle(m, {"e1": 0, "e2": 1}, A1 + A2)
-    with pytest.raises(UsageError, match="unknown curve 'nope' in support"):
-        BasicCycle(m, {"nope": 1}, A1 + A2)
-    with pytest.raises(UsageError, match="weighted class sum misses the target"):
-        BasicCycle(m, {"e1": 1, "e2": 2}, A1 + A2)
-    with pytest.raises(UsageError, match="support classes are dependent"):
-        BasicCycle(m, {"e1": 1, "e2": 1, "e3": 1}, 2 * A1 + 2 * A2)
+    cases = [
+        ({}, A1 + A2, "a basic cycle needs a nonempty support"),
+        ({"e1": 0, "e2": 1}, A1 + A2, "weight of 'e1' must be a positive integer"),
+        ({"nope": 1}, A1 + A2, "unknown curve 'nope' in support"),
+        ({"e1": 1, "e2": 2}, A1 + A2, "weighted class sum misses the target"),
+        ({"e1": 1, "e2": 1, "e3": 1}, 2 * A1 + 2 * A2, "support classes are dependent"),
+    ]
+    for weights, target, problem in cases:
+        assert basic_cycle_problem(m, weights, target) == problem
+    for v in enumerate_basic_cycles(m, m.x):
+        assert basic_cycle_problem(m, v, m.x) is None
 
 
 def test_cell_dimensions():
@@ -342,14 +345,12 @@ def checked_mirror_side(ladder, tag):
 
 
 def assert_same_cell(cell, checked):
-    """The same multicurve, vertex list (in order, with coefficients in
-    edge order) and dimension."""
+    """The same multicurve, vertex list (in order, with weights in edge
+    order) and dimension, every vertex a basic cycle of the cell."""
     assert cell.multicurve == checked.multicurve
-    assert [list(v.coefficients.items()) for v in cell.verts] == [
-        list(v.coefficients.items()) for v in checked.verts
-    ]
+    assert [list(v.items()) for v in cell.verts] == [list(v.items()) for v in checked.verts]
     for v in cell.verts:
-        assert v.multicurve is cell.multicurve and v.target == cell.multicurve.x
+        assert basic_cycle_problem(cell.multicurve, v, cell.multicurve.x) is None
     assert cell.dim == checked.dim
 
 
@@ -376,7 +377,7 @@ def test_mirror_cells_match_the_checked_build(mn, K):
 def test_pattern_route_matches_scan_subsets_on_ladder_cells(mn, K):
     """Every cell a ladder builds (vertex, edge, two-cell, mirror,
     appended and external-witness cells) against the per-cell scan, and
-    every vertex through the checked ``BasicCycle`` constructor.  Only the
+    every vertex through ``oracles.basic_cycle_problem``.  Only the
     plain cells other than the mirror cells, and the witnesses, scan; the
     mirror cells are renamed and the appended cells lifted from them."""
     calls = []
@@ -400,12 +401,9 @@ def test_pattern_route_matches_scan_subsets_on_ladder_cells(mn, K):
         rows, order = scan_inputs_of(m)
         found, bounded = normalized(scan_subsets(rows, order, x.coords))
         assert bounded
-        assert sorted((tuple(v.coefficients), tuple(v.coefficients.values())) for v in verts) == found
+        assert sorted((tuple(v), tuple(v.values())) for v in verts) == found
         for v in verts:
-            checked = BasicCycle(m, v.coefficients, x)
-            assert (checked.multicurve, checked.coefficients, checked.target) == (
-                v.multicurve, v.coefficients, v.target,
-            )
+            assert basic_cycle_problem(m, v, x) is None
 
 
 @settings(max_examples=15, deadline=None)
@@ -413,7 +411,7 @@ def test_pattern_route_matches_scan_subsets_on_ladder_cells(mn, K):
 def test_appended_sheet_matches_the_scan_oracle(mn, K):
     """Each lifted appended cell against a full scan of the appended
     multicurve: the same multicurve, vertex list (in order) and
-    dimension, every vertex through the checked constructor; each
+    dimension, every vertex a basic cycle of the lifted cell; each
     two-cell's lifted faces against a fresh ``face_geometry``."""
     ladder = build_ladder(*mn, K)
     oracles = {}
@@ -423,11 +421,10 @@ def test_appended_sheet_matches_the_scan_oracle(mn, K):
             ladder.edge_cells.get(tag) or ladder.cell_cells[tag]
         )
         assert lifted.multicurve == oracle.multicurve
-        assert [v.coefficients for v in lifted.verts] == [v.coefficients for v in oracle.verts]
+        assert lifted.verts == oracle.verts
         assert lifted.dim == oracle.dim
         for v in lifted.verts:
-            checked = BasicCycle(lifted.multicurve, v.coefficients, v.target)
-            assert (checked.coefficients, checked.target) == (v.coefficients, oracle.multicurve.x)
+            assert basic_cycle_problem(lifted.multicurve, v, lifted.multicurve.x) is None
     for tag in ladder.two_cells():
         geometry = face_geometry(oracles[tag])
         assert cycles._lift_faces(ladder.cell_geometry[tag]) == geometry
@@ -442,7 +439,7 @@ def test_append_loop_rejects_a_loop_class_in_the_span():
     weight 2), so the lifting lemma fails; the rank test of the appended
     multicurve must refuse the lift."""
     plain = CellInstance(single_loop(A3))
-    assert [v.coefficients for v in plain.verts] == [{"e": 1}]
+    assert plain.verts == [{"e": 1}]
     with pytest.raises(UsageError, match="classes span rank 1, expected 2"):
         append_loop(plain)
     with pytest.raises(UsageError, match="classes span rank 1, expected 2"):
@@ -464,7 +461,7 @@ FROZEN_CHAIN_VERTS = [
 def test_three_double_chain_vertices_frozen():
     cell = CellInstance(three_double_chain())
     got = sorted(
-        (dict(sorted(v.coefficients.items())) for v in cell.verts),
+        (dict(sorted(v.items())) for v in cell.verts),
         key=lambda d: sorted(d.items()),
     )
     want = sorted(FROZEN_CHAIN_VERTS, key=lambda d: sorted(d.items()))
@@ -573,7 +570,7 @@ def test_boundary_squares_to_zero():
 
 
 def vertex_set(cell):
-    return {frozenset(v.coefficients.items()) for v in cell.verts}
+    return {frozenset(v.items()) for v in cell.verts}
 
 
 def assert_same_faces(kept, fresh):
@@ -842,6 +839,24 @@ def test_face_matching_names_the_differing_class(monkeypatch):
         match=r"cell \('R', -1\) face \['delta1', 'delta2', 'u0'\]: classes differ",
     ):
         build_ladder(1, 2, 1)
+
+
+def test_ladder_catches_a_lost_two_cell_vertex(monkeypatch):
+    """A rectangle that loses any one of its four vertices fails the
+    build: the three left still span 2, and the face matching finds a
+    face that no edge cell is."""
+    enumerate_all = cycles.enumerate_basic_cycles
+    for index in range(4):
+
+        def dropping(m, x, index=index):
+            verts = enumerate_all(m, x)
+            if len(m.graph.vertices) == 3 and len(verts) == 4:
+                del verts[index]
+            return verts
+
+        monkeypatch.setattr(cycles, "enumerate_basic_cycles", dropping)
+        with pytest.raises(InternalInconsistencyError, match=r"cell \('R', -2\) face"):
+            build_ladder(1, 2, 2)
 
 
 def test_ladder_rejects_bad_parameters():
