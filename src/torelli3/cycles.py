@@ -393,9 +393,16 @@ def _cell(pieces, edges, classes, x):
     (``_check_external_witnesses``): its polytope has dimension at most
     2, and one with more than 2 vertices is no point or segment, so it
     spans 2.
+
+    Every caller passes the ladder's own curves, so a check that fails
+    here is an internal contradiction, not a usage error.
     """
-    graph = DecompGraph(pieces, edges)
-    return CellInstance(LabeledMulticurve(graph, {e: classes[e] for e, _, _ in edges}, x))
+    try:
+        graph = DecompGraph(pieces, edges)
+        return CellInstance(LabeledMulticurve(graph, {e: classes[e] for e, _, _ in edges}, x))
+    except UsageError as err:
+        ids = [e for e, _, _ in edges]
+        raise InternalInconsistencyError(f"ladder cell on curves {ids}: {err}") from err
 
 
 # the loop of the appended sheet

@@ -554,16 +554,23 @@ class Splitting:
 
     @classmethod
     def _trusted(cls, parts):
-        """A splitting from `_splittings_cached`, with no checks run.
+        """A splitting from `_splittings_among`, with no checks run.
 
         It skips the part types and ranks, the unimodularity of each
         part, the cross-part pairings and the determinant.  The parts
         are planes of `enumerate_symplectic_rank2`, each with pairing
-        +-1; the enumerator pairs every two basis rows exactly; and
-        det(B)^2 = det(B J B^T) = 1 for the stacked basis B and the form
-        J.  Every splitting of bound 1 passes __init__ unchanged in the
-        enumerator test
-        ``test_enumerated_splittings_pass_the_public_constructor``.
+        +-1; the row masks hold the exact pairing of every two basis
+        rows; and det(B)^2 = det(B J B^T) = 1 for the stacked basis B
+        and the form J.  Every splitting of bound 1 passes __init__
+        unchanged in
+        ``test_enumerated_splittings_pass_the_public_constructor``.  The
+        row-mask route equals the plane-mask oracle on bound 1 in
+        ``test_splittings_of_bound_1_match_the_plane_mask_oracle`` and on
+        random plane lists in
+        ``test_splittings_among_plane_sublists_match_the_oracle``; a
+        pairing scan proves its forced third part in
+        ``test_the_third_part_of_a_splitting_is_forced`` and
+        ``test_an_orthogonal_pair_in_no_splitting_has_no_third_part``.
         """
         s = object.__new__(cls)
         s.parts = parts
@@ -700,7 +707,7 @@ def transform_splitting(mat, splitting):
 # enumeration
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def enumerate_symplectic_rank2(height):
     """All unimodular symplectic planes whose canonical basis entries fit in
     [-height, height], sorted by canonical key.
@@ -708,8 +715,10 @@ def enumerate_symplectic_rank2(height):
     The Hermite shape is enumerated directly: two pivot columns j1 < j2 with
     positive pivots, the row-1 entry over the second pivot reduced, all other
     entries free in the box.  A candidate is kept iff the basis pairing is
-    +-1, which also forces primitivity.
+    +-1, which also forces primitivity.  The cache is typed, so a float
+    height never meets the entry of the equal int and fails ``as_int``.
     """
+    height = as_int(height, "the height")
     if height < 1:
         raise UsageError("height must be at least 1")
     span = range(-height, height + 1)
@@ -746,60 +755,98 @@ def enumerate_symplectic_rank2(height):
     return tuple(sorted(seen.values(), key=lambda u: u.key()))
 
 
+def _perp_masks(rows):
+    """perp[r]: the bit mask of the rows s with <rows[r], rows[s]> = 0.
+
+    The form is the sum of one term r0 s1 - r1 s0 per hyperbolic block,
+    so one table per block maps a block value p of r and a term v to the
+    mask of the rows whose block pairs with p to v; perp[r] joins the
+    three tables over the terms that sum to 0.
+    """
+    tables = []
+    for t in (0, 2, 4):
+        by_value = {}
+        for s, row in enumerate(rows):
+            q = row[t : t + 2]
+            by_value[q] = by_value.get(q, 0) | 1 << s
+        table = {}
+        for p0, p1 in by_value:
+            terms = table[p0, p1] = {}
+            for (q0, q1), mask in by_value.items():
+                v = p0 * q1 - p1 * q0
+                terms[v] = terms.get(v, 0) | mask
+        tables.append(table)
+    t0, t1, t2 = tables
+    perp = []
+    for row in rows:
+        third = t2[row[4:6]]
+        m = 0
+        for v0, m0 in t0[row[0:2]].items():
+            for v1, m1 in t1[row[2:4]].items():
+                m |= m0 & m1 & third.get(-v0 - v1, 0)
+        perp.append(m)
+    return perp
+
+
+def _splittings_among(planes):
+    """The splittings whose parts are in ``planes``, a list of unimodular
+    planes sorted by key, each with its parts in key order, in
+    ordered-key order.
+
+    Rows are numbered in sorted order, so key order on planes is the
+    order of their (first row, second row) ids.  A pairwise orthogonal
+    triple of unimodular planes spans the lattice, so the splittings are
+    the triangles of the orthogonality graph, found on row masks: M is
+    the mask of rows orthogonal to a plane (a, b), the second parts
+    (c, d) > (a, b) have both rows in M (row a is not in M, as
+    <a, b> = +-1, so c > a), and x = M & perp[c] & perp[d] holds the
+    rows orthogonal to both.  The third part is forced: P_i + P_j is
+    unimodular of rank 4, its complement C is a unimodular plane, and a
+    listed plane with both rows in C has index 1 in it, so it is C.  One
+    third part (e, f) with e > c therefore ends the search.
+    """
+    rows = sorted({row for u in planes for row in u.basis})
+    ids = {row: r for r, row in enumerate(rows)}
+    perp = _perp_masks(rows)
+    second = [0] * len(rows)  # second[c]: second rows of the planes with first row c
+    plane_at = {}
+    for u in planes:
+        c, d = ids[u.basis[0]], ids[u.basis[1]]
+        second[c] |= 1 << d
+        plane_at[c, d] = u
+    found = []
+    for (a, b), u in plane_at.items():
+        m = perp[a] & perp[b]
+        cs = m >> a << a
+        while cs:
+            low = cs & -cs
+            cs ^= low
+            c = low.bit_length() - 1
+            mc = m & perp[c]
+            if not mc >> (c + 1):
+                continue  # no row e > c for a third part
+            ds = second[c] & m
+            while ds:
+                low = ds & -ds
+                ds ^= low
+                d = low.bit_length() - 1
+                x = mc & perp[d]
+                es = x >> c << c
+                while es:
+                    low = es & -es
+                    es ^= low
+                    e = low.bit_length() - 1
+                    fs = second[e] & x
+                    if fs:
+                        k = plane_at[e, fs.bit_length() - 1]
+                        found.append(Splitting._trusted((u, plane_at[c, d], k)))
+                        break
+    return tuple(found)
+
+
 @lru_cache(maxsize=None)
 def _splittings_cached(bound):
-    # A pairwise orthogonal triple of unimodular symplectic planes always
-    # spans the whole lattice (a unimodular sublattice of full rank inside a
-    # unimodular complement has index 1), so splittings within the bound are
-    # exactly the triangles of the orthogonality graph on the plane list.
-    subs = enumerate_symplectic_rank2(bound)
-    n = len(subs)
-    row_ids = {}
-    for u in subs:
-        for row in u.basis:
-            row_ids.setdefault(row, len(row_ids))
-    rows = [None] * len(row_ids)
-    for row, idx in row_ids.items():
-        rows[idx] = row
-    subs_using = [0] * len(rows)
-    sub_rows = []
-    for i, u in enumerate(subs):
-        ids = tuple(row_ids[row] for row in u.basis)
-        sub_rows.append(ids)
-        for rid in ids:
-            subs_using[rid] |= 1 << i
-    full_mask = (1 << n) - 1
-    # bad[r]: planes with a basis row that pairs nonzero with row r; the
-    # pairing is alternating, so each unordered pair of rows is tested once
-    bad = [0] * len(rows)
-    for r, f in enumerate(rows):
-        for other in range(r + 1, len(rows)):
-            if _pairing(f, rows[other]) != 0:
-                bad[r] |= subs_using[other]
-                bad[other] |= subs_using[r]
-    # bit b of up[i]: plane i + 1 + b is orthogonal to plane i
-    up = [
-        (full_mask & ~(bad[ids[0]] | bad[ids[1]])) >> (i + 1)
-        for i, ids in enumerate(sub_rows)
-    ]
-
-    found = []
-    for i in range(n):
-        m = up[i]
-        while m:
-            low = m & -m
-            m ^= low
-            b = low.bit_length()
-            j = i + b
-            common = (up[i] >> b) & up[j]
-            while common:
-                lowk = common & -common
-                common ^= lowk
-                k = j + lowk.bit_length()
-                found.append(Splitting._trusted((subs[i], subs[j], subs[k])))
-    # subs is sorted by key and i < j < k grow in that order, so each
-    # splitting's parts and the list itself are already in ordered-key order
-    return tuple(found)
+    return _splittings_among(enumerate_symplectic_rank2(bound))
 
 
 def enumerate_splittings(coefficient_bound):

@@ -37,16 +37,20 @@ with a rank taken before any pairing.  ``sclass_image_by_scan`` is
 its type-(c) label index: a scan of the whole page basis per call.
 ``basic_cycle_problem`` runs the checks a vertex's constructor made
 before the vertices became plain weight dicts.
+``splittings_by_plane_masks`` is the splitting enumerator as it was
+before it worked on the rows of the planes: every triangle of the
+orthogonality graph, by masks of planes indexed by their place in the
+sorted list, and a pairing of every two distinct rows.
 """
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
 
-from torelli3.cycles import CellInstance, _cell, face_geometry
+from torelli3.cycles import CellInstance, face_geometry
 from torelli3 import surface
 from torelli3.lattice import (
-    A3, ZERO, HVector, UsageError, hermite_row_form, intersection, kernel_basis,
-    matrix_rank, solve_integer, splitting_type_wrt_x,
+    A3, ZERO, HVector, Splitting, UsageError, _pairing, hermite_row_form, intersection,
+    kernel_basis, matrix_rank, solve_integer, splitting_type_wrt_x,
 )
 from torelli3.specseq import GeneratorTag
 from torelli3.surface import (
@@ -187,7 +191,9 @@ def append_loop_by_scan(cell):
         raise UsageError("no piece can host the loop")
     pieces = [(v, g - 1 if v == host else g) for v, g in m.graph.vertices]
     edges = list(m.graph.edges) + [("beta", host, host)]
-    return _cell(pieces, edges, {**m.classes, "beta": A3}, m.x + A3)
+    classes = {**m.classes, "beta": A3}
+    graph = DecompGraph(pieces, edges)
+    return CellInstance(LabeledMulticurve(graph, {e: classes[e] for e, _, _ in edges}, m.x + A3))
 
 
 def dense_kernel_matches_pattern(src, mat, pattern):
@@ -483,3 +489,59 @@ def sclass_image_by_scan(splitting, src):
         if orbit[0] == "c" and orbit[1] == key
     }
     return {labels[second]: 1, labels[third]: -1}
+
+
+def splittings_by_plane_masks(subs):
+    """``lattice._splittings_among(subs)`` as it was before it moved to
+    row masks: the triangle scan on plane-indexed bitsets."""
+    # A pairwise orthogonal triple of unimodular symplectic planes always
+    # spans the whole lattice (a unimodular sublattice of full rank inside a
+    # unimodular complement has index 1), so splittings within the bound are
+    # exactly the triangles of the orthogonality graph on the plane list.
+    n = len(subs)
+    row_ids = {}
+    for u in subs:
+        for row in u.basis:
+            row_ids.setdefault(row, len(row_ids))
+    rows = [None] * len(row_ids)
+    for row, idx in row_ids.items():
+        rows[idx] = row
+    subs_using = [0] * len(rows)
+    sub_rows = []
+    for i, u in enumerate(subs):
+        ids = tuple(row_ids[row] for row in u.basis)
+        sub_rows.append(ids)
+        for rid in ids:
+            subs_using[rid] |= 1 << i
+    full_mask = (1 << n) - 1
+    # bad[r]: planes with a basis row that pairs nonzero with row r; the
+    # pairing is alternating, so each unordered pair of rows is tested once
+    bad = [0] * len(rows)
+    for r, f in enumerate(rows):
+        for other in range(r + 1, len(rows)):
+            if _pairing(f, rows[other]) != 0:
+                bad[r] |= subs_using[other]
+                bad[other] |= subs_using[r]
+    # bit b of up[i]: plane i + 1 + b is orthogonal to plane i
+    up = [
+        (full_mask & ~(bad[ids[0]] | bad[ids[1]])) >> (i + 1)
+        for i, ids in enumerate(sub_rows)
+    ]
+
+    found = []
+    for i in range(n):
+        m = up[i]
+        while m:
+            low = m & -m
+            m ^= low
+            b = low.bit_length()
+            j = i + b
+            common = (up[i] >> b) & up[j]
+            while common:
+                lowk = common & -common
+                common ^= lowk
+                k = j + lowk.bit_length()
+                found.append(Splitting._trusted((subs[i], subs[j], subs[k])))
+    # subs is sorted by key and i < j < k grow in that order, so each
+    # splitting's parts and the list itself are already in ordered-key order
+    return tuple(found)

@@ -859,6 +859,26 @@ def test_ladder_catches_a_lost_two_cell_vertex(monkeypatch):
             build_ladder(1, 2, 2)
 
 
+def test_ladder_catches_a_lost_triangle_vertex(monkeypatch):
+    """A triangular two-cell that loses any one of its three vertices
+    fails the build as an internal contradiction, not a usage error:
+    each vertex is the only one carrying some curve."""
+    enumerate_all = cycles.enumerate_basic_cycles
+    for index in range(3):
+
+        def dropping(m, x, index=index):
+            verts = enumerate_all(m, x)
+            if len(m.graph.vertices) == 3 and len(verts) == 3:
+                del verts[index]
+            return verts
+
+        monkeypatch.setattr(cycles, "enumerate_basic_cycles", dropping)
+        with pytest.raises(
+            InternalInconsistencyError, match=r"ladder cell on curves .*: curves outside"
+        ):
+            build_ladder(1, 2, 2)
+
+
 def test_ladder_rejects_bad_parameters():
     for m, n, K in [(0, 1, 1), (1, 0, 1), (-1, 2, 1), (2, 4, 1), (1, 1, 0)]:
         with pytest.raises(ValueError):

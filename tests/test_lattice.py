@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from oracles import (
-    contains_by_lists, decompose, letter_by_decompose, solve_rational, ytype_by_decompose,
+    contains_by_lists, decompose, letter_by_decompose, solve_rational,
+    splittings_by_plane_masks, ytype_by_decompose,
 )
 from torelli3 import lattice
 from torelli3.lattice import (
@@ -690,6 +691,12 @@ def _box_oracle_height1_count():
     key is faithful).  A lattice qualifies iff some Hermite-shaped pair of
     its box points spans it; box points have (u,v)-coefficients bounded by 2
     in absolute value, hence the [-2,2] combination window is complete.
+
+    Each unordered pair {u, v} is visited once, v after u.  The pairing
+    is alternating, so (v, u) pairs to minus what (u, v) does and passes
+    the +-1 test exactly when (u, v) does; the window [-2,2]^2 is
+    symmetric in its two coefficients, so (v, u) gives the same box-point
+    set; and u = v pairs to 0.  So the same lattices are found.
     """
     gram = [[0] * 6 for _ in range(6)]
     for i in (0, 2, 4):
@@ -702,9 +709,9 @@ def _box_oracle_height1_count():
     vecs = [v for v in product((-1, 0, 1), repeat=6) if any(v)]
     forms = {v: form(v) for v in vecs}
     reps = {}
-    for u in vecs:
+    for index, u in enumerate(vecs):
         fu = forms[u]
-        for v in vecs:
+        for v in vecs[index + 1 :]:
             p = sum(a * b for a, b in zip(fu, v))
             if p != 1 and p != -1:
                 continue
@@ -770,6 +777,59 @@ def test_enumerate_splittings_frozen_count():
     assert STANDARD_SPLITTING.unordered_key() in keys
     with pytest.raises(ValueError):
         enumerate_splittings(0)
+
+
+def _ordered_keys(splittings):
+    return [s.ordered_key() for s in splittings]
+
+
+def test_splittings_of_bound_1_match_the_plane_mask_oracle():
+    want = _ordered_keys(splittings_by_plane_masks(enumerate_symplectic_rank2(1)))
+    assert len(want) == SPLITTINGS_BOUND1_COUNT
+    assert _ordered_keys(enumerate_splittings(1)) == want
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from((0.05, 0.3, 0.6, 0.9)))
+def test_splittings_among_plane_sublists_match_the_oracle(seed, density):
+    """On a sorted random sublist of the height-1 planes, where the forced
+    third part of an orthogonal pair is often missing, the row-mask route
+    finds the same splittings in the same order as the plane-mask one."""
+    rng = random.Random(seed)
+    planes = [u for u in enumerate_symplectic_rank2(1) if rng.random() < density]
+    want = _ordered_keys(splittings_by_plane_masks(planes))
+    assert _ordered_keys(lattice._splittings_among(planes)) == want
+
+
+def _planes_orthogonal_to(*parts):
+    """The height-1 planes whose basis rows pair to 0 with every basis
+    row of ``parts``, by a plain scan of pairings."""
+    rows = [row for p in parts for row in p.basis]
+    return [
+        w for w in enumerate_symplectic_rank2(1)
+        if all(lattice._pairing(r, s) == 0 for r in rows for s in w.basis)
+    ]
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, SPLITTINGS_BOUND1_COUNT - 1))
+def test_the_third_part_of_a_splitting_is_forced(index):
+    """The listed planes orthogonal to two parts of a splitting are
+    exactly its third part."""
+    parts = enumerate_splittings(1)[index].parts
+    for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
+        assert _planes_orthogonal_to(parts[i], parts[j]) == [parts[k]]
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, RANK2_HEIGHT1_COUNT - 1), st.data())
+def test_an_orthogonal_pair_in_no_splitting_has_no_third_part(index, data):
+    u = enumerate_symplectic_rank2(1)[index]
+    partners = {p for s in enumerate_splittings(1) if u in s.parts for p in s.parts}
+    lonely = [v for v in _planes_orthogonal_to(u) if v not in partners]
+    assume(lonely)
+    v = data.draw(st.sampled_from(lonely))
+    assert _planes_orthogonal_to(u, v) == []
 
 
 def test_splittings_through_fixed_part_recounted():
@@ -891,6 +951,13 @@ def test_components_of_parts_that_are_not_orthogonal_are_an_internal_error():
 def test_enumerate_splittings_rejects_a_non_integer_bound():
     with pytest.raises(UsageError, match="the coefficient bound must be an integer, got 1.0"):
         enumerate_splittings(1.0)
+
+
+@pytest.mark.parametrize("bad", (1.5, "2", 2.0, 1.0))
+def test_enumerate_rank2_rejects_a_non_integer_height(bad):
+    enumerate_symplectic_rank2(1)  # a cached int entry is not hit by 1.0
+    with pytest.raises(UsageError, match=f"the height must be an integer, got {bad!r}"):
+        enumerate_symplectic_rank2(bad)
 
 
 @pytest.mark.parametrize("bad", NON_INTEGERS)
