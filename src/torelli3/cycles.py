@@ -84,10 +84,10 @@ def _adjugate(m):
 def _pattern(n, R):
     """(bounded, solvers) of the reduced class form R on n curves.
 
-    The subset scan of ``surface.scan_subsets``, run once per pattern on
-    R, which has the kernel of every class matrix reducing to it.  A
-    subset whose kernel is a line with a sign-definite generator makes
-    the polytope unbounded, and the scan stops there.  Each independent
+    The subset scan of ``tests/oracles.scan_subsets``, run once per
+    pattern on R, which has the kernel of every class matrix reducing to
+    it.  A subset whose kernel is a line with a sign-definite generator
+    makes the polytope unbounded, and the scan stops there.  Each independent
     subset of columns gets a solver: the rows of R where its minor is
     invertible (the pivot rows), the adjugate and determinant of that
     minor, and the other rows restricted to the subset, which a solution
@@ -118,7 +118,7 @@ def _pattern(n, R):
 
 
 def _scan_by_pattern(columns, target):
-    """(found, bounded) of ``surface.scan_subsets`` by the pattern route.
+    """(found, bounded) of ``tests/oracles.scan_subsets`` by the pattern route.
 
     ``found`` lists (column indices, weights) of the positive integer
     solutions on independent subsets, which the pattern's solvers give
@@ -154,8 +154,8 @@ def enumerate_basic_cycles(m, x):
     subset scan runs once per distinct R (``_pattern``) and decides
     boundedness, raising before any solve when the polytope is
     unbounded; each cell then solves every independent subset by an
-    adjugate product and an exact division.  ``surface.scan_subsets``,
-    one elimination per curve subset, is the oracle of the tests.
+    adjugate product and an exact division.  The test oracle
+    ``tests/oracles.scan_subsets`` makes one elimination per curve subset.
 
     A vertex needs no further check, because the solve proves each
     property of a basic cycle: its support is a subset of the edge
@@ -193,7 +193,7 @@ class CellInstance:
     ``enumerate_basic_cycles`` finds the vertices by the pattern route,
     after the scan of the cell's relation pattern has checked that the
     polytope is bounded (the tests compare both with the per-cell
-    ``surface.scan_subsets``); every curve must lie on a vertex.  An
+    ``tests/oracles.scan_subsets``); every curve must lie on a vertex.  An
     appended cell is lifted from its plain cell instead, and a mirror
     cell renamed from its + partner (``_trusted``).
     """
@@ -608,9 +608,6 @@ class LadderComplex:
             for edge in boundary:
                 index.setdefault(edge, []).append(tag)
         return index
-
-    def cofaces(self, edge):
-        return sorted(self._coface_index().get(edge, ()), key=str)
 
     def glued_vertex(self, v):
         """Image of a vertex after identifying the two rung endpoints."""

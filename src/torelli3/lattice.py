@@ -674,11 +674,6 @@ def primitive_part(x):
 # transvections
 
 
-def transvection(c, v, power=1):
-    """Image of v under the c-transvection, v + power * <v, c> c."""
-    return v + (power * intersection(v, c)) * c
-
-
 def transvection_matrix(c, power=1):
     """The 6x6 matrix of the c-transvection acting on column vectors."""
     row = form_row(c)

@@ -13,7 +13,7 @@ from functools import lru_cache
 from itertools import permutations, product
 from operator import add, sub
 
-from .lattice import A1, A2, A3, ZERO, as_int, as_ints, intersection, matrix_rank, solve_integer
+from .lattice import A1, A2, A3, ZERO, as_int, as_ints, intersection, matrix_rank
 from .lattice import InternalInconsistencyError, UsageError
 
 ISOTROPIC_BASIS = (A1, A2, A3)
@@ -94,10 +94,6 @@ class DecompGraph:
             if eid == e:
                 return t, h
         raise UsageError(f"unknown edge {e!r}")
-
-    def is_loop(self, e):
-        t, h = self.endpoints(e)
-        return t == h
 
     def genus_multiset(self):
         return tuple(sorted(g for _, g in self.vertices))
@@ -280,14 +276,22 @@ def _merges(pairs, ids):
     return merges
 
 
-def _has_bridge(graph):
-    """Whether removing some non-loop edge adds a component."""
-    pairs = [(t, h) for _, t, h in graph.edges]
-    whole = _merges(pairs, graph.vertex_ids)
-    return any(
-        t != h and _merges(pairs[:i] + pairs[i + 1 :], graph.vertex_ids) < whole
-        for i, (t, h) in enumerate(pairs)
-    )
+def _strongly_connected(arcs, ids):
+    """Whether every vertex of ``ids`` is reached from ``ids[0]`` along
+    the (tail, head) arcs, and reaches it."""
+    for pairs in (arcs, [(h, t) for t, h in arcs]):
+        out = {v: [] for v in ids}
+        for t, h in pairs:
+            out[t].append(h)
+        seen, frontier = {ids[0]}, [ids[0]]
+        while frontier:
+            for h in out[frontier.pop()]:
+                if h not in seen:
+                    seen.add(h)
+                    frontier.append(h)
+        if len(seen) != len(ids):
+            return False
+    return True
 
 
 def _cycle_rows(graph):
@@ -333,94 +337,68 @@ def _cycle_rows(graph):
     return rows, chords
 
 
-def scan_subsets(rows, edge_order, target):
-    """One elimination of [rows of S | target] per nonempty curve subset S.
-
-    Returns the positive solutions (S, weights) of the subsets of full
-    rank, and condition (i): no nontrivial nonnegative combination of the
-    rows vanishes.  A violation of minimal support is a subset whose
-    kernel is a line with a sign-definite generator (of any scale), so
-    reading each kernel line is exact.  The scan stops at the first
-    violation, its solutions then incomplete.  The kernel lines do not
-    depend on the target; a zero target (tests only) decides (i) alone.
-    """
-    n, width = len(edge_order), len(target)
-    found = []
-    for mask in range(1, 1 << n):
-        subset = [edge_order[i] for i in range(n) if mask >> i & 1]
-        if len(subset) > width + 1:
-            continue
-        matrix = [[rows[e][i] for e in subset] for i in range(width)]
-        rank, sol, line = solve_integer(matrix, target)
-        if rank == len(subset) and sol is not None and min(sol) > 0:
-            found.append((subset, sol))
-        elif line and (min(line) > 0 or max(line) < 0):
-            return found, False
-    return found, True
-
-
 def realizability_check(graph):
     """Search for a homology labeling making the graph a genuine multicurve.
 
     Returns a witness ``LabeledMulticurve`` (classes inside the isotropic
     span of a1, a2, a3 and an ambient class carried by basic cycles through
-    every curve), or ``None`` when no labeling exists.  Separating curves
-    are impossible in such a labeling, so any bridge is an immediate
-    rejection, as is the empty multicurve.
+    every curve), or ``None`` when no labeling exists, as for the empty
+    multicurve.
 
-    Each orientation costs one ``scan_subsets`` of its fundamental-cycle
-    rows against x = sum_e rows[e]: its bounded flag is condition (i) and
-    its positive solutions are the basic cycles carrying x, which must
-    cover every edge for (ii).  Under (i) they do (Caratheodory, keeping
-    one vector): from the all-ones weights, a relation on a dependent
-    support has both signs by (i), so moving along it without lowering
-    edge e's weight drops another edge, ending at a basic cycle through e
-    with positive rational weights.  The rows form a fundamental-cycle
-    matrix, which is totally unimodular (Schrijver, *Theory of Linear and
-    Integer Programming*, ch. 19), so basic solutions are integral and x
-    needs no scale.  An uncovered edge is an internal inconsistency.
+    The orientations are tried in ``product`` order over the edge ids, a
+    True flip reversing its edge, and the first strongly connected one
+    gives the witness: each class is its edge's fundamental-cycle row
+    (``_cycle_rows``) read in the basis a1, a2, a3, and x = sum_e rows[e].
+    Condition (i), that no nonnegative combination of the rows vanishes,
+    is strong connectivity.  Such a combination is a nonnegative edge
+    weighting orthogonal to every cycle, whose support holds a directed
+    cut, and by Minty's painting lemma each edge lies on a directed
+    cycle or a directed cut, never both.  Condition (ii) then holds: the
+    all-ones weights carry x, so every edge lies on a vertex of the
+    bounded weight polytope, integral as the rows are totally
+    unimodular.  By Robbins' theorem a connected graph has a strongly
+    connected orientation exactly when it has no bridge, so the loop
+    rejects every bridged graph by itself.
+
+    The checked ``LabeledMulticurve`` constructor (null homology per
+    piece, the rank test) is the internal check of the witness; a
+    failure there, or in ``reoriented``, is an internal inconsistency.
     """
     if not graph.edges:
         return None
     rank = len(graph.edges) - (len(graph.vertices) - 1)
     if rank < 1 or rank > len(ISOTROPIC_BASIS):
         return None
-    if _has_bridge(graph):
+    for flips in product((False, True), repeat=len(graph.edges)):
+        arcs = [(h, t) if f else (t, h) for (_, t, h), f in zip(graph.edges, flips)]
+        if _strongly_connected(arcs, graph.vertex_ids):
+            break
+    else:
         return None
-    edge_order = list(graph.edge_ids)
-    for flips in product((False, True), repeat=len(edge_order)):
-        flipped = [e for e, f in zip(edge_order, flips) if f]
-        candidate = graph.reoriented(flipped)
+    try:
+        candidate = graph.reoriented([e for e, f in zip(graph.edge_ids, flips) if f])
         rows, chords = _cycle_rows(candidate)
         if len(chords) != rank:
             raise InternalInconsistencyError(
                 f"{len(chords)} chords, not the rank {rank}, in {candidate!r}"
             )
-        target = tuple(map(sum, zip(*rows.values())))
-        found, bounded = scan_subsets(rows, edge_order, target)
-        if not bounded:
-            continue
-        uncovered = set(edge_order).difference(*(subset for subset, _ in found))
-        if uncovered:
-            raise InternalInconsistencyError(
-                f"edges {uncovered} lie on no basic cycle carrying x = {target}"
-            )
         basis = ISOTROPIC_BASIS[:rank]
         classes = {}
-        for e in edge_order:
+        for e in candidate.edge_ids:
             value = ZERO
             for coef, vec in zip(rows[e], basis):
                 value = value + coef * vec
             classes[e] = value
         witness = LabeledMulticurve(candidate, classes, sum(classes.values(), ZERO))
-        for e in edge_order:
-            for f in edge_order:
-                if intersection(classes[e], classes[f]):
-                    raise InternalInconsistencyError(
-                        f"curves {e!r} and {f!r} of {candidate!r} pair nonzero"
-                    )
-        return witness
-    return None
+    except UsageError as err:
+        raise InternalInconsistencyError(f"census graph {graph!r}: {err}") from err
+    for e in candidate.edge_ids:
+        for f in candidate.edge_ids:
+            if intersection(classes[e], classes[f]):
+                raise InternalInconsistencyError(
+                    f"curves {e!r} and {f!r} of {candidate!r} pair nonzero"
+                )
+    return witness
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,12 @@
 
 ``solve_rational`` is the rational Gauss-Jordan solve the package used
 before its linear algebra went fraction-free; the integer routines are
-checked against it.  ``two_scan`` is the route cells took before one
+checked against it.  ``scan_subsets``, one elimination per curve subset,
+is the route cells took before they were solved by relation pattern,
+and the census's realizability check before it became a reachability
+test; it is the oracle of ``cycles._pattern`` and, with a zero target,
+of the strong-connectivity test ``surface._strongly_connected``.
+``two_scan`` is the route cells took before one
 elimination per curve subset served both vertices and boundedness.
 ``boundary_faces`` builds every face of a cell as a fresh cell, as the
 ladder did before it kept its own edge cells as faces.
@@ -26,8 +31,10 @@ every edge multiset from ``combinations_with_replacement``, connectivity
 by ``canonical_combo_all_perms``, the least key over all relabelings.
 ``realizability_by_search`` is ``surface.realizability_check`` as it was
 before one scan against x = sum of the rows decided both conditions: a
-zero-target ``scan_subsets`` for condition (i), then the weight search
-``common_cycle_class`` for condition (ii), whose least class is x.
+bridge test, a zero-target ``scan_subsets`` for condition (i), then the
+weight search ``common_cycle_class`` for condition (ii), whose least
+class is x.  Its bridge test ``has_bridge`` asks ``reachable`` whether
+the ends of each non-loop edge stay joined without it.
 ``multicurve_problem_by_vertex_loop``, ``contains_by_lists`` and
 ``is_admissible_by_vectors`` are the cell-layer checks as they were before
 they moved to coordinate tuples: a null-homology sum of ``HVector``s per
@@ -41,6 +48,8 @@ before the vertices became plain weight dicts.
 before it worked on the rows of the planes: every triangle of the
 orthogonality graph, by masks of planes indexed by their place in the
 sorted list, and a pairing of every two distinct rows.
+``is_loop`` and ``transvection`` are references the tests read and the
+package does not.
 """
 
 from fractions import Fraction
@@ -95,7 +104,7 @@ def solve_rational(m, target):
 
 
 def two_scan(rows, edge_order, target):
-    """``surface.scan_subsets`` by its old two routes, one elimination each.
+    """``scan_subsets`` by its old two routes, one elimination each.
 
     Vertices: ``solve_integer`` on [rows of S | target] for every subset S
     of at most ``len(target)`` curves, keeping positive solutions of full
@@ -325,6 +334,42 @@ def census_by_filter(p):
     return tuple(entries)
 
 
+def scan_subsets(rows, edge_order, target):
+    """One elimination of [rows of S | target] per nonempty curve subset S.
+
+    Returns the positive solutions (S, weights) of the subsets of full
+    rank, and condition (i): no nontrivial nonnegative combination of the
+    rows vanishes.  A violation of minimal support is a subset whose
+    kernel is a line with a sign-definite generator (of any scale), so
+    reading each kernel line is exact.  The scan stops at the first
+    violation, its solutions then incomplete.  The kernel lines do not
+    depend on the target; a zero target (tests only) decides (i) alone.
+    """
+    n, width = len(edge_order), len(target)
+    found = []
+    for mask in range(1, 1 << n):
+        subset = [edge_order[i] for i in range(n) if mask >> i & 1]
+        if len(subset) > width + 1:
+            continue
+        matrix = [[rows[e][i] for e in subset] for i in range(width)]
+        rank, sol, line = solve_integer(matrix, target)
+        if rank == len(subset) and sol is not None and min(sol) > 0:
+            found.append((subset, sol))
+        elif line and (min(line) > 0 or max(line) < 0):
+            return found, False
+    return found, True
+
+
+def has_bridge(graph):
+    """Whether removing some non-loop edge cuts its ends apart, by
+    ``reachable``."""
+    pairs = [(t, h) for _, t, h in graph.edges]
+    return any(
+        t != h and h not in reachable(pairs[:i] + pairs[i + 1 :], t)
+        for i, (t, h) in enumerate(pairs)
+    )
+
+
 def common_cycle_class(rows, edge_order, weight_bound=3):
     """Condition (ii) witness: a class carried by a basic cycle through
     every edge, searched over positive integer weights up to the bound."""
@@ -361,13 +406,13 @@ def realizability_by_search(graph):
     rank = len(graph.edges) - (len(graph.vertices) - 1)
     if rank < 1 or rank > len(ISOTROPIC_BASIS):
         return None
-    if surface._has_bridge(graph):
+    if has_bridge(graph):
         return None
     edge_order = list(graph.edge_ids)
     for flips in product((False, True), repeat=len(edge_order)):
         candidate = graph.reoriented([e for e, f in zip(edge_order, flips) if f])
         rows, _ = surface._cycle_rows(candidate)
-        if not surface.scan_subsets(rows, edge_order, (0,) * rank)[1]:
+        if not scan_subsets(rows, edge_order, (0,) * rank)[1]:
             continue
         target = common_cycle_class(rows, edge_order)
         if target is None:
@@ -438,6 +483,11 @@ def contains_by_lists(u, v):
     return all(x == 0 for x in coords)
 
 
+def is_loop(graph, e):
+    t, h = graph.endpoints(e)
+    return t == h
+
+
 def is_admissible_by_vectors(cell, u):
     """``specseq.is_admissible`` with the class rank taken first and the
     pairings tested on ``HVector``s."""
@@ -449,7 +499,7 @@ def is_admissible_by_vectors(cell, u):
         if all(intersection(v, c) == 0 for v in u.vectors() for c in m.classes.values()):
             if matrix_rank(class_rows + u_rows) == base_rank + 2:
                 return True
-    loops = [e for e in m.edge_ids() if m.graph.is_loop(e)]
+    loops = [e for e in m.edge_ids() if is_loop(m.graph, e)]
     for e in loops:
         cls = m.class_of(e)
         if not contains_by_lists(u, cls):
@@ -545,3 +595,8 @@ def splittings_by_plane_masks(subs):
     # subs is sorted by key and i < j < k grow in that order, so each
     # splitting's parts and the list itself are already in ordered-key order
     return tuple(found)
+
+
+def transvection(c, v, power=1):
+    """Image of v under the c-transvection, v + power * <v, c> c."""
+    return v + (power * intersection(v, c)) * c

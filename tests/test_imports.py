@@ -1,7 +1,8 @@
 """Every name a torelli3 module imports is used in that module, every
 error it defines or raises belongs to the package's one error model, no
-check is an ``assert`` that ``python -O`` would drop, and every trusted
-constructor names the test that proves it.
+check is an ``assert`` that ``python -O`` would drop, every trusted
+constructor names the test that proves it, and every public function is
+reached by the package, the acceptance gate or the bench harness.
 
 A deliberate re-export says so with ``# noqa: F401`` on its import.  The
 scans are AST walks, so they need no linter.
@@ -14,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "torelli3"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "torelli3"
 TESTS = Path(__file__).resolve().parent
 
 
@@ -223,3 +225,62 @@ def test_every_trusted_constructor_names_an_existing_test():
     sources = [path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))]
     tests = [path.read_text(encoding="utf-8") for path in sorted(TESTS.glob("*.py"))]
     assert unproved_trusted(sources, defined_tests(tests)) == []
+
+
+def unreached_public_functions(package, readers):
+    """Name of each public module function or method of the package
+    sources that no package or reader source reads.
+
+    A read is a name, an attribute or a string constant equal to it: the
+    bench harness wraps CLI suites by name.  A definition is no read.
+    """
+    trees = [ast.parse(source) for source in package + readers]
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    defined = []
+    for tree in trees[: len(package)]:
+        bodies = [tree.body] + [n.body for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
+        defined += [
+            node.name
+            for body in bodies
+            for node in body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        ]
+    return sorted(name for name in defined if name not in read)
+
+
+def test_reach_scan_flags_unread_functions_and_methods():
+    package = (
+        "def used(): pass\n"
+        "def by_name(): pass\n"
+        "def dead():\n"
+        "    def inner(): pass\n"
+        "    return used()\n"
+        "def _private(): pass\n"
+        "class C:\n"
+        "    def method(self): pass\n"
+        "    def stale(self): return self.method\n"
+    )
+    reader = "SUITES = ['by_name']\n"
+    assert unreached_public_functions([package], [reader]) == ["dead", "stale"]
+
+
+# admissible_subgroups: becomes the filter of `check d22` over every
+# admissible subgroup, or moves to the tests (ROADMAP item 2)
+REACH_ALLOWED = {"admissible_subgroups"}
+
+
+def test_every_public_function_is_reached():
+    package = [path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))]
+    readers = [
+        path.read_text(encoding="utf-8")
+        for path in [TESTS / "test_acceptance.py", *sorted((ROOT / "perfbench").glob("*.py"))]
+    ]
+    assert set(unreached_public_functions(package, readers)) == REACH_ALLOWED

@@ -17,7 +17,7 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from oracles import (
     contains_by_lists, decompose, letter_by_decompose, solve_rational,
-    splittings_by_plane_masks, ytype_by_decompose,
+    splittings_by_plane_masks, transvection, ytype_by_decompose,
 )
 from torelli3 import lattice
 from torelli3.lattice import (
@@ -29,7 +29,7 @@ from torelli3.lattice import (
     matrix_product, matrix_rank, orthogonal_complement,
     primitive_part, saturate, smith_normal_form, solve_integer,
     splitting_type_wrt_x,
-    splitting_type_wrt_y, transvection, transvection_matrix, apply_matrix,
+    splitting_type_wrt_y, transvection_matrix, apply_matrix,
     transform_splitting,
 )
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import boundary_faces, is_admissible_by_vectors, pair_tag_by_vectors
+from oracles import boundary_faces, is_admissible_by_vectors, pair_tag_by_vectors, transvection
 from torelli3.cycles import CellInstance, InternalInconsistencyError, build_ladder
 from torelli3.lattice import (
     A1,
@@ -23,7 +23,6 @@ from torelli3.lattice import (
     enumerate_splittings,
     enumerate_symplectic_rank2,
     splitting_type_wrt_x,
-    transvection,
 )
 from torelli3.specseq import (
     E1Truncation,

@@ -1,7 +1,6 @@
 """Tests for decomposition graphs, labelings, and the genus-3 census."""
 
 from itertools import combinations_with_replacement, product
-from types import SimpleNamespace
 
 import pytest
 import sympy
@@ -9,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
-    canonical_combo_all_perms, census_by_filter, common_cycle_class,
-    multicurve_problem_by_vertex_loop, realizability_by_search, reachable,
+    canonical_combo_all_perms, census_by_filter, common_cycle_class, has_bridge,
+    multicurve_problem_by_vertex_loop, realizability_by_search, reachable, scan_subsets,
 )
 from torelli3 import cli, surface
 from torelli3.lattice import (
@@ -459,63 +458,61 @@ def test_weight_search_oracle_agrees_on_every_census_graph(census_graphs):
         for flips in product((False, True), repeat=len(order)):
             oriented = graph.reoriented([e for e, f in zip(order, flips) if f])
             rows, chords = surface._cycle_rows(oriented)
-            if not chords or not surface.scan_subsets(rows, order, (0,) * len(chords))[1]:
+            if not chords or not scan_subsets(rows, order, (0,) * len(chords))[1]:
                 continue
             passing += 1
             assert common_cycle_class(rows, order) is not None
-            found, bounded = surface.scan_subsets(rows, order, sum_of_rows(rows))
+            found, bounded = scan_subsets(rows, order, sum_of_rows(rows))
             assert bounded
             assert {e for subset, _ in found for e in subset} == set(order)
     assert passing == 138
 
 
-def test_one_scan_per_orientation_tried(census_graphs, monkeypatch):
-    calls = {"rows": 0, "scans": 0}
-    cycle_rows, scan = surface._cycle_rows, surface.scan_subsets
+def test_cycle_rows_run_once_per_accepted_census_graph(census_graphs, monkeypatch):
+    # the orientations are decided on their arcs; only the first that
+    # passes is built into a witness
+    calls = []
+    cycle_rows = surface._cycle_rows
 
     def counting_rows(graph):
-        calls["rows"] += 1
+        calls.append(graph)
         return cycle_rows(graph)
 
-    def counting_scan(*args):
-        calls["scans"] += 1
-        return scan(*args)
-
     monkeypatch.setattr(surface, "_cycle_rows", counting_rows)
-    monkeypatch.setattr(surface, "scan_subsets", counting_scan)
+    accepted = 0
     for graph in census_graphs:
-        before = dict(calls)
-        realizability_check(graph)
-        assert calls["scans"] - before["scans"] == calls["rows"] - before["rows"]
-    assert calls["scans"] > 42
+        before = len(calls)
+        witness = realizability_check(graph)
+        if witness is None:
+            assert len(calls) == before
+        else:
+            accepted += 1
+            assert calls[before:] == [witness.graph]
+    assert accepted == len(calls) == 14
 
 
-@pytest.fixture
-def scan_dropping_a_solution(monkeypatch):
-    """``surface.scan_subsets`` with its first positive solution left out,
-    and the census cache cleared before and after."""
-    scan = surface.scan_subsets
+def test_census_fault_is_an_internal_error(monkeypatch, capsys):
+    """A witness the checked constructor rejects is an internal
+    inconsistency of the census, exit 3, not a usage error."""
+    cycle_rows = surface._cycle_rows
 
-    def lossy(*args):
-        found, bounded = scan(*args)
-        return found[1:], bounded
+    def doubling_rows(graph):
+        rows, chords = cycle_rows(graph)
+        first = graph.edge_ids[0]
+        rows[first] = tuple(2 * c for c in rows[first])
+        return rows, chords
 
-    monkeypatch.setattr(surface, "scan_subsets", lossy)
+    monkeypatch.setattr(surface, "_cycle_rows", doubling_rows)
     surface._census.cache_clear()
-    yield
-    surface._census.cache_clear()
-
-
-def test_uncovered_edge_is_an_internal_error(scan_dropping_a_solution, capsys):
-    loop = DecompGraph([(0, 1)], [("l", 0, 0)])
-    with pytest.raises(InternalInconsistencyError, match="lie on no basic cycle carrying"):
-        realizability_check(loop)
-    with pytest.raises(InternalInconsistencyError):
-        classify_types(3, 0)
-    assert cli.main(["types"]) == cli.EXIT_INTERNAL == 3
+    try:
+        with pytest.raises(InternalInconsistencyError, match="census graph"):
+            classify_types(3, 1)
+        assert cli.main(["types"]) == cli.EXIT_INTERNAL == 3
+    finally:
+        surface._census.cache_clear()
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: edges")
+    assert captured.err.startswith("error: census graph")
 
 
 @st.composite
@@ -535,19 +532,8 @@ def oriented_multigraphs(draw):
     return DecompGraph([(v, max(0, (4 - d) // 2)) for v, d in enumerate(degree)], edges)
 
 
-def strongly_connected(graph):
-    start = graph.vertex_ids[0]
-    for arcs in ([(t, h) for _, t, h in graph.edges], [(h, t) for _, t, h in graph.edges]):
-        seen, frontier = {start}, [start]
-        while frontier:
-            v = frontier.pop()
-            for a, b in arcs:
-                if a == v and b not in seen:
-                    seen.add(b)
-                    frontier.append(b)
-        if len(seen) != len(graph.vertices):
-            return False
-    return True
+def arcs_of(graph):
+    return [(t, h) for _, t, h in graph.edges]
 
 
 @settings(max_examples=300, deadline=None)
@@ -555,40 +541,47 @@ def strongly_connected(graph):
 def test_condition_i_is_strong_connectivity(graph):
     # a nonnegative vanishing combination of the rows is a flow orthogonal
     # to every cycle, so a directed cut; none exists exactly when the
-    # orientation is strongly connected
+    # orientation is strongly connected (Minty)
     rows, chords = surface._cycle_rows(graph)
     order = list(graph.edge_ids)
-    bounded = surface.scan_subsets(rows, order, (0,) * len(chords))[1]
-    assert bounded == strongly_connected(graph)
-    if bounded:
-        found, bounded = surface.scan_subsets(rows, order, sum_of_rows(rows))
+    strong = surface._strongly_connected(arcs_of(graph), graph.vertex_ids)
+    assert strong == scan_subsets(rows, order, (0,) * len(chords))[1]
+    if strong:
+        found, bounded = scan_subsets(rows, order, sum_of_rows(rows))
         assert bounded
         assert {e for subset, _ in found for e in subset} == set(order)
         assert all(type(w) is int and w > 0 for _, weights in found for w in weights)
 
 
+@settings(max_examples=200, deadline=None)
+@given(oriented_multigraphs())
+def test_some_orientation_is_strong_exactly_without_a_bridge(graph):
+    """Robbins' theorem on random connected multigraphs with loops: some
+    orientation passes the reachability test exactly when the
+    breadth-first oracle finds no bridge, and the census accepts the
+    graph exactly then."""
+    bridged = has_bridge(graph)
+    strong = [
+        surface._strongly_connected(
+            [(h, t) if f else (t, h) for (t, h), f in zip(arcs_of(graph), flips)],
+            graph.vertex_ids,
+        )
+        for flips in product((False, True), repeat=len(graph.edges))
+    ]
+    assert any(strong) != bridged
+    assert (realizability_check(graph) is None) == bridged
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_union_find_matches_the_bfs_oracle(data):
-    """Connectivity, and the bridge verdict of every edge, by the
-    union-find ``surface._merges`` against the breadth-first search, on
-    multigraphs with loops that may be disconnected."""
+    """Connectivity by the union-find ``surface._merges`` against the
+    breadth-first search, on multigraphs with loops that may be
+    disconnected."""
     nv = data.draw(st.integers(1, 5))
     vertex = st.integers(0, nv - 1)
     pairs = data.draw(st.lists(st.tuples(vertex, vertex), max_size=7))
-    ids = range(nv)
-    whole = surface._merges(pairs, ids)
-    assert (whole == nv - 1) == (len(reachable(pairs, 0)) == nv)
-    bridges = []
-    for i, (t, h) in enumerate(pairs):
-        rest = pairs[:i] + pairs[i + 1 :]
-        bridge = t != h and h not in reachable(rest, t)
-        assert (t != h and surface._merges(rest, ids) < whole) == bridge
-        bridges.append(bridge)
-    graph = SimpleNamespace(
-        vertex_ids=tuple(ids), edges=[(i, t, h) for i, (t, h) in enumerate(pairs)]
-    )
-    assert surface._has_bridge(graph) == any(bridges)
+    assert (surface._merges(pairs, range(nv)) == nv - 1) == (len(reachable(pairs, 0)) == nv)
 
 
 @settings(max_examples=200, deadline=None)
