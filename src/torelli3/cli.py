@@ -78,7 +78,7 @@ DEFAULT_K = 3
 # (2-vCPU host): 13.0-15.2 s and 228 MB at 5120; no window above 5120 measured
 MAX_K = 5120
 DEFAULT_MN = (1, 2)
-MAX_BOUND = 1  # bound 2 has 437,427 planes, 24 s to enumerate alone
+MAX_BOUND = 1  # bound 2 has 1,399,337 splittings, 27 s only to count them
 
 
 def _span(*vectors):

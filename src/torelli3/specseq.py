@@ -391,35 +391,25 @@ def is_admissible(cell, u):
     return False
 
 
-SUPPORTED_POSITIONS = ((3, 1), (2, 1), (2, 2), (1, 2), (1, 3), (0, 3))
-
-
 def build_e1(position, trunc):
     """Labeled basis of a truncated page position.
 
     Positions and their labels: (3,1) one twist class per translated
-    3-cell orbit; (2,1) conjugated twist classes within the window;
-    (2,2)/(1,2) abelian cycles per ladder cell or edge, sheet, and
-    admissible subgroup; (1,3) pair tags per splitting organized by type;
-    (0,3) one splitting tag per splitting.
+    3-cell orbit; (2,2)/(1,2) abelian cycles per ladder cell or edge,
+    sheet, and admissible subgroup; (1,3) pair tags per splitting
+    organized by type.  Each differential names its own rows, so no
+    package path builds the target bases at (2,1) and (0,3); they are
+    the row-label oracles ``tests/oracles.target_basis_21`` and
+    ``target_basis_03``.
     """
     if position == (3, 1):
         return _build_31(trunc)
-    if position == (2, 1):
-        return _build_21(trunc)
     if position in ((2, 2), (1, 2)):
         return _build_ladder_position(position, trunc)
     if position == (1, 3):
         if trunc.y is not None:
             return _build_13_tilde(trunc)
         return _build_13(trunc)
-    if position == (0, 3):
-        basis = [
-            (("vertex", s.unordered_key()), GeneratorTag.a3(s))
-            for s in trunc.splittings
-        ]
-        index = {s.unordered_key(): s for s in trunc.splittings}
-        return E1Truncation(position, basis, trunc, index)
     raise UsageError(f"unsupported position {position}")
 
 
@@ -432,17 +422,6 @@ def _build_31(trunc):
         for j in range(trunc.K)
     ]
     return E1Truncation((3, 1), basis, trunc)
-
-
-def _build_21(trunc):
-    if not trunc.orbits or not trunc.K:
-        raise UsageError("need orbits and a conjugation window")
-    basis = [
-        (orbit, GeneratorTag.bp_twist(k))
-        for orbit in trunc.orbits
-        for k in range(-trunc.K, trunc.K + 1)
-    ]
-    return E1Truncation((2, 1), basis, trunc)
 
 
 def _build_ladder_position(position, trunc):

@@ -48,6 +48,13 @@ before the vertices became plain weight dicts.
 before it worked on the rows of the planes: every triangle of the
 orthogonality graph, by masks of planes indexed by their place in the
 sorted list, and a pairing of every two distinct rows.
+``first_strong_orientation_by_product`` is the orientation loop of
+``surface.realizability_check`` as it was before its depth-first search
+cut dead vertices: every orientation in ``product`` order, each decided
+by ``surface._strongly_connected``.
+``target_basis_21`` and ``target_basis_03`` are the target bases of the
+differentials at (2, 1) and (0, 3), which ``specseq.build_e1`` built
+before each differential named its own rows.
 ``is_loop`` and ``transvection`` are references the tests read and the
 package does not.
 """
@@ -61,7 +68,7 @@ from torelli3.lattice import (
     A3, ZERO, HVector, Splitting, UsageError, _pairing, hermite_row_form, intersection,
     kernel_basis, matrix_rank, solve_integer, splitting_type_wrt_x,
 )
-from torelli3.specseq import GeneratorTag
+from torelli3.specseq import E1Truncation, GeneratorTag
 from torelli3.surface import (
     ISOTROPIC_BASIS, CensusEntry, DecompGraph, LabeledMulticurve,
 )
@@ -370,6 +377,16 @@ def has_bridge(graph):
     )
 
 
+def first_strong_orientation_by_product(graph):
+    """Flips of the first strongly connected orientation in ``product``
+    order over ``edge_ids`` (a True flip reverses its edge), or None."""
+    for flips in product((False, True), repeat=len(graph.edges)):
+        arcs = [(h, t) if f else (t, h) for (_, t, h), f in zip(graph.edges, flips)]
+        if surface._strongly_connected(arcs, graph.vertex_ids):
+            return flips
+    return None
+
+
 def common_cycle_class(rows, edge_order, weight_bound=3):
     """Condition (ii) witness: a class carried by a basic cycle through
     every edge, searched over positive integer weights up to the bound."""
@@ -600,3 +617,19 @@ def splittings_by_plane_masks(subs):
 def transvection(c, v, power=1):
     """Image of v under the c-transvection, v + power * <v, c> c."""
     return v + (power * intersection(v, c)) * c
+
+
+def target_basis_21(trunc):
+    """The (2, 1) basis: one conjugated twist class per orbit and k in [-K, K]."""
+    basis = [
+        (orbit, GeneratorTag.bp_twist(k))
+        for orbit in trunc.orbits
+        for k in range(-trunc.K, trunc.K + 1)
+    ]
+    return E1Truncation((2, 1), basis, trunc)
+
+
+def target_basis_03(trunc):
+    """The (0, 3) basis: one splitting tag per splitting."""
+    basis = [(("vertex", s.unordered_key()), GeneratorTag.a3(s)) for s in trunc.splittings]
+    return E1Truncation((0, 3), basis, trunc, {s.unordered_key(): s for s in trunc.splittings})

@@ -7,7 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import boundary_faces, is_admissible_by_vectors, pair_tag_by_vectors, transvection
+from oracles import (
+    boundary_faces, is_admissible_by_vectors, pair_tag_by_vectors, target_basis_03,
+    target_basis_21, transvection,
+)
 from torelli3.cycles import CellInstance, InternalInconsistencyError, build_ladder
 from torelli3.lattice import (
     A1,
@@ -318,10 +321,13 @@ def test_build_31_and_21_sizes():
     src = build_e1((3, 1), Truncation(orbits=["O1", "O2"], K=3))
     assert len(src) == 6
     assert src.basis[0] == (("O1", 0), GeneratorTag.bp_twist(0))
-    tgt = build_e1((2, 1), Truncation(orbits=["O1"], K=2))
+    tgt = target_basis_21(Truncation(orbits=["O1"], K=2))
     assert len(tgt) == 5
     labels = [tag.data for _, tag in tgt.basis]
     assert labels == [-2, -1, 0, 1, 2]
+    # d31 names its rows among the (2, 1) labels of the same window
+    window = Truncation(orbits=["O1", "O2"], K=3)
+    assert set(d31_apply(src).rows) <= set(target_basis_21(window).basis)
 
 
 def test_duplicate_labels_rejected():
@@ -654,9 +660,12 @@ def test_tilde_requires_isolated_x():
 
 def test_position_03_labels():
     family = plain_13_family()
-    src = build_e1((0, 3), Truncation(splittings=family))
+    src = target_basis_03(Truncation(splittings=family))
     assert len(src) == len(family)
     assert all(tag.kind == "a3" for _, tag in src.basis)
+    # d13 names its rows among the (0, 3) labels of the same family
+    page = build_e1((1, 3), Truncation(splittings=family, x=A1))
+    assert set(d13_apply(page).rows) <= set(src.basis)
 
 
 def test_dim_cd_inequality_examples():

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
-    canonical_combo_all_perms, census_by_filter, common_cycle_class, has_bridge,
-    multicurve_problem_by_vertex_loop, realizability_by_search, reachable, scan_subsets,
+    canonical_combo_all_perms, census_by_filter, common_cycle_class,
+    first_strong_orientation_by_product, has_bridge, multicurve_problem_by_vertex_loop,
+    realizability_by_search, reachable, scan_subsets,
 )
 from torelli3 import cli, surface
 from torelli3.lattice import (
@@ -585,8 +586,11 @@ def test_union_find_matches_the_bfs_oracle(data):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 4), st.integers(0, 6), st.integers(0, 8))
-def test_capped_multisets_are_the_filtered_multisets(nv, ne, cap):
+@given(st.integers(1, 4), st.integers(0, 6), st.integers(0, 8), st.integers(-1, 6))
+def test_capped_multisets_are_the_filtered_multisets(nv, ne, cap, budget):
+    """The budgeted walk yields the multisets of the capped filter with no
+    isolated vertex (nv > 1) and least genera within the budget, in
+    combinations_with_replacement order, each with its least genera."""
     pairs = [(i, j) for i in range(nv) for j in range(i, nv)]
     want = []
     for combo in combinations_with_replacement(pairs, ne):
@@ -594,9 +598,45 @@ def test_capped_multisets_are_the_filtered_multisets(nv, ne, cap):
         for a, b in combo:
             degree[a] += 1
             degree[b] += 1
-        if max(degree) <= cap:
-            want.append((combo, tuple(degree)))
-    assert list(surface._capped_multisets(nv, ne, cap)) == want
+        least = tuple(max(0, (4 - d) // 2) for d in degree)
+        if max(degree) > cap or (nv > 1 and min(degree) == 0) or sum(least) > budget:
+            continue
+        want.append((combo, least))
+    assert list(surface._capped_multisets(nv, ne, cap, budget)) == want
+
+
+def test_census_work_counters(monkeypatch):
+    """The two cuts of the census, frozen: the walk yields 306 multisets
+    over p = 0..3 (913 unpruned), and ``_strongly_connected`` decides 14
+    complete orientations of the 42 graphs checked (606 by the product
+    loop), one per accepted graph."""
+    combos, leaves = [], []
+    walk, strong = surface._capped_multisets, surface._strongly_connected
+
+    def counting_walk(*args):
+        for item in walk(*args):
+            combos.append(item)
+            yield item
+
+    def counting_strong(arcs, ids):
+        leaves.append(strong(arcs, ids))
+        return leaves[-1]
+
+    monkeypatch.setattr(surface, "_capped_multisets", counting_walk)
+    monkeypatch.setattr(surface, "_strongly_connected", counting_strong)
+    assert [len(surface._census.__wrapped__(p)) for p in range(4)] == [3, 6, 3, 2]
+    assert len(combos) == 306
+    assert len(leaves) == 14 and all(leaves)
+
+
+@settings(max_examples=300, deadline=None)
+@given(oriented_multigraphs())
+def test_strong_orientation_matches_the_product_loop(graph):
+    """The depth-first search finds the product loop's first strongly
+    connected orientation, and none exactly when the graph has a bridge."""
+    flips = surface._strong_orientation(graph)
+    assert flips == first_strong_orientation_by_product(graph)
+    assert (flips is None) == has_bridge(graph)
 
 
 @settings(max_examples=300, deadline=None)
