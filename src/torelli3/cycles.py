@@ -231,10 +231,10 @@ class CellInstance:
         vertices in the same order (a constant last coordinate keeps the
         sort by weight vector).  Both hypotheses are checked on every
         appended cell: the plain cell has a vertex (``__init__``), whose
-        class sum puts x in the span, and the checked
-        ``LabeledMulticurve.__init__`` of the appended multicurve
-        requires rank |E| + 1 - (|V| - 1), one more than the plain
-        classes span, so a3 is outside their span.  Every lifted cell
+        class sum puts x in the span, and the one rank test of
+        ``append_loop`` requires the plain classes plus a3 to span
+        |E| + 1 - (|V| - 1), one more than the plain classes span, so a3
+        is outside their span.  Every lifted cell
         of random ladders equals a full scan of its multicurve in
         ``test_appended_sheet_matches_the_scan_oracle``, and every
         mirror cell the checked build of its cell in
@@ -276,17 +276,16 @@ def _affine_frame(vectors):
     """Greedy affine basis of lexicographically sorted weight vectors.
 
     The frame rows are differences from the first vector that span the
-    affine hull.  Sorting first makes the choice canonical, and padding a
-    vector list with constant zero columns does not change the order.
+    affine hull: each difference independent of those before it, which
+    are the pivot columns of one echelon of the transposed differences.
+    Sorting first makes the choice canonical, and padding a vector list
+    with constant zero columns does not change the order.
     """
     ordered = sorted(vectors)
     origin = ordered[0]
-    frame = []
-    for vec in ordered[1:]:
-        candidate = frame + [[a - b for a, b in zip(vec, origin)]]
-        if matrix_rank(candidate) > len(frame):
-            frame = candidate
-    return frame
+    diffs = [[a - b for a, b in zip(vec, origin)] for vec in ordered[1:]]
+    pivots = echelon(list(zip(*diffs)), len(diffs))[1]
+    return [diffs[j] for j in pivots]
 
 
 def face_geometry(c):
@@ -413,21 +412,34 @@ def append_loop(cell):
     """The same cell with one extra loop ``beta`` of class a3 on a
     positive-genus piece, lifted from ``cell`` with no scan.
 
-    The loop spends one unit of genus.  The checked ``DecompGraph`` and
-    ``LabeledMulticurve`` constructors build the appended multicurve,
-    and the rank test of the latter puts a3 outside the span of the
-    other classes.  With the plain cell's vertices that proves the
-    lifting lemma of ``CellInstance._trusted``: the appended vertices
-    are the plain ones with ``beta`` at weight 1, in the same order, and
-    the dimension is the plain one.
+    The appended graph and multicurve are built trusted, on the plain
+    cell's checked contract.  The host piece loses one genus and gains
+    degree 2, so its Euler characteristic is unchanged, and a loop
+    leaves connectivity as it is; the loop adds +a3 and -a3 at its host,
+    so every boundary sum stays zero.  Three checks remain: a host of
+    positive genus, ``beta`` not already a curve id, and one rank: the
+    plain classes plus a3 must span |E| - |V| + 2, one more than the
+    plain classes, so a3 is outside their span.  With the plain cell's
+    vertices that proves the lifting lemma of ``CellInstance._trusted``:
+    the appended vertices are the plain ones with ``beta`` at weight 1,
+    in the same order, and the dimension is the plain one.
     """
     m = cell.multicurve
     host = next((v for v, g in m.graph.vertices if g >= 1), None)
     if host is None:
         raise UsageError("no piece can host the loop")
-    pieces = [(v, g - 1 if v == host else g) for v, g in m.graph.vertices]
-    graph = DecompGraph(pieces, list(m.graph.edges) + [(_LOOP, host, host)])
-    lifted = LabeledMulticurve(graph, {**m.classes, _LOOP: A3}, m.x + A3)
+    if _LOOP in m.classes:
+        raise UsageError("duplicate edge ids")
+    rows = [c.coords for c in m.classes.values()] + [A3.coords]
+    want = len(m.graph.edges) - len(m.graph.vertices) + 2
+    rank = matrix_rank(rows)
+    if rank != want:
+        raise UsageError(f"classes span rank {rank}, expected {want}")
+    graph = DecompGraph._trusted(
+        tuple((v, g - 1 if v == host else g) for v, g in m.graph.vertices),
+        m.graph.edges + ((_LOOP, host, host),),
+    )
+    lifted = LabeledMulticurve._trusted(graph, {**m.classes, _LOOP: A3}, m.x + A3)
     verts = [{**v, _LOOP: 1} for v in cell.verts]
     return CellInstance._trusted(lifted, verts, cell.dim)
 
@@ -512,8 +524,8 @@ class LadderComplex:
     the lifted geometry.  Both lifts rest on the lemma of
     ``CellInstance._trusted`` (the loop's weight is forced to 1),
     whose hypotheses every lifted cell checks: the plain cell has a
-    vertex, and the appended multicurve passes the rank test of
-    ``LabeledMulticurve``.
+    vertex, and the plain classes plus a3 pass the one rank test of
+    ``append_loop``.
     """
 
     __slots__ = (

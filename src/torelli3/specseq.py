@@ -16,6 +16,7 @@ from .lattice import (
     _pairing,
     as_int,
     enumerate_symplectic_rank2,
+    is_symplectic_rank2,
     kernel_basis,
     matrix_rank,
     smith_normal_form,
@@ -364,31 +365,49 @@ def admissible_subgroups(cell, height):
 def is_admissible(cell, u):
     """Whether one subgroup fits the cell (either admissibility route).
 
-    Both routes test the pairings on the coordinate tuples of the
-    subgroup's basis first and take a rank only after they pass.
+    ``u`` must be a symplectic plane (``lattice.is_symplectic_rank2``):
+    its basis rows pair to +-1, so U meets its orthogonal complement
+    U^perp only in zero, over Q.  That fact settles every rank test of
+    the two routes, which then read pairings alone:
+
+    - Route 1: some piece has positive genus and every class is
+      orthogonal to U.  The classes then span a subspace of U^perp,
+      which meets U in zero, so U's basis raises their rank by 2.
+    - Loop route: a loop's class c lies in U and every other class is
+      orthogonal to U.  The others span a subspace of U^perp, so U's
+      basis raises their rank by 2, and c lies outside their span, or
+      it would lie in U and U^perp, which makes c = 0.  A loop is a
+      graph cycle by itself, and the multicurve contract (boundary sums
+      zero, classes of rank |E| - |V| + 1) leaves only the cut space in
+      the kernel of the class map, so a loop's class is never 0.  A
+      nonzero class of U pairs with U, so c is then the one class
+      that does.
     """
+    _require_plane(u)
+    return _admissible(cell, u)
+
+
+def _require_plane(u):
+    if not is_symplectic_rank2(u):
+        raise UsageError(f"subgroup {u.key()} is not a symplectic plane")
+
+
+def _admissible(cell, u):
+    """``is_admissible`` for a plane ``_require_plane`` has passed."""
     graph = cell.multicurve.graph
     classes = cell.multicurve.classes
-    rows = [classes[e].coords for e in graph.edge_ids]
-    basis = list(u.basis)
-    if (
-        any(g >= 1 for _, g in graph.vertices)
-        and not any(_pairing(v, c) for v in basis for c in rows)
-        and matrix_rank(rows + basis) == matrix_rank(rows) + 2
-    ):
-        return True
-    for i, (_, t, h) in enumerate(graph.edges):
-        if t != h or not u.contains(rows[i]):
-            continue
-        rest = rows[:i] + rows[i + 1 :]
-        if any(_pairing(v, c) for v in basis for c in rest):
-            continue
-        rest_rank = matrix_rank(rest)
-        if matrix_rank(rest + [rows[i]]) == rest_rank:
-            continue
-        if matrix_rank(rest + basis) == rest_rank + 2:
-            return True
-    return False
+    v, w = u.basis
+    paired = None  # (is a loop, class) of the one class that pairs with U
+    for e, t, h in graph.edges:
+        c = classes[e].coords
+        if _pairing(v, c) or _pairing(w, c):
+            if paired is not None:
+                return False
+            paired = (t == h, c)
+    if paired is None:
+        return any(g >= 1 for _, g in graph.vertices)
+    loop, c = paired
+    return loop and u.contains(c)
 
 
 def build_e1(position, trunc):
@@ -432,16 +451,16 @@ def _build_ladder_position(position, trunc):
     cells = (
         ladder.cell_cells if position == (2, 2) else ladder.edge_cells
     )
+    for u in subgroups:
+        if u.height() > height:
+            raise UsageError(f"subgroup {u.key()} exceeds height {height}")
+        _require_plane(u)
     basis = []
     for sheet in ("plain", "appended"):
         for tag in tags:
             cell = cells[tag] if sheet == "plain" else ladder.appended_cell(tag)
             for u in subgroups:
-                if u.height() > height:
-                    raise UsageError(
-                        f"subgroup {u.key()} exceeds height {height}"
-                    )
-                if not is_admissible(cell, u):
+                if not _admissible(cell, u):
                     raise UsageError(
                         f"subgroup {u.key()} not admissible for {tag}/{sheet}"
                     )

@@ -77,6 +77,12 @@ class DecompGraph:
         ``__init__`` gives the same verdict.  Every mirror cell of random
         ladders equals the checked build of its cell in
         ``test_mirror_cells_match_the_checked_build``.
+        ``cycles.append_loop`` builds each appended graph this way: a
+        checked graph with a loop of a new id at a piece of positive
+        genus, which gives up one genus.  That piece keeps its Euler
+        characteristic, and a loop keeps the graph connected.  Every
+        appended cell of random ladders equals the checked build of its
+        multicurve in ``test_appended_sheet_matches_the_scan_oracle``.
         """
         graph = object.__new__(cls)
         graph.vertices = vertices
@@ -180,6 +186,12 @@ class LabeledMulticurve:
         rank of the classes are the checked ones.  Every mirror cell of
         random ladders equals the checked build of its cell in
         ``test_mirror_cells_match_the_checked_build``.
+        ``cycles.append_loop`` builds each appended multicurve this way:
+        a checked multicurve with a loop of class a3, which adds +a3 and
+        -a3 at its piece, so every boundary sum stays zero; it checks the
+        rank of the classes itself.  Every appended cell of random
+        ladders equals the checked build of its multicurve in
+        ``test_appended_sheet_matches_the_scan_oracle``.
         """
         m = object.__new__(cls)
         m.graph = graph

@@ -39,7 +39,8 @@ the ends of each non-loop edge stay joined without it.
 ``is_admissible_by_vectors`` are the cell-layer checks as they were before
 they moved to coordinate tuples: a null-homology sum of ``HVector``s per
 vertex over all edges, the sublattice test on lists, and admissibility
-with a rank taken before any pairing.  ``sclass_image_by_scan`` is
+with a rank taken before any pairing, where the package now decides it
+by pairings alone.  ``sclass_image_by_scan`` is
 ``sclasses.sclass_image_in_e2`` as it was before the (1, 3) page kept
 its type-(c) label index: a scan of the whole page basis per call.
 ``basic_cycle_problem`` runs the checks a vertex's constructor made
@@ -55,6 +56,8 @@ by ``surface._strongly_connected``.
 ``target_basis_21`` and ``target_basis_03`` are the target bases of the
 differentials at (2, 1) and (0, 3), which ``specseq.build_e1`` built
 before each differential named its own rows.
+``affine_frame_by_ranks`` is ``cycles._affine_frame`` as it was before
+one echelon read its frame: one rank per candidate difference.
 ``is_loop`` and ``transvection`` are references the tests read and the
 package does not.
 """
@@ -196,6 +199,19 @@ def boundary_faces(c):
     ]
     faces.sort(key=lambda sf: sf[1].support_key())
     return faces
+
+
+def affine_frame_by_ranks(vectors):
+    """The differences from the first sorted vector, each kept when it
+    raises the rank of those kept before it."""
+    ordered = sorted(vectors)
+    origin = ordered[0]
+    frame = []
+    for vec in ordered[1:]:
+        candidate = frame + [[a - b for a, b in zip(vec, origin)]]
+        if matrix_rank(candidate) > len(frame):
+            frame = candidate
+    return frame
 
 
 def append_loop_by_scan(cell):

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
-    append_loop_by_scan, basic_cycle_problem, boundary_faces, remove_edges, solve_rational,
-    scan_subsets, two_scan,
+    affine_frame_by_ranks, append_loop_by_scan, basic_cycle_problem, boundary_faces,
+    remove_edges, solve_rational, scan_subsets, two_scan,
 )
 from torelli3 import cycles
 from torelli3.lattice import (
@@ -436,14 +436,47 @@ def test_appended_sheet_matches_the_scan_oracle(mn, K):
 def test_append_loop_rejects_a_loop_class_in_the_span():
     """With a3 already in the span of the classes the loop weight is not
     forced to 1 (here x + a3 = 2 a3 is carried by e or beta alone, at
-    weight 2), so the lifting lemma fails; the rank test of the appended
-    multicurve must refuse the lift."""
+    weight 2), so the lifting lemma fails; the rank test of the plain
+    classes plus a3 must refuse the lift, as the checked constructor of
+    the appended multicurve does."""
     plain = CellInstance(single_loop(A3))
     assert plain.verts == [{"e": 1}]
     with pytest.raises(UsageError, match="classes span rank 1, expected 2"):
         append_loop(plain)
     with pytest.raises(UsageError, match="classes span rank 1, expected 2"):
         append_loop_by_scan(plain)
+
+
+def test_append_loop_refuses_a_taken_loop_id():
+    """A plain cell with a curve ``beta`` already: the lift refuses it as
+    the checked graph constructor does."""
+    graph = DecompGraph([(0, 2)], [("beta", 0, 0)])
+    plain = CellInstance(LabeledMulticurve(graph, {"beta": A1}, A1))
+    with pytest.raises(UsageError, match="duplicate edge ids"):
+        append_loop(plain)
+    with pytest.raises(UsageError, match="duplicate edge ids"):
+        append_loop_by_scan(plain)
+
+
+@st.composite
+def dependent_vector_lists(draw):
+    """Integer vectors of one length, each a drawn base vector plus a
+    multiple of another, so duplicates and dependent differences are
+    common."""
+    dim = draw(st.integers(1, 6))
+    vector = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)
+    base = draw(st.lists(vector, min_size=1, max_size=4))
+    index = st.integers(0, len(base) - 1)
+    picks = draw(st.lists(st.tuples(index, index, st.integers(-2, 2)), min_size=1, max_size=9))
+    return [tuple(a + k * b for a, b in zip(base[i], base[j])) for i, j, k in picks]
+
+
+@settings(max_examples=400, deadline=None)
+@given(dependent_vector_lists())
+def test_affine_frame_matches_the_rank_per_candidate(vectors):
+    """One echelon of the transposed differences picks the frame that a
+    rank per candidate picks, rows and order alike."""
+    assert cycles._affine_frame(vectors) == affine_frame_by_ranks(vectors)
 
 
 FROZEN_CHAIN_VERTS = [

@@ -11,6 +11,7 @@ from oracles import (
     boundary_faces, is_admissible_by_vectors, pair_tag_by_vectors, target_basis_03,
     target_basis_21, transvection,
 )
+from torelli3 import cycles, lattice, specseq, surface
 from torelli3.cycles import CellInstance, InternalInconsistencyError, build_ladder
 from torelli3.lattice import (
     A1,
@@ -20,6 +21,7 @@ from torelli3.lattice import (
     B2,
     B3,
     STANDARD_SPLITTING,
+    HVector,
     Splitting,
     SymplecticSubgroup,
     UsageError,
@@ -255,6 +257,120 @@ def test_is_admissible_matches_the_vector_oracle_on_ladder_cells(mn, K):
             assert got == is_admissible_by_vectors(cell, u)
             verdicts[genus, got] += 1
     assert set(verdicts) == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def transvected_planes(count, seed):
+    """Images of U33 under products of one to three transvections along
+    seeded small vectors."""
+    rng = random.Random(seed)
+    planes = []
+    while len(planes) < count:
+        rows = [A3, B3]
+        for _ in range(rng.randint(1, 3)):
+            c = HVector(tuple(rng.randint(-1, 1) for _ in range(6)))
+            power = rng.choice((-1, 1))
+            rows = [transvection(c, v, power) for v in rows]
+        planes.append(SymplecticSubgroup.spanned_by(rows))
+    return planes
+
+
+def sphere_with_two_loops():
+    """A genus-2 cell on one genus-0 piece: every class is orthogonal to
+    U33, but no piece has genus to host it and no loop class lies in it."""
+    graph = DecompGraph([(0, 0)], [("e1", 0, 0), ("e2", 0, 0)])
+    return CellInstance(LabeledMulticurve(graph, {"e1": A1, "e2": A2}, A1 + A2))
+
+
+# not unimodular: its basis rows pair to 2
+PLANE_PAIRING_TO_2 = SymplecticSubgroup.spanned_by([A1 + A2, B1 + B2])
+
+
+def test_is_admissible_matches_the_vector_oracle_off_the_ladder():
+    """The census witness cells, a bounding pair and a genus-0 piece
+    with two loops, against the sampled planes and seeded transvection
+    images of U33: the rank-free route gives the oracle's verdict, by
+    both routes and on genus-0 cells too.  A plane that is not
+    unimodular is refused, where the oracle would give a verdict."""
+    witnesses = [CellInstance(e.witness) for p in range(4) for e in classify_types(3, p)]
+    cells = witnesses + [bounding_pair_cell(), sphere_with_two_loops()]
+    planes = ADMISSIBILITY_PLANES + tuple(transvected_planes(40, 22))
+    verdicts = Counter()
+    for cell in cells:
+        genus = any(g >= 1 for _, g in cell.multicurve.graph.vertices)
+        for u in planes:
+            got = is_admissible(cell, u)
+            assert got == is_admissible_by_vectors(cell, u)
+            verdicts[genus, got] += 1
+        with pytest.raises(UsageError, match="is not a symplectic plane"):
+            is_admissible(cell, PLANE_PAIRING_TO_2)
+    assert set(verdicts) == {(True, True), (True, False), (False, True), (False, False)}
+    assert not is_admissible(sphere_with_two_loops(), U33)
+
+
+@pytest.mark.parametrize(
+    "u, message",
+    [
+        (SymplecticSubgroup([A1, A2]), "is not a symplectic plane"),
+        (PLANE_PAIRING_TO_2, "is not a symplectic plane"),
+        (SymplecticSubgroup([A3]), "rank-2 subgroup required, got rank 1"),
+    ],
+    ids=["a1a2", "a1+a2_b1+b2", "rank-1"],
+)
+def test_admissibility_refuses_what_is_not_a_symplectic_plane(u, message):
+    """A degenerate plane, one that is not unimodular and a rank-1
+    subgroup, refused by ``is_admissible`` and by both ladder pages,
+    before any cell is tested."""
+    ladder = build_ladder(1, 2, 2)
+    with pytest.raises(UsageError, match=message):
+        is_admissible(ladder.cell_cells[("R", 0)], u)
+    for position in ((2, 2), (1, 2)):
+        with pytest.raises(UsageError, match=message):
+            build_e1(position, Truncation(ladder=ladder, subgroups=[U33, u], height=1))
+
+
+def test_ladder_page_work_counters(monkeypatch):
+    """The (2, 2) page and the separation check of ``build_ladder(2, 5,
+    8)``, frozen: admissibility takes no rank, each of the 55 lifts to
+    the appended sheet takes exactly one (the 22 mirrored appended cells
+    take none), and each subgroup's height is read once."""
+    ladder = build_ladder(2, 5, 8)
+    ranks, lift_ranks, admissible_ranks, heights = [], [], [], []
+    rank, lift, admissible = lattice.matrix_rank, cycles.append_loop, specseq._admissible
+    height = SymplecticSubgroup.height
+
+    def counting_rank(m):
+        ranks.append(m)
+        return rank(m)
+
+    def counting_lift(cell):
+        before = len(ranks)
+        lifted = lift(cell)
+        lift_ranks.append(len(ranks) - before)
+        return lifted
+
+    def counting_admissible(cell, u):
+        before = len(ranks)
+        verdict = admissible(cell, u)
+        admissible_ranks.append(len(ranks) - before)
+        return verdict
+
+    def counting_height(u):
+        heights.append(u)
+        return height(u)
+
+    for module in (lattice, surface, cycles, specseq):
+        monkeypatch.setattr(module, "matrix_rank", counting_rank)
+    monkeypatch.setattr(cycles, "append_loop", counting_lift)
+    monkeypatch.setattr(specseq, "_admissible", counting_admissible)
+    monkeypatch.setattr(SymplecticSubgroup, "height", counting_height)
+    src = build_e1((2, 2), Truncation(ladder=ladder, subgroups=[U33, U33_SKEW], height=1))
+    assert check_image_separation(ladder, U33)
+    assert len(src) == 2 * 2 * len(ladder.two_cells()) == 88
+    assert admissible_ranks == [0] * 88
+    assert lift_ranks == [1] * 55
+    assert len(ranks) == 55
+    assert heights == [U33, U33_SKEW]
+    assert len(ladder._appended) == 55 + 22
 
 
 @pytest.mark.parametrize("bad", (0.5, 2.0, "3"))
