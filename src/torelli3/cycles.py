@@ -513,12 +513,15 @@ class LadderComplex:
     weighting, and the two-cells are rectangles, one closing triangle,
     and one vertical triangle per sheet.
 
-    ``build_ladder`` fills the tables, building each cell once.  The
-    mirror cells (B, c- and e-) are their + partners with ``delta1``
-    renamed ``delta2``, with no scan (``_mirror``), on the appended
-    sheet too.  The signed faces of a two-cell (``cell_faces``) are its
-    edges' cells, matched to the face geometry the ladder keeps
-    (``cell_geometry``).
+    ``build_ladder`` fills the tables, building each cell once: the
+    cells (``vertex_cells``, ``edge_cells``, ``cell_cells``), the
+    incidence (``edge_endpoints``, ``cell_boundary``) and each two-cell's
+    ``psi_max`` (``cell_psi``), read off the cell.  A tag's letter gives
+    its kind: e+/e- edges and V cells are vertical.  The mirror cells
+    (B, c- and e-) are their + partners with ``delta1`` renamed
+    ``delta2``, with no scan (``_mirror``), on the appended sheet too.
+    The signed faces of a two-cell (``cell_faces``) are its edges'
+    cells, matched to the face geometry the ladder keeps (``cell_geometry``).
     ``appended_cell`` lifts a cell to the appended sheet once, and
     ``appended_faces`` are the appended cells of its edges, matched to
     the lifted geometry.  Both lifts rest on the lemma of
@@ -534,14 +537,10 @@ class LadderComplex:
         "K",
         "l",
         "t",
-        "vertex_psi",
         "vertex_cells",
         "edge_endpoints",
-        "edge_kind",
         "edge_cells",
-        "edge_external",
         "cell_boundary",
-        "cell_kind",
         "cell_psi",
         "cell_cells",
         "cell_faces",
@@ -556,14 +555,10 @@ class LadderComplex:
         self.K = K
         self.l = n // m
         self.t = (n - 1) // m
-        self.vertex_psi = {}
         self.vertex_cells = {}
         self.edge_endpoints = {}
-        self.edge_kind = {}
         self.edge_cells = {}
-        self.edge_external = {}
         self.cell_boundary = {}
-        self.cell_kind = {}
         self.cell_psi = {}
         self.cell_cells = {}
         self.cell_faces = {}
@@ -605,7 +600,7 @@ class LadderComplex:
         return match_faces(tag, self.appended_cell(tag), edges, geometry)
 
     def vertices(self):
-        return sorted(self.vertex_psi, key=str)
+        return sorted(self.vertex_cells, key=str)
 
     def edges(self):
         return sorted(self.edge_endpoints, key=str)
@@ -650,14 +645,14 @@ class LadderComplex:
         """Dropping the vertical cells frees a horizontal edge of every
         horizontal cell, and every vertical cell owns its rung."""
         index = self._coface_index()
-        verticals = {t for t, kind in self.cell_kind.items() if kind == "vertical"}
+        verticals = {t for t in self.cell_boundary if t[0] == "V"}
         for tag, boundary in self.cell_boundary.items():
             if tag in verticals:
                 owners = [o for o in index.get(("d", tag[1]), ()) if o in verticals]
                 if owners != [tag]:
                     return False
             elif not any(
-                self.edge_kind[edge] != "vertical"
+                edge[0] not in ("e+", "e-")
                 and all(o == tag or o in verticals for o in index[edge])
                 for edge in boundary
             ):
@@ -753,7 +748,6 @@ def build_ladder(m, n, K):
             cell = _cell([(0, 3 - len(mp))], [(e, 0, 0) for e in mp], classes, x)
         if cell.verts != [mp]:
             raise InternalInconsistencyError(f"vertex cell {tag}: weights differ from {mp}")
-        ladder.vertex_psi[tag] = sum(mp.values())
         ladder.vertex_cells[tag] = cell
 
     for k in range(-K, right + 1):
@@ -761,7 +755,6 @@ def build_ladder(m, n, K):
         # is a loop on the genus-0 piece, the pair bounds the genus-1 piece
         rung = ("d", k)
         ladder.edge_endpoints[rung] = (("A", k), ("B", k))
-        ladder.edge_kind[rung] = "horizontal"
         ladder.edge_cells[rung] = _cell(
             _EDGE_PIECES,
             [(f"u{k}", 0, 0), ("delta1", 0, 1), ("delta2", 1, 0)],
@@ -783,41 +776,24 @@ def build_ladder(m, n, K):
             nxt = ("T", t) if k == t else (start, k + 1)
             ladder.edge_endpoints[c] = ((start, k), nxt)
             ladder.edge_endpoints[e] = ((start, k), ("C", k))
-            ladder.edge_kind[c] = "horizontal"
-            ladder.edge_kind[e] = "vertical"
             ladder.edge_cells[c] = c_cell
             ladder.edge_cells[e] = e_cell
-            ladder.edge_external[e] = {
-                "horizontal_cofaces": 2,
-                "shapes": ["rectangular", "triangular"],
-                "psi": m + 2 * (n - m * k),
-            }
 
     rect_top = hi if hi < t else hi - 1
     horizontal = [
-        (
-            ("R", k),
-            "rectangle",
-            {("c+", k): 1, ("d", k + 1): 1, ("c-", k): -1, ("d", k): -1},
-        )
+        (("R", k), {("c+", k): 1, ("d", k + 1): 1, ("c-", k): -1, ("d", k): -1})
         for k in range(-K, rect_top + 1)
     ]
     if t <= K:
         ladder.closing = ("tri", t)
         horizontal.append(
-            (
-                ladder.closing,
-                "closing-triangle",
-                {("c+", t): 1, ("c-", t): -1, ("d", t): -1},
-            )
+            (ladder.closing, {("c+", t): 1, ("c-", t): -1, ("d", t): -1})
         )
-    for tag, kind, boundary in horizontal:
+    for tag, boundary in horizontal:
         # two genus-0 pieces joined by the sheet pair, with the bounding
         # pair hanging off the genus-1 piece
         k = tag[1]
         ladder.cell_boundary[tag] = boundary
-        ladder.cell_kind[tag] = kind
-        ladder.cell_psi[tag] = m + n - m * k
         ladder.cell_cells[tag] = _cell(
             _FACE_PIECES,
             [(f"u{k}", 0, 1), (f"u{k + 1}", 1, 0), ("delta1", 0, 2), ("delta2", 2, 1)],
@@ -827,8 +803,6 @@ def build_ladder(m, n, K):
     for k in range(-K, hi + 1):
         tag = ("V", k)
         ladder.cell_boundary[tag] = {("e+", k): 1, ("e-", k): -1, ("d", k): -1}
-        ladder.cell_kind[tag] = "vertical"
-        ladder.cell_psi[tag] = m + 2 * (n - m * k)
         ladder.cell_cells[tag] = _cell(
             _FACE_PIECES,
             [(f"u{k}", 0, 1), (f"w{k}", 0, 1), ("delta1", 2, 0), ("delta2", 1, 2)],
@@ -845,8 +819,8 @@ def build_ladder(m, n, K):
 def _check_geometry(ladder, vertex_maps):
     """Abstract incidence must match the geometric cells edge for edge.
 
-    ``ladder.cell_faces`` keeps the matched faces of each two-cell, and
-    ``ladder.cell_geometry`` its face geometry, for the appended sheet.
+    ``ladder.cell_faces`` keeps the matched faces of each two-cell, its
+    ``cell_psi`` and, for the appended sheet, its ``cell_geometry``.
     """
     for tag, (tail, head) in ladder.edge_endpoints.items():
         cell = ladder.edge_cells[tag]
@@ -860,16 +834,17 @@ def _check_geometry(ladder, vertex_maps):
     for tag, boundary in ladder.cell_boundary.items():
         cell = ladder.cell_cells[tag]
         ladder.cell_geometry[tag] = geometry = face_geometry(cell)
+        ladder.cell_psi[tag] = psi_max(cell)
         ladder.cell_faces[tag] = match_faces(
             tag, cell, [ladder.edge_cells[e] for e in boundary], geometry
         )
 
 
 def _check_external_witnesses(ladder, classes, x):
-    """The vertical edges really lie on one rectangular and one
-    triangular horizontal cell outside the ladder, at the stated weight."""
-    k = 0 if -ladder.K <= 0 <= min(ladder.t, ladder.K) else min(ladder.t, ladder.K)
-    u, w = f"u{k}", f"w{k}"
+    """The vertical edge e+ of sheet 0, which K >= 1 and t >= 0 keep in
+    the window, lies on one rectangular and one triangular horizontal
+    cell outside the ladder, each of weight m + 2n."""
+    u, w = "u0", "w0"
     doubled = {**classes, "w'": classes[w], "u'": classes[u]}
     tri = _cell(
         _FACE_PIECES, [(u, 0, 1), ("delta1", 1, 0), (w, 0, 2), ("w'", 2, 1)], doubled, x
@@ -879,10 +854,10 @@ def _check_external_witnesses(ladder, classes, x):
     )
     if not (len(tri.verts) == 3 and len(rect.verts) == 4):
         raise InternalInconsistencyError("external witness shapes drifted")
-    expect = ladder.edge_external[("e+", k)]["psi"]
+    expect = ladder.m + 2 * ladder.n
     if psi_max(tri) != expect or psi_max(rect) != expect:
         raise InternalInconsistencyError("external witness weights drifted")
-    edge_pair = {frozenset(v.items()) for v in ladder.edge_cells[("e+", k)].verts}
+    edge_pair = {frozenset(v.items()) for v in ladder.edge_cells[("e+", 0)].verts}
     for witness in (tri, rect):
         have = {frozenset(v.items()) for v in witness.verts}
         if not edge_pair <= have:

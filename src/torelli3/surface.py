@@ -559,9 +559,10 @@ def _census(p):
                 if (genera, combo) in seen:
                     continue
                 # a new type: seen takes every relabeling, so no later copy of
-                # it reaches _canonical_combo
-                canon_genera, canon_pairs = _canonical_combo(nv, genera, combo)
-                seen.update(_relabelings(canon_genera, canon_pairs))
+                # it walks them again; the least of them is the type's key
+                forms = set(_relabelings(genera, combo))
+                seen |= forms
+                canon_genera, canon_pairs = min(forms)
                 graph = DecompGraph(
                     [(v, g) for v, g in enumerate(canon_genera)],
                     [(i, a, b) for i, (a, b) in enumerate(canon_pairs)],
@@ -571,22 +572,6 @@ def _census(p):
                     entries.append(CensusEntry(witness))
     entries.sort(key=lambda entry: entry.fingerprint)
     return tuple(entries)
-
-
-def _canonical_combo(nv, genera, combo):
-    """Least (genera, edge pairs) key over relabelings of vertices 0..nv-1;
-    edge orientations are forgotten.  Keys compare genera first, so only
-    the relabelings that sort the genera are tried."""
-    target = tuple(sorted(genera))
-    keys = []
-    for order in permutations(range(nv)):
-        if tuple(genera[v] for v in order) != target:
-            continue
-        label = [0] * nv  # the inverse relabeling: vertex order[i] becomes i
-        for i, v in enumerate(order):
-            label[v] = i
-        keys.append(tuple(sorted(tuple(sorted((label[a], label[b]))) for a, b in combo)))
-    return target, min(keys)
 
 
 def _relabelings(genera, pairs):

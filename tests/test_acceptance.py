@@ -145,10 +145,11 @@ def test_criterion_04_d22_injective_with_geometry():
         for K in range(1, 7):
             ladder = build_ladder(m, n, K)
             assert ladder.check_rung_cofaces()
-            top = ladder.cell_psi.get(("R", 0), ladder.cell_psi[ladder.closing])
+            psi = ladder.cell_psi
+            top = psi[("R", 0) if ("R", 0) in psi else ladder.closing]
             assert top == m + n
-            assert ladder.cell_psi[("R", -1)] == 2 * m + n
-            assert ladder.cell_psi[("V", 0)] == m + 2 * n
+            assert psi[("R", -1)] == 2 * m + n
+            assert psi[("V", 0)] == m + 2 * n
             src = build_e1(
                 (2, 2),
                 Truncation(ladder=ladder, subgroups=subgroups, height=1),

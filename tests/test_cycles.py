@@ -504,9 +504,10 @@ def test_three_double_chain_vertices_frozen():
 
 def test_psi_of_ladder_corner_is_m_plus_n():
     for m, n in [(1, 1), (2, 1), (1, 2), (3, 2)]:
-        ladder = build_ladder(m, n, 1)
-        assert ladder.vertex_psi[("A", 0)] == m + n
-    assert build_ladder(2, 1, 1).vertex_psi[("A", 0)] == 3
+        corner = build_ladder(m, n, 1).vertex_cells[("A", 0)]
+        assert corner.verts == [{"u0": m, "delta1": n}]
+        assert psi_max(corner) == m + n
+    assert psi_max(build_ladder(2, 1, 1).vertex_cells[("A", 0)]) == 3
 
 
 def test_psi_max_examples():
@@ -772,11 +773,10 @@ def test_ladder_small_square_counts():
     assert ladder.check_rung_cofaces()
     assert ladder.check_ladder_property()
     assert ladder.check_psi_growth()
-    meta = ladder.edge_external[("e+", 0)]
-    assert meta["horizontal_cofaces"] == 2
-    assert sorted(meta["shapes"]) == ["rectangular", "triangular"]
-    assert meta["psi"] == 3
+    # e+(0) bounds V(0) alone; its two horizontal cofaces are the external
+    # witnesses, outside the ladder
     assert cofaces[("e+", 0)] == [("V", 0)]
+    assert psi_max(ladder.edge_cells[("e+", 0)]) == 3
 
 
 def test_ladder_census_one_two():
@@ -814,12 +814,85 @@ def test_ladder_psi_values():
         assert ladder.check_psi_growth()
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    st.tuples(st.integers(1, 9), st.integers(1, 9)).filter(lambda mn: gcd(*mn) == 1),
+    st.integers(1, 12),
+)
+def test_ladder_weights_read_off_the_cells_match_the_closed_forms(mn, K):
+    """The closed forms of the paper's weight function are the oracle
+    for the weights the ladder reads off its cells."""
+    (m, n), ladder = mn, build_ladder(*mn, K)
+    for (kind, k), value in ladder.cell_psi.items():
+        assert value == (m + 2 * (n - m * k) if kind == "V" else m + n - m * k)
+    assert set(ladder.cell_psi) == set(ladder.cell_boundary)
+    for (kind, k), cell in ladder.vertex_cells.items():
+        (weighting,) = cell.verts
+        want = {"A": m + n - m * k, "B": m + n - m * k, "C": m + 2 * (n - m * k), "T": m}
+        assert psi(weighting) == want[kind]
+    assert ladder.check_psi_growth()
+
+
+def test_psi_growth_fails_on_planted_weights():
+    ladder = build_ladder(1, 2, 3)
+    for low, high in ((("R", -1), ("R", -2)), (("R", -1), ("V", -1))):
+        kept = ladder.cell_psi[high]
+        for planted in (ladder.cell_psi[low], ladder.cell_psi[low] - 1):
+            ladder.cell_psi[high] = planted
+            assert not ladder.check_psi_growth(), (high, planted)
+        ladder.cell_psi[high] = kept
+    assert ladder.check_psi_growth()
+
+
+def witnesses_of(monkeypatch, tamper):
+    """``build_ladder(1, 2, 2)`` with each external witness cell (the two
+    cells on a doubled curve) passed through ``tamper``: the ladder and
+    its witnesses."""
+    make, witnesses = cycles._cell, []
+
+    def tampering(pieces, edges, classes, x):
+        cell = make(pieces, edges, classes, x)
+        if any(e in ("w'", "u'") for e, _, _ in edges):
+            witnesses.append(cell)
+            tamper(cell)
+        return cell
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cycles, "_cell", tampering)
+        ladder = build_ladder(1, 2, 2)
+    return ladder, witnesses
+
+
+def test_external_witnesses_hold_the_vertical_edge(monkeypatch):
+    """The vertical edge e+(0) lies on one triangular and one rectangular
+    horizontal cell outside the ladder, each of weight m + 2n."""
+    ladder, (tri, rect) = witnesses_of(monkeypatch, lambda cell: None)
+    assert (len(tri.verts), len(rect.verts)) == (3, 4)
+    assert psi_max(tri) == psi_max(rect) == 1 + 2 * 2
+    for vertex in ladder.edge_cells[("e+", 0)].verts:
+        assert vertex in tri.verts and vertex in rect.verts
+
+
+def test_external_witnesses_catch_a_lost_vertex_or_weight(monkeypatch):
+    def lose_a_vertex(cell):
+        del cell.verts[-1]
+
+    def double_the_weights(cell):
+        cell.verts = [{e: 2 * w for e, w in v.items()} for v in cell.verts]
+
+    for tamper, drift in ((lose_a_vertex, "shapes"), (double_the_weights, "weights")):
+        with pytest.raises(
+            InternalInconsistencyError, match=f"external witness {drift} drifted"
+        ):
+            witnesses_of(monkeypatch, tamper)
+
+
 def test_ladder_truncated_before_closing():
     ladder = build_ladder(1, 5, 2)
     assert ladder.closing is None
     assert ladder.t == 4
-    assert ("T", 4) not in ladder.vertex_psi
-    assert ("A", 3) in ladder.vertex_psi
+    assert ("T", 4) not in ladder.vertex_cells
+    assert ("A", 3) in ladder.vertex_cells
     assert ("d", 3) in ladder.edge_endpoints
     assert ("R", 2) in ladder.cell_boundary
     v, e, c = len(ladder.vertices()), len(ladder.edges()), len(ladder.two_cells())
@@ -841,6 +914,15 @@ def test_ladder_audits_catch_a_missing_rung():
     # the free edges c+(-1) and c-(-1) of R(-1) gain a second horizontal coface
     ladder.cell_boundary[("R", -2)][("c+", -1)] = 1
     ladder.cell_boundary[("R", -2)][("c-", -1)] = -1
+    assert not ladder.check_ladder_property()
+
+
+def test_ladder_property_reads_the_edge_kind_off_the_tag():
+    """A horizontal cell whose one free edge is vertical (an e+ edge)
+    has no free horizontal edge."""
+    ladder = build_ladder(1, 2, 3)
+    assert ladder.check_ladder_property()
+    ladder.cell_boundary[("R", -1)] = {("e+", -1): 1}
     assert not ladder.check_ladder_property()
 
 

@@ -138,13 +138,14 @@ def test_labeling_validation():
 
 
 def canonical_key(graph):
-    """The census key of a graph: ``surface._canonical_combo`` of its
-    genera and its edges as pairs of piece indices."""
+    """The census key of a graph: the least of ``surface._relabelings`` of
+    its genera and its edges as pairs of piece indices."""
     index = {v: i for i, (v, _) in enumerate(graph.vertices)}
-    return surface._canonical_combo(
-        len(graph.vertices),
-        [g for _, g in graph.vertices],
-        [(index[t], index[h]) for _, t, h in graph.edges],
+    return min(
+        surface._relabelings(
+            [g for _, g in graph.vertices],
+            [(index[t], index[h]) for _, t, h in graph.edges],
+        )
     )
 
 
@@ -411,19 +412,20 @@ def test_census_checks_realizability_of_the_same_graphs(census_graphs):
 def test_cold_census_canonicalizes_each_new_type_once(monkeypatch):
     # every later copy of a type is one of the relabelings seeded when it
     # was found, so the 205 (genera, edges) forms met over p = 0..3 cost
-    # one canonical key per graph checked
+    # one relabeling walk per graph checked
     keys, graphs = [], []
-    canonical, check = surface._canonical_combo, surface.realizability_check
+    walk, check = surface._relabelings, surface.realizability_check
 
-    def counting_key(*args):
-        keys.append(canonical(*args))
-        return keys[-1]
+    def counting_walk(genera, pairs):
+        forms = list(walk(genera, pairs))
+        keys.append(min(forms))
+        return iter(forms)
 
     def counting_check(graph):
         graphs.append(graph)
         return check(graph)
 
-    monkeypatch.setattr(surface, "_canonical_combo", counting_key)
+    monkeypatch.setattr(surface, "_relabelings", counting_walk)
     monkeypatch.setattr(surface, "realizability_check", counting_check)
     surface._census.cache_clear()
     try:
@@ -432,7 +434,7 @@ def test_cold_census_canonicalizes_each_new_type_once(monkeypatch):
     finally:
         surface._census.cache_clear()
     assert len(keys) == len(graphs) == 42
-    # each graph checked is the key just computed, in canonical labels
+    # each graph checked is the least form of the walk just taken
     assert keys == [
         (tuple(g for _, g in graph.vertices), tuple((t, h) for _, t, h in graph.edges))
         for graph in graphs
@@ -646,7 +648,7 @@ def test_canonical_combo_matches_all_relabelings(data):
     genera = data.draw(st.lists(st.integers(0, 3), min_size=nv, max_size=nv))
     vertex = st.integers(0, nv - 1)
     combo = data.draw(st.lists(st.tuples(vertex, vertex), max_size=6))
-    assert surface._canonical_combo(nv, genera, combo) == canonical_combo_all_perms(
+    assert min(surface._relabelings(genera, combo)) == canonical_combo_all_perms(
         nv, genera, combo
     )
 
