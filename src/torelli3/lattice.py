@@ -157,11 +157,6 @@ def identity_matrix(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def matrix_product(a, b):
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
 def smith_normal_form(m):
     """Smith normal form with transforms.
 
@@ -576,21 +571,24 @@ class Splitting:
         s.parts = parts
         return s
 
-    def components(self, xc):
-        """Write the coordinate tuple xc as a sum of one component per part.
-
-        The parts are orthogonal, so the part with basis (u, v) and
-        w = <u, v> = +-1 takes the component w<x, v> u + w<u, x> v.
-        Returns the three component tuples.
-        """
-        comps = []
-        for u, v in (p.basis for p in self.parts):
+    def coefficients(self, xc):
+        """The pair (s, t) of each part (u, v), with x = sum of s u + t v:
+        the parts are orthogonal, so with w = <u, v> = +-1, s = w<x, v>
+        and t = w<u, x>.  One pass over the coordinates checks the sum.  As
+        u and v are independent, s u + t v = 0 exactly when (s, t) = (0, 0)."""
+        bases = [p.basis for p in self.parts]
+        pairs = []
+        for u, v in bases:
             w = _pairing(u, v)
-            s, t = w * _pairing(xc, v), w * _pairing(u, xc)
-            comps.append(tuple(s * a + t * b for a, b in zip(u, v)))
-        if tuple(map(sum, zip(*comps))) != xc:
-            raise InternalInconsistencyError(f"components {comps} do not sum to x = {xc}")
-        return comps
+            pairs.append((w * _pairing(xc, v), w * _pairing(u, xc)))
+        (s1, t1), (s2, t2), (s3, t3) = pairs
+        (u1, v1), (u2, v2), (u3, v3) = bases
+        for x, a1, b1, a2, b2, a3, b3 in zip(xc, u1, v1, u2, v2, u3, v3):
+            if s1 * a1 + t1 * b1 + s2 * a2 + t2 * b2 + s3 * a3 + t3 * b3 != x:
+                comps = [tuple(s * a + t * b for a, b in zip(*uv))
+                         for (s, t), uv in zip(pairs, bases)]
+                raise InternalInconsistencyError(f"components {comps} do not sum to x = {xc}")
+        return pairs
 
     def ordered_key(self):
         return tuple(p.basis for p in self.parts)
@@ -620,12 +618,12 @@ STANDARD_SPLITTING = Splitting(
 def splitting_type_wrt_x(x, splitting):
     """Classify a splitting by which parts the class x touches.
 
-    Returns (letter, perm): letter "a", "b" or "c" counts the nonzero
-    components, perm lists the part indices with the touched ones first.
+    Returns (letter, perm): letter "a", "b" or "c" counts the parts with a
+    coefficient pair not (0, 0), perm lists the touched part indices first.
     """
     if x.is_zero():
         raise UsageError("x must be nonzero")
-    nonzero = [any(c) for c in splitting.components(x.coords)]
+    nonzero = [s or t for s, t in splitting.coefficients(x.coords)]
     touched = [i for i in range(3) if nonzero[i]]
     letter = "abc"[len(touched) - 1]
     perm = tuple(touched + [i for i in range(3) if not nonzero[i]])
@@ -644,7 +642,7 @@ def splitting_type_wrt_y(y, splitting, x_part):
         raise UsageError("x_part must be 0, 1 or 2")
     if y.is_zero():
         raise UsageError("y must be nonzero")
-    nonzero = [any(c) for c in splitting.components(y.coords)]
+    nonzero = [s or t for s, t in splitting.coefficients(y.coords)]
     rest = [i for i in range(3) if i != x_part]
     touched = [i for i in rest if nonzero[i]]
     others = tuple(touched + [i for i in rest if not nonzero[i]])
@@ -674,16 +672,17 @@ def primitive_part(x):
 # transvections
 
 
+def _transvect(c, v, power=1):
+    """v + power * <v, c> c on coordinate tuples: the one formula of the
+    c-transvection, which ``transvection_matrix`` applies to the basis."""
+    k = power * _pairing(v, c)
+    return tuple(a + k * b for a, b in zip(v, c)) if k else v
+
+
 def transvection_matrix(c, power=1):
-    """The 6x6 matrix of the c-transvection acting on column vectors."""
-    row = form_row(c)
-    # <v, c> = -<c, v>, so as a functional of v use the negated form row of c
-    functional = tuple(-x for x in row)
-    mat = identity_matrix(6)
-    for i in range(6):
-        for j in range(6):
-            mat[i][j] += power * c.coords[i] * functional[j]
-    return [tuple(r) for r in mat]
+    """The 6x6 matrix of the c-transvection acting on column vectors:
+    its columns are the ``_transvect`` images of the basis."""
+    return list(zip(*(_transvect(c.coords, e.coords, power) for e in BASIS)))
 
 
 def apply_matrix(mat, v):

@@ -10,18 +10,17 @@ an s-class into the kernel of the page differential.
 """
 
 from .lattice import (
+    BASIS,
     InternalInconsistencyError,
     SymplecticSubgroup,
     UsageError,
-    identity_matrix,
+    _transvect,
     intersection,
     hermite_row_form,
-    matrix_product,
     matrix_rank,
     orthogonal_complement,
     primitive_part,
     smith_normal_form,
-    transvection_matrix,
 )
 
 _RANK = 6
@@ -297,25 +296,26 @@ def cup_det_pair(nu1, nu2, h1, h2):
     return -(a * d - b * c)
 
 
+def _basis_images(classes):
+    """The columns of T_{c1} ... T_{cn}: the factors act on the basis right to left."""
+    images = [e.coords for e in BASIS]
+    for c in reversed(classes):
+        images = [_transvect(c.coords, v) for v in images]
+    return images
+
+
 def lantern_check(b1, b2, b3, b4, x, y, z):
     """Necessary homology-level check of the four-holed-sphere relation.
 
     The three interior twists must equal the four boundary twists as
     products of transvections; the oriented boundary classes must
     already satisfy their linear relation or the configuration is not a
-    candidate at all.
+    candidate at all.  Two matrices are equal exactly when their columns,
+    the images of the basis, are, so the products are compared by those.
     """
     if b1 + b2 + b3 != b4:
-        raise UsageError(
-            "boundary classes must satisfy [b1] + [b2] + [b3] = [b4]"
-        )
-    lhs = identity_matrix(_RANK)
-    for c in (x, y, z):
-        lhs = matrix_product(lhs, transvection_matrix(c))
-    rhs = identity_matrix(_RANK)
-    for c in (b1, b2, b3, b4):
-        rhs = matrix_product(rhs, transvection_matrix(c))
-    return [list(r) for r in lhs] == [list(r) for r in rhs]
+        raise UsageError("boundary classes must satisfy [b1] + [b2] + [b3] = [b4]")
+    return _basis_images((x, y, z)) == _basis_images((b1, b2, b3, b4))
 
 
 def sclass_image_in_e2(splitting, src):

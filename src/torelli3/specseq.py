@@ -358,17 +358,26 @@ def admissible_subgroups(cell, height):
     span only in zero, and some piece has positive genus to host it; or
     the cell carries a loop whose class generates a free handle inside
     the subgroup, with the subgroup orthogonal to all other classes.
+    The enumerated planes pair to +-1 by construction
+    (``test_enumerated_planes_pass_the_public_constructor``), so each
+    goes to ``_admissible`` with no plane guard.
     """
-    return [u for u in enumerate_symplectic_rank2(height) if is_admissible(cell, u)]
+    return [u for u in enumerate_symplectic_rank2(height) if _admissible(cell, u)]
 
 
-def is_admissible(cell, u):
+def _require_plane(u):
+    if not is_symplectic_rank2(u):
+        raise UsageError(f"subgroup {u.key()} is not a symplectic plane")
+
+
+def _admissible(cell, u):
     """Whether one subgroup fits the cell (either admissibility route).
 
-    ``u`` must be a symplectic plane (``lattice.is_symplectic_rank2``):
-    its basis rows pair to +-1, so U meets its orthogonal complement
-    U^perp only in zero, over Q.  That fact settles every rank test of
-    the two routes, which then read pairings alone:
+    ``u`` must be a symplectic plane (``lattice.is_symplectic_rank2``,
+    which ``_require_plane`` checks): its basis rows pair to +-1, so U
+    meets its orthogonal complement U^perp only in zero, over Q.  That
+    fact settles every rank test of the two routes, which then read
+    pairings alone:
 
     - Route 1: some piece has positive genus and every class is
       orthogonal to U.  The classes then span a subspace of U^perp,
@@ -383,17 +392,6 @@ def is_admissible(cell, u):
       nonzero class of U pairs with U, so c is then the one class
       that does.
     """
-    _require_plane(u)
-    return _admissible(cell, u)
-
-
-def _require_plane(u):
-    if not is_symplectic_rank2(u):
-        raise UsageError(f"subgroup {u.key()} is not a symplectic plane")
-
-
-def _admissible(cell, u):
-    """``is_admissible`` for a plane ``_require_plane`` has passed."""
     graph = cell.multicurve.graph
     classes = cell.multicurve.classes
     v, w = u.basis

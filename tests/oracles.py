@@ -22,7 +22,9 @@ and ``pair_tag_by_vectors`` are the splitting-page routes as they were
 before they moved to coordinate tuples: components as ``HVector``s tested
 with ``is_zero()``, and pair orthogonality through ``vectors()`` and
 ``intersection``; ``decompose`` is the ``HVector`` view of
-``Splitting.components`` they read.  ``reachable`` is the
+``components`` they read.  ``components`` is ``Splitting.components`` as
+it was before the letters were read off ``Splitting.coefficients``: the
+three component tuples, summed back to x.  ``reachable`` is the
 breadth-first search that tested connectivity before the union-find
 ``surface._merges``.  ``census_by_filter`` is the genus-3
 census as it was before its enumeration was capped by the Euler bound:
@@ -58,6 +60,9 @@ differentials at (2, 1) and (0, 3), which ``specseq.build_e1`` built
 before each differential named its own rows.
 ``affine_frame_by_ranks`` is ``cycles._affine_frame`` as it was before
 one echelon read its frame: one rank per candidate difference.
+``lantern_by_products`` is ``sclasses.lantern_check`` as it was before
+it compared the basis images of the two sides: seven dense 6x6 products
+by ``matrix_product``, which left the package with it.
 ``is_loop`` and ``transvection`` are references the tests read and the
 package does not.
 """
@@ -68,8 +73,9 @@ from itertools import combinations, combinations_with_replacement, permutations,
 from torelli3.cycles import CellInstance, face_geometry
 from torelli3 import surface
 from torelli3.lattice import (
-    A3, ZERO, HVector, Splitting, UsageError, _pairing, hermite_row_form, intersection,
-    kernel_basis, matrix_rank, solve_integer, splitting_type_wrt_x,
+    A3, ZERO, HVector, InternalInconsistencyError, Splitting, UsageError, _pairing,
+    hermite_row_form, identity_matrix, intersection, kernel_basis, matrix_rank,
+    solve_integer, splitting_type_wrt_x, transvection_matrix,
 )
 from torelli3.specseq import E1Truncation, GeneratorTag
 from torelli3.surface import (
@@ -250,9 +256,26 @@ def dense_kernel_matches_pattern(src, mat, pattern):
     return hermite_row_form(rows) == hermite_row_form(kernel)
 
 
+def components(splitting, xc):
+    """Write the coordinate tuple xc as a sum of one component per part.
+
+    The parts are orthogonal, so the part with basis (u, v) and
+    w = <u, v> = +-1 takes the component w<x, v> u + w<u, x> v.
+    Returns the three component tuples.
+    """
+    comps = []
+    for u, v in (p.basis for p in splitting.parts):
+        w = _pairing(u, v)
+        s, t = w * _pairing(xc, v), w * _pairing(u, xc)
+        comps.append(tuple(s * a + t * b for a, b in zip(u, v)))
+    if tuple(map(sum, zip(*comps))) != xc:
+        raise InternalInconsistencyError(f"components {comps} do not sum to x = {xc}")
+    return comps
+
+
 def decompose(splitting, x):
-    """The components of x (see ``Splitting.components``) as HVectors."""
-    return tuple(HVector(c) for c in splitting.components(x.coords))
+    """The components of x (see ``components``) as HVectors."""
+    return tuple(HVector(c) for c in components(splitting, x.coords))
 
 
 def letter_by_decompose(x, splitting):
@@ -522,7 +545,7 @@ def is_loop(graph, e):
 
 
 def is_admissible_by_vectors(cell, u):
-    """``specseq.is_admissible`` with the class rank taken first and the
+    """``specseq._admissible`` with the class rank taken first and the
     pairings tested on ``HVector``s."""
     m = cell.multicurve
     class_rows = [list(m.class_of(e).coords) for e in m.edge_ids()]
@@ -633,6 +656,26 @@ def splittings_by_plane_masks(subs):
 def transvection(c, v, power=1):
     """Image of v under the c-transvection, v + power * <v, c> c."""
     return v + (power * intersection(v, c)) * c
+
+
+def matrix_product(a, b):
+    bt = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+
+
+def lantern_by_products(b1, b2, b3, b4, x, y, z):
+    """``sclasses.lantern_check`` with both sides as dense 6x6 products."""
+    if b1 + b2 + b3 != b4:
+        raise UsageError(
+            "boundary classes must satisfy [b1] + [b2] + [b3] = [b4]"
+        )
+    lhs = identity_matrix(6)
+    for c in (x, y, z):
+        lhs = matrix_product(lhs, transvection_matrix(c))
+    rhs = identity_matrix(6)
+    for c in (b1, b2, b3, b4):
+        rhs = matrix_product(rhs, transvection_matrix(c))
+    return [list(r) for r in lhs] == [list(r) for r in rhs]
 
 
 def target_basis_21(trunc):

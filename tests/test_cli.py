@@ -488,6 +488,22 @@ def test_log_environment_variable():
     assert "census counts" in proc.stderr
 
 
+def test_python_m_torelli3_runs_the_cli_from_a_checkout():
+    package_root = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "TORELLI3_LOG"}
+    env["PYTHONPATH"] = package_root
+    proc = subprocess.run(
+        [sys.executable, "-m", "torelli3", "types"], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["verdicts"]["counts"] == [3, 6, 3, 2]
+    # importing the entry module, as the bench harness's set-up probe does, runs nothing
+    proc = subprocess.run(
+        [sys.executable, "-c", "import torelli3.__main__"], capture_output=True, text=True, env=env
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+
+
 def test_expectations_load():
     exp = cli.load_expectations()
     assert exp["version"] == 1

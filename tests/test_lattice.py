@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from oracles import (
-    contains_by_lists, decompose, letter_by_decompose, solve_rational,
+    contains_by_lists, decompose, letter_by_decompose, matrix_product, solve_rational,
     splittings_by_plane_masks, transvection, ytype_by_decompose,
 )
 from torelli3 import lattice
@@ -26,7 +26,7 @@ from torelli3.lattice import (
     InternalInconsistencyError, UsageError,
     bareiss_determinant, enumerate_splittings, enumerate_symplectic_rank2,
     form_row, hermite_row_form, intersection, is_symplectic_rank2, kernel_basis,
-    matrix_product, matrix_rank, orthogonal_complement,
+    matrix_rank, orthogonal_complement,
     primitive_part, saturate, smith_normal_form, solve_integer,
     splitting_type_wrt_x,
     splitting_type_wrt_y, transvection_matrix, apply_matrix,
@@ -514,7 +514,11 @@ SPLITTINGS = st.one_of(
 def test_decompose_matches_linear_solve(splitting, coords):
     x = HVector(coords)
     want = _decompose_oracle(splitting, x)
-    comps = splitting.components(x.coords)
+    pairs = splitting.coefficients(x.coords)
+    comps = [
+        tuple(s * a + t * b for a, b in zip(*part.basis))
+        for (s, t), part in zip(pairs, splitting.parts)
+    ]
     assert tuple(HVector(c) for c in comps) == want
     assert decompose(splitting, x) == want
     for comp, part in zip(comps, splitting.parts):
@@ -605,9 +609,12 @@ def _outcome(classify, *args):
 
 
 def test_splitting_types_match_the_decompose_route_on_bound_1():
-    # the tuple route against HVector components and is_zero(), over every
-    # splitting of bound 1 and each part as the x-part of y = a2 + a3
+    # the coefficient-pair route against HVector components and is_zero(),
+    # over every splitting of bound 1 and each part as the x-part of
+    # y = a2 + a3, then with one seeded random nonzero class per splitting
+    # as x and as y
     y = A2 + A3
+    rng = random.Random(2401)
     letters, ytypes = set(), set()
     for s in enumerate_splittings(1):
         letter = splitting_type_wrt_x(A1, s)
@@ -617,6 +624,12 @@ def test_splitting_types_match_the_decompose_route_on_bound_1():
             got = _outcome(splitting_type_wrt_y, y, s, part)
             assert got == _outcome(ytype_by_decompose, y, s, part)
             ytypes.add(got if isinstance(got, str) else got[0])
+        v = HVector([rng.randint(-2, 2) for _ in range(6)])
+        if v.is_zero():
+            continue
+        assert splitting_type_wrt_x(v, s) == letter_by_decompose(v, s)
+        part = rng.randrange(3)
+        assert _outcome(splitting_type_wrt_y, v, s, part) == _outcome(ytype_by_decompose, v, s, part)
     assert letters == {"a", "b", "c"}
     assert ytypes == {1, 2, 3, 4, "y lies in the part containing x; no type applies"}
 
@@ -653,6 +666,22 @@ def test_transvection_preserves_pairing_and_fixes_axis():
         assert intersection(transvection(c, u), transvection(c, v)) == intersection(u, v)
         assert transvection(c, c) == c
         assert transvection(c, transvection(c, v), -1) == v
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(-5, 5), min_size=6, max_size=6),
+    st.lists(st.integers(-5, 5), min_size=6, max_size=6),
+    st.lists(st.integers(-5, 5), min_size=6, max_size=6),
+    st.integers(-3, 3),
+)
+def test_transvect_matches_the_formula_and_the_matrix(c, u, v, power):
+    c, u, v = HVector(c), HVector(u), HVector(v)
+    image = lattice._transvect(c.coords, v.coords, power)
+    assert HVector(image) == transvection(c, v, power)
+    assert HVector(image) == apply_matrix(transvection_matrix(c, power), v)
+    other = lattice._transvect(c.coords, u.coords, power)
+    assert lattice._pairing(other, image) == intersection(u, v)
 
 
 def test_transvection_moves_splittings():
@@ -941,11 +970,13 @@ def test_non_integer_examples_are_usage_errors():
 
 def test_components_of_parts_that_are_not_orthogonal_are_an_internal_error():
     # <a3, b3 + a1> pairs with <a1, b1>, so the part formula misses x = b1;
-    # the check raises under python -O as well
+    # the check raises under python -O as well, and the letter reads it
     parts = (SymplecticSubgroup.spanned_by(pair) for pair in ((A1, B1), (A2, B2), (A3, B3 + A1)))
     stale = Splitting._trusted(tuple(parts))
     with pytest.raises(InternalInconsistencyError, match=r"do not sum to x = \(0, 1, 0"):
-        stale.components(B1.coords)
+        stale.coefficients(B1.coords)
+    with pytest.raises(InternalInconsistencyError, match=r"do not sum to x = \(0, 1, 0"):
+        splitting_type_wrt_x(B1, stale)
 
 
 def test_enumerate_splittings_rejects_a_non_integer_bound():

@@ -3,8 +3,11 @@ from itertools import permutations
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import sclass_image_by_scan
+from oracles import lantern_by_products, sclass_image_by_scan
+from torelli3 import cli
 from torelli3.cli import plain_splitting_family
 from torelli3.lattice import (
     A1,
@@ -13,12 +16,14 @@ from torelli3.lattice import (
     B1,
     B2,
     B3,
+    BASIS,
     HVector,
     InternalInconsistencyError,
     STANDARD_SPLITTING,
     Splitting,
     SymplecticSubgroup,
     UsageError,
+    apply_matrix,
     enumerate_splittings,
     intersection,
     matrix_rank,
@@ -32,6 +37,7 @@ from torelli3.sclasses import (
     NuHomomorphism,
     SClassElement,
     SeparatingTwist,
+    _basis_images,
     cup_det_pair,
     lantern_check,
     normal_form,
@@ -304,6 +310,102 @@ def test_lantern_balanced_boundary_perturbation_fails():
     b1, b2, b3 = A1, A2, A3
     x, y, z = b1 + b2, b2 + b3, b1 + b3
     assert not lantern_check(b1, b2 + B2, b3, b1 + b2 + B2 + b3, x, y, z)
+
+
+CLASSES = st.lists(st.integers(-2, 2), min_size=6, max_size=6).map(HVector)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(CLASSES, min_size=1, max_size=7))
+def test_basis_images_are_the_columns_of_the_sympy_product(classes):
+    # random classes pair to nonzero values, so their transvections do not
+    # commute and a factor order other than right to left shows here
+    product = sympy.eye(6)
+    for c in classes:
+        product = product * sympy_transvection(c)
+    images = _basis_images(classes)
+    assert [tuple(product[:, j]) for j in range(6)] == images
+
+
+def _lantern_outcome(check, config):
+    try:
+        return check(*config)
+    except UsageError as err:
+        return str(err)
+
+
+def _stock_translated_and_perturbed():
+    stock = list(LANTERN_CONFIGS) + list(cli.LANTERN_CONFIGS)
+    configs = list(stock)
+    for seed in range(1, 21):
+        rng = random.Random(seed)
+        for base in stock:
+            mat = transvection_matrix(rng.choice(cli.TRANSLATE_POOL), rng.choice((1, -1, 2)))
+            configs.append(tuple(apply_matrix(mat, v) for v in base))
+    for base in stock:
+        for slot in range(7):
+            for e in BASIS:
+                perturbed = list(base)
+                perturbed[slot] = perturbed[slot] + e
+                configs.append(tuple(perturbed))
+    return configs
+
+
+def test_lantern_matches_the_product_oracle_on_stock_translated_and_perturbed():
+    verdicts = []
+    for config in _stock_translated_and_perturbed():
+        got = _lantern_outcome(lantern_check, config)
+        assert got == _lantern_outcome(lantern_by_products, config)
+        verdicts.append(got)
+    assert {True, False} <= set(verdicts)
+    assert any(isinstance(v, str) for v in verdicts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(CLASSES, min_size=6, max_size=6), CLASSES, st.sampled_from((1, -1, 2)))
+def test_lantern_matches_the_product_oracle_on_random_configurations(classes, c, power):
+    b1, b2, b3, x, y, z = classes
+    config = (b1, b2, b3, b1 + b2 + b3, x, y, z)
+    assert lantern_check(*config) == lantern_by_products(*config)
+    # both sides T_b1 T_b2 T_(b1+b2), and the interior read in reverse
+    built = (b1, b2, -(b1 + b2), ZERO, b1, b2, b1 + b2)
+    assert lantern_check(*built) and lantern_by_products(*built)
+    flipped = built[:4] + (b1 + b2, b2, b1)
+    assert lantern_check(*flipped) == lantern_by_products(*flipped)
+    # a symplectic translate of a stock lantern is a lantern
+    mat = transvection_matrix(c, power)
+    for base in cli.LANTERN_CONFIGS:
+        moved = tuple(apply_matrix(mat, v) for v in base)
+        assert lantern_check(*moved) and lantern_by_products(*moved)
+
+
+def test_lantern_keeps_each_side_in_its_factor_order():
+    # with b3 = -(b1 + b2) and b4 = 0 both sides are T_b1 T_b2 T_(b1+b2),
+    # so the check passes in the stated order; <a1, b1> = 1, so these
+    # factors do not commute and either side read in reverse fails, which
+    # no stock configuration shows (their classes pair to 0)
+    b1, b2 = A1, B1
+    config = (b1, b2, -(b1 + b2), ZERO, b1, b2, b1 + b2)
+    assert lantern_check(*config) and lantern_by_products(*config)
+    for flipped in (config[:4] + (b1 + b2, b2, b1), (-(b1 + b2), b2, b1) + config[3:]):
+        assert not lantern_check(*flipped)
+        assert not lantern_by_products(*flipped)
+
+
+def test_lantern_sees_products_that_differ_in_one_column():
+    # T_e for a basis vector e moves only the basis vector that pairs with
+    # e, so against four trivial boundary twists the two sides differ in
+    # one column, a different one for each e
+    moved = set()
+    for e in BASIS:
+        config = (ZERO, ZERO, ZERO, ZERO, e, ZERO, ZERO)
+        lhs, rhs = _basis_images(config[4:]), _basis_images(config[:4])
+        differ = [j for j in range(6) if lhs[j] != rhs[j]]
+        assert len(differ) == 1
+        moved.update(differ)
+        assert not lantern_check(*config)
+        assert not lantern_by_products(*config)
+    assert moved == set(range(6))
 
 
 def page_source(splittings):

@@ -46,7 +46,6 @@ from torelli3.specseq import (
     dim_cd_inequality,
     e2_13_kernel,
     e2_13_tilde_kernel,
-    is_admissible,
     vanishing_census,
 )
 from torelli3.surface import DecompGraph, LabeledMulticurve, classify_types
@@ -180,11 +179,44 @@ def test_stored_tag_hash_matches_the_key(pair):
         assert hash(tag) == hash(tag.key())
 
 
+def is_admissible(cell, u):
+    """One plane against one cell, guarded as the (2, 2) and (1, 2) pages
+    guard their subgroups: the plane check, then the pairing routes."""
+    specseq._require_plane(u)
+    return specseq._admissible(cell, u)
+
+
 def test_admissible_for_bounding_pair():
     keys = {u.key() for u in admissible_subgroups(bounding_pair_cell(), 1)}
     assert U23.key() in keys
     assert U33.key() in keys
     assert SymplecticSubgroup.spanned_by([A1, B1]).key() not in keys
+
+
+def test_subgroup_filter_runs_no_plane_guard(monkeypatch):
+    """The census witness cells and plain and appended 2-cells of a
+    ladder: the filter keeps what the guarded ``is_admissible`` keeps, and
+    passes no plane through ``is_symplectic_rank2``, since every
+    enumerated plane pairs to +-1 by construction."""
+    ladder = build_ladder(2, 5, 4)
+    tags = ladder.two_cells()[:3]
+    cells = [CellInstance(e.witness) for p in range(4) for e in classify_types(3, p)]
+    cells += [ladder.cell_cells[tag] for tag in tags]
+    cells += [ladder.appended_cell(tag) for tag in tags]
+    planes = enumerate_symplectic_rank2(1)
+    guarded = [[u for u in planes if is_admissible(cell, u)] for cell in cells]
+    assert any(guarded) and not all(guarded)
+    guards = Counter()
+
+    def counting(u):
+        guards[u] += 1
+        return lattice.is_symplectic_rank2(u)
+
+    monkeypatch.setattr(specseq, "is_symplectic_rank2", counting)
+    assert [admissible_subgroups(cell, 1) for cell in cells] == guarded
+    assert not guards
+    is_admissible(cells[0], U33)
+    assert guards == {U33: 1}
 
 
 def test_admissible_empty_for_full_support():
