@@ -3,7 +3,9 @@
 The ambient lattice is Z^6 with ordered basis (a1, b1, a2, b2, a3, b3) and the
 standard alternating form built from three hyperbolic planes.  Everything runs
 over plain Python integers: ranks, determinants, solves and one-dimensional
-kernels come from one fraction-free elimination, whose divisions are exact.
+kernels come from one fraction-free elimination, whose divisions are exact;
+saturated kernels, saturation and canonical bases come from the one Hermite
+normal form.
 
 Matrices are sequences of rows.  Sublattices are always stored through their
 Hermite canonical basis, so equal sublattices compare equal.
@@ -153,108 +155,6 @@ def form_row(u):
 # plain integer matrix utilities
 
 
-def identity_matrix(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def smith_normal_form(m):
-    """Smith normal form with transforms.
-
-    Returns (factors, left, right) with left * m * right diagonal, the
-    diagonal entries nonnegative and each dividing the next.
-
-    >>> smith_normal_form([[2, 4], [6, 8]])[0]
-    (2, 4)
-    """
-    a = [list(row) for row in m]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    left = identity_matrix(rows)
-    right = identity_matrix(cols)
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        left[i], left[j] = left[j], left[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in right:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, k):
-        a[dst] = [x + k * y for x, y in zip(a[dst], a[src])]
-        left[dst] = [x + k * y for x, y in zip(left[dst], left[src])]
-
-    def add_col(src, dst, k):
-        for row in a:
-            row[dst] += k * row[src]
-        for row in right:
-            row[dst] += k * row[src]
-
-    def min_entry(t):
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        return best
-
-    t = 0
-    while t < min(rows, cols):
-        pivot = min_entry(t)
-        if pivot is None:
-            break
-        while True:
-            # divide by the smallest entry of the block each sweep; the
-            # pivot shrinks like a gcd computation, keeping entries small
-            swap_rows(t, pivot[0])
-            swap_cols(t, pivot[1])
-            for i in range(t + 1, rows):
-                if a[i][t] != 0:
-                    add_row(t, i, -(a[i][t] // a[t][t]))
-            for j in range(t + 1, cols):
-                if a[t][j] != 0:
-                    add_col(t, j, -(a[t][j] // a[t][t]))
-            if all(a[i][t] == 0 for i in range(t + 1, rows)) and all(
-                a[t][j] == 0 for j in range(t + 1, cols)
-            ):
-                break
-            pivot = min_entry(t)
-        t += 1
-
-    # enforce the divisibility chain; rows t and t+1 are zero outside their
-    # diagonal entries here, so the repair stays inside the 2x2 corner
-    t = 0
-    while t < min(rows, cols) - 1:
-        if a[t][t] != 0 and a[t + 1][t + 1] % a[t][t] != 0:
-            add_col(t + 1, t, 1)
-            while a[t + 1][t] != 0 or a[t][t + 1] != 0:
-                while a[t + 1][t] != 0:
-                    if a[t][t] == 0 or abs(a[t + 1][t]) < abs(a[t][t]):
-                        swap_rows(t, t + 1)
-                    q = a[t + 1][t] // a[t][t]
-                    add_row(t, t + 1, -q)
-                while a[t][t + 1] != 0:
-                    if a[t][t] == 0 or abs(a[t][t + 1]) < abs(a[t][t]):
-                        swap_cols(t, t + 1)
-                    q = a[t][t + 1] // a[t][t]
-                    add_col(t, t + 1, -q)
-            t = max(t - 1, 0)
-        else:
-            t += 1
-
-    for i in range(min(rows, cols)):
-        if a[i][i] < 0:
-            for j in range(cols):
-                a[i][j] = -a[i][j]
-            for j in range(rows):
-                left[i][j] = -left[i][j]
-
-    factors = tuple(a[i][i] for i in range(min(rows, cols)))
-    return factors, left, right
-
-
 def echelon(m, ncols):
     """Row echelon form by fraction-free elimination (Bareiss, 1968).
 
@@ -343,22 +243,35 @@ def solve_integer(m, target):
 
 
 def kernel_basis(m, ncols=None):
-    """Basis rows for the saturated kernel {x : m x = 0}."""
+    """Hermite basis rows of the saturated kernel {x : m x = 0}.
+
+    One Hermite form of [m^T | I] gives it (Cohen, GTM 138, 2.4): it is
+    [U m^T | U] for a unimodular U, so the U parts of the rows whose m^T
+    part is zero span the kernel, and as rows of U they span a saturated
+    lattice.  They are the last rows of the form, so they are already in
+    Hermite form.
+    """
     if ncols is None:
         if not m:
             raise UsageError("empty matrix needs an explicit column count")
         ncols = len(m[0])
-    rows = [list(r) for r in m if any(r)]
-    if not rows:
-        return [tuple(row) for row in identity_matrix(ncols)]
-    factors, _left, right = smith_normal_form(rows)
-    rank = sum(1 for f in factors if f != 0)
-    return [tuple(right[i][j] for i in range(ncols)) for j in range(rank, ncols)]
+    rows = [r for r in m if any(r)]
+    r = len(rows)
+    augmented = [[row[j] for row in rows] + [int(i == j) for i in range(ncols)]
+                 for j in range(ncols)]
+    return [row[r:] for row in hermite_row_form(augmented) if not any(row[:r])]
 
 
 def saturate(rows, ncols=None):
-    """Basis of the smallest primitive sublattice containing the rows."""
+    """Hermite basis of the smallest primitive sublattice containing the rows."""
     return kernel_basis(kernel_basis(rows, ncols), ncols)
+
+
+def is_saturated(rows, ncols):
+    """Whether the rows span a saturated lattice: their Hermite basis is
+    that of their saturation.  The nonzero invariant factors are then all
+    1; the rows need not be independent."""
+    return list(hermite_row_form(rows)) == saturate(rows, ncols)
 
 
 def hermite_row_form(m):
@@ -420,7 +333,7 @@ class SymplecticSubgroup:
     """A primitive sublattice of H, stored by its Hermite canonical basis.
 
     The constructor insists the given rows already span a primitive lattice:
-    the gcd of the maximal minors, the product of the Smith factors, is 1.
+    the gcd of the maximal minors of the Hermite basis is 1.
     Use spanned_by() to saturate arbitrary generators first.
     """
 

@@ -17,10 +17,10 @@ from .lattice import (
     _transvect,
     intersection,
     hermite_row_form,
+    is_saturated,
     matrix_rank,
     orthogonal_complement,
     primitive_part,
-    smith_normal_form,
 )
 
 _RANK = 6
@@ -128,12 +128,18 @@ def relation_matrix():
 
 
 def relation_factors():
-    """Nonzero invariant factors of ``relation_matrix()``, from one Smith
-    normal form; torsion in the quotient would be a bug."""
-    nonzero = [f for f in smith_normal_form(relation_matrix())[0] if f]
-    if any(f != 1 for f in nonzero):
+    """Nonzero invariant factors of ``relation_matrix()``; torsion in the
+    quotient would be a bug.
+
+    The quotient of Z^6 by the relation lattice R has torsion subgroup
+    sat(R) / R, which has the order of the product of the nonzero
+    factors.  So the quotient is torsion-free exactly when R is
+    saturated, and then every nonzero factor is 1, one per unit of the
+    rank of R."""
+    rows = relation_matrix()
+    if not is_saturated(rows, len(PERMUTATIONS)):
         raise InternalInconsistencyError("unexpected torsion in the relation quotient")
-    return nonzero
+    return [1] * matrix_rank(rows)
 
 
 def per_splitting_rank(factors=None):

@@ -4,10 +4,10 @@ Stabilizer homology is symbolic: each generator is a cell orbit id plus
 a tag naming a twist class or an abelian cycle, following the explicit
 bases of the source material.  Differentials become sparse integer
 matrices on these labels, and injectivity or kernel questions are
-settled exactly by sparse unit-pivot elimination, with Smith normal form
-only for a leftover block that has no unit entry.  Truncations are
-explicit; an image that would leave the window raises instead of being
-clipped.
+settled exactly by sparse unit-pivot elimination, with the dense Hermite
+routes of ``lattice`` only for a leftover block that has no unit entry.
+Truncations are explicit; an image that would leave the window raises
+instead of being clipped.
 """
 
 from .lattice import (
@@ -16,14 +16,13 @@ from .lattice import (
     _pairing,
     as_int,
     enumerate_symplectic_rank2,
+    is_saturated,
     is_symplectic_rank2,
     kernel_basis,
     matrix_rank,
-    smith_normal_form,
     splitting_type_wrt_x,
     splitting_type_wrt_y,
 )
-from .cycles import append_loop  # noqa: F401  re-exported: specseq.append_loop
 from .surface import cd_upper_bound, classify_types
 
 
@@ -66,10 +65,6 @@ class GeneratorTag:
     @classmethod
     def a3(cls, splitting):
         return cls("a3", splitting.unordered_key())
-
-    @property
-    def sign(self):
-        return self.data[2] if self.kind == "a2pair" else 1
 
     def key(self):
         return (self.kind, self.data)
@@ -228,9 +223,10 @@ class SparseIntMatrix:
         """Whether the columns are independent and span a saturated lattice.
 
         The retired columns carry a unit-triangular minor on their pivot
-        rows, where every other column is zero, so the Smith factors are
-        those of the leftover block plus ones: that block must have full
-        column rank and unit factors.  A column that became zero is a
+        rows, where every other column is zero, so the columns are
+        independent and saturated exactly when the leftover block's are:
+        it must have full column rank, and its columns, as rows, must
+        span a saturated lattice.  A column that became zero is a
         dependence.
         """
         _, kernel, leftover = self._eliminate()
@@ -238,8 +234,9 @@ class SparseIntMatrix:
             return False
         if not leftover:
             return True
-        factors = smith_normal_form(_dense_block(leftover))[0]
-        return len(factors) == len(leftover) and all(f == 1 for f in factors)
+        block = _dense_block(leftover)
+        columns = list(zip(*block))
+        return matrix_rank(columns) == len(columns) and is_saturated(columns, len(block))
 
     def _eliminate(self):
         """Sparse elimination by integer column operations on unit pivots.

@@ -63,6 +63,10 @@ one echelon read its frame: one rank per candidate difference.
 ``lantern_by_products`` is ``sclasses.lantern_check`` as it was before
 it compared the basis images of the two sides: seven dense 6x6 products
 by ``matrix_product``, which left the package with it.
+``identity_matrix`` left the package with its last caller there, the
+Smith form; ``smith_factors`` reads the nonzero invariant factors off
+sympy's Smith form, the oracle of every kernel and saturation test, so
+none of them runs the package's Hermite route as its own reference.
 ``is_loop`` and ``transvection`` are references the tests read and the
 package does not.
 """
@@ -70,11 +74,14 @@ package does not.
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
 
+import sympy
+from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
 from torelli3.cycles import CellInstance, face_geometry
 from torelli3 import surface
 from torelli3.lattice import (
     A3, ZERO, HVector, InternalInconsistencyError, Splitting, UsageError, _pairing,
-    hermite_row_form, identity_matrix, intersection, kernel_basis, matrix_rank,
+    hermite_row_form, intersection, kernel_basis, matrix_rank,
     solve_integer, splitting_type_wrt_x, transvection_matrix,
 )
 from torelli3.specseq import E1Truncation, GeneratorTag
@@ -127,7 +134,7 @@ def two_scan(rows, edge_order, target):
     rank.  Boundedness: the kernel of the rows of every subset alone, over
     all subsets; a one-dimensional kernel with a strictly sign-definite
     generator is a vanishing nonnegative combination.  Kernels come from
-    the Smith form, so this route shares no echelon with the scan.
+    the Hermite form, so this route shares no echelon with the scan.
     """
     width = len(target)
     found = []
@@ -656,6 +663,19 @@ def splittings_by_plane_masks(subs):
 def transvection(c, v, power=1):
     """Image of v under the c-transvection, v + power * <v, c> c."""
     return v + (power * intersection(v, c)) * c
+
+
+def smith_factors(rows, ncols):
+    """The nonzero invariant factors of the rows, from sympy's Smith form."""
+    rows = [list(r) for r in rows]
+    if not rows or not ncols:
+        return []
+    diagonal = sympy_snf(sympy.Matrix(len(rows), ncols, sum(rows, []))).diagonal()
+    return [abs(int(f)) for f in diagonal if f]
+
+
+def identity_matrix(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def matrix_product(a, b):

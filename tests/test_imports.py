@@ -231,29 +231,35 @@ def unreached_public_functions(package, readers):
     """Name of each public module function or method of the package
     sources that no package or reader source reads.
 
-    A read is a name, an attribute or a string constant equal to it: the
-    bench harness wraps CLI suites by name.  A definition is no read.
+    A read is an attribute or a string constant equal to the name (the
+    bench harness wraps CLI suites by name), or, for a module function
+    only, a bare name: a local variable that shares a method's name does
+    not read the method.  A definition is no read.
     """
     trees = [ast.parse(source) for source in package + readers]
-    read = set()
+    names, read = set(), set()
     for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                read.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 read.add(node.value)
-    defined = []
+    unread = []
     for tree in trees[: len(package)]:
-        bodies = [tree.body] + [n.body for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
-        defined += [
-            node.name
-            for body in bodies
-            for node in body
-            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        bodies = [(tree.body, read | names)] + [
+            (n.body, read) for n in ast.walk(tree) if isinstance(n, ast.ClassDef)
         ]
-    return sorted(name for name in defined if name not in read)
+        unread += [
+            node.name
+            for body, reads in bodies
+            for node in body
+            if isinstance(node, ast.FunctionDef)
+            and not node.name.startswith("_")
+            and node.name not in reads
+        ]
+    return sorted(unread)
 
 
 def test_reach_scan_flags_unread_functions_and_methods():
@@ -267,9 +273,13 @@ def test_reach_scan_flags_unread_functions_and_methods():
         "class C:\n"
         "    def method(self): pass\n"
         "    def stale(self): return self.method\n"
+        "    @property\n"
+        "    def shadowed(self): return 1\n"
+        "def loop(pairs):\n"
+        "    return [shadowed for shadowed, _ in pairs]\n"
     )
-    reader = "SUITES = ['by_name']\n"
-    assert unreached_public_functions([package], [reader]) == ["dead", "stale"]
+    reader = "SUITES = ['by_name']\nloop([])\n"
+    assert unreached_public_functions([package], [reader]) == ["dead", "shadowed", "stale"]
 
 
 # admissible_subgroups: becomes the filter of `check d22` over every

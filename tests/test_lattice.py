@@ -13,11 +13,10 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from oracles import (
-    contains_by_lists, decompose, letter_by_decompose, matrix_product, solve_rational,
-    splittings_by_plane_masks, transvection, ytype_by_decompose,
+    contains_by_lists, decompose, identity_matrix, letter_by_decompose, smith_factors,
+    solve_rational, splittings_by_plane_masks, transvection, ytype_by_decompose,
 )
 from torelli3 import lattice
 from torelli3.lattice import (
@@ -25,9 +24,9 @@ from torelli3.lattice import (
     HVector, Splitting, SymplecticSubgroup, STANDARD_SPLITTING,
     InternalInconsistencyError, UsageError,
     bareiss_determinant, enumerate_splittings, enumerate_symplectic_rank2,
-    form_row, hermite_row_form, intersection, is_symplectic_rank2, kernel_basis,
-    matrix_rank, orthogonal_complement,
-    primitive_part, saturate, smith_normal_form, solve_integer,
+    form_row, hermite_row_form, intersection, is_saturated, is_symplectic_rank2,
+    kernel_basis, matrix_rank, orthogonal_complement,
+    primitive_part, saturate, solve_integer,
     splitting_type_wrt_x,
     splitting_type_wrt_y, transvection_matrix, apply_matrix,
     transform_splitting,
@@ -46,44 +45,7 @@ def random_matrix(rng, rows, cols, lo=-9, hi=9):
 
 
 # ---------------------------------------------------------------------------
-# Smith form
-
-
-def test_snf_spec_examples():
-    assert smith_normal_form([[2, 4], [6, 8]])[0] == (2, 4)
-    assert smith_normal_form([[1, 0], [0, 1]])[0] == (1, 1)
-    assert smith_normal_form([[0, 0], [0, 0]])[0] == (0, 0)
-
-
-def test_snf_transforms_random():
-    rng = random.Random(7)
-    for _ in range(150):
-        r, c = rng.randint(1, 5), rng.randint(1, 5)
-        m = random_matrix(rng, r, c)
-        factors, left, right = smith_normal_form(m)
-        diag = matrix_product(matrix_product(left, m), right)
-        for i in range(r):
-            for j in range(c):
-                want = factors[i] if i == j and i < len(factors) else 0
-                assert diag[i][j] == want
-        assert abs(bareiss_determinant(left)) == 1
-        assert abs(bareiss_determinant(right)) == 1
-        for i in range(len(factors) - 1):
-            if factors[i] == 0:
-                assert factors[i + 1] == 0
-            elif factors[i + 1] != 0:
-                assert factors[i + 1] % factors[i] == 0
-
-
-def test_snf_matches_sympy_random():
-    rng = random.Random(11)
-    for _ in range(60):
-        r, c = rng.randint(1, 4), rng.randint(1, 4)
-        m = random_matrix(rng, r, c)
-        mine = [f for f in smith_normal_form(m)[0] if f != 0]
-        ref = sympy_snf(sympy.Matrix(m))
-        ref_diag = [ref[i, i] for i in range(min(ref.rows, ref.cols)) if ref[i, i] != 0]
-        assert mine == [abs(int(x)) for x in ref_diag]
+# ranks and determinants against sympy
 
 
 def test_rank_matches_sympy_random():
@@ -131,7 +93,7 @@ def small_matrices(draw, max_rows=5, max_cols=5):
 
 
 def snf_rank(m):
-    return sum(1 for f in smith_normal_form(m)[0] if f != 0)
+    return len(smith_factors(m, len(m[0])))
 
 
 @settings(max_examples=300, deadline=None)
@@ -209,8 +171,7 @@ def test_bareiss_determinant_sign_follows_row_swaps():
 
 
 def snf_primitive(rows):
-    h = hermite_row_form(rows)
-    return all(f == 1 for f in smith_normal_form([list(r) for r in h])[0]) if h else True
+    return all(f == 1 for f in smith_factors(rows, 6))
 
 
 @settings(max_examples=300, deadline=None)
@@ -299,15 +260,46 @@ def test_kernel_annihilates_and_is_saturated():
         assert len(ker) == c - matrix_rank(m)
         for x in ker:
             assert all(sum(a * b for a, b in zip(row, x)) == 0 for row in m)
-        if ker:
-            # saturated: the kernel lattice equals the saturation of itself
-            assert hermite_row_form(ker) == hermite_row_form(saturate(ker))
+        # saturated: every invariant factor of the kernel rows is 1
+        assert smith_factors(ker, c) == [1] * len(ker)
 
 
 def test_kernel_of_empty_matrix_needs_ncols():
     assert len(kernel_basis([], 6)) == 6
     with pytest.raises(ValueError):
         kernel_basis([])
+
+
+@st.composite
+def lattice_matrices(draw):
+    """(rows, column count): 0-6 rows, 1-8 columns, entries in -4..4.
+
+    Half the time one row is a multiple k >= 2 of a primitive row, so the
+    rows often span a lattice that is not saturated.
+    """
+    ncols = draw(st.integers(1, 8))
+    entries = st.lists(st.integers(-4, 4), min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(entries, max_size=6))
+    if rows and draw(st.booleans()):
+        k = draw(st.integers(2, 4))
+        rows[draw(st.integers(0, len(rows) - 1))] = [k * v for v in draw(entries)]
+    return rows, ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattice_matrices())
+def test_hermite_kernel_and_saturation_against_sympy_smith(matrix):
+    """sympy's Smith form is the oracle, so this shares no code with the
+    Hermite route under test."""
+    m, ncols = matrix
+    ker = kernel_basis(m, ncols)
+    for x in ker:
+        assert all(sum(a * b for a, b in zip(row, x)) == 0 for row in m)
+    rank = len(smith_factors(m, ncols))
+    assert len(ker) == ncols - rank
+    assert tuple(ker) == hermite_row_form(ker)
+    assert smith_factors(ker, ncols) == [1] * len(ker)
+    assert is_saturated(m, ncols) == all(f == 1 for f in smith_factors(m, ncols))
 
 
 def test_saturate_contains_originals():
@@ -317,6 +309,7 @@ def test_saturate_contains_originals():
         m = random_matrix(rng, r, 6, -4, 4)
         sat = saturate(m, 6)
         assert matrix_rank(sat) == matrix_rank(m)
+        assert smith_factors(sat, 6) == [1] * len(sat)
         for row in m:
             sol = solve_rational([list(col) for col in zip(*sat)], row) if sat else (
                 [] if not any(row) else None
@@ -940,12 +933,12 @@ def test_public_routes_still_reject_bad_planes_and_triples():
     with pytest.raises(ValueError, match="not orthogonal"):
         Splitting([u1, u2, SymplecticSubgroup.spanned_by([A3, B3 + A1])])
     # a shear a3 -> a3 + a1 is not symplectic: the moved third part meets b1
-    shear = lattice.identity_matrix(6)
+    shear = identity_matrix(6)
     shear[0][4] = 1
     with pytest.raises(ValueError, match="not orthogonal"):
         transform_splitting(shear, STANDARD_SPLITTING)
     # doubling b3 makes the third part non-primitive
-    double = lattice.identity_matrix(6)
+    double = identity_matrix(6)
     double[5][5] = 2
     with pytest.raises(ValueError, match="non-primitive"):
         transform_splitting(double, STANDARD_SPLITTING)

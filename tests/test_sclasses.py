@@ -6,7 +6,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import lantern_by_products, sclass_image_by_scan
+from oracles import lantern_by_products, sclass_image_by_scan, smith_factors
 from torelli3 import cli
 from torelli3.cli import plain_splitting_family
 from torelli3.lattice import (
@@ -27,7 +27,6 @@ from torelli3.lattice import (
     enumerate_splittings,
     intersection,
     matrix_rank,
-    smith_normal_form,
     splitting_type_wrt_x,
     transform_splitting,
     transvection_matrix,
@@ -44,6 +43,7 @@ from torelli3.sclasses import (
     nu_eval,
     o_module_reduce,
     per_splitting_rank,
+    relation_factors,
     relation_matrix,
     s3_equivariance_check,
     sclass_image_in_e2,
@@ -120,8 +120,9 @@ def test_element_validation():
 def test_relation_matrix_snf():
     rows = relation_matrix()
     assert len(rows) == 5 and all(len(r) == 6 for r in rows)
-    factors = smith_normal_form(rows)[0]
-    assert tuple(f for f in factors if f) == (1, 1, 1, 1)
+    factors = smith_factors(rows, 6)
+    assert tuple(factors) == (1, 1, 1, 1)
+    assert relation_factors() == factors
     oracle = sympy.Matrix(rows).rank()
     assert oracle == 4
 
@@ -133,10 +134,9 @@ def test_per_splitting_rank():
 def test_torsion_in_the_relation_quotient_is_an_internal_error(monkeypatch, capsys):
     from torelli3 import cli, sclasses
 
-    factors, left, right = smith_normal_form(relation_matrix())
-    assert [f for f in factors if f] == [1] * 4
-    torsion = [2 if f else 0 for f in factors]
-    monkeypatch.setattr(sclasses, "smith_normal_form", lambda m: (torsion, left, right))
+    torsion = [[2 * v for v in row] for row in relation_matrix()]
+    assert smith_factors(torsion, 6) == [2] * 4
+    monkeypatch.setattr(sclasses, "relation_matrix", lambda: torsion)
     with pytest.raises(InternalInconsistencyError, match="unexpected torsion"):
         per_splitting_rank()
     assert cli.main(["smodule"]) == cli.EXIT_INTERNAL == 3

@@ -1,10 +1,10 @@
 """Sparse unit-pivot elimination against the dense normal forms.
 
 `SparseIntMatrix.rank` and `kernel_vectors` eliminate on ±1 pivots and
-hand only a leftover block without unit entries to the dense Smith
-normal form.  The dense `lattice` routines and sympy are the oracles;
-the sparse page kernel check is compared with the dense Hermite-form
-check it replaced.
+hand only a leftover block without unit entries to the dense Hermite
+routes of `lattice`.  The dense rank and sympy are the oracles, and
+sympy's Smith form alone decides saturation; the sparse page kernel
+check is compared with the dense Hermite-form check it replaced.
 """
 
 import pytest
@@ -12,7 +12,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_kernel_matches_pattern
+from oracles import dense_kernel_matches_pattern, smith_factors
 from torelli3 import specseq
 from torelli3.cycles import build_ladder
 from torelli3.lattice import (
@@ -20,9 +20,9 @@ from torelli3.lattice import (
     B3,
     SymplecticSubgroup,
     hermite_row_form,
+    is_saturated,
     kernel_basis,
     matrix_rank,
-    smith_normal_form,
 )
 from torelli3.specseq import (
     E1Truncation,
@@ -84,8 +84,24 @@ def test_kernel_annihilated_and_saturated(matrix):
     assert all(len(vec) == ncols for vec in kernel)
     for vec in kernel:
         assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in dense)
-    assert len(kernel) == ncols - mat.rank()
-    assert hermite_row_form(kernel) == hermite_row_form(kernel_basis(dense, ncols))
+    assert len(kernel) == ncols - len(smith_factors(dense, ncols))
+    assert smith_factors(kernel, ncols) == [1] * len(kernel)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dense_matrices())
+def test_columns_saturated_matches_sympy(matrix):
+    dense, ncols = matrix
+    factors = smith_factors(dense, ncols)
+    want = len(factors) == ncols and all(f == 1 for f in factors)
+    assert sparse(dense, ncols).columns_saturated() == want
+
+
+def test_dependent_leftover_columns_are_not_saturated():
+    # no unit entry, so both columns reach the dense block; their span is
+    # saturated, but the second column is twice the first
+    assert sparse([[2, 4], [3, 6]], 2).columns_saturated() is False
+    assert sparse([[2, 3], [3, 5]], 2).columns_saturated() is True
 
 
 def test_leftover_block_keeps_kernel_saturated():
@@ -99,9 +115,7 @@ def test_leftover_after_unit_pivots():
     dense = [[1, 5, 7], [0, 2, 4], [0, 4, 8]]
     mat = sparse(dense, 3)
     assert mat.rank() == 2
-    kernel = mat.kernel_vectors()
-    assert hermite_row_form(kernel) == hermite_row_form(kernel_basis(dense, 3))
-    assert len(kernel) == 1
+    assert hermite_row_form(mat.kernel_vectors()) == ((3, -2, 1),)
 
 
 def test_duplicate_column_labels_share_entries():
@@ -212,16 +226,16 @@ def test_pattern_without_unit_entries_takes_the_dense_route(monkeypatch):
     # neither the matrix nor the pattern has a unit entry to pivot on
     calls = []
 
-    def counted(m):
-        calls.append(m)
-        return smith_normal_form(m)
+    def counted(rows, ncols):
+        calls.append((rows, ncols))
+        return is_saturated(rows, ncols)
 
-    monkeypatch.setattr(specseq, "smith_normal_form", counted)
+    monkeypatch.setattr(specseq, "is_saturated", counted)
     src, mat = page([[3, -2]], 2)
     assert _kernel_matches_pattern(src, mat, pattern_of([(2, 3)]))
-    assert calls == [[[2], [3]]]
+    assert calls == [([(2, 3)], 2)]
     assert not _kernel_matches_pattern(src, mat, pattern_of([(4, 6)]))
-    assert calls[-1] == [[4], [6]]
+    assert calls[-1] == ([(4, 6)], 2)
 
 
 def test_kernel_combos_are_the_sparse_kernel_vectors():
