@@ -253,14 +253,6 @@ class CellInstance:
     def support_key(self):
         return tuple(sorted(str(e) for e in self.multicurve.edge_ids()))
 
-    def __eq__(self, other):
-        if not isinstance(other, CellInstance):
-            return NotImplemented
-        return self.multicurve == other.multicurve
-
-    def __hash__(self):
-        return hash(self.multicurve)
-
     def __repr__(self):
         return f"CellInstance(dim={self.dim}, verts={len(self.verts)})"
 
@@ -298,6 +290,15 @@ def face_geometry(c):
     it is invertible, so the sign is that of two integer determinants.
     Curves with a constant positive weight on every vertex never produce
     faces.
+
+    The face determinant is never 0.  Each row of [normal] + face_frame
+    is a zero-sum combination of vertices, so in the cell's direction
+    space.  The face on curve i has a frame of rank dim - 1, so some
+    vertex has a positive weight on i: normal[i] = -n_face * cell_sum[i]
+    < 0, and every face frame row is 0 at i.  The dim rows are
+    independent, so their minor on ``coords``, like the cell frame's
+    ``base``, is nonzero
+    (``test_face_rows_span_the_cell_and_have_a_nonzero_minor``).
     """
     order = c.multicurve.edge_ids()
     vectors = c.vectors()
@@ -331,11 +332,7 @@ def face_geometry(c):
         n, n_face = len(vectors), len(face_vecs)
         normal = [n * a - n_face * b for a, b in zip(face_sum, cell_sum)]
         rows = [normal] + face_frame
-        if matrix_rank(cell_frame + rows) != dim:
-            raise InternalInconsistencyError("vector left the cell's direction space")
         det = bareiss_determinant([[row[j] for j in coords] for row in rows])
-        if det == 0:
-            raise InternalInconsistencyError("degenerate face frame")
         faces.append((1 if (det > 0) == (base > 0) else -1, key, face_vecs))
     return faces
 
@@ -466,15 +463,15 @@ def _mirror(cell):
     The ladder's mirror cells (``("B", k)``, ``("c-", k)``, ``("e-", k)``
     and their appended cells) are the cells ``("A", k)``, ``("c+", k)``
     and ``("e+", k)`` with ``delta2`` in place of ``delta1``.  Both
-    curves carry the class a2, and ``build_ladder`` checks that once per
-    build.  Renaming one curve to an id the cell does not hold keeps the
-    pieces, the incidence, the orientation and the class of every curve,
-    and x.  So every check of ``DecompGraph``, ``LabeledMulticurve`` and
-    the scan gives the same verdict on the renamed cell: the class
-    columns in edge order are the same, hence the same reduced system,
-    the same solutions and the same weight vectors, in the same order.
-    The vertices are the given cell's, re-keyed, and the dimension is
-    its dimension.  Every mirror cell of random ladders, plain and
+    curves carry the class a2, from the one literal of ``build_ladder``
+    that labels both.  Renaming one curve to an id the cell does not hold
+    keeps the pieces, the incidence, the orientation and the class of
+    every curve, and x.  So every check of ``DecompGraph``,
+    ``LabeledMulticurve`` and the scan gives the same verdict on the
+    renamed cell: the class columns in edge order are the same, hence
+    the same reduced system, the same solutions and the same weight
+    vectors, in the same order.  The vertices are the given cell's,
+    re-keyed, and the dimension is its dimension.  Every mirror cell of random ladders, plain and
     appended, equals the checked build of its cell in
     ``test_mirror_cells_match_the_checked_build``.
     """
@@ -711,8 +708,6 @@ def build_ladder(m, n, K):
     right = hi + 1 if hi < t else hi
     x = m * A1 + n * A2
     classes = {"delta1": A2, "delta2": A2}
-    if classes["delta1"] != classes["delta2"]:
-        raise InternalInconsistencyError("the mirror needs one class on delta1 and delta2")
     for k in range(-K, right + 2):
         classes[f"u{k}"] = A1 + k * A2
         classes[f"w{k}"] = A2 - classes[f"u{k}"]

@@ -8,7 +8,7 @@ saturated kernels, saturation and canonical bases come from the one Hermite
 normal form.
 
 Matrices are sequences of rows.  Sublattices are always stored through their
-Hermite canonical basis, so equal sublattices compare equal.
+Hermite canonical basis, so equal sublattices have equal keys.
 """
 
 from functools import lru_cache
@@ -249,12 +249,14 @@ def kernel_basis(m, ncols=None):
     [U m^T | U] for a unimodular U, so the U parts of the rows whose m^T
     part is zero span the kernel, and as rows of U they span a saturated
     lattice.  They are the last rows of the form, so they are already in
-    Hermite form.
+    Hermite form.  Every row must have ``ncols`` entries.
     """
     if ncols is None:
         if not m:
             raise UsageError("empty matrix needs an explicit column count")
         ncols = len(m[0])
+    if any(len(row) != ncols for row in m):
+        raise UsageError(f"every row needs {ncols} entries, got {[len(r) for r in m]}")
     rows = [r for r in m if any(r)]
     r = len(rows)
     augmented = [[row[j] for row in rows] + [int(i == j) for i in range(ncols)]
@@ -333,8 +335,8 @@ class SymplecticSubgroup:
     """A primitive sublattice of H, stored by its Hermite canonical basis.
 
     The constructor insists the given rows already span a primitive lattice:
-    the gcd of the maximal minors of the Hermite basis is 1.
-    Use spanned_by() to saturate arbitrary generators first.
+    the gcd of the maximal minors of the Hermite basis is 1.  spanned_by()
+    saturates arbitrary generators, which needs neither test (`_trusted`).
     """
 
     __slots__ = ("basis",)
@@ -358,16 +360,21 @@ class SymplecticSubgroup:
 
     @classmethod
     def _trusted(cls, basis):
-        """A plane from `enumerate_symplectic_rank2`, with no checks run.
+        """A sublattice on its Hermite basis, with no checks run.
 
         It skips the Hermite form and the minor-gcd primitivity test.
-        The enumerator builds its rows in Hermite shape, and it keeps a
-        pair only when the pairing is +-1, a combination of 2x2 minors,
-        so their gcd is 1.  Every plane of height 1 passes __init__
-        unchanged in the enumerator test
+        `enumerate_symplectic_rank2` builds its rows in Hermite shape,
+        and it keeps a pair only when the pairing is +-1, a combination
+        of 2x2 minors, so their gcd is 1.  Every plane of height 1
+        passes __init__ unchanged in the enumerator test
         ``test_enumerated_planes_pass_the_public_constructor``, and drawn
         candidates of height up to 3 do in
         ``test_hermite_candidates_with_unit_pairing_are_planes``.
+        `spanned_by` passes the rows of `saturate`, which are the
+        Hermite basis of a saturated lattice: its Hermite form is itself,
+        and its invariant factors are all 1, so is their product, the gcd
+        of its maximal minors.  Drawn generators pass __init__ unchanged in
+        ``test_spanned_by_passes_the_public_constructor``.
         """
         u = object.__new__(cls)
         u.basis = basis
@@ -375,11 +382,12 @@ class SymplecticSubgroup:
 
     @classmethod
     def spanned_by(cls, vectors):
+        """The saturation of the generators, built by `_trusted`."""
         rows = [
             v.coords if isinstance(v, HVector) else as_ints(v, "generator entries")
             for v in vectors
         ]
-        return cls(saturate(rows, 6))
+        return cls._trusted(tuple(saturate(rows, 6)))
 
     @property
     def rank(self):
@@ -409,12 +417,6 @@ class SymplecticSubgroup:
     def key(self):
         return self.basis
 
-    def __eq__(self, other):
-        return isinstance(other, SymplecticSubgroup) and self.basis == other.basis
-
-    def __hash__(self):
-        return hash(self.basis)
-
     def __repr__(self):
         return "SymplecticSubgroup(rank=%d, basis=%r)" % (self.rank, self.basis)
 
@@ -435,8 +437,11 @@ def orthogonal_complement(u):
 class Splitting:
     """An ordered triple of pairwise orthogonal unimodular symplectic planes.
 
-    The parts must sum to the whole lattice; the stacked 6x6 basis having
-    determinant +-1 is implied by the Gram conditions but is checked anyway.
+    The parts then sum to the whole lattice, with no further check: for
+    the stacked 6x6 basis B and the form J, B J B^T is block diagonal
+    with three blocks of determinant <u, v>^2 = 1, so det(B)^2 = 1.
+    ``test_enumerated_splittings_pass_the_public_constructor`` asserts the
+    determinant.
     """
 
     __slots__ = ("parts",)
@@ -455,9 +460,6 @@ class Splitting:
                 for v in parts[j].basis:
                     if _pairing(u, v) != 0:
                         raise UsageError("parts %d and %d are not orthogonal" % (i, j))
-        det = bareiss_determinant([row for p in parts for row in p.basis])
-        if det not in (1, -1):
-            raise UsageError("parts do not span the full lattice (det %d)" % det)
         self.parts = parts
 
     @classmethod
@@ -465,12 +467,11 @@ class Splitting:
         """A splitting from `_splittings_among`, with no checks run.
 
         It skips the part types and ranks, the unimodularity of each
-        part, the cross-part pairings and the determinant.  The parts
-        are planes of `enumerate_symplectic_rank2`, each with pairing
-        +-1; the row masks hold the exact pairing of every two basis
-        rows; and det(B)^2 = det(B J B^T) = 1 for the stacked basis B
-        and the form J.  Every splitting of bound 1 passes __init__
-        unchanged in
+        part and the cross-part pairings.  The parts are planes of
+        `enumerate_symplectic_rank2`, each with pairing +-1, and the row
+        masks hold the exact pairing of every two basis rows; the class
+        docstring derives the determinant.  Every splitting of bound 1
+        passes __init__ unchanged in
         ``test_enumerated_splittings_pass_the_public_constructor``.  The
         row-mask route equals the plane-mask oracle on bound 1 in
         ``test_splittings_of_bound_1_match_the_plane_mask_oracle`` and on
@@ -508,12 +509,6 @@ class Splitting:
 
     def unordered_key(self):
         return tuple(sorted(p.basis for p in self.parts))
-
-    def __eq__(self, other):
-        return isinstance(other, Splitting) and self.ordered_key() == other.ordered_key()
-
-    def __hash__(self):
-        return hash(self.ordered_key())
 
     def __repr__(self):
         return "Splitting(%r)" % (self.ordered_key(),)

@@ -62,14 +62,6 @@ class SClassElement:
     def __rmul__(self, scalar):
         return SClassElement({k: scalar * v for k, v in self.terms.items()})
 
-    def __eq__(self, other):
-        if not isinstance(other, SClassElement):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def __repr__(self):
         return f"SClassElement({len(self.terms)} terms)"
 

@@ -52,12 +52,15 @@ class GeneratorTag:
 
     @classmethod
     def a2_pair(cls, u1, u2):
-        """Tag for a pair of orthogonal subgroups; swapping flips sign."""
+        """Tag for a pair of orthogonal subgroups; swapping flips sign.
+
+        It runs no check: ``_build_13`` and ``_build_13_tilde`` pass two
+        parts of one ``Splitting``, proved orthogonal by its constructor
+        or the enumerator, and orthogonal planes with <u, v> = +-1
+        differ.  ``test_pair_tag_matches_the_vector_route`` checks it
+        against the checked route ``oracles.pair_tag_by_vectors``.
+        """
         a, b = u1.key(), u2.key()
-        if a == b:
-            raise UsageError("pair parts must differ")
-        if any(_pairing(v, w) for v in a for w in b):
-            raise UsageError("pair parts must be orthogonal")
         if a <= b:
             return cls("a2pair", (a, b, 1))
         return cls("a2pair", (b, a, -1))
@@ -325,9 +328,6 @@ class SparseIntMatrix:
         kernel = [moves[j] for j in live if not cols[j]]
         leftover = [(cols[j], moves[j]) for j in live if cols[j]]
         return pivots, kernel, leftover
-
-    def column_support(self, col):
-        return {r for (r, c) in self.entries if c == col}
 
     def __repr__(self):
         return "SparseIntMatrix(%d x %d, nnz=%d)" % (

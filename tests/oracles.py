@@ -68,7 +68,11 @@ Smith form; ``smith_factors`` reads the nonzero invariant factors off
 sympy's Smith form, the oracle of every kernel and saturation test, so
 none of them runs the package's Hermite route as its own reference.
 ``is_loop`` and ``transvection`` are references the tests read and the
-package does not.
+package does not; so is ``column_support``, which left
+``SparseIntMatrix`` because only the tests read it.  ``graph_key``,
+``multicurve_key`` and ``faces_key`` are what the tests compare graphs,
+multicurves and cells by, as none of them defines ``__eq__``: the
+pieces and curves in order, the class of each curve and x.
 """
 
 from fractions import Fraction
@@ -658,6 +662,26 @@ def splittings_by_plane_masks(subs):
     # subs is sorted by key and i < j < k grow in that order, so each
     # splitting's parts and the list itself are already in ordered-key order
     return tuple(found)
+
+
+def graph_key(g):
+    """Pieces and curves of a ``DecompGraph``, in order."""
+    return g.vertices, g.edges
+
+
+def multicurve_key(m):
+    """The graph key, each curve's class, and x."""
+    return graph_key(m.graph), {e: c.coords for e, c in m.classes.items()}, m.x.coords
+
+
+def faces_key(faces):
+    """The (sign, multicurve key) of each face of a ``boundary_faces`` list."""
+    return [(sign, multicurve_key(face.multicurve)) for sign, face in faces]
+
+
+def column_support(mat, col):
+    """The rows where column ``col`` of a ``SparseIntMatrix`` is nonzero."""
+    return {r for (r, c) in mat.entries if c == col}
 
 
 def transvection(c, v, power=1):

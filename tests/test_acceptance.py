@@ -12,6 +12,7 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
+from oracles import column_support
 from torelli3.cli import (
     LANTERN_CONFIGS,
     plain_splitting_family,
@@ -292,7 +293,7 @@ def annihilated(mat, src, combo):
     out = {}
     for label, coeff in combo.items():
         col = columns[label]
-        for row in mat.column_support(col):
+        for row in column_support(mat, col):
             out[row] = out.get(row, 0) + coeff * mat.entries[(row, col)]
     return not any(out.values())
 

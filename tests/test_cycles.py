@@ -5,16 +5,18 @@ from itertools import permutations
 from math import gcd, lcm
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
     affine_frame_by_ranks, append_loop_by_scan, basic_cycle_problem, boundary_faces,
-    remove_edges, smith_factors, solve_rational, scan_subsets, two_scan,
+    faces_key, multicurve_key, remove_edges, smith_factors, solve_rational, scan_subsets,
+    two_scan,
 )
 from torelli3 import cycles
 from torelli3.lattice import (
-    A1, A2, A3, HVector, UsageError, bareiss_determinant,
+    A1, A2, A3, HVector, UsageError, bareiss_determinant, echelon,
 )
 from torelli3.cycles import (
     CellInstance,
@@ -347,7 +349,7 @@ def checked_mirror_side(ladder, tag):
 def assert_same_cell(cell, checked):
     """The same multicurve, vertex list (in order, with weights in edge
     order) and dimension, every vertex a basic cycle of the cell."""
-    assert cell.multicurve == checked.multicurve
+    assert multicurve_key(cell.multicurve) == multicurve_key(checked.multicurve)
     assert [list(v.items()) for v in cell.verts] == [list(v.items()) for v in checked.verts]
     for v in cell.verts:
         assert basic_cycle_problem(cell.multicurve, v, cell.multicurve.x) is None
@@ -420,7 +422,7 @@ def test_appended_sheet_matches_the_scan_oracle(mn, K):
         oracle = oracles[tag] = append_loop_by_scan(
             ladder.edge_cells.get(tag) or ladder.cell_cells[tag]
         )
-        assert lifted.multicurve == oracle.multicurve
+        assert multicurve_key(lifted.multicurve) == multicurve_key(oracle.multicurve)
         assert lifted.verts == oracle.verts
         assert lifted.dim == oracle.dim
         for v in lifted.verts:
@@ -642,7 +644,8 @@ def test_ladder_boundary_squares_to_zero_and_euler_is_one(mn, K):
         assert chain_boundary_squared(cell) == {}
         # the faces and appended cells the ladder keeps match fresh ones
         assert_same_faces(ladder.cell_faces[tag], boundary_faces(cell))
-        assert ladder.appended_cell(tag) == append_loop_by_scan(cell)
+        appended, oracle = ladder.appended_cell(tag), append_loop_by_scan(cell)
+        assert multicurve_key(appended.multicurve) == multicurve_key(oracle.multicurve)
         assert_same_faces(
             ladder.appended_faces(tag), boundary_faces(ladder.appended_cell(tag))
         )
@@ -719,9 +722,9 @@ def fraction_boundary_faces(c):
 def assert_faces_match_fraction_oracle(cell):
     """Faces and signs agree with the rational reference, one level down too."""
     faces = boundary_faces(cell)
-    assert faces == fraction_boundary_faces(cell)
+    assert faces_key(faces) == faces_key(fraction_boundary_faces(cell))
     for _, face in faces:
-        assert boundary_faces(face) == fraction_boundary_faces(face)
+        assert faces_key(boundary_faces(face)) == faces_key(fraction_boundary_faces(face))
 
 
 @settings(max_examples=15, deadline=None)
@@ -743,6 +746,39 @@ def test_face_signs_match_fraction_oracle_on_census_cells():
     assert negative > 0
 
 
+def assert_face_rows_span_the_cell(cell):
+    """On each face of ``face_geometry``: [normal] + face_frame lies in
+    the span of the cell frame, has its rank dim, and has a nonzero minor
+    on the cell frame's pivot coordinates; sympy decides all three."""
+    vectors, dim = cell.vectors(), cell.dim
+    cell_frame = cycles._affine_frame(vectors)
+    coords = echelon(cell_frame, len(vectors[0]))[1]
+    cell_sum = [sum(col) for col in zip(*vectors)]
+    for _, _, face_vecs in face_geometry(cell):
+        face_sum = [sum(col) for col in zip(*face_vecs)]
+        normal = [len(vectors) * a - len(face_vecs) * b for a, b in zip(face_sum, cell_sum)]
+        rows = [normal] + cycles._affine_frame(face_vecs)
+        assert len(rows) == dim
+        assert sympy.Matrix(cell_frame + rows).rank() == sympy.Matrix(rows).rank() == dim
+        assert sympy.Matrix([[row[j] for j in coords] for row in rows]).det() != 0
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(COPRIME_PAIRS), st.integers(1, 4))
+def test_face_rows_span_the_cell_and_have_a_nonzero_minor(mn, K):
+    """``face_geometry`` runs no rank or minor check: its docstring proves
+    both, and this test asserts them on the census cells and on the plain
+    and appended two-cells of random ladders."""
+    cells = [CellInstance(e.witness) for p in range(4) for e in classify_types(3, p)]
+    cells += [CellInstance(three_double_chain()), CellInstance(shared_class_triple())]
+    ladder = build_ladder(*mn, K)
+    for tag in ladder.two_cells():
+        cells += [ladder.cell_cells[tag], ladder.appended_cell(tag)]
+    assert any(face_geometry(cell) for cell in cells)
+    for cell in cells:
+        assert_face_rows_span_the_cell(cell)
+
+
 def test_remove_edges_merges_and_adds_genus():
     m = three_double_chain()
     sub = remove_edges(m, {"A1"})
@@ -754,9 +790,9 @@ def test_remove_edges_merges_and_adds_genus():
     sub2 = remove_edges(sub, {"A2"})
     assert sub2.graph.genus_multiset() == (0, 0, 1)
     # stepwise and simultaneous removal agree exactly
-    assert remove_edges(m, {"A1", "A2"}) == sub2
+    assert multicurve_key(remove_edges(m, {"A1", "A2"})) == multicurve_key(sub2)
     loopless = remove_edges(single_loop(), set())
-    assert loopless == single_loop()
+    assert multicurve_key(loopless) == multicurve_key(single_loop())
     with pytest.raises(UsageError, match="cannot drop unknown curves"):
         remove_edges(m, {"missing"})
 

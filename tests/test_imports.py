@@ -1,8 +1,9 @@
 """Every name a torelli3 module imports is used in that module, every
 error it defines or raises belongs to the package's one error model, no
 check is an ``assert`` that ``python -O`` would drop, every trusted
-constructor names the test that proves it, and every public function is
-reached by the package, the acceptance gate or the bench harness.
+constructor names the test that proves it, every public function is
+reached by the package, the acceptance gate or the bench harness, and
+only the classes the package compares by value define equality.
 
 A deliberate re-export says so with ``# noqa: F401`` on its import.  The
 scans are AST walks, so they need no linter.
@@ -294,3 +295,51 @@ def test_every_public_function_is_reached():
         for path in [TESTS / "test_acceptance.py", *sorted((ROOT / "perfbench").glob("*.py"))]
     ]
     assert set(unreached_public_functions(package, readers)) == REACH_ALLOWED
+
+
+def classes_with_equality(sources):
+    """Names of the classes whose body defines or assigns ``__eq__`` or
+    ``__hash__``."""
+    dunders = {"__eq__", "__hash__"}
+
+    def defines(node):
+        if isinstance(node, ast.FunctionDef):
+            return node.name in dunders
+        if isinstance(node, ast.Assign):
+            return any(isinstance(t, ast.Name) and t.id in dunders for t in node.targets)
+        return False
+
+    return {
+        node.name
+        for tree in map(ast.parse, sources)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and any(map(defines, node.body))
+    }
+
+
+def test_equality_scan_flags_class_level_dunders_only():
+    source = (
+        "class Compared:\n"
+        "    def __eq__(self, other): return True\n"
+        "class Hashed:\n"
+        "    def __hash__(self): return 0\n"
+        "class Unhashable:\n"
+        "    __hash__ = None\n"
+        "class Keyed:\n"
+        "    def key(self): return 1\n"
+        "    def build(self):\n"
+        "        def __eq__(a, b): return False\n"
+        "        return __eq__\n"
+        "def __eq__(a, b): return a is b\n"
+    )
+    assert classes_with_equality([source]) == {"Compared", "Hashed", "Unhashable"}
+
+
+# the package compares vectors and page tags by value; every other object
+# is compared through its key(), ordered_key() or unordered_key()
+EQUALITY_CLASSES = {"HVector", "GeneratorTag"}
+
+
+def test_only_the_compared_classes_define_equality():
+    package = [path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))]
+    assert classes_with_equality(package) == EQUALITY_CLASSES

@@ -404,6 +404,53 @@ def test_spanned_by_saturates():
     assert v.contains(B1)
 
 
+small_generators = st.lists(st.integers(-3, 3), min_size=6, max_size=6).map(tuple)
+
+
+@st.composite
+def generator_lists(draw):
+    """0 to 4 generators in [-3, 3]^6.  Some are 2 or 3 times a vector in
+    [-1, 1]^6, so not primitive, and some negate an earlier one, so the
+    list is dependent; random ones often span a non-saturated lattice."""
+    unit = st.lists(st.integers(-1, 1), min_size=6, max_size=6)
+    gens = []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(("free", "multiple", "negated") if gens else ("free",)))
+        if kind == "free":
+            gens.append(draw(small_generators))
+        elif kind == "multiple":
+            k = draw(st.integers(2, 3))
+            gens.append(tuple(k * x for x in draw(unit)))
+        else:
+            gens.append(tuple(-x for x in draw(st.sampled_from(gens))))
+    return gens
+
+
+@settings(max_examples=200, deadline=None)
+@given(generator_lists())
+def test_spanned_by_passes_the_public_constructor(gens):
+    """``spanned_by`` builds trusted: its basis is the one the checked
+    constructor keeps, with invariant factors all 1 by sympy's Smith
+    form, and it holds every generator in a lattice of their rank."""
+    u = SymplecticSubgroup.spanned_by(gens)
+    assert SymplecticSubgroup(u.basis).basis == u.basis
+    assert smith_factors(u.basis, 6) == [1] * u.rank
+    assert u.rank == (sympy.Matrix(gens).rank() if gens else 0)
+    assert all(u.contains(g) for g in gens)
+
+
+@pytest.mark.parametrize("length", (5, 7))
+def test_a_generator_of_the_wrong_length_is_a_usage_error(length):
+    # a 7th coordinate was dropped, and a 5-coordinate row was an IndexError
+    row = (1,) + (0,) * (length - 2) + (5,)
+    with pytest.raises(UsageError, match="every row needs 6 entries"):
+        kernel_basis([row], 6)
+    with pytest.raises(UsageError, match="every row needs 6 entries"):
+        kernel_basis([A2.coords, row])
+    with pytest.raises(UsageError, match="every row needs 6 entries"):
+        SymplecticSubgroup.spanned_by([A1, row])
+
+
 def test_subgroup_contains():
     u = SymplecticSubgroup([A1, B1])
     assert u.contains(3 * A1 - 2 * B1)
@@ -442,7 +489,7 @@ def test_orthogonal_complement_spec_example():
 
 def test_complement_involution_on_symplectic_planes():
     for u in (SymplecticSubgroup([A1, B1]), SymplecticSubgroup([A2 + A3, B3])):
-        assert orthogonal_complement(orthogonal_complement(u)) == u
+        assert orthogonal_complement(orthogonal_complement(u)).key() == u.key()
 
 
 def test_complement_of_zero_subgroup_is_everything():
@@ -699,7 +746,7 @@ def test_enumerate_rank2_height1_frozen_count():
     for u in subs:
         assert u.height() <= 1
         assert is_symplectic_rank2(u)
-    assert SymplecticSubgroup([A1, B1]) in set(subs)
+    assert SymplecticSubgroup([A1, B1]).key() in set(keys)
     with pytest.raises(ValueError):
         enumerate_symplectic_rank2(0)
 
@@ -847,8 +894,10 @@ def test_the_third_part_of_a_splitting_is_forced(index):
 @given(st.integers(0, RANK2_HEIGHT1_COUNT - 1), st.data())
 def test_an_orthogonal_pair_in_no_splitting_has_no_third_part(index, data):
     u = enumerate_symplectic_rank2(1)[index]
-    partners = {p for s in enumerate_splittings(1) if u in s.parts for p in s.parts}
-    lonely = [v for v in _planes_orthogonal_to(u) if v not in partners]
+    partners = {
+        p for s in enumerate_splittings(1) if u.key() in s.ordered_key() for p in s.ordered_key()
+    }
+    lonely = [v for v in _planes_orthogonal_to(u) if v.key() not in partners]
     assume(lonely)
     v = data.draw(st.sampled_from(lonely))
     assert _planes_orthogonal_to(u, v) == []
@@ -890,7 +939,7 @@ def test_enumerated_planes_pass_the_public_constructor():
 
 def test_enumerated_splittings_pass_the_public_constructor():
     for s in enumerate_splittings(1):
-        assert Splitting(s.parts) == s
+        assert Splitting(s.parts).ordered_key() == s.ordered_key()
         assert bareiss_determinant([row for p in s.parts for row in p.basis]) in (1, -1)
 
 
