@@ -234,8 +234,8 @@ class CellInstance:
         class sum puts x in the span, and the one rank test of
         ``append_loop`` requires the plain classes plus a3 to span
         |E| + 1 - (|V| - 1), one more than the plain classes span, so a3
-        is outside their span.  Every lifted cell
-        of random ladders equals a full scan of its multicurve in
+        is outside their span.  Every lifted cell of random ladders
+        equals a full scan of its multicurve in
         ``test_appended_sheet_matches_the_scan_oracle``, and every
         mirror cell the checked build of its cell in
         ``test_mirror_cells_match_the_checked_build``.
@@ -249,9 +249,6 @@ class CellInstance:
     def vectors(self):
         order = self.multicurve.edge_ids()
         return [tuple(v.get(e, 0) for e in order) for v in self.verts]
-
-    def support_key(self):
-        return tuple(sorted(str(e) for e in self.multicurve.edge_ids()))
 
     def __repr__(self):
         return f"CellInstance(dim={self.dim}, verts={len(self.verts)})"
@@ -337,19 +334,19 @@ def face_geometry(c):
     return faces
 
 
-def match_faces(tag, cell, edge_cells, geometry):
-    """The signed faces of the two-cell ``tag``, as the given edge cells.
+def match_faces(tag, cell, edge_cells):
+    """The signed faces of the two-cell ``tag``, as ``(sign, edge tag)``
+    pairs in the order of ``edge_cells``, a ``{edge tag: edge cell}`` dict.
 
-    ``geometry`` is ``face_geometry(cell)``.  Each of its faces must be
-    one edge cell with the same curve ids, classes, x and vertex set; an
-    error names the two-cell, the face's curve ids and the property that
-    differs.
+    Each face of ``face_geometry(cell)`` must be one edge cell with the
+    same curve ids, classes, x and vertex set; an error names the
+    two-cell, the face's curve ids and the property that differs.
     """
     m = cell.multicurve
     order = m.edge_ids()
-    geometric = {support: (sign, vecs) for sign, support, vecs in geometry}
+    geometric = {support: (sign, vecs) for sign, support, vecs in face_geometry(cell)}
     faces = []
-    for edge_cell in edge_cells:
+    for edge, edge_cell in edge_cells.items():
         face = edge_cell.multicurve
         ids = frozenset(face.edge_ids())
         problem = "curve ids differ"
@@ -366,11 +363,10 @@ def match_faces(tag, cell, edge_cells, geometry):
         if problem:
             ids = sorted(map(str, ids))
             raise InternalInconsistencyError(f"cell {tag} face {ids}: {problem}")
-        faces.append((sign, edge_cell))
+        faces.append((sign, edge))
     if geometric:
         ids = sorted(map(str, next(iter(geometric))))
         raise InternalInconsistencyError(f"cell {tag} face {ids}: curve ids differ")
-    faces.sort(key=lambda sf: sf[1].support_key())
     return faces
 
 
@@ -378,24 +374,35 @@ def _cell(pieces, edges, classes, x):
     """Cell of the multicurve with the given pieces and (id, tail, head)
     curves, each curve carrying its class from ``classes``.
 
-    That the vertices span exactly the cell's dimension is checked once
-    per cell, where the ladder reads it, and every verdict of a ladder
-    cell keeps it.  The rank test of ``LabeledMulticurve`` bounds the
-    span by the dimension.  A vertex cell must equal its one weighting
-    (``build_ladder``).  An edge cell's vertices must be its two
-    distinct endpoint weightings (``_check_geometry``), which span 1.  A
-    two-cell passes ``face_geometry``, which raises when the span is
-    not the dimension.  An external witness must have 3 or 4 vertices
-    (``_check_external_witnesses``): its polytope has dimension at most
-    2, and one with more than 2 vertices is no point or segment, so it
-    spans 2.
+    The graph and multicurve are built trusted, and the scan of
+    ``CellInstance`` runs: it finds the vertices, proves the polytope
+    bounded and puts every curve on a vertex.  The callers pass seven
+    shapes, each for every k: the vertex cell, the rung, c+, e+, R (and
+    the closing triangle), V, and the two external witnesses.  Every
+    class is u_k = a1 + k a2, w_k = a2 - u_k or a2, so each boundary sum
+    cancels and the classes span |E| - |V| + 1, as u_k and a2 are
+    independent.  Ids are distinct, a curve joins each piece to the
+    first, and fixed genera and degrees give each piece Euler
+    characteristic -1 to -4: -4 on a vertex cell (genus 3 less its one
+    or two loops), -2 and -2 on the rung, -1 and -3 on c+ and e+, and
+    -1, -1 and -2 on a two-cell or witness.  Every plain, mirror and
+    external-witness cell of random ladders passes both checked
+    constructors unchanged in
+    ``test_ladder_cells_pass_the_checked_constructors``.
 
-    Every caller passes the ladder's own curves, so a check that fails
-    here is an internal contradiction, not a usage error.
+    The vertices span the cell's dimension, checked once per cell: the
+    class rank bounds the span; a vertex cell equals its one weighting
+    (``build_ladder``); an edge cell has two distinct endpoint
+    weightings (``_check_geometry``); ``face_geometry`` raises on a
+    two-cell of smaller span; and an external witness has 3 or 4
+    vertices (``_check_external_witnesses``), so, in dimension at most
+    2, spans 2.  A scan that fails here on the ladder's own curves is
+    an internal contradiction, not a usage error.
     """
     try:
-        graph = DecompGraph(pieces, edges)
-        return CellInstance(LabeledMulticurve(graph, {e: classes[e] for e, _, _ in edges}, x))
+        graph = DecompGraph._trusted(tuple(pieces), tuple(edges))
+        labels = {e: classes[e] for e, _, _ in edges}
+        return CellInstance(LabeledMulticurve._trusted(graph, labels, x))
     except UsageError as err:
         ids = [e for e, _, _ in edges]
         raise InternalInconsistencyError(f"ladder cell on curves {ids}: {err}") from err
@@ -441,45 +448,27 @@ def append_loop(cell):
     return CellInstance._trusted(lifted, verts, cell.dim)
 
 
-def _lift_faces(geometry):
-    """``face_geometry(append_loop(c))`` from ``face_geometry(c)``.
-
-    Every appended vertex vector is a plain one with a trailing 1, so
-    each face gains ``beta`` in its support and a trailing 1 on each of
-    its vectors.  The frames and the barycenter difference gain a zero
-    last column, which moves no pivot and no determinant, so every sign
-    stays; the loop, on every vertex, gives no face of its own.
-    """
-    return [
-        (sign, support | {_LOOP}, [vec + (1,) for vec in vecs])
-        for sign, support, vecs in geometry
-    ]
-
-
 def _mirror(cell):
     """The cell with the curve id ``delta1`` renamed ``delta2``, with no
     scan.
 
     The ladder's mirror cells (``("B", k)``, ``("c-", k)``, ``("e-", k)``
     and their appended cells) are the cells ``("A", k)``, ``("c+", k)``
-    and ``("e+", k)`` with ``delta2`` in place of ``delta1``.  Both
-    curves carry the class a2, from the one literal of ``build_ladder``
-    that labels both.  Renaming one curve to an id the cell does not hold
-    keeps the pieces, the incidence, the orientation and the class of
-    every curve, and x.  So every check of ``DecompGraph``,
-    ``LabeledMulticurve`` and the scan gives the same verdict on the
-    renamed cell: the class columns in edge order are the same, hence
-    the same reduced system, the same solutions and the same weight
-    vectors, in the same order.  The vertices are the given cell's,
-    re-keyed, and the dimension is its dimension.  Every mirror cell of random ladders, plain and
+    and ``("e+", k)`` with ``delta2`` in place of ``delta1``; the three
+    callers pass only those cells, which hold ``delta1`` and not
+    ``delta2``.  Both curves carry the class a2, from the one literal of
+    ``build_ladder`` that labels both.  Renaming one curve to an id the
+    cell does not hold keeps the pieces, the incidence, the orientation
+    and the class of every curve, and x.  So every check of
+    ``DecompGraph``, ``LabeledMulticurve`` and the scan gives the same
+    verdict on the renamed cell: the same class columns in edge order,
+    reduced system, solutions and weight vectors, in the same order.
+    The vertices are the given cell's, re-keyed, and the dimension is
+    its dimension.  Every mirror cell of random ladders, plain and
     appended, equals the checked build of its cell in
     ``test_mirror_cells_match_the_checked_build``.
     """
     m = cell.multicurve
-    if "delta1" not in m.classes or "delta2" in m.classes:
-        raise InternalInconsistencyError(
-            f"cannot rename delta1 to delta2 among {sorted(map(str, m.classes))}"
-        )
 
     def rename(e):
         return "delta2" if e == "delta1" else e
@@ -510,22 +499,18 @@ class LadderComplex:
     weighting, and the two-cells are rectangles, one closing triangle,
     and one vertical triangle per sheet.
 
-    ``build_ladder`` fills the tables, building each cell once: the
-    cells (``vertex_cells``, ``edge_cells``, ``cell_cells``), the
-    incidence (``edge_endpoints``, ``cell_boundary``) and each two-cell's
-    ``psi_max`` (``cell_psi``), read off the cell.  A tag's letter gives
-    its kind: e+/e- edges and V cells are vertical.  The mirror cells
-    (B, c- and e-) are their + partners with ``delta1`` renamed
-    ``delta2``, with no scan (``_mirror``), on the appended sheet too.
-    The signed faces of a two-cell (``cell_faces``) are its edges'
-    cells, matched to the face geometry the ladder keeps (``cell_geometry``).
+    ``build_ladder`` fills the tables, building each cell once from its
+    template (``_cell``): the cells (``vertex_cells``, ``edge_cells``,
+    ``cell_cells``), the incidence (``edge_endpoints``,
+    ``cell_boundary``) and each two-cell's ``psi_max`` (``cell_psi``),
+    read off the cell.  A tag's letter gives its kind: e+/e- edges and V
+    cells are vertical.  The mirror cells (B, c- and e-) are their +
+    partners with ``delta1`` renamed ``delta2``, with no scan
+    (``_mirror``), on the appended sheet too.  ``cell_faces`` holds the
+    signed faces of each two-cell as ``(sign, edge tag)`` pairs, each
+    edge's cell matched once to the face geometry (``match_faces``).
     ``appended_cell`` lifts a cell to the appended sheet once, and
-    ``appended_faces`` are the appended cells of its edges, matched to
-    the lifted geometry.  Both lifts rest on the lemma of
-    ``CellInstance._trusted`` (the loop's weight is forced to 1),
-    whose hypotheses every lifted cell checks: the plain cell has a
-    vertex, and the plain classes plus a3 pass the one rank test of
-    ``append_loop``.
+    reads its faces, if any, off ``cell_faces``.
     """
 
     __slots__ = (
@@ -541,7 +526,6 @@ class LadderComplex:
         "cell_psi",
         "cell_cells",
         "cell_faces",
-        "cell_geometry",
         "closing",
         "_appended",
     )
@@ -559,7 +543,6 @@ class LadderComplex:
         self.cell_psi = {}
         self.cell_cells = {}
         self.cell_faces = {}
-        self.cell_geometry = {}
         self.closing = None
         self._appended = {}
 
@@ -578,7 +561,18 @@ class LadderComplex:
 
     def appended_cell(self, tag):
         """``append_loop`` of the edge or two-cell ``tag``, lifted once; a
-        c- or e- edge's is the ``_mirror`` of its + partner's."""
+        c- or e- edge's is the ``_mirror`` of its + partner's.
+
+        An appended two-cell's faces are the appended cells of the edges
+        in its ``cell_faces``, with the same signs.  By the lemma of
+        ``CellInstance._trusted`` each appended vertex vector is a plain
+        one with a trailing 1 for ``beta``: each face gains ``beta`` and
+        a trailing 1, as the appended edge cell does, and the frames and
+        barycenter difference gain a zero column, which moves no pivot
+        or determinant; the loop, on every vertex, bounds no face.
+        ``test_appended_sheet_matches_the_scan_oracle`` compares them
+        with a fresh ``face_geometry`` of scanned appended cells.
+        """
         if tag not in self._appended:
             kind, k = tag
             if kind in ("c-", "e-"):
@@ -588,13 +582,6 @@ class LadderComplex:
                 cell = append_loop(cells[tag])
             self._appended[tag] = cell
         return self._appended[tag]
-
-    def appended_faces(self, tag):
-        """Faces of ``appended_cell(tag)``: its edges' appended cells,
-        matched to the two-cell's kept face geometry, lifted."""
-        edges = [self.appended_cell(e) for e in self.cell_boundary[tag]]
-        geometry = _lift_faces(self.cell_geometry[tag])
-        return match_faces(tag, self.appended_cell(tag), edges, geometry)
 
     def vertices(self):
         return sorted(self.vertex_cells, key=str)
@@ -814,24 +801,20 @@ def build_ladder(m, n, K):
 def _check_geometry(ladder, vertex_maps):
     """Abstract incidence must match the geometric cells edge for edge.
 
-    ``ladder.cell_faces`` keeps the matched faces of each two-cell, its
-    ``cell_psi`` and, for the appended sheet, its ``cell_geometry``.
+    ``ladder.cell_faces`` keeps the matched faces of each two-cell, and
+    ``ladder.cell_psi`` its weight.
     """
     for tag, (tail, head) in ladder.edge_endpoints.items():
         cell = ladder.edge_cells[tag]
         got = {frozenset(v.items()) for v in cell.verts}
-        want = {
-            frozenset(vertex_maps[tail].items()),
-            frozenset(vertex_maps[head].items()),
-        }
+        want = {frozenset(vertex_maps[v].items()) for v in (tail, head)}
         if got != want:
             raise InternalInconsistencyError(f"edge {tag} endpoints drifted")
     for tag, boundary in ladder.cell_boundary.items():
         cell = ladder.cell_cells[tag]
-        ladder.cell_geometry[tag] = geometry = face_geometry(cell)
         ladder.cell_psi[tag] = psi_max(cell)
         ladder.cell_faces[tag] = match_faces(
-            tag, cell, [ladder.edge_cells[e] for e in boundary], geometry
+            tag, cell, {e: ladder.edge_cells[e] for e in boundary}
         )
 
 

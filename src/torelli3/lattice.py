@@ -74,11 +74,13 @@ class HVector:
     def _trusted(cls, coords):
         """A vector on a tuple of 6 ints, with no checks run.
 
-        The sum, difference and negation of vectors build their results
-        this way: each is a tuple of 6 ints because its operands are, so
-        the integer test of __init__ proves nothing there.  Sums,
-        differences and negations of random vectors equal the vectors
-        __init__ builds from the same coordinates in
+        The sum, difference, negation and integer multiple of vectors
+        (``__add__``, ``__sub__``, ``__neg__`` and ``__rmul__``, whose
+        scalar passes ``as_int``) build their results this way: each is
+        a tuple of 6 ints because its operands are, so the integer test
+        of __init__ proves nothing there.  Sums, differences, negations
+        and multiples of random vectors equal the vectors __init__ builds
+        from the same coordinates in
         ``test_hvector_arithmetic_matches_the_checked_constructor``.
         """
         v = object.__new__(cls)
@@ -375,6 +377,10 @@ class SymplecticSubgroup:
         and its invariant factors are all 1, so is their product, the gcd
         of its maximal minors.  Drawn generators pass __init__ unchanged in
         ``test_spanned_by_passes_the_public_constructor``.
+        `orthogonal_complement` passes `kernel_basis`, the Hermite basis
+        of an integer kernel, which is saturated: the same two facts.
+        Drawn complements pass __init__ unchanged in
+        ``test_orthogonal_complement_passes_the_public_constructor``.
         """
         u = object.__new__(cls)
         u.basis = basis
@@ -397,9 +403,10 @@ class SymplecticSubgroup:
         return [HVector(row) for row in self.basis]
 
     def contains(self, v):
-        """Whether v lies in the sublattice: reduce it by each Hermite row
-        at that row's pivot, and test what is left for zero."""
-        coords = v.coords if isinstance(v, HVector) else tuple(v)
+        """Whether v, an ``HVector`` or 6 integers, lies in the sublattice:
+        reduce it by each Hermite row at that row's pivot, and test what
+        is left for zero."""
+        coords = v.coords if isinstance(v, HVector) else HVector(v).coords
         for row in self.basis:
             for j, pivot in enumerate(row):
                 if pivot:
@@ -429,9 +436,10 @@ def is_symplectic_rank2(u):
 
 
 def orthogonal_complement(u):
-    """The saturated orthogonal complement with respect to the pairing."""
+    """The saturated orthogonal complement with respect to the pairing,
+    built by `SymplecticSubgroup._trusted`."""
     form_rows = [form_row(v) for v in u.vectors()]
-    return SymplecticSubgroup(kernel_basis(form_rows, 6))
+    return SymplecticSubgroup._trusted(tuple(kernel_basis(form_rows, 6)))
 
 
 class Splitting:

@@ -398,7 +398,7 @@ def _admissible(cell, u):
         if _pairing(v, c) or _pairing(w, c):
             if paired is not None:
                 return False
-            paired = (t == h, c)
+            paired = (t == h, classes[e])
     if paired is None:
         return any(g >= 1 for _, g in graph.vertices)
     loop, c = paired
@@ -409,17 +409,17 @@ def build_e1(position, trunc):
     """Labeled basis of a truncated page position.
 
     Positions and their labels: (3,1) one twist class per translated
-    3-cell orbit; (2,2)/(1,2) abelian cycles per ladder cell or edge,
-    sheet, and admissible subgroup; (1,3) pair tags per splitting
-    organized by type.  Each differential names its own rows, so no
-    package path builds the target bases at (2,1) and (0,3); they are
-    the row-label oracles ``tests/oracles.target_basis_21`` and
-    ``target_basis_03``.
+    3-cell orbit; (2,2) abelian cycles per ladder two-cell, sheet, and
+    admissible subgroup; (1,3) pair tags per splitting organized by
+    type.  Each differential names its own rows, so no package path
+    builds the target bases at (2,1), (1,2) and (0,3); they are the
+    row-label oracles ``tests/oracles.target_basis_21``,
+    ``target_basis_12`` and ``target_basis_03``.
     """
     if position == (3, 1):
         return _build_31(trunc)
-    if position in ((2, 2), (1, 2)):
-        return _build_ladder_position(position, trunc)
+    if position == (2, 2):
+        return _build_22(trunc)
     if position == (1, 3):
         if trunc.y is not None:
             return _build_13_tilde(trunc)
@@ -438,29 +438,25 @@ def _build_31(trunc):
     return E1Truncation((3, 1), basis, trunc)
 
 
-def _build_ladder_position(position, trunc):
+def _build_22(trunc):
     ladder = trunc.ladder
     height = 1 if trunc.height is None else trunc.height
     subgroups = trunc.subgroups
-    tags = ladder.two_cells() if position == (2, 2) else ladder.edges()
-    cells = (
-        ladder.cell_cells if position == (2, 2) else ladder.edge_cells
-    )
     for u in subgroups:
         if u.height() > height:
             raise UsageError(f"subgroup {u.key()} exceeds height {height}")
         _require_plane(u)
     basis = []
     for sheet in ("plain", "appended"):
-        for tag in tags:
-            cell = cells[tag] if sheet == "plain" else ladder.appended_cell(tag)
+        for tag in ladder.two_cells():
+            cell = ladder.cell_cells[tag] if sheet == "plain" else ladder.appended_cell(tag)
             for u in subgroups:
                 if not _admissible(cell, u):
                     raise UsageError(
                         f"subgroup {u.key()} not admissible for {tag}/{sheet}"
                     )
                 basis.append(((tag, sheet), GeneratorTag.a2(u)))
-    return E1Truncation(position, basis, trunc)
+    return E1Truncation((2, 2), basis, trunc)
 
 
 def d31_apply(src):
@@ -502,20 +498,22 @@ def d22_apply(src, ladder):
 
 def check_image_separation(ladder, u):
     """Faces of plain cells never meet the subgroup; faces of appended
-    cells always do, through the loop class.  Every face is an edge cell
-    or appended edge cell the ladder built once, and gets one verdict,
-    which each two-cell it bounds reads."""
+    cells always do, through the loop class.  A two-cell's faces are the
+    edges of its ``cell_faces``, as edge cells or, on the appended sheet,
+    as their ``LadderComplex.appended_cell``; each (edge tag, sheet) gets
+    one verdict, which every two-cell it bounds reads."""
     meets = {}
 
-    def verdict(face):
-        if id(face) not in meets:
-            meets[id(face)] = any(u.contains(c) for c in face.multicurve.classes.values())
-        return meets[id(face)]
+    def verdict(edge, sheet):
+        if (edge, sheet) not in meets:
+            face = ladder.edge_cells[edge] if sheet == "plain" else ladder.appended_cell(edge)
+            meets[edge, sheet] = any(u.contains(c) for c in face.multicurve.classes.values())
+        return meets[edge, sheet]
 
     for tag in ladder.two_cells():
-        if any(verdict(face) for _, face in ladder.cell_faces[tag]):
+        if any(verdict(edge, "plain") for _, edge in ladder.cell_faces[tag]):
             return False
-        if not all(verdict(face) for _, face in ladder.appended_faces(tag)):
+        if not all(verdict(edge, "appended") for _, edge in ladder.cell_faces[tag]):
             return False
     return True
 

@@ -83,6 +83,9 @@ class DecompGraph:
         characteristic, and a loop keeps the graph connected.  Every
         appended cell of random ladders equals the checked build of its
         multicurve in ``test_appended_sheet_matches_the_scan_oracle``.
+        ``cycles._cell`` builds each ladder template graph this way, by
+        the argument of its docstring; every such graph passes __init__
+        unchanged in ``test_ladder_cells_pass_the_checked_constructors``.
         """
         graph = object.__new__(cls)
         graph.vertices = vertices
@@ -184,6 +187,10 @@ class LabeledMulticurve:
         rank of the classes itself.  Every appended cell of random
         ladders equals the checked build of its multicurve in
         ``test_appended_sheet_matches_the_scan_oracle``.
+        ``cycles._cell`` builds each ladder template multicurve this way,
+        by the argument of its docstring; every such multicurve passes
+        __init__ unchanged in
+        ``test_ladder_cells_pass_the_checked_constructors``.
         """
         m = object.__new__(cls)
         m.graph = graph

@@ -55,9 +55,9 @@ sorted list, and a pairing of every two distinct rows.
 ``surface.realizability_check`` as it was before its depth-first search
 cut dead vertices: every orientation in ``product`` order, each decided
 by ``surface._strongly_connected``.
-``target_basis_21`` and ``target_basis_03`` are the target bases of the
-differentials at (2, 1) and (0, 3), which ``specseq.build_e1`` built
-before each differential named its own rows.
+``target_basis_21``, ``target_basis_12`` and ``target_basis_03`` are the
+target bases of the differentials at (2, 1), (1, 2) and (0, 3), which
+``specseq.build_e1`` built before each differential named its own rows.
 ``affine_frame_by_ranks`` is ``cycles._affine_frame`` as it was before
 one echelon read its frame: one rank per candidate difference.
 ``lantern_by_products`` is ``sclasses.lantern_check`` as it was before
@@ -72,7 +72,9 @@ package does not; so is ``column_support``, which left
 ``SparseIntMatrix`` because only the tests read it.  ``graph_key``,
 ``multicurve_key`` and ``faces_key`` are what the tests compare graphs,
 multicurves and cells by, as none of them defines ``__eq__``: the
-pieces and curves in order, the class of each curve and x.
+pieces and curves in order, the class of each curve and x;
+``support_key``, the sorted curve ids of a cell, left ``CellInstance``
+when the ladder's faces became edge tags, and orders faces.
 """
 
 from fractions import Fraction
@@ -214,7 +216,7 @@ def boundary_faces(c):
         (sign, CellInstance(remove_edges(m, order - support)))
         for sign, support, _ in face_geometry(c)
     ]
-    faces.sort(key=lambda sf: sf[1].support_key())
+    faces.sort(key=lambda sf: support_key(sf[1]))
     return faces
 
 
@@ -674,6 +676,11 @@ def multicurve_key(m):
     return graph_key(m.graph), {e: c.coords for e, c in m.classes.items()}, m.x.coords
 
 
+def support_key(cell):
+    """The sorted curve ids of a cell, as strings."""
+    return tuple(sorted(str(e) for e in cell.multicurve.edge_ids()))
+
+
 def faces_key(faces):
     """The (sign, multicurve key) of each face of a ``boundary_faces`` list."""
     return [(sign, multicurve_key(face.multicurve)) for sign, face in faces]
@@ -730,6 +737,18 @@ def target_basis_21(trunc):
         for k in range(-trunc.K, trunc.K + 1)
     ]
     return E1Truncation((2, 1), basis, trunc)
+
+
+def target_basis_12(trunc):
+    """The (1, 2) basis: one abelian cycle per ladder edge, sheet and
+    subgroup."""
+    basis = [
+        ((edge, sheet), GeneratorTag.a2(u))
+        for sheet in ("plain", "appended")
+        for edge in trunc.ladder.edges()
+        for u in trunc.subgroups
+    ]
+    return E1Truncation((1, 2), basis, trunc)
 
 
 def target_basis_03(trunc):

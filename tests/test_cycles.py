@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from oracles import (
     affine_frame_by_ranks, append_loop_by_scan, basic_cycle_problem, boundary_faces,
-    faces_key, multicurve_key, remove_edges, smith_factors, solve_rational, scan_subsets,
-    two_scan,
+    faces_key, graph_key, multicurve_key, remove_edges, smith_factors, solve_rational, scan_subsets,
+    support_key, two_scan,
 )
 from torelli3 import cycles
 from torelli3.lattice import (
@@ -331,8 +331,9 @@ def mirror_cells(ladder):
 
 
 def checked_mirror_side(ladder, tag):
-    """The cell ``tag`` of the ladder's - side, by the checked ``_cell``
-    on its pieces, curves and classes, written out here."""
+    """The cell ``tag`` of the ladder's - side, by the checked graph and
+    multicurve constructors on its pieces, curves and classes, written
+    out here."""
     kind, k = tag
     u, u_next, w = f"u{k}", f"u{k + 1}", f"w{k}"
     classes = {
@@ -343,7 +344,9 @@ def checked_mirror_side(ladder, tag):
         "c-": (((0, 0), (1, 1)), [(u, 0, 1), (u_next, 1, 0), ("delta2", 0, 1)]),
         "e-": (((0, 0), (1, 1)), [(u, 0, 1), (w, 0, 1), ("delta2", 1, 0)]),
     }[kind]
-    return cycles._cell(pieces, edges, classes, ladder.m * A1 + ladder.n * A2)
+    graph = DecompGraph(pieces, edges)
+    labels = {e: classes[e] for e, _, _ in edges}
+    return CellInstance(LabeledMulticurve(graph, labels, ladder.m * A1 + ladder.n * A2))
 
 
 def assert_same_cell(cell, checked):
@@ -360,8 +363,8 @@ def assert_same_cell(cell, checked):
 @given(st.sampled_from(COPRIME_PAIRS), st.integers(1, 6))
 def test_mirror_cells_match_the_checked_build(mn, K):
     """Each mirror cell, plain and appended, against the checked build of
-    the - side: ``_cell`` on the curves written out, and ``append_loop``
-    of it."""
+    the - side: the checked constructors on the curves written out, and
+    ``append_loop`` of it."""
     ladder = build_ladder(*mn, K)
     mirrored = mirror_cells(ladder)
     partner = {"A": "B", "c+": "c-", "e+": "e-"}
@@ -372,6 +375,62 @@ def test_mirror_cells_match_the_checked_build(mn, K):
         assert_same_cell(cell, checked)
         if tag[0] != "B":
             assert_same_cell(ladder.appended_cell(tag), append_loop(checked))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(COPRIME_PAIRS), st.integers(1, 6))
+def test_ladder_cells_pass_the_checked_constructors(mn, K):
+    """``_cell`` builds its graphs and multicurves trusted, and ``_mirror``
+    renames them: every plain, mirror and external-witness cell of a
+    ladder passes ``DecompGraph`` and ``LabeledMulticurve`` unchanged."""
+    built, make = [], cycles._cell
+
+    def recording(pieces, edges, classes, x):
+        cell = make(pieces, edges, classes, x)
+        built.append(cell)
+        return cell
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cycles, "_cell", recording)
+        ladder = build_ladder(*mn, K)
+    tables = (ladder.vertex_cells, ladder.edge_cells, ladder.cell_cells)
+    cells = [cell for table in tables for cell in table.values()]
+    witnesses = [c for c in built if {"u'", "w'"} & set(c.multicurve.classes)]
+    assert len(witnesses) == 2
+    assert len(built) == len(cells) - len(mirror_cells(ladder)) + 2
+    for cell in cells + witnesses:
+        m = cell.multicurve
+        graph = DecompGraph(m.graph.vertices, m.graph.edges)
+        assert graph_key(graph) == graph_key(m.graph)
+        checked = LabeledMulticurve(graph, m.classes, m.x)
+        assert multicurve_key(checked) == multicurve_key(m)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(COPRIME_PAIRS), st.integers(1, 4))
+def test_abstract_boundary_is_the_geometric_one(mn, K):
+    """``cell_boundary``, which the d22 page reads, against the signs of
+    ``cell_faces``: on each two-cell, plain and appended, each face's
+    sign, times +1 when the face vertex that sorts last in the cell's
+    coordinates is the edge's head (the face frame runs from the first
+    sorted vertex to the last), times the edge's boundary coefficient,
+    is one value per cell, the same on both sheets."""
+    ladder = build_ladder(*mn, K)
+    for tag in ladder.two_cells():
+        orientation = set()
+        for lift in ({}, {"beta": 1}):
+            cell = ladder.appended_cell(tag) if lift else ladder.cell_cells[tag]
+            order = cell.multicurve.edge_ids()
+            for sign, edge in ladder.cell_faces[tag]:
+                face = ladder.appended_cell(edge) if lift else ladder.edge_cells[edge]
+                tail, head = (
+                    {**ladder.vertex_cells[v].verts[0], **lift} for v in ladder.edge_endpoints[edge]
+                )
+                last = max(face.verts, key=lambda v: tuple(v.get(e, 0) for e in order))
+                assert last in (tail, head)
+                along = 1 if last == head else -1
+                orientation.add(sign * along * ladder.cell_boundary[tag][edge])
+        assert len(orientation) == 1, tag
 
 
 @settings(max_examples=30, deadline=None)
@@ -414,7 +473,10 @@ def test_appended_sheet_matches_the_scan_oracle(mn, K):
     """Each lifted appended cell against a full scan of the appended
     multicurve: the same multicurve, vertex list (in order) and
     dimension, every vertex a basic cycle of the lifted cell; each
-    two-cell's lifted faces against a fresh ``face_geometry``."""
+    appended two-cell's faces, read off ``cell_faces`` as the appended
+    cells of its edges with the plain signs, against a fresh
+    ``face_geometry`` of the scanned cell: the same signs and supports,
+    and each face's vertex vectors those of the appended edge cell."""
     ladder = build_ladder(*mn, K)
     oracles = {}
     for tag in ladder.edges() + ladder.two_cells():
@@ -429,10 +491,16 @@ def test_appended_sheet_matches_the_scan_oracle(mn, K):
             assert basic_cycle_problem(lifted.multicurve, v, lifted.multicurve.x) is None
     for tag in ladder.two_cells():
         geometry = face_geometry(oracles[tag])
-        assert cycles._lift_faces(ladder.cell_geometry[tag]) == geometry
-        faces = [(sign, frozenset(face.multicurve.edge_ids())) for sign, face in ladder.appended_faces(tag)]
+        order = oracles[tag].multicurve.edge_ids()
+        faces = faces_on(ladder, tag, "appended")
         assert len(faces) == len(geometry)
-        assert set(faces) == {(sign, support) for sign, support, _ in geometry}
+        read = {
+            (sign, frozenset(face.multicurve.edge_ids())): sorted(
+                tuple(v.get(e, 0) for e in order) for v in face.verts
+            )
+            for sign, face in faces
+        }
+        assert read == {(sign, support): sorted(vecs) for sign, support, vecs in geometry}
 
 
 def test_append_loop_rejects_a_loop_class_in_the_span():
@@ -541,7 +609,7 @@ def test_segment_faces_have_opposite_signs():
     cell = CellInstance(shared_class_triple())
     faces = boundary_faces(cell)
     assert sorted(sign for sign, _ in faces) == [-1, 1]
-    supports = {f.support_key() for _, f in faces}
+    supports = {support_key(f) for _, f in faces}
     assert supports == {("e3",), ("e1", "e2")}
 
 
@@ -557,7 +625,7 @@ def test_rectangle_faces_alternate():
     faces = boundary_faces(rect)
     assert len(faces) == 4
     assert sorted(sign for sign, _ in faces) == [-1, -1, 1, 1]
-    by_support = {f.support_key(): sign for sign, f in faces}
+    by_support = {support_key(f): sign for sign, f in faces}
     # the two rungs carry opposite signs, as do the two sheet edges
     assert (
         by_support[("delta1", "delta2", "u-1")]
@@ -573,12 +641,12 @@ def test_gamma_faces_of_chain_have_opposite_signs():
     cell = CellInstance(three_double_chain())
     faces = boundary_faces(cell)
     assert len(faces) == 6
-    by_support = {f.support_key(): sign for sign, f in faces}
+    by_support = {support_key(f): sign for sign, f in faces}
     no_g1 = ("A1", "A2", "B1", "B2", "g2")
     no_g2 = ("A1", "A2", "B1", "B2", "g1")
     assert by_support[no_g1] == -by_support[no_g2]
     profiles = {
-        f.support_key(): f.multicurve.graph.multiedge_profile() for _, f in faces
+        support_key(f): f.multicurve.graph.multiedge_profile() for _, f in faces
     }
     assert profiles[no_g1] == (2, 2)
     assert profiles[no_g2] == (2, 2)
@@ -590,7 +658,7 @@ def chain_boundary_squared(cell):
     acc = {}
     for sign, face in boundary_faces(cell):
         for sign2, sub in boundary_faces(face):
-            key = sub.support_key()
+            key = support_key(sub)
             acc[key] = acc.get(key, 0) + sign * sign2
     return {k: v for k, v in acc.items() if v}
 
@@ -609,11 +677,22 @@ def vertex_set(cell):
     return {frozenset(v.items()) for v in cell.verts}
 
 
+def faces_on(ladder, tag, sheet):
+    """(sign, face cell) of each face of the two-cell ``tag`` on a sheet,
+    read off ``cell_faces``: the edge cells, or their appended cells with
+    the same signs."""
+    return [
+        (sign, ladder.edge_cells[edge] if sheet == "plain" else ladder.appended_cell(edge))
+        for sign, edge in ladder.cell_faces[tag]
+    ]
+
+
 def assert_same_faces(kept, fresh):
     """Kept faces are the ladder's own edge cells, fresh ones are built
     from the two-cell: sign, curve ids, classes, x and vertex set agree
     exactly, the graphs up to piece ids and curve directions."""
     assert len(kept) == len(fresh)
+    kept = sorted(kept, key=lambda sf: support_key(sf[1]))
     for (sign, face), (fresh_sign, fresh_face) in zip(kept, fresh):
         assert sign == fresh_sign
         a, b = face.multicurve, fresh_face.multicurve
@@ -643,12 +722,10 @@ def test_ladder_boundary_squares_to_zero_and_euler_is_one(mn, K):
         cell = ladder.cell_cells[tag]
         assert chain_boundary_squared(cell) == {}
         # the faces and appended cells the ladder keeps match fresh ones
-        assert_same_faces(ladder.cell_faces[tag], boundary_faces(cell))
+        assert_same_faces(faces_on(ladder, tag, "plain"), boundary_faces(cell))
         appended, oracle = ladder.appended_cell(tag), append_loop_by_scan(cell)
         assert multicurve_key(appended.multicurve) == multicurve_key(oracle.multicurve)
-        assert_same_faces(
-            ladder.appended_faces(tag), boundary_faces(ladder.appended_cell(tag))
-        )
+        assert_same_faces(faces_on(ladder, tag, "appended"), boundary_faces(appended))
     v, e, c = len(ladder.vertices()), len(ladder.edges()), len(ladder.two_cells())
     assert v - e + c == 1
 
@@ -715,7 +792,7 @@ def fraction_boundary_faces(c):
         assert det != 0
         sub = remove_edges(m, set(order) - support)
         faces.append((1 if det > 0 else -1, CellInstance(sub)))
-    faces.sort(key=lambda sf: sf[1].support_key())
+    faces.sort(key=lambda sf: support_key(sf[1]))
     return faces
 
 

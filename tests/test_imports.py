@@ -1,7 +1,8 @@
 """Every name a torelli3 module imports is used in that module, every
 error it defines or raises belongs to the package's one error model, no
 check is an ``assert`` that ``python -O`` would drop, every trusted
-constructor names the test that proves it, every public function is
+constructor names the test that proves it and every function that calls
+it, every public function is
 reached by the package, the acceptance gate or the bench harness, and
 only the classes the package compares by value define equality.
 
@@ -226,6 +227,86 @@ def test_every_trusted_constructor_names_an_existing_test():
     sources = [path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))]
     tests = [path.read_text(encoding="utf-8") for path in sorted(TESTS.glob("*.py"))]
     assert unproved_trusted(sources, defined_tests(tests)) == []
+
+
+def uncited_trusted_callers(sources):
+    """(class, caller) for each ``X._trusted(...)`` or ``cls._trusted(...)``
+    call whose enclosing function ``X._trusted``'s docstring does not
+    name; ``cls`` is the enclosing class.
+
+    A trusted constructor's docstring holds the argument for each caller,
+    so a new caller without one shows here.
+    """
+    docs, calls = {}, []
+
+    def visit(node, cls, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name, func)
+                continue
+            if isinstance(child, ast.FunctionDef):
+                if child.name == "_trusted" and cls:
+                    docs[cls] = ast.get_docstring(child) or ""
+                visit(child, cls, child.name)
+                continue
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr == "_trusted"
+                and isinstance(child.func.value, ast.Name)
+            ):
+                owner = child.func.value.id
+                calls.append((cls if owner == "cls" else owner, func))
+            visit(child, cls, func)
+
+    for tree in map(ast.parse, sources):
+        visit(tree, None, None)
+    return sorted(
+        {
+            (owner, caller)
+            for owner, caller in calls
+            if caller is None or not re.search(rf"\b{re.escape(caller)}\b", docs.get(owner, ""))
+        },
+        key=str,
+    )
+
+
+def test_trusted_caller_scan_flags_uncited_callers():
+    source = (
+        "class A:\n"
+        "    @classmethod\n"
+        "    def _trusted(cls, x):\n"
+        "        \"\"\"Built by ``build``, ``make`` and ``other.remote``.\"\"\"\n"
+        "    @classmethod\n"
+        "    def make(cls):\n"
+        "        return cls._trusted(1)\n"
+        "    def copy(self):\n"
+        "        return A._trusted(2)\n"
+        "def build():\n"
+        "    return A._trusted(3)\n"
+        "def rebuild():\n"
+        "    def inner():\n"
+        "        return A._trusted(4)\n"
+        "    return inner()\n"
+        "def builder():\n"
+        "    return A._trusted(5)\n"
+        "def stray():\n"
+        "    return B._trusted(6)\n"
+        "A._trusted(7)\n"
+    )
+    other = "def remote():\n    return A._trusted(8)\n"
+    assert uncited_trusted_callers([source, other]) == [
+        ("A", "builder"),
+        ("A", "copy"),
+        ("A", "inner"),
+        ("A", None),
+        ("B", "stray"),
+    ]
+
+
+def test_every_trusted_call_is_named_in_its_docstring():
+    sources = [path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))]
+    assert uncited_trusted_callers(sources) == []
 
 
 def unreached_public_functions(package, readers):

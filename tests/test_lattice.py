@@ -458,6 +458,23 @@ def test_subgroup_contains():
     assert u.contains(ZERO)
 
 
+@pytest.mark.parametrize(
+    "coords, message",
+    [
+        ((0, 0, 0, 0, 1, 0, 5), "expected 6 coordinates, got 7"),
+        ((0, 0, 0, 0, 1), "expected 6 coordinates, got 5"),
+        ((0, 0, 0, 0, 1.5, 0), "coordinates must be integers"),
+    ],
+    ids=["seven", "five", "float"],
+)
+def test_contains_refuses_a_bad_tuple(coords, message):
+    """A 7th entry was dropped (True), 5 entries raised ``IndexError``
+    and a float entry read False; each is a usage error."""
+    u = SymplecticSubgroup.spanned_by([A3, B3])
+    with pytest.raises(UsageError, match=message):
+        u.contains(coords)
+
+
 small_vectors = st.lists(st.integers(-4, 4), min_size=6, max_size=6).map(tuple)
 
 
@@ -970,6 +987,22 @@ def test_hermite_candidates_with_unit_pairing_are_planes(basis):
     assert SymplecticSubgroup(basis).basis == basis
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(hermite_candidates(), generator_lists()))
+def test_orthogonal_complement_passes_the_public_constructor(gens):
+    """``orthogonal_complement`` builds trusted on ``kernel_basis``: the
+    complement of a drawn plane, or of any drawn subgroup, is the basis
+    the checked constructor keeps, with invariant factors all 1 by
+    sympy's Smith form, of rank 6 minus the subgroup's, and orthogonal
+    to it."""
+    u = SymplecticSubgroup.spanned_by(gens)
+    comp = orthogonal_complement(u)
+    assert SymplecticSubgroup(comp.basis).basis == comp.basis
+    assert smith_factors(comp.basis, 6) == [1] * comp.rank
+    assert comp.rank == 6 - u.rank
+    assert all(intersection(x, y) == 0 for x in u.vectors() for y in comp.vectors())
+
+
 def test_public_routes_still_reject_bad_planes_and_triples():
     u1, u2 = SymplecticSubgroup([A1, B1]), SymplecticSubgroup([A2, B2])
     with pytest.raises(ValueError, match="non-primitive"):
@@ -1060,16 +1093,17 @@ def test_integer_types_still_pass():
 
 
 @settings(max_examples=200, deadline=None)
-@given(small_vectors, small_vectors)
-def test_hvector_arithmetic_matches_the_checked_constructor(a, b):
-    """Sum, difference and negation, built through ``HVector._trusted``,
-    equal the vectors the checked __init__ builds from the same
-    coordinates, and hold a tuple of 6 ints."""
+@given(small_vectors, small_vectors, st.integers(-3, 3))
+def test_hvector_arithmetic_matches_the_checked_constructor(a, b, k):
+    """Sum, difference, negation and multiple, built through
+    ``HVector._trusted``, equal the vectors the checked __init__ builds
+    from the same coordinates, and hold a tuple of 6 ints."""
     u, v = HVector(a), HVector(b)
     for got, want in (
         (u + v, [x + y for x, y in zip(a, b)]),
         (u - v, [x - y for x, y in zip(a, b)]),
         (-u, [-x for x in a]),
+        (k * u, [k * x for x in a]),
     ):
         assert got == HVector(want)
         assert type(got.coords) is tuple and len(got.coords) == 6

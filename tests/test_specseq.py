@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from oracles import (
     boundary_faces, column_support, is_admissible_by_vectors, pair_tag_by_vectors,
-    target_basis_03, target_basis_21, transvection,
+    target_basis_03, target_basis_12, target_basis_21, transvection,
 )
 from torelli3 import cycles, lattice, specseq, surface
-from torelli3.cycles import CellInstance, InternalInconsistencyError, append_loop, build_ladder
+from torelli3.cycles import CellInstance, append_loop, build_ladder
 from torelli3.lattice import (
     A1,
     A2,
@@ -159,8 +159,8 @@ def test_stored_tag_hash_matches_the_key(pair):
 
 
 def is_admissible(cell, u):
-    """One plane against one cell, guarded as the (2, 2) and (1, 2) pages
-    guard their subgroups: the plane check, then the pairing routes."""
+    """One plane against one cell, guarded as the (2, 2) page guards its
+    subgroups: the plane check, then the pairing routes."""
     specseq._require_plane(u)
     return specseq._admissible(cell, u)
 
@@ -331,14 +331,13 @@ def test_is_admissible_matches_the_vector_oracle_off_the_ladder():
 )
 def test_admissibility_refuses_what_is_not_a_symplectic_plane(u, message):
     """A degenerate plane, one that is not unimodular and a rank-1
-    subgroup, refused by ``is_admissible`` and by both ladder pages,
+    subgroup, refused by ``is_admissible`` and by the (2, 2) page,
     before any cell is tested."""
     ladder = build_ladder(1, 2, 2)
     with pytest.raises(UsageError, match=message):
         is_admissible(ladder.cell_cells[("R", 0)], u)
-    for position in ((2, 2), (1, 2)):
-        with pytest.raises(UsageError, match=message):
-            build_e1(position, Truncation(ladder=ladder, subgroups=[U33, u], height=1))
+    with pytest.raises(UsageError, match=message):
+        build_e1((2, 2), Truncation(ladder=ladder, subgroups=[U33, u], height=1))
 
 
 def test_ladder_page_work_counters(monkeypatch):
@@ -561,24 +560,6 @@ def test_d22_separation(u, separated):
     assert check_image_separation(ladder, u) is separated
 
 
-def test_d22_separation_checks_each_appended_face():
-    ladder = build_ladder(1, 2, 2)
-    edge = ladder.appended_cell(("d", 0))
-    edge.verts = edge.verts[:1]
-    with pytest.raises(
-        InternalInconsistencyError,
-        match=r"cell \('R', -1\) face \['beta', 'delta1', 'delta2', 'u0'\]: vertex set differs",
-    ):
-        check_image_separation(ladder, U33)
-    ladder = build_ladder(1, 2, 2)
-    ladder.appended_cell(("c+", 0)).multicurve.classes["beta"] = B3
-    with pytest.raises(
-        InternalInconsistencyError,
-        match=r"cell \('R', 0\) face \['beta', 'delta1', 'u0', 'u1'\]: classes differ",
-    ):
-        check_image_separation(ladder, U33)
-
-
 def test_d22_separation_tests_each_face_once(monkeypatch):
     """One verdict per edge cell and per appended edge cell: under the
     separating subgroup no plain face meets it and each appended face
@@ -651,9 +632,20 @@ def test_d22_overflow_on_foreign_cell():
 
 
 def test_edge_position_basis():
+    """The (1, 2) basis of the test oracle: one label per edge, sheet and
+    subgroup, each edge cell admissible on both sheets; d22 names its
+    rows among those labels."""
     ladder = build_ladder(1, 1, 1)
-    src = build_e1((1, 2), Truncation(ladder=ladder, subgroups=[U33], height=1))
-    assert len(src) == 2 * len(ladder.edges())
+    trunc = Truncation(ladder=ladder, subgroups=[U33], height=1)
+    tgt = target_basis_12(trunc)
+    assert len(tgt) == 2 * len(ladder.edges())
+    edges = ladder.edges()
+    cells = [ladder.edge_cells[e] for e in edges] + [ladder.appended_cell(e) for e in edges]
+    assert all(is_admissible(cell, U33) for cell in cells)
+    src = build_e1((2, 2), trunc)
+    assert set(d22_apply(src, ladder).rows) <= set(tgt.basis)
+    with pytest.raises(UsageError, match=r"unsupported position \(1, 2\)"):
+        build_e1((1, 2), trunc)
 
 
 def test_page_composition_vanishes():
