@@ -452,10 +452,10 @@ def _mirror(cell):
     """The cell with the curve id ``delta1`` renamed ``delta2``, with no
     scan.
 
-    The ladder's mirror cells (``("B", k)``, ``("c-", k)``, ``("e-", k)``
-    and their appended cells) are the cells ``("A", k)``, ``("c+", k)``
-    and ``("e+", k)`` with ``delta2`` in place of ``delta1``; the three
-    callers pass only those cells, which hold ``delta1`` and not
+    The ladder's mirror cells (``("B", k)``, ``("c-", k)``, ``("e-", k)``)
+    are the cells ``("A", k)``, ``("c+", k)`` and ``("e+", k)`` with
+    ``delta2`` in place of ``delta1``; ``build_ladder`` passes only those
+    cells, which hold ``delta1`` and not
     ``delta2``.  Both curves carry the class a2, from the one literal of
     ``build_ladder`` that labels both.  Renaming one curve to an id the
     cell does not hold keeps the pieces, the incidence, the orientation
@@ -464,9 +464,9 @@ def _mirror(cell):
     verdict on the renamed cell: the same class columns in edge order,
     reduced system, solutions and weight vectors, in the same order.
     The vertices are the given cell's, re-keyed, and the dimension is
-    its dimension.  Every mirror cell of random ladders, plain and
-    appended, equals the checked build of its cell in
-    ``test_mirror_cells_match_the_checked_build``.
+    its dimension.  Every mirror cell of random ladders, and its lift by
+    ``tests/oracles.lift_by_mirror``, equals the checked build of its
+    cell in ``test_mirror_cells_match_the_checked_build``.
     """
     m = cell.multicurve
 
@@ -506,11 +506,10 @@ class LadderComplex:
     read off the cell.  A tag's letter gives its kind: e+/e- edges and V
     cells are vertical.  The mirror cells (B, c- and e-) are their +
     partners with ``delta1`` renamed ``delta2``, with no scan
-    (``_mirror``), on the appended sheet too.  ``cell_faces`` holds the
-    signed faces of each two-cell as ``(sign, edge tag)`` pairs, each
-    edge's cell matched once to the face geometry (``match_faces``).
-    ``appended_cell`` lifts a cell to the appended sheet once, and
-    reads its faces, if any, off ``cell_faces``.
+    (``_mirror``).  ``cell_faces`` holds the signed faces of each
+    two-cell as ``(sign, edge tag)`` pairs, each edge's cell matched once
+    to the face geometry (``match_faces``).  ``appended_cell`` lifts a
+    two-cell to the appended sheet once; no edge is lifted.
     """
 
     __slots__ = (
@@ -560,27 +559,19 @@ class LadderComplex:
                 )
 
     def appended_cell(self, tag):
-        """``append_loop`` of the edge or two-cell ``tag``, lifted once; a
-        c- or e- edge's is the ``_mirror`` of its + partner's.
+        """``append_loop`` of the two-cell ``tag``, lifted once.
 
-        An appended two-cell's faces are the appended cells of the edges
-        in its ``cell_faces``, with the same signs.  By the lemma of
-        ``CellInstance._trusted`` each appended vertex vector is a plain
-        one with a trailing 1 for ``beta``: each face gains ``beta`` and
-        a trailing 1, as the appended edge cell does, and the frames and
-        barycenter difference gain a zero column, which moves no pivot
-        or determinant; the loop, on every vertex, bounds no face.
-        ``test_appended_sheet_matches_the_scan_oracle`` compares them
-        with a fresh ``face_geometry`` of scanned appended cells.
-        """
+        No edge is lifted.  An appended face is its plain edge with the
+        loop ``beta`` of class a3 added, with the same sign: by the lemma
+        of ``CellInstance._trusted`` each vertex gains ``beta`` at weight
+        1, so the frames and barycenter difference gain a zero column,
+        which moves no pivot or determinant, and the loop bounds no face.
+        ``test_appended_sheet_matches_the_scan_oracle`` checks this on
+        edges lifted by ``tests/oracles.lift_by_mirror``."""
+        if tag not in self.cell_cells:
+            raise UsageError(f"{tag} is not a two-cell of the ladder")
         if tag not in self._appended:
-            kind, k = tag
-            if kind in ("c-", "e-"):
-                cell = _mirror(self.appended_cell((kind[0] + "+", k)))
-            else:
-                cells = self.cell_cells if tag in self.cell_cells else self.edge_cells
-                cell = append_loop(cells[tag])
-            self._appended[tag] = cell
+            self._appended[tag] = append_loop(self.cell_cells[tag])
         return self._appended[tag]
 
     def vertices(self):

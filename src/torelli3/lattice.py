@@ -250,8 +250,9 @@ def kernel_basis(m, ncols=None):
     One Hermite form of [m^T | I] gives it (Cohen, GTM 138, 2.4): it is
     [U m^T | U] for a unimodular U, so the U parts of the rows whose m^T
     part is zero span the kernel, and as rows of U they span a saturated
-    lattice.  They are the last rows of the form, so they are already in
-    Hermite form.  Every row must have ``ncols`` entries.
+    lattice.  They are the trailing rows of the echelon, and reducing
+    above a pivot reads only the rows below it, so they alone are
+    reduced.  Every row must have ``ncols`` entries.
     """
     if ncols is None:
         if not m:
@@ -263,7 +264,9 @@ def kernel_basis(m, ncols=None):
     r = len(rows)
     augmented = [[row[j] for row in rows] + [int(i == j) for i in range(ncols)]
                  for j in range(ncols)]
-    return [row[r:] for row in hermite_row_form(augmented) if not any(row[:r])]
+    echelon_rows, pivots = _gcd_echelon(augmented)
+    keep = next((i for i, j in enumerate(pivots) if j >= r), len(pivots))
+    return [row[r:] for row in _reduce_above(echelon_rows[keep:], pivots[keep:])]
 
 
 def saturate(rows, ncols=None):
@@ -285,12 +288,15 @@ def hermite_row_form(m):
     zero rows are dropped.  The result is a tuple of tuples and is the unique
     canonical basis of the row lattice.
     """
+    return _reduce_above(*_gcd_echelon(m))
+
+
+def _gcd_echelon(m):
+    """(rows, pivot columns) of a row echelon basis of m's row lattice."""
     rows = [list(r) for r in m if any(r)]
-    if not rows:
-        return ()
-    ncols = len(rows[0])
-    r = 0
-    for j in range(ncols):
+    pivots = []
+    for j in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
         # gcd-eliminate column j below row r
         pivot_row = next((i for i in range(r, len(rows)) if rows[i][j] != 0), None)
         if pivot_row is None:
@@ -306,18 +312,20 @@ def hermite_row_form(m):
                     rows[r], rows[i] = rows[i], rows[r]
                 q = rows[i][j] // rows[r][j]
                 rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
-                if rows[i][j] != 0:
-                    changed = True
+                changed |= rows[i][j] != 0
         if rows[r][j] < 0:
             rows[r] = [-x for x in rows[r]]
+        pivots.append(j)
+    return rows[: len(pivots)], pivots
+
+
+def _reduce_above(rows, pivots):
+    """Echelon rows with each entry above a pivot reduced into [0, pivot)."""
+    for r, j in enumerate(pivots):
         for i in range(r):
             q = rows[i][j] // rows[r][j]
             if q:
                 rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-        if r == len(rows):
-            break
-    rows = [row for row in rows[:r] if any(row)]
     return tuple(tuple(row) for row in rows)
 
 

@@ -10,6 +10,9 @@ Truncations are explicit; an image that would leave the window raises
 instead of being clipped.
 """
 
+from functools import lru_cache
+
+from .cycles import _LOOP
 from .lattice import (
     MismatchError,
     UsageError,
@@ -498,22 +501,20 @@ def d22_apply(src, ladder):
 
 def check_image_separation(ladder, u):
     """Faces of plain cells never meet the subgroup; faces of appended
-    cells always do, through the loop class.  A two-cell's faces are the
-    edges of its ``cell_faces``, as edge cells or, on the appended sheet,
-    as their ``LadderComplex.appended_cell``; each (edge tag, sheet) gets
-    one verdict, which every two-cell it bounds reads."""
-    meets = {}
-
-    def verdict(edge, sheet):
-        if (edge, sheet) not in meets:
-            face = ladder.edge_cells[edge] if sheet == "plain" else ladder.appended_cell(edge)
-            meets[edge, sheet] = any(u.contains(c) for c in face.multicurve.classes.values())
-        return meets[edge, sheet]
-
+    cells always do, through the loop class.  No edge is lifted: by
+    ``append_loop``'s construction the appended face of a two-cell on the
+    edge e carries e's classes plus the loop ``beta``, whose class the
+    two-cell's ``LadderComplex.appended_cell`` carries (lifted once, rank
+    check included, and kept from ``build_e1((2, 2))``).  So an appended
+    face meets U exactly when the plain face does or U contains the loop
+    class.  Each distinct class is tested once;
+    ``tests/oracles.separation_by_lifts`` lifts every edge instead."""
+    meets = lru_cache(maxsize=None)(u.contains)
     for tag in ladder.two_cells():
-        if any(verdict(edge, "plain") for _, edge in ladder.cell_faces[tag]):
+        faces = [ladder.edge_cells[edge] for _, edge in ladder.cell_faces[tag]]
+        if any(meets(c) for face in faces for c in face.multicurve.classes.values()):
             return False
-        if not all(verdict(edge, "appended") for _, edge in ladder.cell_faces[tag]):
+        if faces and not meets(ladder.appended_cell(tag).multicurve.classes[_LOOP]):
             return False
     return True
 

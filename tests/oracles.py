@@ -75,6 +75,15 @@ multicurves and cells by, as none of them defines ``__eq__``: the
 pieces and curves in order, the class of each curve and x;
 ``support_key``, the sorted curve ids of a cell, left ``CellInstance``
 when the ladder's faces became edge tags, and orders faces.
+``lift_by_mirror`` is ``LadderComplex.appended_cell`` as it was before it
+took two-cells only: an edge is lifted by ``cycles.append_loop``, and a
+c- or e- edge's lift is the ``cycles._mirror`` of its + partner's.
+``separation_by_lifts`` is ``specseq.check_image_separation`` as it was
+before it read the appended faces off the plain ones: every edge lifted
+that way, and each class of each face tested, one verdict per edge and
+sheet.  ``kernel_by_full_hermite`` is ``lattice.kernel_basis`` as it was
+before it reduced only the rows it keeps: the whole Hermite form of
+[m^T | I].
 """
 
 from fractions import Fraction
@@ -83,7 +92,7 @@ from itertools import combinations, combinations_with_replacement, permutations,
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from torelli3.cycles import CellInstance, face_geometry
+from torelli3.cycles import CellInstance, _mirror, append_loop, face_geometry
 from torelli3 import surface
 from torelli3.lattice import (
     A3, ZERO, HVector, InternalInconsistencyError, Splitting, UsageError, _pairing,
@@ -245,6 +254,45 @@ def append_loop_by_scan(cell):
     classes = {**m.classes, "beta": A3}
     graph = DecompGraph(pieces, edges)
     return CellInstance(LabeledMulticurve(graph, {e: classes[e] for e, _, _ in edges}, m.x + A3))
+
+
+def lift_by_mirror(ladder, tag):
+    """The appended cell of the edge or two-cell ``tag`` of the ladder."""
+    kind, k = tag
+    if tag in ladder.cell_cells:
+        return ladder.appended_cell(tag)
+    if kind in ("c-", "e-"):
+        return _mirror(lift_by_mirror(ladder, (kind[0] + "+", k)))
+    return append_loop(ladder.edge_cells[tag])
+
+
+def separation_by_lifts(ladder, u):
+    """Whether no plain face of a two-cell meets U and every appended face
+    does, each face lifted to the appended sheet by ``lift_by_mirror``."""
+    meets = {}
+
+    def verdict(edge, sheet):
+        if (edge, sheet) not in meets:
+            face = ladder.edge_cells[edge] if sheet == "plain" else lift_by_mirror(ladder, edge)
+            meets[edge, sheet] = any(u.contains(c) for c in face.multicurve.classes.values())
+        return meets[edge, sheet]
+
+    for tag in ladder.two_cells():
+        if any(verdict(edge, "plain") for _, edge in ladder.cell_faces[tag]):
+            return False
+        if not all(verdict(edge, "appended") for _, edge in ladder.cell_faces[tag]):
+            return False
+    return True
+
+
+def kernel_by_full_hermite(m, ncols):
+    """The U parts of the rows of the Hermite form of [m^T | I] whose m^T
+    part is zero."""
+    rows = [r for r in m if any(r)]
+    r = len(rows)
+    augmented = [[row[j] for row in rows] + [int(i == j) for i in range(ncols)]
+                 for j in range(ncols)]
+    return [row[r:] for row in hermite_row_form(augmented) if not any(row[:r])]
 
 
 def dense_kernel_matches_pattern(src, mat, pattern):

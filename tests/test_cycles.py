@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from oracles import (
     affine_frame_by_ranks, append_loop_by_scan, basic_cycle_problem, boundary_faces,
-    faces_key, graph_key, multicurve_key, remove_edges, smith_factors, solve_rational, scan_subsets,
-    support_key, two_scan,
+    faces_key, graph_key, lift_by_mirror, multicurve_key, remove_edges, smith_factors,
+    solve_rational, scan_subsets, support_key, two_scan,
 )
 from torelli3 import cycles
 from torelli3.lattice import (
@@ -257,7 +257,7 @@ def test_merged_scan_matches_oracle_on_ladder_cells(mn, K, data):
     cells = [ladder.vertex_cells[v] for v in ladder.vertices()[:2]]
     for tag in picked:
         plain = ladder.edge_cells.get(tag) or ladder.cell_cells[tag]
-        cells += [plain, ladder.appended_cell(tag)]
+        cells += [plain, lift_by_mirror(ladder, tag)]
     for cell in cells:
         assert_scan_matches_oracle(*scan_inputs_of(cell.multicurve), cell.multicurve.x.coords)
 
@@ -374,7 +374,7 @@ def test_mirror_cells_match_the_checked_build(mn, K):
         checked = checked_mirror_side(ladder, tag)
         assert_same_cell(cell, checked)
         if tag[0] != "B":
-            assert_same_cell(ladder.appended_cell(tag), append_loop(checked))
+            assert_same_cell(lift_by_mirror(ladder, tag), append_loop(checked))
 
 
 @settings(max_examples=15, deadline=None)
@@ -422,7 +422,7 @@ def test_abstract_boundary_is_the_geometric_one(mn, K):
             cell = ladder.appended_cell(tag) if lift else ladder.cell_cells[tag]
             order = cell.multicurve.edge_ids()
             for sign, edge in ladder.cell_faces[tag]:
-                face = ladder.appended_cell(edge) if lift else ladder.edge_cells[edge]
+                face = lift_by_mirror(ladder, edge) if lift else ladder.edge_cells[edge]
                 tail, head = (
                     {**ladder.vertex_cells[v].verts[0], **lift} for v in ladder.edge_endpoints[edge]
                 )
@@ -452,7 +452,7 @@ def test_pattern_route_matches_scan_subsets_on_ladder_cells(mn, K):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cycles, "enumerate_basic_cycles", recording)
         ladder = build_ladder(*mn, K)
-        appended = [ladder.appended_cell(tag) for tag in ladder.edges() + ladder.two_cells()]
+        appended = [lift_by_mirror(ladder, tag) for tag in ladder.edges() + ladder.two_cells()]
     plain = len(ladder.vertex_cells) + len(ladder.edge_cells) + len(ladder.cell_cells)
     mirrored = [c for tag, c in mirror_cells(ladder)]
     assert len(calls) == plain - len(mirrored) + 2  # and the two external witnesses
@@ -480,7 +480,7 @@ def test_appended_sheet_matches_the_scan_oracle(mn, K):
     ladder = build_ladder(*mn, K)
     oracles = {}
     for tag in ladder.edges() + ladder.two_cells():
-        lifted = ladder.appended_cell(tag)
+        lifted = lift_by_mirror(ladder, tag)
         oracle = oracles[tag] = append_loop_by_scan(
             ladder.edge_cells.get(tag) or ladder.cell_cells[tag]
         )
@@ -679,10 +679,10 @@ def vertex_set(cell):
 
 def faces_on(ladder, tag, sheet):
     """(sign, face cell) of each face of the two-cell ``tag`` on a sheet,
-    read off ``cell_faces``: the edge cells, or their appended cells with
-    the same signs."""
+    read off ``cell_faces``: the edge cells, or their lifts by
+    ``oracles.lift_by_mirror`` with the same signs."""
     return [
-        (sign, ladder.edge_cells[edge] if sheet == "plain" else ladder.appended_cell(edge))
+        (sign, ladder.edge_cells[edge] if sheet == "plain" else lift_by_mirror(ladder, edge))
         for sign, edge in ladder.cell_faces[tag]
     ]
 

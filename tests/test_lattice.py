@@ -15,8 +15,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
-    contains_by_lists, decompose, identity_matrix, letter_by_decompose, smith_factors,
-    solve_rational, splittings_by_plane_masks, transvection, ytype_by_decompose,
+    contains_by_lists, decompose, identity_matrix, kernel_by_full_hermite, letter_by_decompose,
+    smith_factors, solve_rational, splittings_by_plane_masks, transvection, ytype_by_decompose,
 )
 from torelli3 import lattice
 from torelli3.lattice import (
@@ -290,9 +290,11 @@ def lattice_matrices(draw):
 @given(lattice_matrices())
 def test_hermite_kernel_and_saturation_against_sympy_smith(matrix):
     """sympy's Smith form is the oracle, so this shares no code with the
-    Hermite route under test."""
+    Hermite route under test.  The kernel rows, reduced alone, are also
+    those of the whole Hermite form of [m^T | I], row for row."""
     m, ncols = matrix
     ker = kernel_basis(m, ncols)
+    assert ker == kernel_by_full_hermite(m, ncols)
     for x in ker:
         assert all(sum(a * b for a, b in zip(row, x)) == 0 for row in m)
     rank = len(smith_factors(m, ncols))

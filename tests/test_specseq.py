@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
-    boundary_faces, column_support, is_admissible_by_vectors, pair_tag_by_vectors,
-    target_basis_03, target_basis_12, target_basis_21, transvection,
+    boundary_faces, column_support, is_admissible_by_vectors, lift_by_mirror, pair_tag_by_vectors,
+    separation_by_lifts, target_basis_03, target_basis_12, target_basis_21, transvection,
 )
 from torelli3 import cycles, lattice, specseq, surface
 from torelli3.cycles import CellInstance, append_loop, build_ladder
@@ -261,7 +261,7 @@ def test_is_admissible_matches_the_vector_oracle_on_ladder_cells(mn, K):
     tags = ladder.edges() + ladder.two_cells()
     cells = list(ladder.vertex_cells.values())
     cells += [ladder.edge_cells.get(tag) or ladder.cell_cells[tag] for tag in tags]
-    cells += [ladder.appended_cell(tag) for tag in tags]
+    cells += [lift_by_mirror(ladder, tag) for tag in tags]
     verdicts = Counter()
     for cell in cells:
         genus = any(g >= 1 for _, g in cell.multicurve.graph.vertices)
@@ -342,9 +342,9 @@ def test_admissibility_refuses_what_is_not_a_symplectic_plane(u, message):
 
 def test_ladder_page_work_counters(monkeypatch):
     """The (2, 2) page and the separation check of ``build_ladder(2, 5,
-    8)``, frozen: admissibility takes no rank, each of the 55 lifts to
-    the appended sheet takes exactly one (the 22 mirrored appended cells
-    take none), and each subgroup's height is read once."""
+    8)``, frozen: admissibility takes no rank, each of the 22 lifts to
+    the appended sheet, one per two-cell, takes exactly one, no edge is
+    lifted, and each subgroup's height is read once."""
     ladder = build_ladder(2, 5, 8)
     ranks, lift_ranks, admissible_ranks, heights = [], [], [], []
     rank, lift, admissible = lattice.matrix_rank, cycles.append_loop, specseq._admissible
@@ -379,10 +379,20 @@ def test_ladder_page_work_counters(monkeypatch):
     assert check_image_separation(ladder, U33)
     assert len(src) == 2 * 2 * len(ladder.two_cells()) == 88
     assert admissible_ranks == [0] * 88
-    assert lift_ranks == [1] * 55
-    assert len(ranks) == 55
+    assert lift_ranks == [1] * 22
+    assert len(ranks) == 22
     assert heights == [U33, U33_SKEW]
-    assert len(ladder._appended) == 55 + 22
+    assert set(ladder._appended) == set(ladder.two_cells())
+
+
+def test_appended_cell_takes_two_cells_only():
+    """No package route lifts an edge or a vertex: ``appended_cell``
+    refuses both, and ``oracles.lift_by_mirror`` lifts edges."""
+    ladder = build_ladder(1, 2, 2)
+    for tag in (("d", 0), ("c-", -1), ("e+", 0), ("A", 0)):
+        with pytest.raises(UsageError, match="is not a two-cell of the ladder"):
+            ladder.appended_cell(tag)
+    assert not ladder._appended
 
 
 @pytest.mark.parametrize("bad", (0.5, 2.0, "3"))
@@ -560,18 +570,19 @@ def test_d22_separation(u, separated):
     assert check_image_separation(ladder, u) is separated
 
 
-def test_d22_separation_tests_each_face_once(monkeypatch):
-    """One verdict per edge cell and per appended edge cell: under the
-    separating subgroup no plain face meets it and each appended face
-    meets it only at its last class, the loop, so every class of every
-    face is tested exactly once."""
+def test_d22_separation_tests_each_class_once(monkeypatch):
+    """One ``contains`` per distinct class: under the separating subgroup
+    no plain face meets it and every two-cell's loop class lies in it, so
+    every class of every face, plain or lifted by the oracle, is tested,
+    and each exactly once."""
     ladder = build_ladder(2, 5, 8)
     faces = {e for boundary in ladder.cell_boundary.values() for e in boundary}
-    want = sum(
-        len(ladder.edge_cells[e].multicurve.classes)
-        + len(ladder.appended_cell(e).multicurve.classes)
+    want = {
+        c
         for e in faces
-    )
+        for cell in (ladder.edge_cells[e], lift_by_mirror(ladder, e))
+        for c in cell.multicurve.classes.values()
+    }
     calls = []
     contains = SymplecticSubgroup.contains
 
@@ -581,13 +592,64 @@ def test_d22_separation_tests_each_face_once(monkeypatch):
 
     monkeypatch.setattr(SymplecticSubgroup, "contains", counting)
     assert check_image_separation(ladder, U33)
-    assert len(calls) == want
+    assert len(calls) == len(set(calls))
+    assert set(calls) == want
+
+
+# the height-1 planes the separation tests draw from
+HEIGHT_1_PLANES = enumerate_symplectic_rank2(1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(COPRIME_PAIRS),
+    st.integers(1, 6),
+    st.lists(st.sampled_from(HEIGHT_1_PLANES), max_size=4),
+)
+def test_separation_matches_the_lifting_oracle(mn, K, planes):
+    """The loop-class route against ``oracles.separation_by_lifts``, which
+    lifts every edge to the appended sheet, on drawn height-1 planes and
+    always on <a3, b3>."""
+    ladder = build_ladder(*mn, K)
+    for u in [U33, *planes]:
+        assert check_image_separation(ladder, u) == separation_by_lifts(ladder, u)
+
+
+def plant_class(cell, u_class):
+    """The cell with the class of its first curve replaced by ``u_class``,
+    its vertices kept: a planted fault, not a cell of the ladder."""
+    m = cell.multicurve
+    first = m.graph.edges[0][0]
+    planted = LabeledMulticurve._trusted(m.graph, {**m.classes, first: u_class}, m.x)
+    return CellInstance._trusted(planted, cell.verts, cell.dim)
+
+
+@pytest.mark.parametrize("mn", [(1, 2), (2, 5)])
+def test_separation_refuses_planted_faults(mn):
+    """A plain face class moved into U is refused, face by face; so is a
+    plane that no plain face meets but that does not contain a3, which
+    only the loop class can tell.  The lifting oracle agrees on each."""
+    ladder = build_ladder(*mn, 3)
+    assert check_image_separation(ladder, U33)
+    for edge in ladder.edges():
+        kept = ladder.edge_cells[edge]
+        ladder.edge_cells[edge] = plant_class(kept, B3)
+        assert not check_image_separation(ladder, U33)
+        assert not separation_by_lifts(ladder, U33)
+        ladder.edge_cells[edge] = kept
+    off_a3 = [SymplecticSubgroup.spanned_by([A3 + A1, B3]), SymplecticSubgroup.spanned_by([A3 + B1, B3])]
+    classes = {c for cell in ladder.edge_cells.values() for c in cell.multicurve.classes.values()}
+    for u in off_a3:
+        assert not u.contains(A3)
+        assert not any(u.contains(c) for c in classes)
+        assert not check_image_separation(ladder, u)
+        assert not separation_by_lifts(ladder, u)
 
 
 def test_d22_corner_builds_each_cell_once(monkeypatch):
     """Ladder, (2, 2) page and separation at (2, 5), K=32: every cell
-    instance, scanned or lifted to the appended sheet, is distinct by its
-    curve classes and target."""
+    instance, scanned, renamed or a two-cell lifted to the appended sheet,
+    is distinct by its curve classes and target."""
     built = []
     init = CellInstance.__init__
     trusted = CellInstance._trusted.__func__
@@ -605,7 +667,7 @@ def test_d22_corner_builds_each_cell_once(monkeypatch):
     ladder = build_ladder(2, 5, 32)
     build_e1((2, 2), Truncation(K=32, ladder=ladder, subgroups=[U33], height=1))
     assert check_image_separation(ladder, U33)
-    assert len(built) == len(set(built)) == 598
+    assert len(built) == len(set(built)) == 423
 
 
 def test_d22_rejects_inadmissible_subgroup():
@@ -640,7 +702,7 @@ def test_edge_position_basis():
     tgt = target_basis_12(trunc)
     assert len(tgt) == 2 * len(ladder.edges())
     edges = ladder.edges()
-    cells = [ladder.edge_cells[e] for e in edges] + [ladder.appended_cell(e) for e in edges]
+    cells = [ladder.edge_cells[e] for e in edges] + [lift_by_mirror(ladder, e) for e in edges]
     assert all(is_admissible(cell, U33) for cell in cells)
     src = build_e1((2, 2), trunc)
     assert set(d22_apply(src, ladder).rows) <= set(tgt.basis)
