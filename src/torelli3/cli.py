@@ -75,7 +75,7 @@ EXIT_INTERNAL = InternalInconsistencyError.exit_code
 
 DEFAULT_K = 3
 # the largest window at which every measured `check d22 --mn 2,5` stayed inside 30 s
-# (2-vCPU host): 4.8-4.9 s and 188 MB peak RSS at 5120 over three cold runs; no
+# (2-vCPU host): 3.8-4.2 s and 186 MB peak RSS at 5120 over three cold runs; no
 # window above 5120 measured
 MAX_K = 5120
 DEFAULT_MN = (1, 2)

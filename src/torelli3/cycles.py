@@ -194,8 +194,9 @@ class CellInstance:
     after the scan of the cell's relation pattern has checked that the
     polytope is bounded (the tests compare both with the per-cell
     ``tests/oracles.scan_subsets``); every curve must lie on a vertex.  An
-    appended cell is lifted from its plain cell instead, and a mirror
-    cell renamed from its + partner (``_trusted``).
+    appended cell is lifted from its plain cell instead, and a ladder
+    edge or vertex cell read off a face of a scanned two-cell
+    (``_trusted``).
     """
 
     __slots__ = ("multicurve", "verts", "dim")
@@ -218,9 +219,15 @@ class CellInstance:
     def _trusted(cls, multicurve, verts, dim):
         """A cell whose vertices are known, with no scan run.
 
-        ``_mirror`` builds each mirror cell this way, by renaming a curve
-        (its docstring holds the argument).  ``append_loop`` builds each
-        appended cell this way, by lifting the plain cell.  The lemma:
+        ``match_faces`` builds each ladder edge cell this way, read off
+        the face of a scanned two-cell on the edge's curves, and
+        ``build_ladder`` each vertex cell, read off the vertex of an edge
+        on the vertex's curves; the face lemma in the docstring of
+        ``match_faces`` makes them the cells the scan would build.  Every
+        such cell of random ladders equals the scan of its curves in
+        ``test_face_read_cells_match_the_scan_oracle``.
+        ``append_loop`` builds each appended cell this way, by lifting
+        the plain cell.  The lemma:
         if x lies in the span of the curve classes c_e and the loop
         class a3 does not, then
         sum_e w_e c_e + w_beta a3 = x + a3 forces w_beta = 1.  So the
@@ -236,9 +243,7 @@ class CellInstance:
         |E| + 1 - (|V| - 1), one more than the plain classes span, so a3
         is outside their span.  Every lifted cell of random ladders
         equals a full scan of its multicurve in
-        ``test_appended_sheet_matches_the_scan_oracle``, and every
-        mirror cell the checked build of its cell in
-        ``test_mirror_cells_match_the_checked_build``.
+        ``test_appended_sheet_matches_the_scan_oracle``.
         """
         cell = object.__new__(cls)
         cell.multicurve = multicurve
@@ -334,35 +339,57 @@ def face_geometry(c):
     return faces
 
 
-def match_faces(tag, cell, edge_cells):
+def match_faces(tag, cell, edges, edge_cells):
     """The signed faces of the two-cell ``tag``, as ``(sign, edge tag)``
-    pairs in the order of ``edge_cells``, a ``{edge tag: edge cell}`` dict.
+    pairs in the order of ``edges``, a ``{edge tag: (template
+    multicurve, endpoint weightings)}`` dict.  Each edge that
+    ``edge_cells`` lacks is read off its face into it.
 
-    Each face of ``face_geometry(cell)`` must be one edge cell with the
-    same curve ids, classes, x and vertex set; an error names the
-    two-cell, the face's curve ids and the property that differs.
+    Each face of one ``face_geometry(cell)`` must be one edge: its
+    support the edge's curve ids, the cell's classes and x on them, and
+    its vertex set the edge's endpoint weightings; an error names the
+    two-cell, the face's curve ids and the property that differs.  An
+    edge is read off the first two-cell that holds it, and every other
+    face on it, such as a shared rung on R_(k-1), R_k and V_k, is
+    compared with the same weightings.
+
+    The read edge's vertices are the face's vertices, nonzero weights
+    only, sorted by weight vector in the edge's curve order as the scan
+    sorts them, and its dimension is 1, the rank of the face frame.  The
+    face lemma makes them the scan's: dropping a curve e gives the face
+    {w_e = 0} of the two-cell's bounded polytope, which is the polytope
+    of the sub-multicurve on the face's support, so it is bounded; the
+    vertices of a face are the polytope's vertices on it (Ziegler,
+    *Lectures on Polytopes*, 2.1), so they are the basic cycles of the
+    sub-multicurve; and "every curve on a vertex" is exactly the lookup
+    of the edge's curve ids as the support, the union of the face
+    vertices' supports.
     """
     m = cell.multicurve
-    order = m.edge_ids()
+    at = {e: j for j, e in enumerate(m.edge_ids())}
     geometric = {support: (sign, vecs) for sign, support, vecs in face_geometry(cell)}
     faces = []
-    for edge, edge_cell in edge_cells.items():
-        face = edge_cell.multicurve
-        ids = frozenset(face.edge_ids())
+    for edge, (face, ends) in edges.items():
+        order = face.edge_ids()
+        ids = frozenset(order)
         problem = "curve ids differ"
         if ids in geometric:
             sign, vecs = geometric.pop(ids)
-            want = {frozenset((order[j], k) for j, k in enumerate(v) if k) for v in vecs}
-            have = {frozenset(v.items()) for v in edge_cell.verts}
+            verts = [
+                {e: w for e, w in zip(order, vec) if w}
+                for vec in sorted(tuple(v[at[e]] for e in order) for v in vecs)
+            ]
             checks = (
                 ("classes differ", all(face.class_of(e) == m.class_of(e) for e in ids)),
                 ("x differs", face.x == m.x),
-                ("vertex set differs", have == want),
+                ("vertex set differs", {frozenset(v.items()) for v in verts} == ends),
             )
             problem = next((what for what, same in checks if not same), None)
         if problem:
             ids = sorted(map(str, ids))
             raise InternalInconsistencyError(f"cell {tag} face {ids}: {problem}")
+        if edge not in edge_cells:
+            edge_cells[edge] = CellInstance._trusted(face, verts, 1)
         faces.append((sign, edge))
     if geometric:
         ids = sorted(map(str, next(iter(geometric))))
@@ -370,39 +397,43 @@ def match_faces(tag, cell, edge_cells):
     return faces
 
 
-def _cell(pieces, edges, classes, x):
-    """Cell of the multicurve with the given pieces and (id, tail, head)
-    curves, each curve carrying its class from ``classes``.
+def _template(pieces, edges, classes, x):
+    """The multicurve with the given pieces and (id, tail, head) curves,
+    each curve carrying its class from ``classes``, built trusted.
 
-    The graph and multicurve are built trusted, and the scan of
-    ``CellInstance`` runs: it finds the vertices, proves the polytope
-    bounded and puts every curve on a vertex.  The callers pass seven
-    shapes, each for every k: the vertex cell, the rung, c+, e+, R (and
-    the closing triangle), V, and the two external witnesses.  Every
-    class is u_k = a1 + k a2, w_k = a2 - u_k or a2, so each boundary sum
-    cancels and the classes span |E| - |V| + 1, as u_k and a2 are
-    independent.  Ids are distinct, a curve joins each piece to the
-    first, and fixed genera and degrees give each piece Euler
-    characteristic -1 to -4: -4 on a vertex cell (genus 3 less its one
-    or two loops), -2 and -2 on the rung, -1 and -3 on c+ and e+, and
-    -1, -1 and -2 on a two-cell or witness.  Every plain, mirror and
-    external-witness cell of random ladders passes both checked
-    constructors unchanged in
+    The callers pass seven shapes, each for every k: the vertex cell,
+    the rung, c+ and c-, e+ and e-, R (and the closing triangle), V, and
+    the two external witnesses.  Every class is u_k = a1 + k a2,
+    w_k = a2 - u_k or a2, so each boundary sum cancels and the classes
+    span |E| - |V| + 1, as u_k and a2 are independent.  Ids are
+    distinct, a curve joins each piece to the first, and fixed genera
+    and degrees give each piece Euler characteristic -1 to -4: -4 on a
+    vertex cell (genus 3 less its one or two loops), -2 and -2 on the
+    rung, -1 and -3 on c+, c-, e+ and e-, and -1, -1 and -2 on a
+    two-cell or witness.  Every template of random ladders passes both
+    checked constructors unchanged in
     ``test_ladder_cells_pass_the_checked_constructors``.
+    """
+    graph = DecompGraph._trusted(tuple(pieces), tuple(edges))
+    return LabeledMulticurve._trusted(graph, {e: classes[e] for e, _, _ in edges}, x)
+
+
+def _cell(pieces, edges, classes, x):
+    """The scanned cell of a template (``_template``): the scan of
+    ``CellInstance`` finds the vertices, proves the polytope bounded and
+    puts every curve on a vertex.  Only the two-cells and the two
+    external witnesses scan; ``build_ladder`` reads every edge and
+    vertex cell off their faces.
 
     The vertices span the cell's dimension, checked once per cell: the
-    class rank bounds the span; a vertex cell equals its one weighting
-    (``build_ladder``); an edge cell has two distinct endpoint
-    weightings (``_check_geometry``); ``face_geometry`` raises on a
-    two-cell of smaller span; and an external witness has 3 or 4
-    vertices (``_check_external_witnesses``), so, in dimension at most
-    2, spans 2.  A scan that fails here on the ladder's own curves is
-    an internal contradiction, not a usage error.
+    class rank bounds the span; ``face_geometry`` raises on a two-cell
+    of smaller span; and an external witness has 3 or 4 vertices
+    (``_check_external_witnesses``), so, in dimension at most 2, spans
+    2.  A scan that fails here on the ladder's own curves is an internal
+    contradiction, not a usage error.
     """
     try:
-        graph = DecompGraph._trusted(tuple(pieces), tuple(edges))
-        labels = {e: classes[e] for e, _, _ in edges}
-        return CellInstance(LabeledMulticurve._trusted(graph, labels, x))
+        return CellInstance(_template(pieces, edges, classes, x))
     except UsageError as err:
         ids = [e for e, _, _ in edges]
         raise InternalInconsistencyError(f"ladder cell on curves {ids}: {err}") from err
@@ -448,41 +479,6 @@ def append_loop(cell):
     return CellInstance._trusted(lifted, verts, cell.dim)
 
 
-def _mirror(cell):
-    """The cell with the curve id ``delta1`` renamed ``delta2``, with no
-    scan.
-
-    The ladder's mirror cells (``("B", k)``, ``("c-", k)``, ``("e-", k)``)
-    are the cells ``("A", k)``, ``("c+", k)`` and ``("e+", k)`` with
-    ``delta2`` in place of ``delta1``; ``build_ladder`` passes only those
-    cells, which hold ``delta1`` and not
-    ``delta2``.  Both curves carry the class a2, from the one literal of
-    ``build_ladder`` that labels both.  Renaming one curve to an id the
-    cell does not hold keeps the pieces, the incidence, the orientation
-    and the class of every curve, and x.  So every check of
-    ``DecompGraph``, ``LabeledMulticurve`` and the scan gives the same
-    verdict on the renamed cell: the same class columns in edge order,
-    reduced system, solutions and weight vectors, in the same order.
-    The vertices are the given cell's, re-keyed, and the dimension is
-    its dimension.  Every mirror cell of random ladders, and its lift by
-    ``tests/oracles.lift_by_mirror``, equals the checked build of its
-    cell in ``test_mirror_cells_match_the_checked_build``.
-    """
-    m = cell.multicurve
-
-    def rename(e):
-        return "delta2" if e == "delta1" else e
-
-    graph = DecompGraph._trusted(
-        m.graph.vertices, tuple((rename(e), t, h) for e, t, h in m.graph.edges)
-    )
-    mirrored = LabeledMulticurve._trusted(
-        graph, {rename(e): c for e, c in m.classes.items()}, m.x
-    )
-    verts = [{rename(e): w for e, w in v.items()} for v in cell.verts]
-    return CellInstance._trusted(mirrored, verts, cell.dim)
-
-
 # pieces of the ladder's one-cells and two-cells: (id, genus)
 _EDGE_PIECES = ((0, 0), (1, 1))
 _FACE_PIECES = ((0, 0), (1, 0), (2, 1))
@@ -499,17 +495,16 @@ class LadderComplex:
     weighting, and the two-cells are rectangles, one closing triangle,
     and one vertical triangle per sheet.
 
-    ``build_ladder`` fills the tables, building each cell once from its
-    template (``_cell``): the cells (``vertex_cells``, ``edge_cells``,
+    ``build_ladder`` fills the tables, building each cell once on its
+    template (``_template``): the cells (``vertex_cells``, ``edge_cells``,
     ``cell_cells``), the incidence (``edge_endpoints``,
     ``cell_boundary``) and each two-cell's ``psi_max`` (``cell_psi``),
     read off the cell.  A tag's letter gives its kind: e+/e- edges and V
-    cells are vertical.  The mirror cells (B, c- and e-) are their +
-    partners with ``delta1`` renamed ``delta2``, with no scan
-    (``_mirror``).  ``cell_faces`` holds the signed faces of each
-    two-cell as ``(sign, edge tag)`` pairs, each edge's cell matched once
-    to the face geometry (``match_faces``).  ``appended_cell`` lifts a
-    two-cell to the appended sheet once; no edge is lifted.
+    cells are vertical.  Only the two-cells are scanned; the edge and
+    vertex cells are read off their faces.  ``cell_faces`` holds the
+    signed faces of each two-cell as ``(sign, edge tag)`` pairs
+    (``match_faces``).  ``appended_cell`` lifts a two-cell to the
+    appended sheet once; no edge is lifted.
     """
 
     __slots__ = (
@@ -664,13 +659,22 @@ def build_ladder(m, n, K):
 
     Requires positive coprime (m, n) and a truncation depth K >= 1.
     Every vertex, edge and two-cell tag is backed by an explicit cell
-    instance, and the abstract boundary maps are verified to square to
-    zero and to agree with the geometric faces of those cells.  The
-    cells ``("B", k)``, ``("c-", k)`` and ``("e-", k)`` are the
-    ``_mirror`` of ``("A", k)``, ``("c+", k)`` and ``("e+", k)``, with
-    no scan: ``delta2`` in place of ``delta1``, which carry one class.
-    Every check that follows the build runs on them too: the vertex
-    weights against ``b_map``, the edge endpoints, the face matching.
+    instance on its template multicurve (``_template``), and the
+    abstract boundary maps are verified to square to zero and to agree
+    with the geometric faces of those cells.
+
+    Only the two-cells and the two external witnesses are scanned
+    (``_cell``).  One pass over the two-cells, in table order, scans
+    each, takes its ``face_geometry`` once, reads each boundary edge
+    not read yet off the face on that edge's curves, and matches every
+    face (``match_faces``, which holds the face lemma); no geometry is
+    kept past its two-cell.  Each vertex cell is the vertex of its first
+    read edge whose support lies in the vertex's curve set: a vertex of
+    the face of the edge's polytope where the other curves vanish, by
+    the same lemma, and exactly one, which must equal its weighting in
+    ``vertex_maps``, so every curve lies on it; its template takes the
+    edge's classes and x from the one ``classes`` dict.  The mirror
+    cells B, c- and e- come off the faces as their + partners do.
     """
     if not all(isinstance(v, int) for v in (m, n, K)):
         raise UsageError("invalid parameters: m, n, K must be integers")
@@ -712,101 +716,79 @@ def build_ladder(m, n, K):
         vertex_maps[("C", k)] = c_map(k)
     if t <= K:
         vertex_maps[("T", t)] = t_map()
-
-    for tag, mp in vertex_maps.items():
-        if tag[0] == "B":
-            cell = _mirror(ladder.vertex_cells[("A", tag[1])])
-        else:
-            # zero-dimensional cell: loops on one piece, one basic cycle
-            cell = _cell([(0, 3 - len(mp))], [(e, 0, 0) for e in mp], classes, x)
-        if cell.verts != [mp]:
-            raise InternalInconsistencyError(f"vertex cell {tag}: weights differ from {mp}")
-        ladder.vertex_cells[tag] = cell
+    # zero-dimensional cells: loops on one piece, one basic cycle
+    templates = {
+        tag: _template([(0, 3 - len(mp))], [(e, 0, 0) for e in mp], classes, x)
+        for tag, mp in vertex_maps.items()
+    }
 
     for k in range(-K, right + 1):
         # the rung joins the two bounding-pair weightings: the sheet curve
         # is a loop on the genus-0 piece, the pair bounds the genus-1 piece
         rung = ("d", k)
         ladder.edge_endpoints[rung] = (("A", k), ("B", k))
-        ladder.edge_cells[rung] = _cell(
-            _EDGE_PIECES,
-            [(f"u{k}", 0, 0), ("delta1", 0, 1), ("delta2", 1, 0)],
-            classes,
-            x,
+        templates[rung] = _template(
+            _EDGE_PIECES, [(f"u{k}", 0, 0), ("delta1", 0, 1), ("delta2", 1, 0)], classes, x
         )
     for k in range(-K, hi + 1):
         # the other edges bundle three curves between the two pieces
         u, u_next, w = f"u{k}", f"u{k + 1}", f"w{k}"
-        c_plus = _cell(
-            _EDGE_PIECES, [(u, 0, 1), (u_next, 1, 0), ("delta1", 0, 1)], classes, x
-        )
-        e_plus = _cell(_EDGE_PIECES, [(u, 0, 1), (w, 0, 1), ("delta1", 1, 0)], classes, x)
-        for side, start, c_cell, e_cell in (
-            ("+", "A", c_plus, e_plus),
-            ("-", "B", _mirror(c_plus), _mirror(e_plus)),
-        ):
+        for side, start, delta in (("+", "A", "delta1"), ("-", "B", "delta2")):
             c, e = ("c" + side, k), ("e" + side, k)
             nxt = ("T", t) if k == t else (start, k + 1)
             ladder.edge_endpoints[c] = ((start, k), nxt)
             ladder.edge_endpoints[e] = ((start, k), ("C", k))
-            ladder.edge_cells[c] = c_cell
-            ladder.edge_cells[e] = e_cell
+            templates[c] = _template(
+                _EDGE_PIECES, [(u, 0, 1), (u_next, 1, 0), (delta, 0, 1)], classes, x
+            )
+            templates[e] = _template(
+                _EDGE_PIECES, [(u, 0, 1), (w, 0, 1), (delta, 1, 0)], classes, x
+            )
 
     rect_top = hi if hi < t else hi - 1
-    horizontal = [
-        (("R", k), {("c+", k): 1, ("d", k + 1): 1, ("c-", k): -1, ("d", k): -1})
-        for k in range(-K, rect_top + 1)
-    ]
+    for k in range(-K, rect_top + 1):
+        ladder.cell_boundary[("R", k)] = {
+            ("c+", k): 1, ("d", k + 1): 1, ("c-", k): -1, ("d", k): -1
+        }
     if t <= K:
         ladder.closing = ("tri", t)
-        horizontal.append(
-            (ladder.closing, {("c+", t): 1, ("c-", t): -1, ("d", t): -1})
-        )
-    for tag, boundary in horizontal:
-        # two genus-0 pieces joined by the sheet pair, with the bounding
-        # pair hanging off the genus-1 piece
-        k = tag[1]
-        ladder.cell_boundary[tag] = boundary
-        ladder.cell_cells[tag] = _cell(
-            _FACE_PIECES,
-            [(f"u{k}", 0, 1), (f"u{k + 1}", 1, 0), ("delta1", 0, 2), ("delta2", 2, 1)],
-            classes,
-            x,
-        )
+        ladder.cell_boundary[ladder.closing] = {("c+", t): 1, ("c-", t): -1, ("d", t): -1}
     for k in range(-K, hi + 1):
-        tag = ("V", k)
-        ladder.cell_boundary[tag] = {("e+", k): 1, ("e-", k): -1, ("d", k): -1}
-        ladder.cell_cells[tag] = _cell(
-            _FACE_PIECES,
-            [(f"u{k}", 0, 1), (f"w{k}", 0, 1), ("delta1", 2, 0), ("delta2", 1, 2)],
-            classes,
-            x,
-        )
-
+        ladder.cell_boundary[("V", k)] = {("e+", k): 1, ("e-", k): -1, ("d", k): -1}
     ladder._check_chain_complex()
-    _check_geometry(ladder, vertex_maps)
+
+    for tag, boundary in ladder.cell_boundary.items():
+        k = tag[1]
+        if tag[0] == "V":
+            curves = [(f"u{k}", 0, 1), (f"w{k}", 0, 1), ("delta1", 2, 0), ("delta2", 1, 2)]
+        else:
+            # two genus-0 pieces joined by the sheet pair, with the
+            # bounding pair hanging off the genus-1 piece
+            curves = [(f"u{k}", 0, 1), (f"u{k + 1}", 1, 0), ("delta1", 0, 2), ("delta2", 2, 1)]
+        cell = ladder.cell_cells[tag] = _cell(_FACE_PIECES, curves, classes, x)
+        ladder.cell_psi[tag] = psi_max(cell)
+        edges = {
+            e: (templates[e], {frozenset(vertex_maps[v].items()) for v in ladder.edge_endpoints[e]})
+            for e in boundary
+        }
+        ladder.cell_faces[tag] = match_faces(tag, cell, edges, ladder.edge_cells)
+        for edge in boundary:
+            for v in ladder.edge_endpoints[edge]:
+                if v in ladder.vertex_cells:
+                    continue
+                point, mp = templates[v], vertex_maps[v]
+                ids = point.edge_ids()
+                verts = [
+                    {e: w[e] for e in ids if e in w}
+                    for w in ladder.edge_cells[edge].verts
+                    if w.keys() <= set(ids)
+                ]
+                if verts != [mp]:
+                    raise InternalInconsistencyError(f"vertex cell {v}: weights differ from {mp}")
+                ladder.vertex_cells[v] = CellInstance._trusted(point, verts, 0)
+
     _check_external_witnesses(ladder, classes, x)
     return ladder
-
-
-def _check_geometry(ladder, vertex_maps):
-    """Abstract incidence must match the geometric cells edge for edge.
-
-    ``ladder.cell_faces`` keeps the matched faces of each two-cell, and
-    ``ladder.cell_psi`` its weight.
-    """
-    for tag, (tail, head) in ladder.edge_endpoints.items():
-        cell = ladder.edge_cells[tag]
-        got = {frozenset(v.items()) for v in cell.verts}
-        want = {frozenset(vertex_maps[v].items()) for v in (tail, head)}
-        if got != want:
-            raise InternalInconsistencyError(f"edge {tag} endpoints drifted")
-    for tag, boundary in ladder.cell_boundary.items():
-        cell = ladder.cell_cells[tag]
-        ladder.cell_psi[tag] = psi_max(cell)
-        ladder.cell_faces[tag] = match_faces(
-            tag, cell, {e: ladder.edge_cells[e] for e in boundary}
-        )
 
 
 def _check_external_witnesses(ladder, classes, x):

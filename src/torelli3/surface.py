@@ -70,20 +70,13 @@ class DecompGraph:
         """A graph from tuples of ``(id, genus)`` and ``(id, tail, head)``,
         with no checks run.
 
-        ``cycles._mirror`` builds each mirror cell's graph this way: the
-        graph of a checked cell with one curve id renamed to an id it does
-        not hold.  Ids stay distinct, and the pieces, genera, incidence
-        and orientations are the checked ones, so every check of
-        ``__init__`` gives the same verdict.  Every mirror cell of random
-        ladders equals the checked build of its cell in
-        ``test_mirror_cells_match_the_checked_build``.
         ``cycles.append_loop`` builds each appended graph this way: a
         checked graph with a loop of a new id at a piece of positive
         genus, which gives up one genus.  That piece keeps its Euler
         characteristic, and a loop keeps the graph connected.  Every
         appended cell of random ladders equals the checked build of its
         multicurve in ``test_appended_sheet_matches_the_scan_oracle``.
-        ``cycles._cell`` builds each ladder template graph this way, by
+        ``cycles._template`` builds each ladder template graph this way, by
         the argument of its docstring; every such graph passes __init__
         unchanged in ``test_ladder_cells_pass_the_checked_constructors``.
         """
@@ -174,20 +167,13 @@ class LabeledMulticurve:
     def _trusted(cls, graph, classes, x):
         """A multicurve with no checks run.
 
-        ``cycles._mirror`` builds each mirror cell's multicurve this way:
-        a checked multicurve with one curve renamed in the graph and in
-        the labeling, its class and x kept.  The renamed curve joins the
-        same pieces with the same class, so the boundary sums and the
-        rank of the classes are the checked ones.  Every mirror cell of
-        random ladders equals the checked build of its cell in
-        ``test_mirror_cells_match_the_checked_build``.
         ``cycles.append_loop`` builds each appended multicurve this way:
         a checked multicurve with a loop of class a3, which adds +a3 and
         -a3 at its piece, so every boundary sum stays zero; it checks the
         rank of the classes itself.  Every appended cell of random
         ladders equals the checked build of its multicurve in
         ``test_appended_sheet_matches_the_scan_oracle``.
-        ``cycles._cell`` builds each ladder template multicurve this way,
+        ``cycles._template`` builds each ladder template multicurve this way,
         by the argument of its docstring; every such multicurve passes
         __init__ unchanged in
         ``test_ladder_cells_pass_the_checked_constructors``.

@@ -77,7 +77,11 @@ pieces and curves in order, the class of each curve and x;
 when the ladder's faces became edge tags, and orders faces.
 ``lift_by_mirror`` is ``LadderComplex.appended_cell`` as it was before it
 took two-cells only: an edge is lifted by ``cycles.append_loop``, and a
-c- or e- edge's lift is the ``cycles._mirror`` of its + partner's.
+c- or e- edge's lift is the ``_mirror`` of its + partner's, which renames
+``delta1`` to ``delta2`` as the package did before its mirror cells came
+off the faces of the two-cells.  ``ladder_cell_by_scan`` is a vertex or
+edge cell of ``cycles.build_ladder`` as it was built before it was read
+off the faces of a scanned two-cell: its own scan.
 ``separation_by_lifts`` is ``specseq.check_image_separation`` as it was
 before it read the appended faces off the plain ones: every edge lifted
 that way, and each class of each face tested, one verdict per edge and
@@ -92,10 +96,10 @@ from itertools import combinations, combinations_with_replacement, permutations,
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from torelli3.cycles import CellInstance, _mirror, append_loop, face_geometry
+from torelli3.cycles import CellInstance, append_loop, face_geometry
 from torelli3 import surface
 from torelli3.lattice import (
-    A3, ZERO, HVector, InternalInconsistencyError, Splitting, UsageError, _pairing,
+    A1, A2, A3, ZERO, HVector, InternalInconsistencyError, Splitting, UsageError, _pairing,
     hermite_row_form, intersection, kernel_basis, matrix_rank,
     solve_integer, splitting_type_wrt_x, transvection_matrix,
 )
@@ -215,8 +219,8 @@ def boundary_faces(c):
 
     The sign and the support of each face come from
     ``cycles.face_geometry``; the face cell is the multicurve left after
-    deleting the curves off its support.  The package builds no face
-    cells: a ladder matches its own edge cells to the same geometry
+    deleting the curves off its support.  The package scans no face
+    cell: a ladder reads its edge cells off the same geometry
     (``cycles.match_faces``), and the tests compare those with these.
     """
     m = c.multicurve
@@ -254,6 +258,59 @@ def append_loop_by_scan(cell):
     classes = {**m.classes, "beta": A3}
     graph = DecompGraph(pieces, edges)
     return CellInstance(LabeledMulticurve(graph, {e: classes[e] for e, _, _ in edges}, m.x + A3))
+
+
+def _mirror(cell):
+    """The cell with the curve id ``delta1`` renamed ``delta2``, with no
+    scan: both curves carry the class a2, and renaming one curve to an id
+    the cell does not hold keeps the pieces, the incidence, the classes
+    and x, so the scan's vertices are the given ones, re-keyed."""
+    m = cell.multicurve
+
+    def rename(e):
+        return "delta2" if e == "delta1" else e
+
+    graph = DecompGraph._trusted(
+        m.graph.vertices, tuple((rename(e), t, h) for e, t, h in m.graph.edges)
+    )
+    mirrored = LabeledMulticurve._trusted(graph, {rename(e): c for e, c in m.classes.items()}, m.x)
+    verts = [{rename(e): w for e, w in v.items()} for v in cell.verts]
+    return CellInstance._trusted(mirrored, verts, cell.dim)
+
+
+def ladder_cell_by_scan(ladder, tag):
+    """The vertex or edge cell ``tag`` of the ladder from its curves,
+    written out here, by the checked graph and multicurve constructors
+    and the scan of ``CellInstance``: loops on one piece for a vertex,
+    three curves between a genus-0 and a genus-1 piece for an edge."""
+    kind, k = tag
+    u, u_next, w = f"u{k}", f"u{k + 1}", f"w{k}"
+    delta = "delta2" if kind in ("B", "c-", "e-") else "delta1"
+    loops = {
+        "A": [u, delta],
+        "B": [u, delta],
+        "C": [u, w],
+        "T": [f"u{ladder.l}"] if ladder.n % ladder.m == 0 else [u, u_next],
+    }
+    if kind in loops:
+        pieces, edges = [(0, 3 - len(loops[kind]))], [(e, 0, 0) for e in loops[kind]]
+    else:
+        pieces = [(0, 0), (1, 1)]
+        edges = {
+            "d": [(u, 0, 0), ("delta1", 0, 1), ("delta2", 1, 0)],
+            "c": [(u, 0, 1), (u_next, 1, 0), (delta, 0, 1)],
+            "e": [(u, 0, 1), (w, 0, 1), (delta, 1, 0)],
+        }[kind[0]]
+
+    def class_of(e):
+        if e.startswith("delta"):
+            return A2
+        sheet = A1 + int(e[1:]) * A2
+        return sheet if e[0] == "u" else A2 - sheet
+
+    labels = {e: class_of(e) for e, _, _ in edges}
+    x = ladder.m * A1 + ladder.n * A2
+    return CellInstance(LabeledMulticurve(DecompGraph(pieces, edges), labels, x))
 
 
 def lift_by_mirror(ladder, tag):

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from oracles import (
     affine_frame_by_ranks, append_loop_by_scan, basic_cycle_problem, boundary_faces,
-    faces_key, graph_key, lift_by_mirror, multicurve_key, remove_edges, smith_factors,
-    solve_rational, scan_subsets, support_key, two_scan,
+    faces_key, graph_key, ladder_cell_by_scan, lift_by_mirror, multicurve_key, remove_edges,
+    smith_factors, solve_rational, scan_subsets, support_key, two_scan,
 )
 from torelli3 import cycles
 from torelli3.lattice import (
@@ -21,7 +21,6 @@ from torelli3.lattice import (
 from torelli3.cycles import (
     CellInstance,
     InternalInconsistencyError,
-    LadderComplex,
     append_loop,
     build_ladder,
     enumerate_basic_cycles,
@@ -330,25 +329,6 @@ def mirror_cells(ladder):
     ]
 
 
-def checked_mirror_side(ladder, tag):
-    """The cell ``tag`` of the ladder's - side, by the checked graph and
-    multicurve constructors on its pieces, curves and classes, written
-    out here."""
-    kind, k = tag
-    u, u_next, w = f"u{k}", f"u{k + 1}", f"w{k}"
-    classes = {
-        u: A1 + k * A2, u_next: A1 + (k + 1) * A2, w: -A1 + (1 - k) * A2, "delta2": A2,
-    }
-    pieces, edges = {
-        "B": ([(0, 1)], [(u, 0, 0), ("delta2", 0, 0)]),
-        "c-": (((0, 0), (1, 1)), [(u, 0, 1), (u_next, 1, 0), ("delta2", 0, 1)]),
-        "e-": (((0, 0), (1, 1)), [(u, 0, 1), (w, 0, 1), ("delta2", 1, 0)]),
-    }[kind]
-    graph = DecompGraph(pieces, edges)
-    labels = {e: classes[e] for e, _, _ in edges}
-    return CellInstance(LabeledMulticurve(graph, labels, ladder.m * A1 + ladder.n * A2))
-
-
 def assert_same_cell(cell, checked):
     """The same multicurve, vertex list (in order, with weights in edge
     order) and dimension, every vertex a basic cycle of the cell."""
@@ -363,15 +343,15 @@ def assert_same_cell(cell, checked):
 @given(st.sampled_from(COPRIME_PAIRS), st.integers(1, 6))
 def test_mirror_cells_match_the_checked_build(mn, K):
     """Each mirror cell, plain and appended, against the checked build of
-    the - side: the checked constructors on the curves written out, and
-    ``append_loop`` of it."""
+    the - side: ``oracles.ladder_cell_by_scan``, the checked constructors
+    on the curves written out, and ``append_loop`` of it."""
     ladder = build_ladder(*mn, K)
     mirrored = mirror_cells(ladder)
     partner = {"A": "B", "c+": "c-", "e+": "e-"}
     tags = [*ladder.vertex_cells, *ladder.edge_cells]
     assert {tag for tag, _ in mirrored} == {(partner[kind], k) for kind, k in tags if kind in partner}
     for tag, cell in mirrored:
-        checked = checked_mirror_side(ladder, tag)
+        checked = ladder_cell_by_scan(ladder, tag)
         assert_same_cell(cell, checked)
         if tag[0] != "B":
             assert_same_cell(lift_by_mirror(ladder, tag), append_loop(checked))
@@ -380,30 +360,69 @@ def test_mirror_cells_match_the_checked_build(mn, K):
 @settings(max_examples=15, deadline=None)
 @given(st.sampled_from(COPRIME_PAIRS), st.integers(1, 6))
 def test_ladder_cells_pass_the_checked_constructors(mn, K):
-    """``_cell`` builds its graphs and multicurves trusted, and ``_mirror``
-    renames them: every plain, mirror and external-witness cell of a
-    ladder passes ``DecompGraph`` and ``LabeledMulticurve`` unchanged."""
-    built, make = [], cycles._cell
+    """``_template`` builds its graphs and multicurves trusted: every
+    vertex, edge, two-cell and external-witness template of a ladder is
+    built once, is one cell's own multicurve, and passes ``DecompGraph``
+    and ``LabeledMulticurve`` unchanged."""
+    built, make = [], cycles._template
 
     def recording(pieces, edges, classes, x):
-        cell = make(pieces, edges, classes, x)
-        built.append(cell)
-        return cell
+        multicurve = make(pieces, edges, classes, x)
+        built.append(multicurve)
+        return multicurve
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cycles, "_cell", recording)
+        mp.setattr(cycles, "_template", recording)
         ladder = build_ladder(*mn, K)
     tables = (ladder.vertex_cells, ladder.edge_cells, ladder.cell_cells)
-    cells = [cell for table in tables for cell in table.values()]
-    witnesses = [c for c in built if {"u'", "w'"} & set(c.multicurve.classes)]
+    cells = [cell.multicurve for table in tables for cell in table.values()]
+    witnesses = [m for m in built if {"u'", "w'"} & set(m.classes)]
     assert len(witnesses) == 2
-    assert len(built) == len(cells) - len(mirror_cells(ladder)) + 2
-    for cell in cells + witnesses:
-        m = cell.multicurve
+    assert len(built) == len(cells) + 2
+    assert {id(m) for m in cells + witnesses} == {id(m) for m in built}
+    for m in cells + witnesses:
         graph = DecompGraph(m.graph.vertices, m.graph.edges)
         assert graph_key(graph) == graph_key(m.graph)
         checked = LabeledMulticurve(graph, m.classes, m.x)
         assert multicurve_key(checked) == multicurve_key(m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.tuples(st.integers(1, 9), st.integers(1, 9)).filter(lambda mn: gcd(*mn) == 1),
+    st.integers(1, 8),
+)
+def test_face_read_cells_match_the_scan_oracle(mn, K):
+    """Every vertex and edge cell, read off the faces of the two-cells,
+    against ``oracles.ladder_cell_by_scan``, the scan of its curves: the
+    same multicurve, vertex list (in order, with weights in curve order)
+    and dimension, every vertex a basic cycle of the cell.  Every edge
+    and every endpoint has a cell."""
+    ladder = build_ladder(*mn, K)
+    assert set(ladder.edge_cells) == set(ladder.edge_endpoints)
+    ends = {v for pair in ladder.edge_endpoints.values() for v in pair}
+    assert set(ladder.vertex_cells) == ends
+    for table in (ladder.vertex_cells, ladder.edge_cells):
+        for tag, cell in table.items():
+            assert_same_cell(cell, ladder_cell_by_scan(ladder, tag))
+
+
+def test_build_ladder_scans_only_the_two_cells(monkeypatch):
+    """``CellInstance.__init__``, the scan, runs once per two-cell and
+    once per external witness: no edge or vertex cell is scanned."""
+    init, scanned = CellInstance.__init__, []
+
+    def counting(cell, multicurve):
+        scanned.append(multicurve)
+        init(cell, multicurve)
+
+    monkeypatch.setattr(CellInstance, "__init__", counting)
+    for mn, K in [((1, 1), 1), ((1, 2), 3), ((2, 5), 32), ((3, 4), 7)]:
+        scanned.clear()
+        ladder = build_ladder(*mn, K)
+        assert len(scanned) == len(ladder.cell_cells) + 2
+        cells = {id(c.multicurve) for c in ladder.cell_cells.values()}
+        assert cells <= {id(m) for m in scanned}
 
 
 @settings(max_examples=15, deadline=None)
@@ -439,8 +458,8 @@ def test_pattern_route_matches_scan_subsets_on_ladder_cells(mn, K):
     """Every cell a ladder builds (vertex, edge, two-cell, mirror,
     appended and external-witness cells) against the per-cell scan, and
     every vertex through ``oracles.basic_cycle_problem``.  Only the
-    plain cells other than the mirror cells, and the witnesses, scan; the
-    mirror cells are renamed and the appended cells lifted from them."""
+    two-cells and the witnesses scan; the vertex and edge cells are read
+    off the two-cells' faces and the appended cells lifted from them."""
     calls = []
     original = cycles.enumerate_basic_cycles
 
@@ -453,11 +472,10 @@ def test_pattern_route_matches_scan_subsets_on_ladder_cells(mn, K):
         mp.setattr(cycles, "enumerate_basic_cycles", recording)
         ladder = build_ladder(*mn, K)
         appended = [lift_by_mirror(ladder, tag) for tag in ladder.edges() + ladder.two_cells()]
-    plain = len(ladder.vertex_cells) + len(ladder.edge_cells) + len(ladder.cell_cells)
-    mirrored = [c for tag, c in mirror_cells(ladder)]
-    assert len(calls) == plain - len(mirrored) + 2  # and the two external witnesses
+    read = [*ladder.vertex_cells.values(), *ladder.edge_cells.values()]
+    assert len(calls) == len(ladder.cell_cells) + 2  # and the two external witnesses
     assert len(appended) == len(ladder.edge_cells) + len(ladder.cell_cells)
-    calls += [(c.multicurve, c.multicurve.x, c.verts) for c in mirrored + appended]
+    calls += [(c.multicurve, c.multicurve.x, c.verts) for c in read + appended]
     for m, x, verts in calls:
         rows, order = scan_inputs_of(m)
         found, bounded = normalized(scan_subsets(rows, order, x.coords))
@@ -1040,6 +1058,9 @@ def test_ladder_property_reads_the_edge_kind_off_the_tag():
 
 
 def test_face_matching_names_the_differing_vertex_set(monkeypatch):
+    """The first face of every two-cell loses a vertex: on R(-1), the
+    first two-cell, that face is on the rung d0, which it would be read
+    off, and its vertex set is no longer d0's endpoint weightings."""
     geometry = cycles.face_geometry
 
     def drop_a_vertex(c):
@@ -1056,13 +1077,16 @@ def test_face_matching_names_the_differing_vertex_set(monkeypatch):
 
 
 def test_face_matching_names_the_differing_class(monkeypatch):
-    check = LadderComplex._check_chain_complex
+    """The rung d0's template with delta1 of class a3: R(-1), the first
+    two-cell that holds d0, refuses to read it off its face."""
+    make = cycles._template
 
-    def tamper(ladder):
-        check(ladder)
-        ladder.edge_cells[("d", 0)].multicurve.classes["delta1"] = A3
+    def tamper(pieces, edges, classes, x):
+        if [e for e, _, _ in edges] == ["u0", "delta1", "delta2"]:
+            classes = {**classes, "delta1": A3}
+        return make(pieces, edges, classes, x)
 
-    monkeypatch.setattr(LadderComplex, "_check_chain_complex", tamper)
+    monkeypatch.setattr(cycles, "_template", tamper)
     with pytest.raises(
         InternalInconsistencyError,
         match=r"cell \('R', -1\) face \['delta1', 'delta2', 'u0'\]: classes differ",
@@ -1072,8 +1096,9 @@ def test_face_matching_names_the_differing_class(monkeypatch):
 
 def test_ladder_catches_a_lost_two_cell_vertex(monkeypatch):
     """A rectangle that loses any one of its four vertices fails the
-    build: the three left still span 2, and the face matching finds a
-    face that no edge cell is."""
+    build: the three left still span 2, and the face reading finds an
+    edge with no face on its curves, or a face whose vertex set is not
+    its edge's endpoint weightings."""
     enumerate_all = cycles.enumerate_basic_cycles
     for index in range(4):
 
@@ -1086,6 +1111,90 @@ def test_ladder_catches_a_lost_two_cell_vertex(monkeypatch):
         monkeypatch.setattr(cycles, "enumerate_basic_cycles", dropping)
         with pytest.raises(InternalInconsistencyError, match=r"cell \('R', -2\) face"):
             build_ladder(1, 2, 2)
+
+
+def plant_in_faces(monkeypatch, plant):
+    """``face_geometry`` with ``plant(curve ids, faces)`` applied to its
+    faces, ``(sign, support, vertex vectors)`` triples, on every cell."""
+    geometry = cycles.face_geometry
+    monkeypatch.setattr(
+        cycles, "face_geometry", lambda c: plant(c.multicurve.edge_ids(), geometry(c))
+    )
+
+
+def drop_a_rung_vertex_on_v(ids, faces):
+    """On a V cell, the face on the rung (the one without ``w``) loses its
+    last vertex; the faces on e+ and e- keep theirs."""
+    if not any(str(e).startswith("w") for e in ids):
+        return faces
+    return [
+        (sign, support, vecs[:-1] if not any(str(e).startswith("w") for e in support) else vecs)
+        for sign, support, vecs in faces
+    ]
+
+
+def rotate_supports(ids, faces):
+    """Each face carries the support of the next: every edge is looked up
+    on the face of another curve."""
+    supports = [support for _, support, _ in faces]
+    return [
+        (sign, support, vecs)
+        for (sign, _, vecs), support in zip(faces, supports[1:] + supports[:1])
+    ]
+
+
+def bump_a_weight(ids, faces):
+    """The first nonzero weight of the first vertex of each face, one
+    higher: a vertex weighting off by one."""
+    planted = []
+    for sign, support, vecs in faces:
+        first = list(vecs[0])
+        j = next(j for j, w in enumerate(first) if w)
+        first[j] += 1
+        planted.append((sign, support, [tuple(first)] + vecs[1:]))
+    return planted
+
+
+# the rung d(-2) on V(-2), and c+(-2) on R(-2), of build_ladder(1, 2, 2)
+RUNG_ON_V = r"cell \('V', -2\) face \['delta1', 'delta2', 'u-2'\]"
+C_PLUS_ON_R = r"cell \('R', -2\) face \['delta1', 'u-1', 'u-2'\]"
+
+
+@pytest.mark.parametrize(
+    "plant, face",
+    [
+        (drop_a_rung_vertex_on_v, RUNG_ON_V),
+        (rotate_supports, C_PLUS_ON_R),
+        (bump_a_weight, C_PLUS_ON_R),
+    ],
+    ids=["shared-rung", "wrong-curve", "weight-off-by-one"],
+)
+def test_face_reading_refuses_planted_faults(monkeypatch, plant, face):
+    """A V face on its rung with one vertex dropped, which only the
+    comparison with the rung read off R(k-1) sees; every edge read off the
+    face on another curve; a vertex weighting off by one.  Each fails the
+    build, naming the two-cell and the face."""
+    plant_in_faces(monkeypatch, plant)
+    with pytest.raises(InternalInconsistencyError, match=face + ": vertex set differs"):
+        build_ladder(1, 2, 2)
+
+
+def test_vertex_reading_names_the_vertex(monkeypatch):
+    """A vertex template on the wrong curves: no vertex of its edge lies
+    on them, and the build names the vertex cell and its weighting."""
+    make = cycles._template
+
+    def tamper(pieces, edges, classes, x):
+        if [e for e, _, _ in edges] == ["u-2", "delta1"]:
+            edges = [("u-2", 0, 0), ("delta2", 0, 0)]
+        return make(pieces, edges, classes, x)
+
+    monkeypatch.setattr(cycles, "_template", tamper)
+    with pytest.raises(
+        InternalInconsistencyError,
+        match=r"vertex cell \('A', -2\): weights differ from \{'u-2': 1, 'delta1': 4\}",
+    ):
+        build_ladder(1, 2, 2)
 
 
 def test_ladder_catches_a_lost_triangle_vertex(monkeypatch):

@@ -648,18 +648,19 @@ def test_separation_refuses_planted_faults(mn):
 
 def test_d22_corner_builds_each_cell_once(monkeypatch):
     """Ladder, (2, 2) page and separation at (2, 5), K=32: every cell
-    instance, scanned, renamed or a two-cell lifted to the appended sheet,
-    is distinct by its curve classes and target."""
-    built = []
+    instance, scanned, read off a face or a two-cell lifted to the
+    appended sheet, is distinct by its curve classes and target.  Only
+    the 70 two-cells and the 2 external witnesses are scanned."""
+    built = {"scanned": [], "trusted": []}
     init = CellInstance.__init__
     trusted = CellInstance._trusted.__func__
 
     def counting(cell, multicurve):
         init(cell, multicurve)
-        built.append((frozenset(multicurve.classes.items()), multicurve.x))
+        built["scanned"].append((frozenset(multicurve.classes.items()), multicurve.x))
 
     def counting_trusted(cls, multicurve, verts, dim):
-        built.append((frozenset(multicurve.classes.items()), multicurve.x))
+        built["trusted"].append((frozenset(multicurve.classes.items()), multicurve.x))
         return trusted(cls, multicurve, verts, dim)
 
     monkeypatch.setattr(CellInstance, "__init__", counting)
@@ -667,7 +668,9 @@ def test_d22_corner_builds_each_cell_once(monkeypatch):
     ladder = build_ladder(2, 5, 32)
     build_e1((2, 2), Truncation(K=32, ladder=ladder, subgroups=[U33], height=1))
     assert check_image_separation(ladder, U33)
-    assert len(built) == len(set(built)) == 423
+    every = built["scanned"] + built["trusted"]
+    assert (len(built["scanned"]), len(built["trusted"])) == (len(ladder.cell_cells) + 2, 351)
+    assert len(every) == len(set(every)) == 423
 
 
 def test_d22_rejects_inadmissible_subgroup():
