@@ -4,9 +4,9 @@ A labeled multicurve supporting a class x determines a compact polytope:
 nonnegative real weights on the curves whose weighted class sum is x.
 Its vertices are the basic cycles (positive integer weights on an
 independent subset of curves).  This module enumerates those vertices,
-computes cell dimensions and weight sums, produces oriented boundary
-faces, and assembles the two-dimensional "ladder" subcomplex attached
-to a bounding pair class.
+computes cell dimensions and weight sums, and assembles the
+two-dimensional "ladder" subcomplex attached to a bounding pair class,
+whose two-cells' faces are read off their vertex supports.
 """
 
 from functools import lru_cache
@@ -219,13 +219,13 @@ class CellInstance:
     def _trusted(cls, multicurve, verts, dim):
         """A cell whose vertices are known, with no scan run.
 
-        ``match_faces`` builds each ladder edge cell this way, read off
-        the face of a scanned two-cell on the edge's curves, and
-        ``build_ladder`` each vertex cell, read off the vertex of an edge
-        on the vertex's curves; the face lemma in the docstring of
-        ``match_faces`` makes them the cells the scan would build.  Every
-        such cell of random ladders equals the scan of its curves in
-        ``test_face_read_cells_match_the_scan_oracle``.
+        ``match_faces`` builds each ladder edge cell this way, from the
+        vertices of a scanned two-cell whose support lies in the edge's
+        curves, and ``build_ladder`` each vertex cell, by the same
+        support read (``_vertices_on``) on an edge; the face lemma in
+        the docstring of ``match_faces`` makes them the cells the scan
+        would build.  Every such cell of random ladders equals the scan
+        of its curves in ``test_face_read_cells_match_the_scan_oracle``.
         ``append_loop`` builds each appended cell this way, by lifting
         the plain cell.  The lemma:
         if x lies in the span of the curve classes c_e and the loop
@@ -266,119 +266,62 @@ def psi_max(c):
     return max(psi(v) for v in c.verts)
 
 
-def _affine_frame(vectors):
-    """Greedy affine basis of lexicographically sorted weight vectors.
-
-    The frame rows are differences from the first vector that span the
-    affine hull: each difference independent of those before it, which
-    are the pivot columns of one echelon of the transposed differences.
-    Sorting first makes the choice canonical, and padding a vector list
-    with constant zero columns does not change the order.
-    """
-    ordered = sorted(vectors)
-    origin = ordered[0]
-    diffs = [[a - b for a, b in zip(vec, origin)] for vec in ordered[1:]]
-    pivots = echelon(list(zip(*diffs)), len(diffs))[1]
-    return [diffs[j] for j in pivots]
-
-
-def face_geometry(c):
-    """Sign, support and vertex vectors (in edge order) of each facet.
-
-    Each face arises from the vertices vanishing on some curve; its sign
-    orients the face frame against the cell frame, with the outward
-    direction taken from face barycenter minus cell barycenter.  Both
-    frames are compared on the pivot coordinates of the cell frame, where
-    it is invertible, so the sign is that of two integer determinants.
-    Curves with a constant positive weight on every vertex never produce
-    faces.
-
-    The face determinant is never 0.  Each row of [normal] + face_frame
-    is a zero-sum combination of vertices, so in the cell's direction
-    space.  The face on curve i has a frame of rank dim - 1, so some
-    vertex has a positive weight on i: normal[i] = -n_face * cell_sum[i]
-    < 0, and every face frame row is 0 at i.  The dim rows are
-    independent, so their minor on ``coords``, like the cell frame's
-    ``base``, is nonzero
-    (``test_face_rows_span_the_cell_and_have_a_nonzero_minor``).
-    """
-    order = c.multicurve.edge_ids()
-    vectors = c.vectors()
-    dim = c.dim
-    if dim == 0:
-        return []
-    cell_frame = _affine_frame(vectors)
-    if len(cell_frame) != dim:
-        raise InternalInconsistencyError("vertex span disagrees with the dimension")
-    coords = echelon(cell_frame, len(order))[1]
-    base = bareiss_determinant([[row[j] for j in coords] for row in cell_frame])
-    cell_sum = [sum(col) for col in zip(*vectors)]
-    faces = []
-    seen = set()
-    for i, e in enumerate(order):
-        face_vecs = [vec for vec in vectors if vec[i] == 0]
-        if not face_vecs:
-            continue
-        support = set()
-        for vec in face_vecs:
-            support |= {order[j] for j, k in enumerate(vec) if k}
-        key = frozenset(support)
-        if key in seen:
-            continue
-        face_frame = _affine_frame(face_vecs)
-        if len(face_frame) != dim - 1:
-            continue
-        seen.add(key)
-        # the barycenter difference, scaled by both vertex counts
-        face_sum = [sum(col) for col in zip(*face_vecs)]
-        n, n_face = len(vectors), len(face_vecs)
-        normal = [n * a - n_face * b for a, b in zip(face_sum, cell_sum)]
-        rows = [normal] + face_frame
-        det = bareiss_determinant([[row[j] for j in coords] for row in rows])
-        faces.append((1 if (det > 0) == (base > 0) else -1, key, face_vecs))
-    return faces
+def _vertices_on(cell, ids):
+    """The vertices of ``cell`` whose support lies in the curve ids
+    ``ids``, keyed in ``ids`` order and sorted by weight vector in that
+    order, as the scan of the cell on ``ids`` keys and sorts them."""
+    keep = set(ids)
+    verts = [{e: v[e] for e in ids if e in v} for v in cell.verts if v.keys() <= keep]
+    verts.sort(key=lambda v: tuple(v.get(e, 0) for e in ids))
+    return verts
 
 
 def match_faces(tag, cell, edges, edge_cells):
-    """The signed faces of the two-cell ``tag``, as ``(sign, edge tag)``
-    pairs in the order of ``edges``, a ``{edge tag: (template
-    multicurve, endpoint weightings)}`` dict.  Each edge that
-    ``edge_cells`` lacks is read off its face into it.
+    """Match the faces of the two-cell ``tag`` with ``edges``, a ``{edge
+    tag: (template multicurve, endpoint weightings)}`` dict, and read
+    each edge that ``edge_cells`` lacks off its face into it.
 
-    Each face of one ``face_geometry(cell)`` must be one edge: its
+    The vertices must span the cell's dimension, 2: one rank of their
+    differences.  The polygon's edges are then read off the vertex
+    supports.  The face on a curve e holds the vertices that do not use
+    e; when there are at least two, it is an edge of the polygon, and
+    its support is the union of theirs.  Each face must be one edge: its
     support the edge's curve ids, the cell's classes and x on them, and
-    its vertex set the edge's endpoint weightings; an error names the
-    two-cell, the face's curve ids and the property that differs.  An
-    edge is read off the first two-cell that holds it, and every other
-    face on it, such as a shared rung on R_(k-1), R_k and V_k, is
-    compared with the same weightings.
+    its vertex set the edge's endpoint weightings; no face may be left
+    over.  An error names the two-cell, the face's curve ids and the
+    property that differs.  An edge is read off the first two-cell that
+    holds it, and every other face on it, such as a shared rung on
+    R_(k-1), R_k and V_k, is compared with the same weightings.
 
-    The read edge's vertices are the face's vertices, nonzero weights
-    only, sorted by weight vector in the edge's curve order as the scan
-    sorts them, and its dimension is 1, the rank of the face frame.  The
-    face lemma makes them the scan's: dropping a curve e gives the face
-    {w_e = 0} of the two-cell's bounded polytope, which is the polytope
-    of the sub-multicurve on the face's support, so it is bounded; the
-    vertices of a face are the polytope's vertices on it (Ziegler,
-    *Lectures on Polytopes*, 2.1), so they are the basic cycles of the
-    sub-multicurve; and "every curve on a vertex" is exactly the lookup
-    of the edge's curve ids as the support, the union of the face
-    vertices' supports.
+    The read edge's vertices are the cell's vertices on its support
+    (``_vertices_on``), and its dimension is 1.  The face lemma makes
+    them the scan's.  The polytope's only inequalities are w_e >= 0, so
+    each of its edges is a face {w_e = 0}: the polytope of the
+    sub-multicurve on the face's support, hence bounded.  The vertices
+    of a face are the polytope's vertices on it (Ziegler, *Lectures on
+    Polytopes*, 2.1), those whose support lies in the face's, so they
+    are the basic cycles of the sub-multicurve.  A proper face of a
+    polygon is a vertex or an edge, and no face {w_e = 0} is the whole
+    polygon, as every curve lies on a vertex; so a face of two vertices
+    is an edge, and "every curve on a vertex" is the lookup of the
+    edge's curve ids as the support.
     """
     m = cell.multicurve
-    at = {e: j for j, e in enumerate(m.edge_ids())}
-    geometric = {support: (sign, vecs) for sign, support, vecs in face_geometry(cell)}
-    faces = []
+    vectors = cell.vectors()
+    if matrix_rank([[a - b for a, b in zip(v, vectors[0])] for v in vectors[1:]]) != cell.dim:
+        raise InternalInconsistencyError(f"cell {tag}: vertex span disagrees with the dimension")
+    supports = set()
+    for e in m.edge_ids():
+        on = [v for v in cell.verts if e not in v]
+        if len(on) > 1:
+            supports.add(frozenset().union(*on))
     for edge, (face, ends) in edges.items():
         order = face.edge_ids()
         ids = frozenset(order)
         problem = "curve ids differ"
-        if ids in geometric:
-            sign, vecs = geometric.pop(ids)
-            verts = [
-                {e: w for e, w in zip(order, vec) if w}
-                for vec in sorted(tuple(v[at[e]] for e in order) for v in vecs)
-            ]
+        if ids in supports:
+            supports.remove(ids)
+            verts = _vertices_on(cell, order)
             checks = (
                 ("classes differ", all(face.class_of(e) == m.class_of(e) for e in ids)),
                 ("x differs", face.x == m.x),
@@ -390,11 +333,9 @@ def match_faces(tag, cell, edges, edge_cells):
             raise InternalInconsistencyError(f"cell {tag} face {ids}: {problem}")
         if edge not in edge_cells:
             edge_cells[edge] = CellInstance._trusted(face, verts, 1)
-        faces.append((sign, edge))
-    if geometric:
-        ids = sorted(map(str, next(iter(geometric))))
+    if supports:
+        ids = sorted(map(str, next(iter(supports))))
         raise InternalInconsistencyError(f"cell {tag} face {ids}: curve ids differ")
-    return faces
 
 
 def _template(pieces, edges, classes, x):
@@ -426,8 +367,8 @@ def _cell(pieces, edges, classes, x):
     vertex cell off their faces.
 
     The vertices span the cell's dimension, checked once per cell: the
-    class rank bounds the span; ``face_geometry`` raises on a two-cell
-    of smaller span; and an external witness has 3 or 4 vertices
+    class rank bounds the span; ``match_faces`` raises on a two-cell of
+    smaller span, naming it; and an external witness has 3 or 4 vertices
     (``_check_external_witnesses``), so, in dimension at most 2, spans
     2.  A scan that fails here on the ladder's own curves is an internal
     contradiction, not a usage error.
@@ -501,10 +442,10 @@ class LadderComplex:
     ``cell_boundary``) and each two-cell's ``psi_max`` (``cell_psi``),
     read off the cell.  A tag's letter gives its kind: e+/e- edges and V
     cells are vertical.  Only the two-cells are scanned; the edge and
-    vertex cells are read off their faces.  ``cell_faces`` holds the
-    signed faces of each two-cell as ``(sign, edge tag)`` pairs
-    (``match_faces``).  ``appended_cell`` lifts a two-cell to the
-    appended sheet once; no edge is lifted.
+    vertex cells are read off their faces (``match_faces``), and a
+    two-cell's faces are the edges of its ``cell_boundary``.
+    ``appended_cell`` lifts a two-cell to the appended sheet once; no
+    edge is lifted.
     """
 
     __slots__ = (
@@ -519,7 +460,6 @@ class LadderComplex:
         "cell_boundary",
         "cell_psi",
         "cell_cells",
-        "cell_faces",
         "closing",
         "_appended",
     )
@@ -536,7 +476,6 @@ class LadderComplex:
         self.cell_boundary = {}
         self.cell_psi = {}
         self.cell_cells = {}
-        self.cell_faces = {}
         self.closing = None
         self._appended = {}
 
@@ -557,12 +496,12 @@ class LadderComplex:
         """``append_loop`` of the two-cell ``tag``, lifted once.
 
         No edge is lifted.  An appended face is its plain edge with the
-        loop ``beta`` of class a3 added, with the same sign: by the lemma
-        of ``CellInstance._trusted`` each vertex gains ``beta`` at weight
-        1, so the frames and barycenter difference gain a zero column,
-        which moves no pivot or determinant, and the loop bounds no face.
-        ``test_appended_sheet_matches_the_scan_oracle`` checks this on
-        edges lifted by ``tests/oracles.lift_by_mirror``."""
+        loop ``beta`` of class a3 added: by the lemma of
+        ``CellInstance._trusted`` each vertex gains ``beta`` at weight 1,
+        so every face support gains ``beta`` and the loop bounds no face.
+        ``test_appended_sheet_matches_the_scan_oracle`` checks this, face
+        signs included, on edges lifted by
+        ``tests/oracles.lift_by_mirror``."""
         if tag not in self.cell_cells:
             raise UsageError(f"{tag} is not a two-cell of the ladder")
         if tag not in self._appended:
@@ -659,22 +598,22 @@ def build_ladder(m, n, K):
 
     Requires positive coprime (m, n) and a truncation depth K >= 1.
     Every vertex, edge and two-cell tag is backed by an explicit cell
-    instance on its template multicurve (``_template``), and the
-    abstract boundary maps are verified to square to zero and to agree
-    with the geometric faces of those cells.
+    instance on its template multicurve (``_template``); the abstract
+    boundary is verified to close up, and each two-cell's faces to be
+    the edges of its boundary.
 
     Only the two-cells and the two external witnesses are scanned
     (``_cell``).  One pass over the two-cells, in table order, scans
-    each, takes its ``face_geometry`` once, reads each boundary edge
-    not read yet off the face on that edge's curves, and matches every
-    face (``match_faces``, which holds the face lemma); no geometry is
-    kept past its two-cell.  Each vertex cell is the vertex of its first
-    read edge whose support lies in the vertex's curve set: a vertex of
-    the face of the edge's polytope where the other curves vanish, by
-    the same lemma, and exactly one, which must equal its weighting in
-    ``vertex_maps``, so every curve lies on it; its template takes the
-    edge's classes and x from the one ``classes`` dict.  The mirror
-    cells B, c- and e- come off the faces as their + partners do.
+    each, reads each boundary edge not read yet off the cell's vertex
+    supports, and matches every face (``match_faces``, which holds the
+    face lemma).  Each vertex cell is the vertex of its first read edge
+    whose support lies in the vertex's curve set (``_vertices_on``): a
+    vertex of the face of the edge's polytope where the other curves
+    vanish, by the same lemma, and exactly one, which must equal its
+    weighting in ``vertex_maps``, so every curve lies on it; its
+    template takes the edge's classes and x from the one ``classes``
+    dict.  The mirror cells B, c- and e- come off the faces as their +
+    partners do.
     """
     if not all(isinstance(v, int) for v in (m, n, K)):
         raise UsageError("invalid parameters: m, n, K must be integers")
@@ -771,18 +710,13 @@ def build_ladder(m, n, K):
             e: (templates[e], {frozenset(vertex_maps[v].items()) for v in ladder.edge_endpoints[e]})
             for e in boundary
         }
-        ladder.cell_faces[tag] = match_faces(tag, cell, edges, ladder.edge_cells)
+        match_faces(tag, cell, edges, ladder.edge_cells)
         for edge in boundary:
             for v in ladder.edge_endpoints[edge]:
                 if v in ladder.vertex_cells:
                     continue
                 point, mp = templates[v], vertex_maps[v]
-                ids = point.edge_ids()
-                verts = [
-                    {e: w[e] for e in ids if e in w}
-                    for w in ladder.edge_cells[edge].verts
-                    if w.keys() <= set(ids)
-                ]
+                verts = _vertices_on(ladder.edge_cells[edge], point.edge_ids())
                 if verts != [mp]:
                     raise InternalInconsistencyError(f"vertex cell {v}: weights differ from {mp}")
                 ladder.vertex_cells[v] = CellInstance._trusted(point, verts, 0)

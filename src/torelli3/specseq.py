@@ -18,7 +18,6 @@ from .lattice import (
     UsageError,
     _pairing,
     as_int,
-    enumerate_symplectic_rank2,
     is_saturated,
     is_symplectic_rank2,
     kernel_basis,
@@ -351,20 +350,6 @@ def check_injective(mat):
     return mat.rank() == len(mat.cols)
 
 
-def admissible_subgroups(cell, height):
-    """Rank-2 symplectic subgroups compatible with a cell.
-
-    Either the subgroup is orthogonal to every curve class, meets their
-    span only in zero, and some piece has positive genus to host it; or
-    the cell carries a loop whose class generates a free handle inside
-    the subgroup, with the subgroup orthogonal to all other classes.
-    The enumerated planes pair to +-1 by construction
-    (``test_enumerated_planes_pass_the_public_constructor``), so each
-    goes to ``_admissible`` with no plane guard.
-    """
-    return [u for u in enumerate_symplectic_rank2(height) if _admissible(cell, u)]
-
-
 def _require_plane(u):
     if not is_symplectic_rank2(u):
         raise UsageError(f"subgroup {u.key()} is not a symplectic plane")
@@ -511,7 +496,7 @@ def check_image_separation(ladder, u):
     ``tests/oracles.separation_by_lifts`` lifts every edge instead."""
     meets = lru_cache(maxsize=None)(u.contains)
     for tag in ladder.two_cells():
-        faces = [ladder.edge_cells[edge] for _, edge in ladder.cell_faces[tag]]
+        faces = [ladder.edge_cells[edge] for edge in ladder.cell_boundary[tag]]
         if any(meets(c) for face in faces for c in face.multicurve.classes.values()):
             return False
         if faces and not meets(ladder.appended_cell(tag).multicurve.classes[_LOOP]):

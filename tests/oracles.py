@@ -9,8 +9,12 @@ test; it is the oracle of ``cycles._pattern`` and, with a zero target,
 of the strong-connectivity test ``surface._strongly_connected``.
 ``two_scan`` is the route cells took before one
 elimination per curve subset served both vertices and boundedness.
-``boundary_faces`` builds every face of a cell as a fresh cell, as the
-ladder did before it kept its own edge cells as faces.
+``face_geometry`` is ``cycles.face_geometry`` as it was before the
+ladder read its two-cells' faces off the vertex supports: each face's
+support, vertex vectors and orientation sign, a sign that no package
+code read.  ``boundary_faces`` builds every face of a cell as a fresh
+cell with those signs, as the ladder did before it kept its own edge
+cells as faces.
 ``append_loop_by_scan`` is ``cycles.append_loop`` as it was before the
 appended cell was lifted from the plain one: the appended multicurve's
 own cell, from a full scan, whose faces come from a fresh
@@ -58,8 +62,10 @@ by ``surface._strongly_connected``.
 ``target_basis_21``, ``target_basis_12`` and ``target_basis_03`` are the
 target bases of the differentials at (2, 1), (1, 2) and (0, 3), which
 ``specseq.build_e1`` built before each differential named its own rows.
-``affine_frame_by_ranks`` is ``cycles._affine_frame`` as it was before
-one echelon read its frame: one rank per candidate difference.
+``affine_frame_by_ranks``, the frame of ``face_geometry``, keeps each
+sorted difference that raises the rank, one rank per candidate; the
+echelon route ``cycles._affine_frame`` that replaced it left the package
+with ``face_geometry``.
 ``lantern_by_products`` is ``sclasses.lantern_check`` as it was before
 it compared the basis images of the two sides: seven dense 6x6 products
 by ``matrix_product``, which left the package with it.
@@ -87,7 +93,10 @@ before it read the appended faces off the plain ones: every edge lifted
 that way, and each class of each face tested, one verdict per edge and
 sheet.  ``kernel_by_full_hermite`` is ``lattice.kernel_basis`` as it was
 before it reduced only the rows it keeps: the whole Hermite form of
-[m^T | I].
+[m^T | I].  ``admissible_subgroups`` is the cross product of
+``lattice.enumerate_symplectic_rank2`` with ``specseq._admissible``: every
+admissible plane of a cell up to a height.  The package lists no such
+set; the (2, 2) page tests only the planes it is given.
 """
 
 from fractions import Fraction
@@ -96,14 +105,15 @@ from itertools import combinations, combinations_with_replacement, permutations,
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from torelli3.cycles import CellInstance, append_loop, face_geometry
+from torelli3.cycles import CellInstance, append_loop
 from torelli3 import surface
 from torelli3.lattice import (
     A1, A2, A3, ZERO, HVector, InternalInconsistencyError, Splitting, UsageError, _pairing,
-    hermite_row_form, intersection, kernel_basis, matrix_rank,
-    solve_integer, splitting_type_wrt_x, transvection_matrix,
+    bareiss_determinant, echelon, enumerate_symplectic_rank2, hermite_row_form,
+    intersection, kernel_basis, matrix_rank, solve_integer, splitting_type_wrt_x,
+    transvection_matrix,
 )
-from torelli3.specseq import E1Truncation, GeneratorTag
+from torelli3.specseq import E1Truncation, GeneratorTag, _admissible
 from torelli3.surface import (
     ISOTROPIC_BASIS, CensusEntry, DecompGraph, LabeledMulticurve,
 )
@@ -214,13 +224,70 @@ def remove_edges(m, drop):
     return LabeledMulticurve(DecompGraph(vertices, edges), classes, m.x)
 
 
+def face_geometry(c):
+    """Sign, support and vertex vectors (in edge order) of each facet.
+
+    Each face arises from the vertices vanishing on some curve; its sign
+    orients the face frame against the cell frame, with the outward
+    direction taken from face barycenter minus cell barycenter.  Both
+    frames (``affine_frame_by_ranks``) are compared on the pivot
+    coordinates of the cell frame, where it is invertible, so the sign
+    is that of two integer determinants.  Curves with a constant
+    positive weight on every vertex never produce faces.
+
+    The face determinant is never 0.  Each row of [normal] + face_frame
+    is a zero-sum combination of vertices, so in the cell's direction
+    space.  The face on curve i has a frame of rank dim - 1, so some
+    vertex has a positive weight on i: normal[i] = -n_face * cell_sum[i]
+    < 0, and every face frame row is 0 at i.  The dim rows are
+    independent, so their minor on ``coords``, like the cell frame's
+    ``base``, is nonzero
+    (``test_face_rows_span_the_cell_and_have_a_nonzero_minor``).
+    """
+    order = c.multicurve.edge_ids()
+    vectors = c.vectors()
+    dim = c.dim
+    if dim == 0:
+        return []
+    cell_frame = affine_frame_by_ranks(vectors)
+    if len(cell_frame) != dim:
+        raise InternalInconsistencyError("vertex span disagrees with the dimension")
+    coords = echelon(cell_frame, len(order))[1]
+    base = bareiss_determinant([[row[j] for j in coords] for row in cell_frame])
+    cell_sum = [sum(col) for col in zip(*vectors)]
+    faces = []
+    seen = set()
+    for i, e in enumerate(order):
+        face_vecs = [vec for vec in vectors if vec[i] == 0]
+        if not face_vecs:
+            continue
+        support = set()
+        for vec in face_vecs:
+            support |= {order[j] for j, k in enumerate(vec) if k}
+        key = frozenset(support)
+        if key in seen:
+            continue
+        face_frame = affine_frame_by_ranks(face_vecs)
+        if len(face_frame) != dim - 1:
+            continue
+        seen.add(key)
+        # the barycenter difference, scaled by both vertex counts
+        face_sum = [sum(col) for col in zip(*face_vecs)]
+        n, n_face = len(vectors), len(face_vecs)
+        normal = [n * a - n_face * b for a, b in zip(face_sum, cell_sum)]
+        rows = [normal] + face_frame
+        det = bareiss_determinant([[row[j] for j in coords] for row in rows])
+        faces.append((1 if (det > 0) == (base > 0) else -1, key, face_vecs))
+    return faces
+
+
 def boundary_faces(c):
     """Signed codimension-one faces of a cell, each built as a fresh cell.
 
-    The sign and the support of each face come from
-    ``cycles.face_geometry``; the face cell is the multicurve left after
-    deleting the curves off its support.  The package scans no face
-    cell: a ladder reads its edge cells off the same geometry
+    The sign and the support of each face come from ``face_geometry``;
+    the face cell is the multicurve left after deleting the curves off
+    its support.  The package scans no face cell: a ladder reads its
+    edge cells off the two-cells' vertex supports
     (``cycles.match_faces``), and the tests compare those with these.
     """
     m = c.multicurve
@@ -335,11 +402,25 @@ def separation_by_lifts(ladder, u):
         return meets[edge, sheet]
 
     for tag in ladder.two_cells():
-        if any(verdict(edge, "plain") for _, edge in ladder.cell_faces[tag]):
+        if any(verdict(edge, "plain") for edge in ladder.cell_boundary[tag]):
             return False
-        if not all(verdict(edge, "appended") for _, edge in ladder.cell_faces[tag]):
+        if not all(verdict(edge, "appended") for edge in ladder.cell_boundary[tag]):
             return False
     return True
+
+
+def admissible_subgroups(cell, height):
+    """Rank-2 symplectic subgroups compatible with a cell.
+
+    Either the subgroup is orthogonal to every curve class, meets their
+    span only in zero, and some piece has positive genus to host it; or
+    the cell carries a loop whose class generates a free handle inside
+    the subgroup, with the subgroup orthogonal to all other classes.
+    The enumerated planes pair to +-1 by construction
+    (``test_enumerated_planes_pass_the_public_constructor``), so each
+    goes to ``specseq._admissible`` with no plane guard.
+    """
+    return [u for u in enumerate_symplectic_rank2(height) if _admissible(cell, u)]
 
 
 def kernel_by_full_hermite(m, ncols):

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from oracles import (
     affine_frame_by_ranks, append_loop_by_scan, basic_cycle_problem, boundary_faces,
-    faces_key, graph_key, ladder_cell_by_scan, lift_by_mirror, multicurve_key, remove_edges,
-    smith_factors, solve_rational, scan_subsets, support_key, two_scan,
+    face_geometry, faces_key, graph_key, ladder_cell_by_scan, lift_by_mirror, multicurve_key,
+    remove_edges, smith_factors, solve_rational, scan_subsets, support_key, two_scan,
 )
 from torelli3 import cycles
 from torelli3.lattice import (
@@ -24,7 +24,6 @@ from torelli3.cycles import (
     append_loop,
     build_ladder,
     enumerate_basic_cycles,
-    face_geometry,
     psi,
     psi_max,
 )
@@ -428,28 +427,42 @@ def test_build_ladder_scans_only_the_two_cells(monkeypatch):
 @settings(max_examples=15, deadline=None)
 @given(st.sampled_from(COPRIME_PAIRS), st.integers(1, 4))
 def test_abstract_boundary_is_the_geometric_one(mn, K):
-    """``cell_boundary``, which the d22 page reads, against the signs of
-    ``cell_faces``: on each two-cell, plain and appended, each face's
-    sign, times +1 when the face vertex that sorts last in the cell's
-    coordinates is the edge's head (the face frame runs from the first
-    sorted vertex to the last), times the edge's boundary coefficient,
-    is one value per cell, the same on both sheets."""
+    """``cell_boundary``, which the d22 page reads, against the face signs
+    of ``oracles.face_geometry``: on each two-cell, plain and appended,
+    the faces are the boundary edges (each support the edge's curves,
+    with ``beta`` on the appended sheet), and each sign is +1 or -1.
+    Each sign, times +1 when the face vertex that sorts last in the
+    cell's coordinates is the edge's head (the face frame runs from the
+    first sorted vertex to the last), times the edge's boundary
+    coefficient, is one value per cell, +1 or -1, the same on both
+    sheets."""
     ladder = build_ladder(*mn, K)
     for tag in ladder.two_cells():
+        boundary = ladder.cell_boundary[tag]
         orientation = set()
         for lift in ({}, {"beta": 1}):
             cell = ladder.appended_cell(tag) if lift else ladder.cell_cells[tag]
             order = cell.multicurve.edge_ids()
-            for sign, edge in ladder.cell_faces[tag]:
-                face = lift_by_mirror(ladder, edge) if lift else ladder.edge_cells[edge]
+            edge_on = {
+                frozenset(ladder.edge_cells[edge].multicurve.edge_ids()) | set(lift): edge
+                for edge in boundary
+            }
+            geometry = face_geometry(cell)
+            assert len(geometry) == len(boundary)
+            assert {edge_on[support] for _, support, _ in geometry} == set(boundary)
+            for sign, support, vecs in geometry:
+                assert sign in (1, -1)
+                edge = edge_on[support]
                 tail, head = (
-                    {**ladder.vertex_cells[v].verts[0], **lift} for v in ladder.edge_endpoints[edge]
+                    tuple({**ladder.vertex_cells[v].verts[0], **lift}.get(e, 0) for e in order)
+                    for v in ladder.edge_endpoints[edge]
                 )
-                last = max(face.verts, key=lambda v: tuple(v.get(e, 0) for e in order))
+                last = max(vecs)
                 assert last in (tail, head)
                 along = 1 if last == head else -1
-                orientation.add(sign * along * ladder.cell_boundary[tag][edge])
+                orientation.add(sign * along * boundary[edge])
         assert len(orientation) == 1, tag
+        assert orientation <= {1, -1}, tag
 
 
 @settings(max_examples=30, deadline=None)
@@ -491,10 +504,11 @@ def test_appended_sheet_matches_the_scan_oracle(mn, K):
     """Each lifted appended cell against a full scan of the appended
     multicurve: the same multicurve, vertex list (in order) and
     dimension, every vertex a basic cycle of the lifted cell; each
-    appended two-cell's faces, read off ``cell_faces`` as the appended
-    cells of its edges with the plain signs, against a fresh
-    ``face_geometry`` of the scanned cell: the same signs and supports,
-    and each face's vertex vectors those of the appended edge cell."""
+    appended two-cell's faces, the appended cells of its boundary edges
+    with the plain signs (``faces_on``), against a fresh
+    ``oracles.face_geometry`` of the scanned cell: the same signs and
+    supports, and each face's vertex vectors those of the appended edge
+    cell."""
     ladder = build_ladder(*mn, K)
     oracles = {}
     for tag in ladder.edges() + ladder.two_cells():
@@ -544,27 +558,6 @@ def test_append_loop_refuses_a_taken_loop_id():
         append_loop(plain)
     with pytest.raises(UsageError, match="duplicate edge ids"):
         append_loop_by_scan(plain)
-
-
-@st.composite
-def dependent_vector_lists(draw):
-    """Integer vectors of one length, each a drawn base vector plus a
-    multiple of another, so duplicates and dependent differences are
-    common."""
-    dim = draw(st.integers(1, 6))
-    vector = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)
-    base = draw(st.lists(vector, min_size=1, max_size=4))
-    index = st.integers(0, len(base) - 1)
-    picks = draw(st.lists(st.tuples(index, index, st.integers(-2, 2)), min_size=1, max_size=9))
-    return [tuple(a + k * b for a, b in zip(base[i], base[j])) for i, j, k in picks]
-
-
-@settings(max_examples=400, deadline=None)
-@given(dependent_vector_lists())
-def test_affine_frame_matches_the_rank_per_candidate(vectors):
-    """One echelon of the transposed differences picks the frame that a
-    rank per candidate picks, rows and order alike."""
-    assert cycles._affine_frame(vectors) == affine_frame_by_ranks(vectors)
 
 
 FROZEN_CHAIN_VERTS = [
@@ -696,12 +689,17 @@ def vertex_set(cell):
 
 
 def faces_on(ladder, tag, sheet):
-    """(sign, face cell) of each face of the two-cell ``tag`` on a sheet,
-    read off ``cell_faces``: the edge cells, or their lifts by
-    ``oracles.lift_by_mirror`` with the same signs."""
+    """(sign, face cell) of each face of the two-cell ``tag`` on a sheet:
+    the edge cells of its ``cell_boundary``, or their lifts by
+    ``oracles.lift_by_mirror``, each with the sign of the plain face on
+    its curves in ``oracles.face_geometry`` of the plain two-cell."""
+    signs = {support: sign for sign, support, _ in face_geometry(ladder.cell_cells[tag])}
     return [
-        (sign, ladder.edge_cells[edge] if sheet == "plain" else lift_by_mirror(ladder, edge))
-        for sign, edge in ladder.cell_faces[tag]
+        (
+            signs[frozenset(ladder.edge_cells[edge].multicurve.edge_ids())],
+            ladder.edge_cells[edge] if sheet == "plain" else lift_by_mirror(ladder, edge),
+        )
+        for edge in ladder.cell_boundary[tag]
     ]
 
 
@@ -846,13 +844,13 @@ def assert_face_rows_span_the_cell(cell):
     the span of the cell frame, has its rank dim, and has a nonzero minor
     on the cell frame's pivot coordinates; sympy decides all three."""
     vectors, dim = cell.vectors(), cell.dim
-    cell_frame = cycles._affine_frame(vectors)
+    cell_frame = affine_frame_by_ranks(vectors)
     coords = echelon(cell_frame, len(vectors[0]))[1]
     cell_sum = [sum(col) for col in zip(*vectors)]
     for _, _, face_vecs in face_geometry(cell):
         face_sum = [sum(col) for col in zip(*face_vecs)]
         normal = [len(vectors) * a - len(face_vecs) * b for a, b in zip(face_sum, cell_sum)]
-        rows = [normal] + cycles._affine_frame(face_vecs)
+        rows = [normal] + affine_frame_by_ranks(face_vecs)
         assert len(rows) == dim
         assert sympy.Matrix(cell_frame + rows).rank() == sympy.Matrix(rows).rank() == dim
         assert sympy.Matrix([[row[j] for j in coords] for row in rows]).det() != 0
@@ -861,7 +859,7 @@ def assert_face_rows_span_the_cell(cell):
 @settings(max_examples=15, deadline=None)
 @given(st.sampled_from(COPRIME_PAIRS), st.integers(1, 4))
 def test_face_rows_span_the_cell_and_have_a_nonzero_minor(mn, K):
-    """``face_geometry`` runs no rank or minor check: its docstring proves
+    """``oracles.face_geometry`` runs no rank or minor check: its docstring proves
     both, and this test asserts them on the census cells and on the plain
     and appended two-cells of random ladders."""
     cells = [CellInstance(e.witness) for p in range(4) for e in classify_types(3, p)]
@@ -1057,23 +1055,52 @@ def test_ladder_property_reads_the_edge_kind_off_the_tag():
     assert not ladder.check_ladder_property()
 
 
+def plant_in_two_cells(monkeypatch, plant):
+    """``cycles._cell`` with its vertices replaced by ``plant(curve ids,
+    vertices)`` on every scanned cell: the two-cells, then the external
+    witnesses, which a build that a plant fails never reaches."""
+    scan = cycles._cell
+
+    def planted(pieces, edges, classes, x):
+        cell = scan(pieces, edges, classes, x)
+        cell.verts = plant(cell.multicurve.edge_ids(), cell.verts)
+        return cell
+
+    monkeypatch.setattr(cycles, "_cell", planted)
+
+
 def test_face_matching_names_the_differing_vertex_set(monkeypatch):
-    """The first face of every two-cell loses a vertex: on R(-1), the
-    first two-cell, that face is on the rung d0, which it would be read
-    off, and its vertex set is no longer d0's endpoint weightings."""
-    geometry = cycles.face_geometry
-
-    def drop_a_vertex(c):
-        faces = geometry(c)
-        sign, support, vecs = faces[0]
-        return [(sign, support, vecs[1:])] + faces[1:]
-
-    monkeypatch.setattr(cycles, "face_geometry", drop_a_vertex)
+    """R(-1), the first two-cell of ``build_ladder(1, 2, 1)``, has its
+    vertex B_0 = {u0: 1, delta2: 2} moved to {u0: 1, delta1: 1,
+    delta2: 1}, inside the rung d0: the face on d0, which d0 would be
+    read off, loses B_0, and its vertex set is no longer d0's endpoint
+    weightings."""
+    b0, inside = {"u0": 1, "delta2": 2}, {"u0": 1, "delta1": 1, "delta2": 1}
+    plant_in_two_cells(monkeypatch, lambda ids, verts: [inside if v == b0 else v for v in verts])
     with pytest.raises(
         InternalInconsistencyError,
         match=r"cell \('R', -1\) face \['delta1', 'delta2', 'u0'\]: vertex set differs",
     ):
         build_ladder(1, 2, 1)
+
+
+def test_ladder_refuses_a_two_cell_of_smaller_span(monkeypatch):
+    """Each four-vertex two-cell of ``build_ladder(1, 2, 2)`` keeps its
+    vertices 0 and 3 only, opposite corners on a line: every curve still
+    lies on a vertex, so the scan passes, and the span check of
+    ``match_faces`` refuses the first such cell, naming it."""
+    enumerate_all = cycles.enumerate_basic_cycles
+
+    def opposite_corners(m, x):
+        verts = enumerate_all(m, x)
+        return [verts[0], verts[3]] if len(m.graph.vertices) == 3 and len(verts) == 4 else verts
+
+    monkeypatch.setattr(cycles, "enumerate_basic_cycles", opposite_corners)
+    with pytest.raises(
+        InternalInconsistencyError,
+        match=r"cell \('R', -2\): vertex span disagrees with the dimension",
+    ):
+        build_ladder(1, 2, 2)
 
 
 def test_face_matching_names_the_differing_class(monkeypatch):
@@ -1113,68 +1140,56 @@ def test_ladder_catches_a_lost_two_cell_vertex(monkeypatch):
             build_ladder(1, 2, 2)
 
 
-def plant_in_faces(monkeypatch, plant):
-    """``face_geometry`` with ``plant(curve ids, faces)`` applied to its
-    faces, ``(sign, support, vertex vectors)`` triples, on every cell."""
-    geometry = cycles.face_geometry
-    monkeypatch.setattr(
-        cycles, "face_geometry", lambda c: plant(c.multicurve.edge_ids(), geometry(c))
-    )
+def add_a_rung_point_to_v(ids, verts):
+    """V(-2) gains the point {u-2: 1, delta1: 1, delta2: 3} inside its
+    rung d(-2); the faces on e+ and e- keep their vertices."""
+    if "w-2" not in ids:
+        return verts
+    return verts + [{"u-2": 1, "delta1": 1, "delta2": 3}]
 
 
-def drop_a_rung_vertex_on_v(ids, faces):
-    """On a V cell, the face on the rung (the one without ``w``) loses its
-    last vertex; the faces on e+ and e- keep theirs."""
-    if not any(str(e).startswith("w") for e in ids):
-        return faces
-    return [
-        (sign, support, vecs[:-1] if not any(str(e).startswith("w") for e in support) else vecs)
-        for sign, support, vecs in faces
-    ]
+def rotate_curves(ids, verts):
+    """Each weight moves to the next curve in curve order: every edge is
+    looked up on the vertices of other curves."""
+    step = dict(zip(ids, ids[1:] + ids[:1]))
+    return [{step[e]: w for e, w in v.items()} for v in verts]
 
 
-def rotate_supports(ids, faces):
-    """Each face carries the support of the next: every edge is looked up
-    on the face of another curve."""
-    supports = [support for _, support, _ in faces]
-    return [
-        (sign, support, vecs)
-        for (sign, _, vecs), support in zip(faces, supports[1:] + supports[:1])
-    ]
+def bump_a_weight_on_triangles(ids, verts):
+    """On a triangle, the first weight of the first vertex one higher: a
+    vertex weighting off by one.  A rectangle keeps its vertices, as a
+    bumped one would leave the plane of the other three and fail the
+    span check instead."""
+    if len(verts) != 3:
+        return verts
+    first = dict(verts[0])
+    first[next(iter(first))] += 1
+    return [first] + verts[1:]
 
 
-def bump_a_weight(ids, faces):
-    """The first nonzero weight of the first vertex of each face, one
-    higher: a vertex weighting off by one."""
-    planted = []
-    for sign, support, vecs in faces:
-        first = list(vecs[0])
-        j = next(j for j, w in enumerate(first) if w)
-        first[j] += 1
-        planted.append((sign, support, [tuple(first)] + vecs[1:]))
-    return planted
-
-
-# the rung d(-2) on V(-2), and c+(-2) on R(-2), of build_ladder(1, 2, 2)
+# the rung d(-2) on V(-2), c+(-2) on R(-2), and c+(1) on the closing
+# triangle, of build_ladder(1, 2, 2)
 RUNG_ON_V = r"cell \('V', -2\) face \['delta1', 'delta2', 'u-2'\]"
 C_PLUS_ON_R = r"cell \('R', -2\) face \['delta1', 'u-1', 'u-2'\]"
+C_PLUS_ON_TRI = r"cell \('tri', 1\) face \['delta1', 'u1', 'u2'\]"
 
 
 @pytest.mark.parametrize(
     "plant, face",
     [
-        (drop_a_rung_vertex_on_v, RUNG_ON_V),
-        (rotate_supports, C_PLUS_ON_R),
-        (bump_a_weight, C_PLUS_ON_R),
+        (add_a_rung_point_to_v, RUNG_ON_V),
+        (rotate_curves, C_PLUS_ON_R),
+        (bump_a_weight_on_triangles, C_PLUS_ON_TRI),
     ],
     ids=["shared-rung", "wrong-curve", "weight-off-by-one"],
 )
 def test_face_reading_refuses_planted_faults(monkeypatch, plant, face):
-    """A V face on its rung with one vertex dropped, which only the
-    comparison with the rung read off R(k-1) sees; every edge read off the
-    face on another curve; a vertex weighting off by one.  Each fails the
-    build, naming the two-cell and the face."""
-    plant_in_faces(monkeypatch, plant)
+    """A V face on its rung with one vertex too many, though R(-2) read
+    the rung off its own face; every edge looked up on the weights of
+    other curves; a vertex weighting off by one.  Each is planted in the
+    scanned two-cells' vertices and fails the build, naming the two-cell
+    and the face."""
+    plant_in_two_cells(monkeypatch, plant)
     with pytest.raises(InternalInconsistencyError, match=face + ": vertex set differs"):
         build_ladder(1, 2, 2)
 

@@ -3,11 +3,13 @@ error it defines or raises belongs to the package's one error model, no
 check is an ``assert`` that ``python -O`` would drop, every trusted
 constructor names the test that proves it and every function that calls
 it, every public function is
-reached by the package, the acceptance gate or the bench harness, and
-only the classes the package compares by value define equality.
+reached by the package, the acceptance gate or the bench harness, every
+test oracle that the package or the README cites exists, and only the
+classes the package compares by value define equality.
 
 A deliberate re-export says so with ``# noqa: F401`` on its import.  The
-scans are AST walks, so they need no linter.
+scans are AST walks, but for a regular expression that finds the cited
+oracles, so they need no linter.
 """
 
 import ast
@@ -364,9 +366,8 @@ def test_reach_scan_flags_unread_functions_and_methods():
     assert unreached_public_functions([package], [reader]) == ["dead", "shadowed", "stale"]
 
 
-# admissible_subgroups: becomes the filter of `check d22` over every
-# admissible subgroup, or moves to the tests (ROADMAP item 2)
-REACH_ALLOWED = {"admissible_subgroups"}
+# every public function is reached; an exception is named here with why
+REACH_ALLOWED = set()
 
 
 def test_every_public_function_is_reached():
@@ -376,6 +377,40 @@ def test_every_public_function_is_reached():
         for path in [TESTS / "test_acceptance.py", *sorted((ROOT / "perfbench").glob("*.py"))]
     ]
     assert set(unreached_public_functions(package, readers)) == REACH_ALLOWED
+
+
+def cited_oracles(texts):
+    """Each name NAME that a text cites as ``oracles.NAME``."""
+    return {name for text in texts for name in re.findall(r"\boracles\.(\w+)", text)}
+
+
+def defined_names(source):
+    """The names a module defines at its top level."""
+    defined = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Assign):
+            defined |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+    return defined
+
+
+def test_citation_scan_reads_cited_and_defined_names():
+    text = "see ``tests/oracles.scan_subsets`` and `oracles.gone`; not myoracles.x"
+    assert cited_oracles([text]) == {"scan_subsets", "gone"}
+    source = "def f():\n    def inner(): pass\nclass C: pass\nX = Y = 1\n"
+    assert defined_names(source) == {"f", "C", "X", "Y"}
+
+
+def test_every_cited_oracle_is_defined():
+    """Each ``oracles.NAME`` that the package or the README cites is
+    defined in ``tests/oracles.py``, so a moved or renamed oracle cannot
+    leave a dangling citation."""
+    texts = [path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))]
+    texts.append((ROOT / "README.md").read_text(encoding="utf-8"))
+    cited = cited_oracles(texts)
+    assert cited
+    assert cited - defined_names((TESTS / "oracles.py").read_text(encoding="utf-8")) == set()
 
 
 def classes_with_equality(sources):

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
-    boundary_faces, column_support, is_admissible_by_vectors, lift_by_mirror, pair_tag_by_vectors,
+    admissible_subgroups, boundary_faces, column_support, is_admissible_by_vectors,
+    lift_by_mirror, pair_tag_by_vectors,
     separation_by_lifts, target_basis_03, target_basis_12, target_basis_21, transvection,
 )
 from torelli3 import cycles, lattice, specseq, surface
@@ -34,7 +35,6 @@ from torelli3.specseq import (
     GeneratorTag,
     SparseIntMatrix,
     Truncation,
-    admissible_subgroups,
     build_e1,
     check_image_separation,
     check_injective,
