@@ -75,8 +75,8 @@ EXIT_INTERNAL = InternalInconsistencyError.exit_code
 
 DEFAULT_K = 3
 # the largest window at which every measured `check d22 --mn 2,5` stayed inside 30 s
-# (2-vCPU host): 3.8-4.2 s and 186 MB peak RSS at 5120 over three cold runs; no
-# window above 5120 measured
+# (2-vCPU host): 1.9-2.4 s and 189 MB peak RSS at 5120 over three cold runs, with
+# the sheets below the generic ones instantiated; no window above 5120 measured
 MAX_K = 5120
 DEFAULT_MN = (1, 2)
 MAX_BOUND = 1  # bound 2 has 1,399,337 splittings, 27 s only to count them

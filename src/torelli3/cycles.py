@@ -196,7 +196,8 @@ class CellInstance:
     ``tests/oracles.scan_subsets``); every curve must lie on a vertex.  An
     appended cell is lifted from its plain cell instead, and a ladder
     edge or vertex cell read off a face of a scanned two-cell
-    (``_trusted``).
+    (``_trusted``), and a cell below the generic sheets of a ladder is
+    instantiated from them (``_instantiate``).
     """
 
     __slots__ = ("multicurve", "verts", "dim")
@@ -221,11 +222,15 @@ class CellInstance:
 
         ``match_faces`` builds each ladder edge cell this way, from the
         vertices of a scanned two-cell whose support lies in the edge's
-        curves, and ``build_ladder`` each vertex cell, by the same
+        curves, and ``_scan_two_cell`` each vertex cell, by the same
         support read (``_vertices_on``) on an edge; the face lemma in
         the docstring of ``match_faces`` makes them the cells the scan
         would build.  Every such cell of random ladders equals the scan
         of its curves in ``test_face_read_cells_match_the_scan_oracle``.
+        ``_instantiate`` builds every cell of the sheets below the
+        generic ones this way, by the argument of ``build_ladder``; each
+        equals ``tests/oracles.ladder_by_sheets`` in
+        ``test_generic_sheet_build_matches_the_build_by_sheets``.
         ``append_loop`` builds each appended cell this way, by lifting
         the plain cell.  The lemma:
         if x lies in the span of the curve classes c_e and the loop
@@ -321,18 +326,18 @@ def match_faces(tag, cell, edges, edge_cells):
         problem = "curve ids differ"
         if ids in supports:
             supports.remove(ids)
-            verts = _vertices_on(cell, order)
+            on = {frozenset(v.items()) for v in cell.verts if v.keys() <= ids}
             checks = (
                 ("classes differ", all(face.class_of(e) == m.class_of(e) for e in ids)),
                 ("x differs", face.x == m.x),
-                ("vertex set differs", {frozenset(v.items()) for v in verts} == ends),
+                ("vertex set differs", on == ends),
             )
             problem = next((what for what, same in checks if not same), None)
         if problem:
             ids = sorted(map(str, ids))
             raise InternalInconsistencyError(f"cell {tag} face {ids}: {problem}")
         if edge not in edge_cells:
-            edge_cells[edge] = CellInstance._trusted(face, verts, 1)
+            edge_cells[edge] = CellInstance._trusted(face, _vertices_on(cell, order), 1)
     if supports:
         ids = sorted(map(str, next(iter(supports))))
         raise InternalInconsistencyError(f"cell {tag} face {ids}: curve ids differ")
@@ -593,28 +598,23 @@ class LadderComplex:
         )
 
 
-def build_ladder(m, n, K):
-    """Assemble the truncated ladder for the class m*alpha + n*y.
+def _two_cell_curves(kind, k):
+    """The curves of the two-cell ``(kind, k)`` on ``_FACE_PIECES``."""
+    if kind == "V":
+        return [(f"u{k}", 0, 1), (f"w{k}", 0, 1), ("delta1", 2, 0), ("delta2", 1, 2)]
+    # two genus-0 pieces joined by the sheet pair, with the bounding pair
+    # hanging off the genus-1 piece
+    return [(f"u{k}", 0, 1), (f"u{k + 1}", 1, 0), ("delta1", 0, 2), ("delta2", 2, 1)]
 
-    Requires positive coprime (m, n) and a truncation depth K >= 1.
-    Every vertex, edge and two-cell tag is backed by an explicit cell
-    instance on its template multicurve (``_template``); the abstract
-    boundary is verified to close up, and each two-cell's faces to be
-    the edges of its boundary.
 
-    Only the two-cells and the two external witnesses are scanned
-    (``_cell``).  One pass over the two-cells, in table order, scans
-    each, reads each boundary edge not read yet off the cell's vertex
-    supports, and matches every face (``match_faces``, which holds the
-    face lemma).  Each vertex cell is the vertex of its first read edge
-    whose support lies in the vertex's curve set (``_vertices_on``): a
-    vertex of the face of the edge's polytope where the other curves
-    vanish, by the same lemma, and exactly one, which must equal its
-    weighting in ``vertex_maps``, so every curve lies on it; its
-    template takes the edge's classes and x from the one ``classes``
-    dict.  The mirror cells B, c- and e- come off the faces as their +
-    partners do.
-    """
+def _sheet_ids(k):
+    """Sheet 0's curve ids renamed as T^k renames them (``build_ladder``)."""
+    return dict(u0=f"u{k}", u1=f"u{k + 1}", w0=f"w{k}", delta1="delta1", delta2="delta2")
+
+
+def _ladder_frame(m, n, K):
+    """(ladder, classes, x, vertex maps, vertex and edge templates): the
+    tags and the checked boundary, before any cell is built."""
     if not all(isinstance(v, int) for v in (m, n, K)):
         raise UsageError("invalid parameters: m, n, K must be integers")
     if m <= 0 or n <= 0:
@@ -633,28 +633,15 @@ def build_ladder(m, n, K):
         classes[f"u{k}"] = A1 + k * A2
         classes[f"w{k}"] = A2 - classes[f"u{k}"]
 
-    def a_map(k):
-        return {f"u{k}": m, "delta1": n - m * k}
-
-    def b_map(k):
-        return {f"u{k}": m, "delta2": n - m * k}
-
-    def c_map(k):
-        return {f"u{k}": n - m * k + m, f"w{k}": n - m * k}
-
-    def t_map():
-        if n % m == 0:
-            return {f"u{l}": m}
-        return {f"u{t}": m * (t + 1) - n, f"u{t + 1}": n - m * t}
-
     vertex_maps = {}
     for k in range(-K, right + 1):
-        vertex_maps[("A", k)] = a_map(k)
-        vertex_maps[("B", k)] = b_map(k)
+        vertex_maps[("A", k)] = {f"u{k}": m, "delta1": n - m * k}
+        vertex_maps[("B", k)] = {f"u{k}": m, "delta2": n - m * k}
     for k in range(-K, hi + 1):
-        vertex_maps[("C", k)] = c_map(k)
+        vertex_maps[("C", k)] = {f"u{k}": n - m * k + m, f"w{k}": n - m * k}
     if t <= K:
-        vertex_maps[("T", t)] = t_map()
+        split = {f"u{t}": m * (t + 1) - n, f"u{t + 1}": n - m * t}
+        vertex_maps[("T", t)] = {f"u{l}": m} if n % m == 0 else split
     # zero-dimensional cells: loops on one piece, one basic cycle
     templates = {
         tag: _template([(0, 3 - len(mp))], [(e, 0, 0) for e in mp], classes, x)
@@ -695,32 +682,172 @@ def build_ladder(m, n, K):
     for k in range(-K, hi + 1):
         ladder.cell_boundary[("V", k)] = {("e+", k): 1, ("e-", k): -1, ("d", k): -1}
     ladder._check_chain_complex()
+    return ladder, classes, x, vertex_maps, templates
 
-    for tag, boundary in ladder.cell_boundary.items():
-        k = tag[1]
-        if tag[0] == "V":
-            curves = [(f"u{k}", 0, 1), (f"w{k}", 0, 1), ("delta1", 2, 0), ("delta2", 1, 2)]
-        else:
-            # two genus-0 pieces joined by the sheet pair, with the
-            # bounding pair hanging off the genus-1 piece
-            curves = [(f"u{k}", 0, 1), (f"u{k + 1}", 1, 0), ("delta1", 0, 2), ("delta2", 2, 1)]
-        cell = ladder.cell_cells[tag] = _cell(_FACE_PIECES, curves, classes, x)
-        ladder.cell_psi[tag] = psi_max(cell)
-        edges = {
-            e: (templates[e], {frozenset(vertex_maps[v].items()) for v in ladder.edge_endpoints[e]})
-            for e in boundary
-        }
-        match_faces(tag, cell, edges, ladder.edge_cells)
-        for edge in boundary:
-            for v in ladder.edge_endpoints[edge]:
-                if v in ladder.vertex_cells:
-                    continue
-                point, mp = templates[v], vertex_maps[v]
-                verts = _vertices_on(ladder.edge_cells[edge], point.edge_ids())
-                if verts != [mp]:
-                    raise InternalInconsistencyError(f"vertex cell {v}: weights differ from {mp}")
-                ladder.vertex_cells[v] = CellInstance._trusted(point, verts, 0)
 
+def _scan_two_cell(ladder, tag, classes, x, vertex_maps, templates):
+    """Scan the two-cell ``tag`` (``_cell``), match its faces, reading each
+    edge not read yet (``match_faces``), and read each endpoint not read
+    yet off its edge: the one vertex on the vertex's curves, by the same
+    face lemma, which must equal its weighting in ``vertex_maps``."""
+    boundary = ladder.cell_boundary[tag]
+    cell = ladder.cell_cells[tag] = _cell(_FACE_PIECES, _two_cell_curves(*tag), classes, x)
+    ladder.cell_psi[tag] = psi_max(cell)
+    edges = {
+        e: (templates[e], {frozenset(vertex_maps[v].items()) for v in ladder.edge_endpoints[e]})
+        for e in boundary
+    }
+    match_faces(tag, cell, edges, ladder.edge_cells)
+    for edge in boundary:
+        for v in ladder.edge_endpoints[edge]:
+            if v in ladder.vertex_cells:
+                continue
+            point, mp = templates[v], vertex_maps[v]
+            verts = _vertices_on(ladder.edge_cells[edge], point.edge_ids())
+            if verts != [mp]:
+                raise InternalInconsistencyError(f"vertex cell {v}: weights differ from {mp}")
+            ladder.vertex_cells[v] = CellInstance._trusted(point, verts, 0)
+
+
+def _positive(a, b):
+    """Whether a + d b > 0 for all d >= 0 (True), for none (False), or not
+    constant (None)."""
+    if a > 0 and b >= 0:
+        return True
+    return False if a <= 0 and b <= 0 else None
+
+
+def _generic_slopes(classes, x, k0):
+    """The certificate: ``{support: {curve: slope}}`` of the R and V
+    vertices in sheet 0's ids, a weight w on sheet k0 being w + d slope
+    on sheet k0 - d for every d >= 0.
+
+    Each shape must reduce to one pattern R on sheets k0 and k0 - 1, and
+    y(k0 - d) = y0 + d dy.  A solver of ``_pattern`` fires when each of
+    its affine conditions in d holds: the weight p / det > 0 (a sign,
+    ``_positive``), det | p (always when det divides both coefficients,
+    never when gcd(b, det) does not divide a), and each check row
+    a + d b = 0 (always when a = b = 0, never without a root d >= 0).
+    A condition that never holds keeps the solver off every sheet;
+    otherwise one that is not constant raises, naming the shape and the
+    solver's curves.
+    """
+    slopes = {}
+    for shape in ("R", "V"):
+        ids = [e for e, _, _ in _two_cell_curves(shape, 0)]
+        (R, y0), (R1, y1) = (
+            _reduced_system([classes[e].coords for e, *_ in _two_cell_curves(shape, k)], x.coords)
+            for k in (k0, k0 - 1)
+        )
+        if R1 != R or None in (y0, y1):
+            raise InternalInconsistencyError(f"generic sheet {shape}: the relation pattern moves")
+        dy = [b - a for a, b in zip(y0, y1)]
+        for cols, rows, adj, det, checks in _pattern(len(ids), R)[1]:
+            p = [tuple(sum(a * y[i] for a, i in zip(r, rows)) for y in (y0, dy)) for r in adj]
+            tests = []
+            for a, b in p:
+                divides = a % gcd(b, det) == 0 and (a % det == b % det == 0 or None)
+                tests += [_positive(a * det, b * det), divides]
+            for i, row in checks:
+                a = sum(c * q0 for c, (q0, _) in zip(row, p)) - det * y0[i]
+                b = sum(c * q1 for c, (_, q1) in zip(row, p)) - det * dy[i]
+                root = b and not a % b and -a // b >= 0
+                tests.append(True if a == b == 0 else None if root else False)
+            if None in tests and False not in tests:
+                curves = [ids[j] for j in cols]
+                raise InternalInconsistencyError(
+                    f"generic sheet {shape}: curves {curves} hold a vertex on some sheets only"
+                )
+            if False not in tests:
+                vertex = {ids[j]: b // det for j, (_, b) in zip(cols, p)}
+                slopes[frozenset(vertex)] = vertex
+    return slopes
+
+
+def _instantiate(ladder, k0, slopes, classes, x, templates):
+    """Every cell of the sheets k <= k0 - 2, from its kind's cell on sheet
+    k0 with the slopes of ``_generic_slopes``, renamed (``_sheet_ids``)
+    and built trusted.  Consecutive vertices stay sorted on every sheet:
+    the first curve where they differ is ``_positive`` in the later one's
+    favour.  Sheet k0 - 1 so built must be its scan, ids, weights and
+    order."""
+    names = {e: e0 for e0, e in _sheet_ids(k0).items()}
+    forms = []
+    for table in (ladder.vertex_cells, ladder.edge_cells, ladder.cell_cells):
+        for (kind, k), cell in list(table.items()):
+            if k != k0:
+                continue
+            form = []
+            for v in cell.verts:
+                slope = slopes[frozenset(map(names.get, v))]
+                form.append([(names[e], w, slope[names[e]]) for e, w in v.items()])
+            for a, b in zip(form, form[1:]):
+                a, b = ({e: (w, s) for e, w, s in v} for v in (a, b))
+                order = map(names.get, cell.multicurve.edge_ids())
+                first = next(e for e in order if a.get(e) != b.get(e))
+                (wa, sa), (wb, sb) = a.get(first, (0, 0)), b.get(first, (0, 0))
+                if not _positive(wb - wa, sb - sa):
+                    raise InternalInconsistencyError(f"generic sheet {kind}: vertex order moves")
+            forms.append((table, kind, cell.dim, form))
+
+    def at(form, ids, d):
+        return [{ids[e]: w + d * s for e, w, s in v} for v in form]
+
+    ids = _sheet_ids(k0 - 1)
+    for table, kind, _, form in forms:
+        scanned = [[*v.items()] for v in table[kind, k0 - 1].verts]
+        if [[*v.items()] for v in at(form, ids, 1)] != scanned:
+            raise InternalInconsistencyError(
+                f"generic sheet {kind}: sheet {k0 - 1} is not its scan"
+            )
+    for k in range(-ladder.K, k0 - 1):
+        ids = _sheet_ids(k)
+        for table, kind, dim, form in forms:
+            tag = (kind, k)
+            if dim == 2:
+                templates[tag] = _template(_FACE_PIECES, _two_cell_curves(kind, k), classes, x)
+            cell = table[tag] = CellInstance._trusted(templates[tag], at(form, ids, k0 - k), dim)
+            if dim == 2:
+                ladder.cell_psi[tag] = psi_max(cell)
+
+
+def build_ladder(m, n, K):
+    """Assemble the truncated ladder for the class m*alpha + n*y.
+
+    Requires positive coprime (m, n) and a truncation depth K >= 1.
+    Every vertex, edge and two-cell tag is backed by an explicit cell
+    instance on its template multicurve (``_template``); the abstract
+    boundary is verified to close up, and each two-cell's faces to be
+    the edges of its boundary.
+
+    Let k0 = min(0, t - 1).  The two-cells of the sheets k >= k0 - 1 and
+    the two external witnesses are scanned (``_cell``), each two-cell in
+    table order, its faces matched and its edge and vertex cells read off
+    them (``_scan_two_cell``; the face lemma is in ``match_faces``).  The
+    sheets k <= k0 - 2 are instantiated (``_instantiate``).  That is
+    exact by the shear T, which fixes a2 and a3 and sends u_j to u_{j+1}
+    and w_j to w_{j+1}: sheet k of (m, n) is sheet 0 of (m, n - mk) under
+    T^k, so each shape has one relation pattern R on every sheet, and its
+    reduced target y is affine in k.  ``_generic_slopes`` shows once per
+    shape that each solver fires on all sheets k <= k0 or on none, so
+    each vertex is a fixed solver's, affine in k and positive, and the
+    vertex supports, hence the faces, do not move.  Each fact that
+    ``match_faces`` and the vertex read check is then structural under
+    the renaming (curve ids, and the classes and x of one ``classes``
+    dict) or an equality of affine vectors in k (a face's vertex set
+    against its endpoints' weightings), which holds on every sheet once
+    it holds on the scanned sheets k0 and k0 - 1.  The shapes are
+    generic there: every weight of R_k is positive while k <= t - 1.
+    ``tests/oracles.ladder_by_sheets`` scans every sheet.
+    """
+    ladder, classes, x, vertex_maps, templates = _ladder_frame(m, n, K)
+    k0 = min(0, ladder.t - 1)
+    slopes = _generic_slopes(classes, x, k0) if k0 - 2 >= -K else None
+    for tag in ladder.cell_boundary:
+        if tag[1] >= k0 - 1:
+            _scan_two_cell(ladder, tag, classes, x, vertex_maps, templates)
+    if slopes is not None:
+        _instantiate(ladder, k0, slopes, classes, x, templates)
     _check_external_witnesses(ladder, classes, x)
     return ladder
 

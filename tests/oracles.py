@@ -88,6 +88,8 @@ c- or e- edge's lift is the ``_mirror`` of its + partner's, which renames
 off the faces of the two-cells.  ``ladder_cell_by_scan`` is a vertex or
 edge cell of ``cycles.build_ladder`` as it was built before it was read
 off the faces of a scanned two-cell: its own scan.
+``ladder_by_sheets`` is ``cycles.build_ladder`` as it was before the
+sheets below the generic ones were instantiated: every two-cell scanned.
 ``separation_by_lifts`` is ``specseq.check_image_separation`` as it was
 before it read the appended faces off the plain ones: every edge lifted
 that way, and each class of each face tested, one verdict per edge and
@@ -105,8 +107,8 @@ from itertools import combinations, combinations_with_replacement, permutations,
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
+from torelli3 import cycles, surface
 from torelli3.cycles import CellInstance, append_loop
-from torelli3 import surface
 from torelli3.lattice import (
     A1, A2, A3, ZERO, HVector, InternalInconsistencyError, Splitting, UsageError, _pairing,
     bareiss_determinant, echelon, enumerate_symplectic_rank2, hermite_row_form,
@@ -378,6 +380,18 @@ def ladder_cell_by_scan(ladder, tag):
     labels = {e: class_of(e) for e, _, _ in edges}
     x = ladder.m * A1 + ladder.n * A2
     return CellInstance(LabeledMulticurve(DecompGraph(pieces, edges), labels, x))
+
+
+def ladder_by_sheets(m, n, K):
+    """``cycles.build_ladder`` as it was before the sheets k <= k0 - 2
+    were instantiated from the generic sheet: every two-cell scanned in
+    table order, its faces matched and its edge and vertex cells read off
+    them, then the two external witnesses."""
+    ladder, classes, x, vertex_maps, templates = cycles._ladder_frame(m, n, K)
+    for tag in ladder.cell_boundary:
+        cycles._scan_two_cell(ladder, tag, classes, x, vertex_maps, templates)
+    cycles._check_external_witnesses(ladder, classes, x)
+    return ladder
 
 
 def lift_by_mirror(ladder, tag):

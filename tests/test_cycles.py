@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from oracles import (
     affine_frame_by_ranks, append_loop_by_scan, basic_cycle_problem, boundary_faces,
-    face_geometry, faces_key, graph_key, ladder_cell_by_scan, lift_by_mirror, multicurve_key,
+    face_geometry, faces_key, graph_key, ladder_by_sheets, ladder_cell_by_scan, lift_by_mirror,
+    multicurve_key,
     remove_edges, smith_factors, solve_rational, scan_subsets, support_key, two_scan,
 )
 from torelli3 import cycles
@@ -152,6 +153,16 @@ def test_uncovered_curve_is_malformed():
     triple = shared_class_triple()
     m = LabeledMulticurve(triple.graph, triple.classes, A1)
     with pytest.raises(UsageError, match=r"outside every basic cycle: \['e2', 'e3'\]"):
+        CellInstance(m)
+
+
+def test_a_target_no_positive_weights_reach_has_no_cell():
+    """The triple's classes a1, a2 and a1 + a2 with target -(a1 + a2): the
+    polytope is bounded, but every solution has a negative weight, so no
+    basic cycle carries the target."""
+    triple = shared_class_triple()
+    m = LabeledMulticurve(triple.graph, triple.classes, -1 * (A1 + A2))
+    with pytest.raises(UsageError, match="no basic cycle carries the target class"):
         CellInstance(m)
 
 
@@ -406,9 +417,18 @@ def test_face_read_cells_match_the_scan_oracle(mn, K):
             assert_same_cell(cell, ladder_cell_by_scan(ladder, tag))
 
 
+def scanned_two_cells(ladder):
+    """The two-cells that ``build_ladder`` scans: those of the sheets
+    k >= k0 - 1, k0 = min(0, t - 1), the closing triangle among them."""
+    k0 = min(0, ladder.t - 1)
+    return [tag for tag in ladder.cell_cells if tag[1] >= k0 - 1]
+
+
 def test_build_ladder_scans_only_the_two_cells(monkeypatch):
-    """``CellInstance.__init__``, the scan, runs once per two-cell and
-    once per external witness: no edge or vertex cell is scanned."""
+    """``CellInstance.__init__``, the scan, runs once per two-cell of the
+    scanned sheets and once per external witness: no edge or vertex cell
+    is scanned, and no cell of a sheet below them.  The count does not
+    grow with K."""
     init, scanned = CellInstance.__init__, []
 
     def counting(cell, multicurve):
@@ -416,12 +436,45 @@ def test_build_ladder_scans_only_the_two_cells(monkeypatch):
         init(cell, multicurve)
 
     monkeypatch.setattr(CellInstance, "__init__", counting)
-    for mn, K in [((1, 1), 1), ((1, 2), 3), ((2, 5), 32), ((3, 4), 7)]:
+    counts = {}
+    for mn, K in [((1, 1), 1), ((1, 2), 3), ((2, 5), 32), ((3, 4), 7), ((2, 5), 64), ((1, 2), 32),
+                  ((1, 2), 64)]:
         scanned.clear()
         ladder = build_ladder(*mn, K)
-        assert len(scanned) == len(ladder.cell_cells) + 2
-        cells = {id(c.multicurve) for c in ladder.cell_cells.values()}
-        assert cells <= {id(m) for m in scanned}
+        tags = scanned_two_cells(ladder)
+        assert len(scanned) == len(tags) + 2
+        assert {id(ladder.cell_cells[tag].multicurve) for tag in tags} <= {id(m) for m in scanned}
+        counts[mn, K] = len(scanned)
+    assert counts[(2, 5), 32] == counts[(2, 5), 64] == 8 + 2
+    assert counts[(1, 2), 32] == counts[(1, 2), 64] == 6 + 2
+
+
+def ladder_tables(ladder):
+    """Every table of a ladder, each cell by its multicurve, vertex list
+    (in order, with weights in curve order) and dimension."""
+    cells = {
+        name: {
+            tag: (multicurve_key(c.multicurve), [list(v.items()) for v in c.verts], c.dim)
+            for tag, c in getattr(ladder, name).items()
+        }
+        for name in ("vertex_cells", "edge_cells", "cell_cells")
+    }
+    return cells, ladder.edge_endpoints, ladder.cell_boundary, ladder.cell_psi, ladder.closing
+
+
+BENCH_PAIRS = ((1, 2), (1, 3), (2, 3), (1, 4), (3, 4), (1, 5), (2, 5), (3, 5), (4, 5))
+
+
+def test_generic_sheet_build_matches_the_build_by_sheets():
+    """Every table of ``build_ladder``, whose sheets below the two generic
+    ones are instantiated, against ``oracles.ladder_by_sheets``, which
+    scans every sheet: for coprime (m, n) <= 5 at K = 1 to 8, 16 and 64,
+    and for the nine perfbench pairs at K = 32."""
+    cases = [(mn, K) for mn in COPRIME_PAIRS for K in [*range(1, 9), 16, 64]]
+    for (m, n), K in cases + [(mn, 32) for mn in BENCH_PAIRS]:
+        assert ladder_tables(build_ladder(m, n, K)) == ladder_tables(ladder_by_sheets(m, n, K)), (
+            m, n, K
+        )
 
 
 @settings(max_examples=15, deadline=None)
@@ -471,8 +524,9 @@ def test_pattern_route_matches_scan_subsets_on_ladder_cells(mn, K):
     """Every cell a ladder builds (vertex, edge, two-cell, mirror,
     appended and external-witness cells) against the per-cell scan, and
     every vertex through ``oracles.basic_cycle_problem``.  Only the
-    two-cells and the witnesses scan; the vertex and edge cells are read
-    off the two-cells' faces and the appended cells lifted from them."""
+    two-cells of the scanned sheets and the witnesses scan; the vertex
+    and edge cells are read off the two-cells' faces, the sheets below
+    instantiated, and the appended cells lifted from the two-cells."""
     calls = []
     original = cycles.enumerate_basic_cycles
 
@@ -485,8 +539,10 @@ def test_pattern_route_matches_scan_subsets_on_ladder_cells(mn, K):
         mp.setattr(cycles, "enumerate_basic_cycles", recording)
         ladder = build_ladder(*mn, K)
         appended = [lift_by_mirror(ladder, tag) for tag in ladder.edges() + ladder.two_cells()]
+    scanned = scanned_two_cells(ladder)
     read = [*ladder.vertex_cells.values(), *ladder.edge_cells.values()]
-    assert len(calls) == len(ladder.cell_cells) + 2  # and the two external witnesses
+    read += [cell for tag, cell in ladder.cell_cells.items() if tag not in scanned]
+    assert len(calls) == len(scanned) + 2  # and the two external witnesses
     assert len(appended) == len(ladder.edge_cells) + len(ladder.cell_cells)
     calls += [(c.multicurve, c.multicurve.x, c.verts) for c in read + appended]
     for m, x, verts in calls:
@@ -1016,6 +1072,17 @@ def test_external_witnesses_catch_a_lost_vertex_or_weight(monkeypatch):
             witnesses_of(monkeypatch, tamper)
 
 
+def test_external_witnesses_catch_a_vertical_edge_they_lost(monkeypatch):
+    """Each witness with every curve id renamed keeps its vertex count and
+    weights, but no longer holds the vertices of e+(0)."""
+
+    def rename_curves(cell):
+        cell.verts = [{"x" + e: w for e, w in v.items()} for v in cell.verts]
+
+    with pytest.raises(InternalInconsistencyError, match="vertical edge left its witnesses"):
+        witnesses_of(monkeypatch, rename_curves)
+
+
 def test_ladder_truncated_before_closing():
     ladder = build_ladder(1, 5, 2)
     assert ladder.closing is None
@@ -1055,6 +1122,23 @@ def test_ladder_property_reads_the_edge_kind_off_the_tag():
     assert not ladder.check_ladder_property()
 
 
+def test_ladder_refuses_a_boundary_that_does_not_close_up(monkeypatch):
+    """The rung d(-1) of V(-1) with its sign flipped as the build checks
+    the boundary: A(-1) and B(-1) no longer cancel, and the check names
+    V(-1)."""
+    check = cycles.LadderComplex._check_chain_complex
+
+    def flipped(ladder):
+        ladder.cell_boundary[("V", -1)][("d", -1)] = 1
+        check(ladder)
+
+    monkeypatch.setattr(cycles.LadderComplex, "_check_chain_complex", flipped)
+    with pytest.raises(
+        InternalInconsistencyError, match=r"boundary of \('V', -1\) does not close up"
+    ):
+        build_ladder(1, 2, 2)
+
+
 def plant_in_two_cells(monkeypatch, plant):
     """``cycles._cell`` with its vertices replaced by ``plant(curve ids,
     vertices)`` on every scanned cell: the two-cells, then the external
@@ -1085,10 +1169,10 @@ def test_face_matching_names_the_differing_vertex_set(monkeypatch):
 
 
 def test_ladder_refuses_a_two_cell_of_smaller_span(monkeypatch):
-    """Each four-vertex two-cell of ``build_ladder(1, 2, 2)`` keeps its
-    vertices 0 and 3 only, opposite corners on a line: every curve still
-    lies on a vertex, so the scan passes, and the span check of
-    ``match_faces`` refuses the first such cell, naming it."""
+    """Each scanned four-vertex two-cell of ``build_ladder(1, 2, 2)``
+    keeps its vertices 0 and 3 only, opposite corners on a line: every
+    curve still lies on a vertex, so the scan passes, and the span check
+    of ``match_faces`` refuses the first such cell, R(-1), naming it."""
     enumerate_all = cycles.enumerate_basic_cycles
 
     def opposite_corners(m, x):
@@ -1098,7 +1182,7 @@ def test_ladder_refuses_a_two_cell_of_smaller_span(monkeypatch):
     monkeypatch.setattr(cycles, "enumerate_basic_cycles", opposite_corners)
     with pytest.raises(
         InternalInconsistencyError,
-        match=r"cell \('R', -2\): vertex span disagrees with the dimension",
+        match=r"cell \('R', -1\): vertex span disagrees with the dimension",
     ):
         build_ladder(1, 2, 2)
 
@@ -1136,16 +1220,16 @@ def test_ladder_catches_a_lost_two_cell_vertex(monkeypatch):
             return verts
 
         monkeypatch.setattr(cycles, "enumerate_basic_cycles", dropping)
-        with pytest.raises(InternalInconsistencyError, match=r"cell \('R', -2\) face"):
+        with pytest.raises(InternalInconsistencyError, match=r"cell \('R', -1\) face"):
             build_ladder(1, 2, 2)
 
 
 def add_a_rung_point_to_v(ids, verts):
-    """V(-2) gains the point {u-2: 1, delta1: 1, delta2: 3} inside its
-    rung d(-2); the faces on e+ and e- keep their vertices."""
-    if "w-2" not in ids:
+    """V(-1) gains the point {u-1: 1, delta1: 1, delta2: 2} inside its
+    rung d(-1); the faces on e+ and e- keep their vertices."""
+    if "w-1" not in ids:
         return verts
-    return verts + [{"u-2": 1, "delta1": 1, "delta2": 3}]
+    return verts + [{"u-1": 1, "delta1": 1, "delta2": 2}]
 
 
 def rotate_curves(ids, verts):
@@ -1167,10 +1251,10 @@ def bump_a_weight_on_triangles(ids, verts):
     return [first] + verts[1:]
 
 
-# the rung d(-2) on V(-2), c+(-2) on R(-2), and c+(1) on the closing
-# triangle, of build_ladder(1, 2, 2)
-RUNG_ON_V = r"cell \('V', -2\) face \['delta1', 'delta2', 'u-2'\]"
-C_PLUS_ON_R = r"cell \('R', -2\) face \['delta1', 'u-1', 'u-2'\]"
+# the rung d(-1) on V(-1), c+(-1) on R(-1), and c+(1) on the closing
+# triangle, of build_ladder(1, 2, 2), whose sheet -2 is not scanned
+RUNG_ON_V = r"cell \('V', -1\) face \['delta1', 'delta2', 'u-1'\]"
+C_PLUS_ON_R = r"cell \('R', -1\) face \['delta1', 'u-1', 'u0'\]"
 C_PLUS_ON_TRI = r"cell \('tri', 1\) face \['delta1', 'u1', 'u2'\]"
 
 
@@ -1184,7 +1268,7 @@ C_PLUS_ON_TRI = r"cell \('tri', 1\) face \['delta1', 'u1', 'u2'\]"
     ids=["shared-rung", "wrong-curve", "weight-off-by-one"],
 )
 def test_face_reading_refuses_planted_faults(monkeypatch, plant, face):
-    """A V face on its rung with one vertex too many, though R(-2) read
+    """A V face on its rung with one vertex too many, though R(-1) read
     the rung off its own face; every edge looked up on the weights of
     other curves; a vertex weighting off by one.  Each is planted in the
     scanned two-cells' vertices and fails the build, naming the two-cell
@@ -1194,20 +1278,78 @@ def test_face_reading_refuses_planted_faults(monkeypatch, plant, face):
         build_ladder(1, 2, 2)
 
 
+def test_face_matching_refuses_a_face_left_over(monkeypatch):
+    """V(1) of ``build_ladder(1, 2, 1)`` gains two points off u1 in the
+    plane of its vertices, D = A + (B - A) - (C - A) and E = A + 3 (B -
+    A) - (C - A): the span stays 2 and each boundary edge keeps its
+    face, but the two make a face on u1 that no edge claims."""
+
+    def add_a_face(ids, verts):
+        if "w1" not in ids:
+            return verts
+        return verts + [{"w1": -1, "delta1": 1, "delta2": 1}, {"w1": -1, "delta1": -1, "delta2": 3}]
+
+    plant_in_two_cells(monkeypatch, add_a_face)
+    with pytest.raises(
+        InternalInconsistencyError,
+        match=r"cell \('V', 1\) face \['delta1', 'delta2', 'w1'\]: curve ids differ",
+    ):
+        build_ladder(1, 2, 1)
+
+
+def test_generic_sheet_refuses_a_shear_that_leaves_w_behind(monkeypatch):
+    """A renaming that moves u_k but keeps w_k at w0: sheet -1 of
+    ``build_ladder(1, 2, 3)`` instantiated keeps w0 where its scan has
+    w-1, and the build names the first cell kind that holds a w curve,
+    the vertex cell C."""
+    rename = cycles._sheet_ids
+    monkeypatch.setattr(cycles, "_sheet_ids", lambda k: {**rename(k), "w0": "w0"})
+    with pytest.raises(
+        InternalInconsistencyError, match=r"generic sheet C: sheet -1 is not its scan"
+    ):
+        build_ladder(1, 2, 3)
+
+
+def test_generic_sheet_refuses_a_weight_positive_on_one_sheet(monkeypatch):
+    """A solver planted in the R pattern of ``build_ladder(1, 2, 3)`` on
+    the curve u0 alone, whose weight 3 y_0 + 2 y_1 is 1 - d on sheet
+    -d: positive, exact and with no check row on sheet 0, so a
+    certificate that tested the sheet k0 = 0 alone would accept it.  The
+    build refuses it before any scan, naming the shape and the curve."""
+    R, y0 = cycles._reduced_system([(A1 + k * A2).coords for k in (0, 1)] + [A2.coords] * 2,
+                                   (A1 + 2 * A2).coords)
+    y1 = cycles._reduced_system([(A1 + k * A2).coords for k in (-1, 0)] + [A2.coords] * 2,
+                                (A1 + 2 * A2).coords)[1]
+    w0, w1 = 3 * y0[0] + 2 * y0[1], 3 * (y1[0] - y0[0]) + 2 * (y1[1] - y0[1])
+    assert (w0, w1) == (1, -1)
+    pattern = cycles._pattern
+
+    def planted(n, form):
+        bounded, solvers = pattern(n, form)
+        return bounded, (((0,), (0, 1), ((3, 2),), 1, ()),) + solvers if form == R else solvers
+
+    monkeypatch.setattr(cycles, "_pattern", planted)
+    with pytest.raises(
+        InternalInconsistencyError,
+        match=r"generic sheet R: curves \['u0'\] hold a vertex on some sheets only",
+    ):
+        build_ladder(1, 2, 3)
+
+
 def test_vertex_reading_names_the_vertex(monkeypatch):
     """A vertex template on the wrong curves: no vertex of its edge lies
     on them, and the build names the vertex cell and its weighting."""
     make = cycles._template
 
     def tamper(pieces, edges, classes, x):
-        if [e for e, _, _ in edges] == ["u-2", "delta1"]:
-            edges = [("u-2", 0, 0), ("delta2", 0, 0)]
+        if [e for e, _, _ in edges] == ["u-1", "delta1"]:
+            edges = [("u-1", 0, 0), ("delta2", 0, 0)]
         return make(pieces, edges, classes, x)
 
     monkeypatch.setattr(cycles, "_template", tamper)
     with pytest.raises(
         InternalInconsistencyError,
-        match=r"vertex cell \('A', -2\): weights differ from \{'u-2': 1, 'delta1': 4\}",
+        match=r"vertex cell \('A', -1\): weights differ from \{'u-1': 1, 'delta1': 3\}",
     ):
         build_ladder(1, 2, 2)
 

@@ -650,7 +650,9 @@ def test_d22_corner_builds_each_cell_once(monkeypatch):
     """Ladder, (2, 2) page and separation at (2, 5), K=32: every cell
     instance, scanned, read off a face or a two-cell lifted to the
     appended sheet, is distinct by its curve classes and target.  Only
-    the 70 two-cells and the 2 external witnesses are scanned."""
+    the 8 two-cells of the sheets -1 to 2 and the 2 external witnesses
+    are scanned; the other 62 two-cells are instantiated from the
+    generic sheet, built trusted."""
     built = {"scanned": [], "trusted": []}
     init = CellInstance.__init__
     trusted = CellInstance._trusted.__func__
@@ -669,7 +671,8 @@ def test_d22_corner_builds_each_cell_once(monkeypatch):
     build_e1((2, 2), Truncation(K=32, ladder=ladder, subgroups=[U33], height=1))
     assert check_image_separation(ladder, U33)
     every = built["scanned"] + built["trusted"]
-    assert (len(built["scanned"]), len(built["trusted"])) == (len(ladder.cell_cells) + 2, 351)
+    assert len(ladder.cell_cells) == 70
+    assert (len(built["scanned"]), len(built["trusted"])) == (8 + 2, 351 + 62)
     assert len(every) == len(set(every)) == 423
 
 
