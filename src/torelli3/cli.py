@@ -75,8 +75,8 @@ EXIT_INTERNAL = InternalInconsistencyError.exit_code
 
 DEFAULT_K = 3
 # the largest window at which every measured `check d22 --mn 2,5` stayed inside 30 s
-# (2-vCPU host): 1.9-2.4 s and 189 MB peak RSS at 5120 over three cold runs, with
-# the sheets below the generic ones instantiated; no window above 5120 measured
+# (2-vCPU host): 2.3-2.4 s and 183 MB peak RSS at 5120 over three cold runs, with
+# fill-0 pivots off a worklist and no rank per appended lift; none above 5120 measured
 MAX_K = 5120
 DEFAULT_MN = (1, 2)
 MAX_BOUND = 1  # bound 2 has 1,399,337 splittings, 27 s only to count them

@@ -398,12 +398,15 @@ def append_loop(cell):
     degree 2, so its Euler characteristic is unchanged, and a loop
     leaves connectivity as it is; the loop adds +a3 and -a3 at its host,
     so every boundary sum stays zero.  Three checks remain: a host of
-    positive genus, ``beta`` not already a curve id, and one rank: the
-    plain classes plus a3 must span |E| - |V| + 2, one more than the
-    plain classes, so a3 is outside their span.  With the plain cell's
-    vertices that proves the lifting lemma of ``CellInstance._trusted``:
-    the appended vertices are the plain ones with ``beta`` at weight 1,
-    in the same order, and the dimension is the plain one.
+    positive genus, ``beta`` not already a curve id, and a3 outside the
+    span of the plain classes, which with a3 then span |E| - |V| + 2 by
+    the plain cell's contract.  No class with an a3-coordinate
+    (coordinate 4) means no rational combination reaches a3, and no
+    rank is taken: every ladder class lies in span(a1, a2).  Otherwise
+    the classes plus a3 take one rank.  With the plain cell's vertices
+    that proves the lifting lemma of ``CellInstance._trusted``: the
+    appended vertices are the plain ones with ``beta`` at weight 1, in
+    the same order, and the dimension is the plain one.
     """
     m = cell.multicurve
     host = next((v for v, g in m.graph.vertices if g >= 1), None)
@@ -411,11 +414,11 @@ def append_loop(cell):
         raise UsageError("no piece can host the loop")
     if _LOOP in m.classes:
         raise UsageError("duplicate edge ids")
-    rows = [c.coords for c in m.classes.values()] + [A3.coords]
-    want = len(m.graph.edges) - len(m.graph.vertices) + 2
-    rank = matrix_rank(rows)
-    if rank != want:
-        raise UsageError(f"classes span rank {rank}, expected {want}")
+    if any(c.coords[4] for c in m.classes.values()):
+        rank = matrix_rank([c.coords for c in m.classes.values()] + [A3.coords])
+        want = len(m.graph.edges) - len(m.graph.vertices) + 2
+        if rank != want:
+            raise UsageError(f"classes span rank {rank}, expected {want}")
     graph = DecompGraph._trusted(
         tuple((v, g - 1 if v == host else g) for v, g in m.graph.vertices),
         m.graph.edges + ((_LOOP, host, host),),

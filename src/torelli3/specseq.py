@@ -246,22 +246,27 @@ class SparseIntMatrix:
     def _eliminate(self):
         """Sparse elimination by integer column operations on unit pivots.
 
-        Each step takes the ±1 entry of least fill, the smallest
-        (row count - 1) * (column count - 1), clears its row with the
-        pivot column and retires that column.  No later operation
-        touches that row, so the retired column stays independent of the
-        rest: it adds one to the rank and no kernel vector.  The
-        operations are recorded per column as an {original column:
-        coefficient} dict, a unimodular transform.  Returns the pivot
-        count, the transforms of the columns that became zero (the
-        saturated kernel of the eliminated part), and the leftover
-        (column, transform) pairs, which have no unit entry left.
+        Each step takes a ±1 entry of least fill, (row count - 1) *
+        (column count - 1), clears its row with the pivot column and
+        retires that column.  No later operation touches that row, so
+        the retired column stays independent of the rest: it adds one to
+        the rank and no kernel vector.  Fill-0 units, alone in their row
+        or column, come off a worklist: a pivot changes only the columns
+        it clears and the rows it meets, so it queues the singletons
+        there, and a queued entry is taken if it still is one.  With the
+        worklist empty, ``_least_fill_unit`` scans the live entries.
+        Each column's operations are an {original column: coefficient}
+        dict, a unimodular transform made when one first touches it.
+        Returns the pivot count, the transforms of the columns that
+        became zero (the saturated kernel of the eliminated part), and
+        the leftover (column, transform) pairs, which have no unit entry
+        left.  Its oracle is ``tests/oracles.eliminate_by_fill_buckets``.
         """
         row_ids = {r: i for i, r in enumerate(dict.fromkeys(self.rows))}
         positions = {}
         for j, c in enumerate(self.cols):
             positions.setdefault(c, []).append(j)
-        cols = [{} for _ in self.cols]
+        cols = [{} for _ in self.cols]  # a retired column becomes None
         for (r, c), v in self.entries.items():
             if v:
                 for j in positions[c]:
@@ -270,35 +275,26 @@ class SparseIntMatrix:
         for j, col in enumerate(cols):
             for i in col:
                 row_cols.setdefault(i, set()).add(j)
-        moves = [{j: 1} for j in range(len(cols))]
-        retired = [False] * len(cols)
-
-        def fill(i, j):
-            return (len(row_cols[i]) - 1) * (len(cols[j]) - 1)
-
-        buckets = {}  # fill -> unit entries (i, j) queued at that fill
-
-        def push(i, j):
-            if cols[j][i] in (1, -1):
-                buckets.setdefault(fill(i, j), []).append((i, j))
-
-        for j, col in enumerate(cols):
-            for i in col:
-                push(i, j)
-        pivots = 0
-        while buckets:
-            cost = min(buckets)
-            queued = buckets[cost]
-            i, j = queued.pop()
-            if not queued:
-                del buckets[cost]
-            pivot = cols[j]
-            v = pivot.get(i)
-            # entries whose fill changed were pushed again at the new cost
-            if retired[j] or v not in (1, -1) or cost != fill(i, j):
-                continue
-            changed = []
-            for k in row_cols[i] - {j}:
+        moves = {}
+        work = [(i, j) for j, col in enumerate(cols) if len(col) == 1 for i in col]
+        work += [(i, next(iter(js))) for i, js in row_cols.items() if len(js) == 1]
+        while True:
+            while work:
+                i, j = work.pop()
+                col = cols[j]
+                if col and col.get(i) in (1, -1) and 1 in (len(col), len(row_cols[i])):
+                    break
+            else:
+                unit = _least_fill_unit(cols, row_cols)
+                if unit is None:
+                    break
+                _, i, j = unit
+            pivot, cols[j] = cols[j], None
+            v = pivot[i]
+            for ii in pivot:
+                row_cols[ii].discard(j)
+            step = moves.get(j, {j: 1})
+            for k in list(row_cols[i]):
                 target, factor = cols[k], cols[k][i] * v
                 for ii, w in pivot.items():
                     new = target.get(ii, 0) - factor * w
@@ -308,28 +304,19 @@ class SparseIntMatrix:
                     else:
                         del target[ii]
                         row_cols[ii].discard(k)
-                kept = moves[k]
-                for jj, w in moves[j].items():
+                kept = moves.setdefault(k, {k: 1})
+                for jj, w in step.items():
                     new = kept.get(jj, 0) - factor * w
                     if new:
                         kept[jj] = new
                     else:
                         del kept[jj]
-                changed.append(k)
-            for ii in pivot:
-                row_cols[ii].discard(j)
-            retired[j] = True
-            pivots += 1
-            for ii in pivot:
-                for k in row_cols[ii]:
-                    push(ii, k)
-            for k in changed:
-                for ii in cols[k]:
-                    push(ii, k)
-        live = [j for j in range(len(cols)) if not retired[j]]
-        kernel = [moves[j] for j in live if not cols[j]]
-        leftover = [(cols[j], moves[j]) for j in live if cols[j]]
-        return pivots, kernel, leftover
+                if len(target) == 1:
+                    work.append((next(iter(target)), k))
+            work += [(ii, next(iter(row_cols[ii]))) for ii in pivot if len(row_cols[ii]) == 1]
+        kernel = [moves.get(j, {j: 1}) for j, col in enumerate(cols) if col == {}]
+        leftover = [(col, moves.get(j, {j: 1})) for j, col in enumerate(cols) if col]
+        return cols.count(None), kernel, leftover
 
     def __repr__(self):
         return "SparseIntMatrix(%d x %d, nnz=%d)" % (
@@ -337,6 +324,15 @@ class SparseIntMatrix:
             len(self.cols),
             len(self.entries),
         )
+
+
+def _least_fill_unit(cols, row_cols):
+    """(fill, row, column) of the live ±1 entry of least fill, or None."""
+    units = (
+        ((len(row_cols[i]) - 1) * (len(col) - 1), i, j)
+        for j, col in enumerate(cols) if col for i, v in col.items() if v in (1, -1)
+    )
+    return min(units, default=None)
 
 
 def _dense_block(leftover):
@@ -489,7 +485,7 @@ def check_image_separation(ladder, u):
     cells always do, through the loop class.  No edge is lifted: by
     ``append_loop``'s construction the appended face of a two-cell on the
     edge e carries e's classes plus the loop ``beta``, whose class the
-    two-cell's ``LadderComplex.appended_cell`` carries (lifted once, rank
+    two-cell's ``LadderComplex.appended_cell`` carries (lifted once, span
     check included, and kept from ``build_e1((2, 2))``).  So an appended
     face meets U exactly when the plain face does or U contains the loop
     class.  Each distinct class is tested once;

@@ -90,6 +90,9 @@ edge cell of ``cycles.build_ladder`` as it was built before it was read
 off the faces of a scanned two-cell: its own scan.
 ``ladder_by_sheets`` is ``cycles.build_ladder`` as it was before the
 sheets below the generic ones were instantiated: every two-cell scanned.
+``eliminate_by_fill_buckets`` is ``SparseIntMatrix._eliminate`` as it
+was before fill-0 pivots came off a worklist: a bucket queue holding
+every unit entry at its fill, with stale entries skipped.
 ``separation_by_lifts`` is ``specseq.check_image_separation`` as it was
 before it read the appended faces off the plain ones: every edge lifted
 that way, and each class of each face tested, one verdict per edge and
@@ -445,6 +448,89 @@ def kernel_by_full_hermite(m, ncols):
     augmented = [[row[j] for row in rows] + [int(i == j) for i in range(ncols)]
                  for j in range(ncols)]
     return [row[r:] for row in hermite_row_form(augmented) if not any(row[:r])]
+
+
+def eliminate_by_fill_buckets(mat):
+    """``SparseIntMatrix._eliminate`` of ``mat`` by a bucket queue on fill.
+
+    Every unit entry is queued at its fill, (row count - 1) * (column
+    count - 1), and queued again whenever an operation changes that fill;
+    a popped entry whose column retired, whose value is no longer ±1 or
+    whose fill changed is stale and skipped.  Returns the pivot count,
+    the kernel transforms and the leftover (column, transform) pairs.
+    """
+    row_ids = {r: i for i, r in enumerate(dict.fromkeys(mat.rows))}
+    positions = {}
+    for j, c in enumerate(mat.cols):
+        positions.setdefault(c, []).append(j)
+    cols = [{} for _ in mat.cols]
+    for (r, c), v in mat.entries.items():
+        if v:
+            for j in positions[c]:
+                cols[j][row_ids[r]] = v
+    row_cols = {}
+    for j, col in enumerate(cols):
+        for i in col:
+            row_cols.setdefault(i, set()).add(j)
+    moves = [{j: 1} for j in range(len(cols))]
+    retired = [False] * len(cols)
+
+    def fill(i, j):
+        return (len(row_cols[i]) - 1) * (len(cols[j]) - 1)
+
+    buckets = {}  # fill -> unit entries (i, j) queued at that fill
+
+    def push(i, j):
+        if cols[j][i] in (1, -1):
+            buckets.setdefault(fill(i, j), []).append((i, j))
+
+    for j, col in enumerate(cols):
+        for i in col:
+            push(i, j)
+    pivots = 0
+    while buckets:
+        cost = min(buckets)
+        queued = buckets[cost]
+        i, j = queued.pop()
+        if not queued:
+            del buckets[cost]
+        pivot = cols[j]
+        v = pivot.get(i)
+        if retired[j] or v not in (1, -1) or cost != fill(i, j):
+            continue
+        changed = []
+        for k in row_cols[i] - {j}:
+            target, factor = cols[k], cols[k][i] * v
+            for ii, w in pivot.items():
+                new = target.get(ii, 0) - factor * w
+                if new:
+                    target[ii] = new
+                    row_cols[ii].add(k)
+                else:
+                    del target[ii]
+                    row_cols[ii].discard(k)
+            kept = moves[k]
+            for jj, w in moves[j].items():
+                new = kept.get(jj, 0) - factor * w
+                if new:
+                    kept[jj] = new
+                else:
+                    del kept[jj]
+            changed.append(k)
+        for ii in pivot:
+            row_cols[ii].discard(j)
+        retired[j] = True
+        pivots += 1
+        for ii in pivot:
+            for k in row_cols[ii]:
+                push(ii, k)
+        for k in changed:
+            for ii in cols[k]:
+                push(ii, k)
+    live = [j for j in range(len(cols)) if not retired[j]]
+    kernel = [moves[j] for j in live if not cols[j]]
+    leftover = [(cols[j], moves[j]) for j in live if cols[j]]
+    return pivots, kernel, leftover
 
 
 def dense_kernel_matches_pattern(src, mat, pattern):

@@ -31,6 +31,7 @@ from torelli3.lattice import (
     splitting_type_wrt_y, transvection_matrix, apply_matrix,
     transform_splitting,
 )
+from torelli3.surface import DecompGraph
 
 # frozen enumeration results, confirmed by the box oracle below
 RANK2_HEIGHT1_COUNT = 4767
@@ -1110,3 +1111,29 @@ def test_hvector_arithmetic_matches_the_checked_constructor(a, b, k):
         assert got == HVector(want)
         assert type(got.coords) is tuple and len(got.coords) == 6
         assert all(type(x) is int for x in got.coords)
+
+
+U11 = SymplecticSubgroup.spanned_by([A1, B1])
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (
+            lambda: SymplecticSubgroup([(1, 0, 0, 0, 0)]),
+            "basis rows must have 6 coordinates",
+        ),
+        (lambda: Splitting(STANDARD_SPLITTING.parts[:2]), "a splitting needs exactly 3 parts"),
+        (
+            lambda: Splitting([U11, U11, (A3, B3)]),
+            "parts must be SymplecticSubgroup instances",
+        ),
+        (lambda: splitting_type_wrt_y(ZERO, STANDARD_SPLITTING, 0), "y must be nonzero"),
+        (lambda: DecompGraph([], []), "a decomposition graph needs at least one vertex"),
+        (lambda: DecompGraph([(0, 3)], []).endpoints("e"), "unknown edge 'e'"),
+    ],
+    ids=["short-row", "two-parts", "foreign-part", "zero-y", "no-vertex", "unknown-edge"],
+)
+def test_constructors_refuse_usage_errors(build, message):
+    with pytest.raises(UsageError, match=message):
+        build()

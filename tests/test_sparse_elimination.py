@@ -4,21 +4,30 @@
 hand only a leftover block without unit entries to the dense Hermite
 routes of `lattice`.  The dense rank and sympy are the oracles, and
 sympy's Smith form alone decides saturation; the sparse page kernel
-check is compared with the dense Hermite-form check it replaced.
+check is compared with the dense Hermite-form check it replaced, and the
+worklist eliminator with the bucket queue by fill it replaced,
+``oracles.eliminate_by_fill_buckets``.
 """
+
+import random
+from math import gcd
+from unittest import mock
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_kernel_matches_pattern, smith_factors
-from torelli3 import specseq
+from oracles import dense_kernel_matches_pattern, eliminate_by_fill_buckets, smith_factors
+from torelli3 import cli, specseq
 from torelli3.cycles import build_ladder
 from torelli3.lattice import (
+    A1,
+    A2,
     A3,
     B3,
     SymplecticSubgroup,
+    enumerate_splittings,
     hermite_row_form,
     is_saturated,
     kernel_basis,
@@ -29,10 +38,15 @@ from torelli3.specseq import (
     GeneratorTag,
     SparseIntMatrix,
     Truncation,
+    _dense_block,
     _kernel_matches_pattern,
     build_e1,
+    d13_apply,
+    d13_tilde_apply,
     d22_apply,
     d31_apply,
+    e2_13_kernel,
+    e2_13_tilde_kernel,
 )
 from torelli3.surface import classify_types
 
@@ -247,3 +261,138 @@ def test_kernel_combos_are_the_sparse_kernel_vectors():
         tuple(combo.get(j, 0) for j in range(4)) for combo in combos
     ] == mat.kernel_vectors()
     assert len(combos) == 2
+
+
+# ---------------------------------------------------------------------------
+# the worklist eliminator against the bucket queue by fill it replaced
+
+def elimination_verdicts(mat):
+    """Rank, kernel lattice (Hermite form of the kernel vectors) and
+    whether the columns are saturated: what no pivot order changes."""
+    return mat.rank(), hermite_row_form(mat.kernel_vectors()), mat.columns_saturated()
+
+
+def leftover_verdicts(mat):
+    """The pivot count and the leftover block's rank and saturation."""
+    pivots, _, leftover = mat._eliminate()
+    block = _dense_block(leftover)
+    return pivots, matrix_rank(block), is_saturated([list(c) for c in zip(*block)], len(block))
+
+
+def assert_matches_bucket_oracle(mat, verdicts=elimination_verdicts):
+    got = verdicts(mat)
+    with mock.patch.object(SparseIntMatrix, "_eliminate", eliminate_by_fill_buckets):
+        assert verdicts(mat) == got
+
+
+@settings(max_examples=300, deadline=None)
+@given(dense_matrices())
+def test_worklist_eliminator_matches_the_bucket_oracle(matrix):
+    """On a dense matrix the leftover block may depend on the pivot
+    order: of the four units of [[0, 0], [1, 1], [1, -1], [1, 2]], all of
+    fill 2, the one at (2, 1) leaves the unit-free column (0, 2, 0, 3)."""
+    assert_matches_bucket_oracle(sparse(*matrix))
+
+
+U33 = SymplecticSubgroup.spanned_by([A3, B3])
+LADDER_PAIRS = [(m, n) for n in range(2, 6) for m in range(1, n) if gcd(m, n) == 1]
+
+
+def kernel_matrices(kernel, src):
+    """The page and the pattern matrix that ``kernel`` checks on ``src``."""
+    built = []
+    trusted = SparseIntMatrix._trusted
+
+    def recording(cls, rows, cols, entries):
+        built.append(trusted(rows, cols, entries))
+        return built[-1]
+
+    with mock.patch.object(SparseIntMatrix, "_trusted", classmethod(recording)):
+        kernel(src)
+    return built
+
+
+def page_matrices(family):
+    """The page matrices of one family, with their pattern matrices."""
+    if family == "d31":
+        orbits = tuple(str(e.fingerprint) for e in classify_types(3, 3))
+        return [
+            d31_apply(build_e1((3, 1), Truncation(K=K, orbits=orbits))) for K in (1, 2, 5, 16, 64)
+        ]
+    if family == "d22":
+        pages = []
+        for m, n in LADDER_PAIRS:
+            ladder = build_ladder(m, n, 32)
+            trunc = Truncation(K=32, ladder=ladder, subgroups=(U33,), height=1)
+            pages.append(d22_apply(build_e1((2, 2), trunc), ladder))
+        return pages
+    if family == "d13":
+        sample = random.Random(32).sample(enumerate_splittings(1), 500)
+        src = build_e1((1, 3), Truncation(splittings=sample, x=A1))
+        pages = kernel_matrices(e2_13_kernel, src)
+        assert len(pages) == 2 and pages[0].entries == d13_apply(src).entries
+        return pages
+    src = build_e1(
+        (1, 3), Truncation(splittings=cli.tilde_splitting_family(), x=A1, y=A2 + A3)
+    )
+    pages = kernel_matrices(e2_13_tilde_kernel, src)
+    assert len(pages) == 2 and pages[0].entries == d13_tilde_apply(src).entries
+    return pages
+
+
+PAGE_FAMILIES = ("d31", "d22", "d13", "d13-tilde")
+
+
+@pytest.mark.parametrize("family", PAGE_FAMILIES)
+def test_worklist_eliminator_matches_the_bucket_oracle_on_pages(family):
+    """d31 at K <= 64, d22 on the nine coprime pairs at K=32, d13 on a
+    seeded 500 splittings of bound 1 and d13-tilde on the default
+    family, each page with the pattern matrix of its kernel check."""
+    for mat in page_matrices(family):
+        assert_matches_bucket_oracle(mat)
+        assert_matches_bucket_oracle(mat, leftover_verdicts)
+
+
+@pytest.fixture
+def no_scan_pivot(monkeypatch):
+    """A least-fill scan that raises if it finds a pivot: the one scan
+    that finds none, once the worklist is spent, still runs."""
+    scan = specseq._least_fill_unit
+
+    def refusing(cols, row_cols):
+        unit = scan(cols, row_cols)
+        if unit is not None:
+            raise AssertionError(f"the least-fill scan found the pivot {unit}")
+        return None
+
+    monkeypatch.setattr(specseq, "_least_fill_unit", refusing)
+
+
+@pytest.mark.parametrize("family", PAGE_FAMILIES)
+def test_pages_eliminate_from_the_worklist_alone(family, no_scan_pivot):
+    for mat in page_matrices(family):
+        assert leftover_verdicts(mat)[1:] == (0, True)
+
+
+def test_report_eliminates_from_the_worklist_alone(no_scan_pivot, capsys):
+    assert cli.main(["report"]) == 0
+    assert '"ok": true' in capsys.readouterr().out
+
+
+def test_least_fill_scan_takes_the_pivot_of_least_fill():
+    # no fill-0 unit; the first one, (1, 0), has fill 2 * 2, and the
+    # least fill, 1 * 2, is first reached at (0, 1)
+    dense = [[2, 1, 0], [1, 2, 1], [0, 1, 1], [2, 0, 3]]
+    mat = sparse(dense, 3)
+    scans = []
+    scan = specseq._least_fill_unit
+
+    def recording(cols, row_cols):
+        scans.append(scan(cols, row_cols))
+        return scans[-1]
+
+    with mock.patch.object(specseq, "_least_fill_unit", recording):
+        assert mat.rank() == matrix_rank(dense)
+    assert scans[0] == (2, 0, 1)
+    assert scans[-1] is None
+    assert_matches_bucket_oracle(mat)

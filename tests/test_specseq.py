@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from functools import lru_cache
 from math import gcd
@@ -342,9 +343,10 @@ def test_admissibility_refuses_what_is_not_a_symplectic_plane(u, message):
 
 def test_ladder_page_work_counters(monkeypatch):
     """The (2, 2) page and the separation check of ``build_ladder(2, 5,
-    8)``, frozen: admissibility takes no rank, each of the 22 lifts to
-    the appended sheet, one per two-cell, takes exactly one, no edge is
-    lifted, and each subgroup's height is read once."""
+    8)``, frozen: admissibility takes no rank, nor does any of the 22
+    lifts to the appended sheet, one per two-cell, whose classes have no
+    a3-coordinate; no edge is lifted, and each subgroup's height is read
+    once."""
     ladder = build_ladder(2, 5, 8)
     ranks, lift_ranks, admissible_ranks, heights = [], [], [], []
     rank, lift, admissible = lattice.matrix_rank, cycles.append_loop, specseq._admissible
@@ -379,8 +381,8 @@ def test_ladder_page_work_counters(monkeypatch):
     assert check_image_separation(ladder, U33)
     assert len(src) == 2 * 2 * len(ladder.two_cells()) == 88
     assert admissible_ranks == [0] * 88
-    assert lift_ranks == [1] * 22
-    assert len(ranks) == 22
+    assert lift_ranks == [0] * 22
+    assert ranks == []
     assert heights == [U33, U33_SKEW]
     assert set(ladder._appended) == set(ladder.two_cells())
 
@@ -697,6 +699,81 @@ def test_d22_overflow_on_foreign_cell():
     )
     with pytest.raises(UsageError, match=r"cell \('R', 99\) outside the ladder"):
         d22_apply(src, ladder)
+
+
+def _face_outside_the_ladder():
+    ladder = build_ladder(1, 1, 1)
+    src = build_e1((2, 2), Truncation(ladder=ladder, subgroups=[U33], height=1))
+    (tag, _), _ = src.basis[0]
+    face = next(iter(ladder.cell_boundary[tag]))
+    del ladder.edge_endpoints[face]
+    return src, ladder, rf"face {re.escape(repr(face))} outside the ladder"
+
+
+def _page_guard_cases():
+    """(call, message) for each guard of the page builders and
+    differentials that only a wrong source or a planted fault trips."""
+    window = Truncation(K=2, orbits=["O"])
+    page_31 = build_e1((3, 1), window)
+    plain = build_e1((1, 3), Truncation(splittings=plain_13_family(), x=A1))
+    tilde_trunc = Truncation(splittings=tilde_family(), x=A1, y=A2 + A3)
+    tilde = build_e1((1, 3), tilde_trunc)
+    key = STANDARD_SPLITTING.unordered_key()
+    unnamed = E1Truncation(
+        (1, 3),
+        [((3, key, "t9"), GeneratorTag.a2_pair(U23, U33))],
+        tilde_trunc,
+        {key: STANDARD_SPLITTING},
+    )
+    foreign_tag = E1Truncation((3, 1), [(("O", 0), GeneratorTag.a2(U33))], window)
+    src, ladder, face_message = _face_outside_the_ladder()
+    plain_13 = r"source must be the plain \(1, 3\) truncation"
+    restricted_13 = r"source must be the restricted \(1, 3\) truncation"
+    return {
+        "31-no-orbits": (
+            lambda: build_e1((3, 1), Truncation(K=2)),
+            "need orbits and a conjugation window",
+        ),
+        "31-no-window": (
+            lambda: build_e1((3, 1), Truncation(orbits=["O"])),
+            "need orbits and a conjugation window",
+        ),
+        "d31-position": (lambda: d31_apply(plain), r"source must sit at position \(3, 1\)"),
+        "d31-tag": (
+            lambda: d31_apply(foreign_tag),
+            r"unexpected tag GeneratorTag\(a2, .*\) at \(3, 1\)",
+        ),
+        "d22-position": (
+            lambda: d22_apply(page_31, ladder),
+            r"source must sit at position \(2, 2\)",
+        ),
+        "d22-face": (lambda: d22_apply(src, ladder), face_message),
+        "d13-position": (lambda: d13_apply(page_31), plain_13),
+        "d13-restricted": (lambda: d13_apply(tilde), plain_13),
+        "tilde-position": (lambda: d13_tilde_apply(page_31), restricted_13),
+        "tilde-plain": (lambda: d13_tilde_apply(plain), restricted_13),
+        "tilde-name": (
+            lambda: d13_tilde_apply(unnamed),
+            r"unclassified generator \(3, .*'t9'\)",
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "31-no-orbits", "31-no-window", "d31-position", "d31-tag", "d22-position", "d22-face",
+        "d13-position", "d13-restricted", "tilde-position", "tilde-plain", "tilde-name",
+    ],
+)
+def test_page_guards_refuse_planted_faults(case):
+    """Each guard of ``_build_31`` and the four differentials, reached
+    through its public function with a wrong source or a planted fault:
+    a face deleted from the ladder's edges, a tag of the wrong kind, a
+    generator name no type has."""
+    call, message = _page_guard_cases()[case]
+    with pytest.raises(UsageError, match=message):
+        call()
 
 
 def test_edge_position_basis():
