@@ -13,39 +13,24 @@ and ``--bound`` above ``MAX_BOUND`` too), and 3 on an internal error:
 two computations of the same quantity disagree, or any other exception
 escapes.  A raised error's status is the ``exit_code`` of its
 ``lattice.Torelli3Error`` class.  ``TORELLI3_LOG`` (``debug``, ``info``,
-...) shows progress on stderr.
+...) shows progress on stderr; without it ``logging`` is never imported.
 """
 
 import argparse
 import json
-import logging
 import os
 import random
 import sys
 import time
 from importlib import resources
+from types import SimpleNamespace
 
 from . import __version__
 from .cycles import build_ladder
 from .lattice import (
-    A1,
-    A2,
-    A3,
-    B1,
-    B2,
-    B3,
-    STANDARD_SPLITTING,
-    ZERO,
-    InternalInconsistencyError,
-    MismatchError,
-    Splitting,
-    SymplecticSubgroup,
-    Torelli3Error,
-    UsageError,
-    apply_matrix,
-    enumerate_splittings,
-    transform_splitting,
-    transvection_matrix,
+    A1, A2, A3, B1, B2, B3, STANDARD_SPLITTING, ZERO, InternalInconsistencyError, MismatchError,
+    Splitting, SymplecticSubgroup, Torelli3Error, UsageError, apply_matrix,
+    enumerate_splittings, transform_splitting, transvection_matrix,
 )
 from .sclasses import (
     lantern_check,
@@ -66,7 +51,8 @@ from .specseq import (
 )
 from .surface import cd_arithmetic_line, census_json, classify_types
 
-log = logging.getLogger("torelli3")
+# the logger until TORELLI3_LOG sets one up: every call is info, which WARNING drops
+log = SimpleNamespace(info=lambda *args: None)
 
 EXIT_OK = 0
 EXIT_MISMATCH = MismatchError.exit_code
@@ -105,28 +91,10 @@ def tilde_splitting_family():
     """Four splittings isolating the first handle, one per crossing type
     with respect to the probe class a2 + a3."""
     return (
-        Splitting(
-            [
-                _span(A1, B1),
-                _span(A2 + A3, B3),
-                _span(A2, B2 - B3),
-            ]
-        ),
-        Splitting(
-            [
-                _span(A1, B1 - B3),
-                _span(A1 + A2 + A3, B2),
-                _span(A1 + A3, B3 - B2),
-            ]
-        ),
+        Splitting([_span(A1, B1), _span(A2 + A3, B3), _span(A2, B2 - B3)]),
+        Splitting([_span(A1, B1 - B3), _span(A1 + A2 + A3, B2), _span(A1 + A3, B3 - B2)]),
         STANDARD_SPLITTING,
-        Splitting(
-            [
-                _span(A1, B1 - B3),
-                _span(A2, B2),
-                _span(A1 + A3, B3),
-            ]
-        ),
+        Splitting([_span(A1, B1 - B3), _span(A2, B2), _span(A1 + A3, B3)]),
     )
 
 
@@ -389,12 +357,7 @@ REPORT_SUITES = (
     ("cells", lambda exp, args, ladder: run_cells(exp)),
     ("ladder", lambda exp, args, ladder: run_ladder(exp, *args.mn, args.K, ladder)),
     ("d31", lambda exp, args, ladder: run_check_d31(exp, args.K)),
-    (
-        "d22",
-        lambda exp, args, ladder: run_check_d22(
-            exp, *args.mn, args.K, args.height, ladder
-        ),
-    ),
+    ("d22", lambda exp, args, ladder: run_check_d22(exp, *args.mn, args.K, args.height, ladder)),
     ("d13", lambda exp, args, ladder: run_check_d13(exp, args.bound)),
     ("d13-tilde", lambda exp, args, ladder: run_check_d13_tilde(exp)),
     ("kernel", lambda exp, args, ladder: run_kernel(exp)),
@@ -450,57 +413,35 @@ def build_parser():
         prog="torelli3",
         description="verification suites for the genus 3 handlebody census",
     )
-    parser.add_argument(
-        "--version", action="version", version=f"torelli3 {__version__}"
-    )
+    parser.add_argument("--version", action="version", version=f"torelli3 {__version__}")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--json", metavar="PATH", help="also write the report to this file"
-    )
+    common.add_argument("--json", metavar="PATH", help="also write the report to this file")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser(
-        "types", parents=[common], help="count multicurve types by dimension"
-    )
+    p = sub.add_parser("types", parents=[common], help="count multicurve types by dimension")
     p.add_argument("--dim", type=int, help="restrict to one dimension")
 
-    p = sub.add_parser(
-        "cells", parents=[common], help="dimension bounds over the census"
-    )
+    p = sub.add_parser("cells", parents=[common], help="dimension bounds over the census")
 
-    p = sub.add_parser(
-        "ladder", parents=[common], help="build and audit a truncated ladder"
-    )
+    p = sub.add_parser("ladder", parents=[common], help="build and audit a truncated ladder")
     p.add_argument("--mn", type=_mn, default=DEFAULT_MN, help="weights, e.g. 1,2")
     p.add_argument("--K", type=int, default=DEFAULT_K, help="truncation window")
 
-    p = sub.add_parser(
-        "check", parents=[common], help="differential injectivity and kernels"
-    )
+    p = sub.add_parser("check", parents=[common], help="differential injectivity and kernels")
     p.add_argument("target", choices=("d31", "d22", "d13", "d13-tilde"))
     p.add_argument("--mn", type=_mn, default=DEFAULT_MN, help="weights, e.g. 1,2")
     p.add_argument("--K", type=int, default=DEFAULT_K, help="truncation window")
     p.add_argument("--height", type=int, default=1, help="subgroup height cap")
-    p.add_argument(
-        "--bound", type=int, help="d13 over every splitting of this height bound"
-    )
+    p.add_argument("--bound", type=int, help="d13 over every splitting of this height bound")
 
-    p = sub.add_parser(
-        "kernel", parents=[common], help="stabilizer vanishing table"
-    )
+    p = sub.add_parser("kernel", parents=[common], help="stabilizer vanishing table")
 
-    p = sub.add_parser(
-        "smodule", parents=[common], help="splitting class module structure"
-    )
+    p = sub.add_parser("smodule", parents=[common], help="splitting class module structure")
 
-    p = sub.add_parser(
-        "lantern", parents=[common], help="lantern relation configurations"
-    )
+    p = sub.add_parser("lantern", parents=[common], help="lantern relation configurations")
     p.add_argument("--seed", type=int, help="also check random translates")
 
-    p = sub.add_parser(
-        "report", parents=[common], help="run every suite and aggregate"
-    )
+    p = sub.add_parser("report", parents=[common], help="run every suite and aggregate")
     p.add_argument("--mn", type=_mn, default=DEFAULT_MN, help="weights, e.g. 1,2")
     p.add_argument("--K", type=int, default=DEFAULT_K, help="truncation window")
     p.add_argument("--seed", type=int, help="seed for the lantern translates")
@@ -510,13 +451,19 @@ def build_parser():
 
 
 def _configure_logging():
-    name = os.environ.get("TORELLI3_LOG", "warning").upper()
-    level = getattr(logging, name, None)
+    global log
+    name = os.environ.get("TORELLI3_LOG")
+    if name is None:
+        return
+    import logging
+
+    level = getattr(logging, name.upper(), None)
     if not isinstance(level, int):
         level = logging.WARNING
     logging.basicConfig(
         level=level, stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s"
     )
+    log = logging.getLogger("torelli3")
 
 
 def _check_limits(args):

@@ -351,7 +351,7 @@ def _require_plane(u):
         raise UsageError(f"subgroup {u.key()} is not a symplectic plane")
 
 
-def _admissible(cell, u):
+def _admissible(cell, u, pairs=None):
     """Whether one subgroup fits the cell (either admissibility route).
 
     ``u`` must be a symplectic plane (``lattice.is_symplectic_rank2``,
@@ -372,14 +372,23 @@ def _admissible(cell, u):
       the kernel of the class map, so a loop's class is never 0.  A
       nonzero class of U pairs with U, so c is then the one class
       that does.
+
+    ``pairs`` maps the coordinates of each class met so far to whether
+    it pairs with U; ``_build_22`` keeps one per subgroup, so each
+    distinct class of a ladder is paired with U once, not once per cell.
     """
     graph = cell.multicurve.graph
     classes = cell.multicurve.classes
     v, w = u.basis
+    if pairs is None:
+        pairs = {}
     paired = None  # (is a loop, class) of the one class that pairs with U
     for e, t, h in graph.edges:
         c = classes[e].coords
-        if _pairing(v, c) or _pairing(w, c):
+        hit = pairs.get(c)
+        if hit is None:
+            hit = pairs[c] = bool(_pairing(v, c) or _pairing(w, c))
+        if hit:
             if paired is not None:
                 return False
             paired = (t == h, classes[e])
@@ -431,11 +440,12 @@ def _build_22(trunc):
             raise UsageError(f"subgroup {u.key()} exceeds height {height}")
         _require_plane(u)
     basis = []
+    memos = [{} for _ in subgroups]
     for sheet in ("plain", "appended"):
         for tag in ladder.two_cells():
             cell = ladder.cell_cells[tag] if sheet == "plain" else ladder.appended_cell(tag)
-            for u in subgroups:
-                if not _admissible(cell, u):
+            for u, pairs in zip(subgroups, memos):
+                if not _admissible(cell, u, pairs):
                     raise UsageError(
                         f"subgroup {u.key()} not admissible for {tag}/{sheet}"
                     )

@@ -10,7 +10,7 @@ types.
 """
 
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, product
 from operator import add, sub
 
 from .lattice import A1, A2, A3, ZERO, as_int, as_ints, matrix_rank
@@ -134,7 +134,8 @@ class LabeledMulticurve:
     null-homologous), and the classes must span a subgroup of rank
     ``|edges| - (|vertices| - 1)``.  One pass over the edges sums the
     boundaries, on coordinate tuples: each class is added at its tail
-    and subtracted at its head.
+    and subtracted at its head; the per-vertex route it replaced is the
+    test oracle ``tests/oracles.multicurve_problem_by_vertex_loop``.
     """
 
     __slots__ = ("graph", "classes", "x")
@@ -247,7 +248,8 @@ def cd_arithmetic_line(m):
 
 def _merges(pairs, ids):
     """Union-find over the edge pairs on the vertices ``ids``: the number
-    of merges, which is ``len(ids)`` minus the number of components."""
+    of merges, which is ``len(ids)`` minus the number of components.  The
+    breadth-first search it replaced is the test oracle ``tests/oracles.reachable``."""
     parent = {v: v for v in ids}
     merges = 0
     for a, b in pairs:
@@ -385,7 +387,10 @@ def realizability_check(graph):
     failure there, or in ``reoriented``, is an internal inconsistency.
     Isotropy needs no check: every class is an integer combination of
     a1, a2 and a3, which pair to 0 with one another, as
-    ``test_census_witnesses_satisfy_invariants`` asserts.
+    ``test_census_witnesses_satisfy_invariants`` asserts.  The per-subset
+    elimination it replaced, ``tests/oracles.scan_subsets``, checks the
+    reachability test on random orientations, and the weight search
+    before that is the test oracle ``tests/oracles.realizability_by_search``.
     """
     if not graph.edges:
         return None
@@ -473,7 +478,7 @@ def _capped_multisets(nv, ne, cap, budget):
     degree above ``cap``, no isolated vertex when nv > 1, and least genera
     summing to at most ``budget``; a cut branch is named in ``_census``."""
     pairs = [(i, j) for i in range(nv) for j in range(i, nv)]
-    degree, combo = [0] * nv, []
+    degree, combo, out = [0] * nv, [], []
     cost = [max(0, (4 - d) // 2) for d in range(cap + 1)]  # least g with chi <= -1
     if nv > 1:
         cost[0] = budget + 1  # an isolated piece disconnects the graph
@@ -481,8 +486,9 @@ def _capped_multisets(nv, ne, cap, budget):
     def extend(start, done, spent):
         # vertices below ``done`` are finished; their costs sum to ``spent``
         if len(combo) == ne:
-            if spent + sum(cost[degree[v]] for v in range(done, nv)) <= budget:
-                yield tuple(combo), tuple(cost[d] for d in degree)
+            least = [cost[d] for d in degree]
+            if spent + sum(least[done:]) <= budget:
+                out.append((tuple(combo), tuple(least)))
             return
         for k in range(start, len(pairs)):
             a, b = pairs[k]
@@ -491,45 +497,53 @@ def _capped_multisets(nv, ne, cap, budget):
                 if spent > budget:
                     return
                 done = a
-            degree[a] += 1
-            degree[b] += 1
-            if degree[a] <= cap and degree[b] <= cap:
+            if degree[a] < cap and degree[b] + (a == b) < cap:
+                degree[a] += 1
+                degree[b] += 1
                 combo.append(pairs[k])
-                yield from extend(k, done, spent)
+                extend(k, done, spent)
                 combo.pop()
-            degree[a] -= 1
-            degree[b] -= 1
+                degree[a] -= 1
+                degree[b] -= 1
 
-    return extend(0, 0, 0)
+    extend(0, 0, 0)
+    return out
 
 
 @lru_cache(maxsize=None)
 def _census(p):
     """The realizable types with p + 1 pieces, sorted by fingerprint.
 
-    The walk ``_capped_multisets`` takes pairs in order of their first
-    vertex, so once it takes a pair starting at a, each v < a has its final
-    degree.  It cuts a branch at a finished vertex that is isolated (nv > 1)
-    or takes the least genera past the budget p + 3 - |E|: each completion
-    would be disconnected or have negative spare genus.  It yields 306
-    multisets over p = 0..3, not 913, and the 42 graphs checked are those
-    of the unpruned oracle ``tests/oracles.census_by_filter``, in order.
+    Each piece has chi <= -1 and the chis sum to -4, so a degree is at
+    most 7 - |V|, and a piece of degree d needs genus at least
+    ceil((3 - d) / 2).  The walk ``_capped_multisets`` takes pairs in
+    order of their first vertex, so once it takes a pair starting at a,
+    each v < a has its final degree.  It cuts a branch at a finished
+    vertex that is isolated (nv > 1) or takes the least genera past the
+    budget p + 3 - |E|: each completion would be disconnected or have
+    negative spare genus.  It yields 306 multisets over p = 0..3, not
+    913.  A connected one (``_merges``) takes the least genera plus each
+    composition of the spare genus.  A form outside the seen set is a new
+    type: the seen set takes all its relabelings (``_relabelings``), so
+    each later isomorphic copy is skipped on its raw form, and the least
+    of them is the graph checked, the key of the oracle
+    ``tests/oracles.canonical_combo_all_perms``.  So 42 relabeling walks
+    cover the 205 candidate forms over p = 0..3, and the 42 graphs checked
+    are those of the unpruned oracle ``tests/oracles.census_by_filter``,
+    in order.
     """
     nv = p + 1
     entries = []
     seen = set()  # (genera, pairs) of every labeling of the types found so far
     for ne in range(max(nv - 1, 0), p + 4):
         total_genus = p + 3 - ne
-        # each piece has chi <= -1 and the chis sum to -4: chi >= nv - 5, so d <= 7 - nv
         for combo, least in _capped_multisets(nv, ne, 7 - nv, total_genus):
             if _merges(combo, range(nv)) != nv - 1:
                 continue
             for extra in _compositions(total_genus - sum(least), nv):
-                genera = tuple(g + e for g, e in zip(least, extra))
+                genera = tuple(map(add, least, extra))
                 if (genera, combo) in seen:
                     continue
-                # a new type: seen takes every relabeling, so no later copy of
-                # it walks them again; the least of them is the type's key
                 forms = set(_relabelings(genera, combo))
                 seen |= forms
                 canon_genera, canon_pairs = min(forms)
@@ -544,17 +558,28 @@ def _census(p):
     return tuple(entries)
 
 
+@lru_cache(maxsize=None)
+def _pair_tables(nv):
+    """Per relabeling of ``nv`` pieces: the old vertex of each new label,
+    and each pair, in either orientation, renamed and sorted."""
+    pairs = list(product(range(nv), repeat=2))
+    return tuple(
+        (tuple(map(label.index, range(nv))),
+         dict(zip(pairs, [(x, y) if x <= y else (y, x) for x, y in product(label, repeat=2)])))
+        for label in permutations(range(nv))
+    )
+
+
 def _relabelings(genera, pairs):
     """Every (genera, pairs) form of one graph, vertex v renamed label[v]
     over all labels; the pairs are sorted as ``_capped_multisets`` gives
-    them, so an isomorphic combo of the census is one of these forms."""
-    for label in permutations(range(len(genera))):
-        relabeled = [0] * len(genera)
-        for v, g in zip(label, genera):
-            relabeled[v] = g
-        yield tuple(relabeled), tuple(
-            sorted(tuple(sorted((label[a], label[b]))) for a, b in pairs)
-        )
+    them, so an isomorphic combo of the census is one of these forms.
+    Pairs come in either orientation; each is one lookup in the table of
+    its label (``_pair_tables``), and each form takes one sort."""
+    return [
+        (tuple(map(genera.__getitem__, old)), tuple(sorted(map(renamed.__getitem__, pairs))))
+        for old, renamed in _pair_tables(len(genera))
+    ]
 
 
 def classify_types(g, p):

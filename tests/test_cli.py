@@ -488,6 +488,20 @@ def test_log_environment_variable():
     assert "census counts" in proc.stderr
 
 
+def test_default_path_leaves_logging_unimported():
+    # only TORELLI3_LOG sets up logging, so a run without it never loads it
+    package_root = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "TORELLI3_LOG"}
+    env["PYTHONPATH"] = package_root
+    code = (
+        "import sys, torelli3.cli as cli; imported = 'logging' in sys.modules; "
+        "cli.main(['types']); print(imported, 'logging' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[-1] == "False False"
+
+
 def test_python_m_torelli3_runs_the_cli_from_a_checkout():
     package_root = os.path.dirname(os.path.dirname(cli.__file__))
     env = {k: v for k, v in os.environ.items() if k != "TORELLI3_LOG"}

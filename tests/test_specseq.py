@@ -257,20 +257,41 @@ def test_is_admissible_matches_the_vector_oracle_on_ladder_cells(mn, K):
     """Every vertex, edge and two-cell of the ladder, plain and appended,
     against the sampled planes: the tuple route and the old route (the
     rank first, pairings on HVectors) give the same verdict, and both
-    verdicts and both routes occur."""
+    verdicts and both routes occur.  A pairing memo kept over the whole
+    ladder, one per plane as the (2, 2) page keeps it, changes no
+    verdict of the per-cell route."""
     ladder = build_ladder(*mn, K)
     tags = ladder.edges() + ladder.two_cells()
     cells = list(ladder.vertex_cells.values())
     cells += [ladder.edge_cells.get(tag) or ladder.cell_cells[tag] for tag in tags]
     cells += [lift_by_mirror(ladder, tag) for tag in tags]
     verdicts = Counter()
+    memos = {u.key(): {} for u in ADMISSIBILITY_PLANES}
     for cell in cells:
         genus = any(g >= 1 for _, g in cell.multicurve.graph.vertices)
         for u in ADMISSIBILITY_PLANES:
             got = is_admissible(cell, u)
             assert got == is_admissible_by_vectors(cell, u)
+            assert specseq._admissible(cell, u, memos[u.key()]) == got
             verdicts[genus, got] += 1
     assert set(verdicts) == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_subgroup_page_pairs_each_distinct_class_once(monkeypatch):
+    """``build_e1((2, 2))`` pairs each basis row of U with each distinct
+    class of the ladder at most once, over every plain and appended
+    two-cell."""
+    ladder = build_ladder(2, 5, 8)
+    pairings = Counter()
+
+    def counting(v, c):
+        pairings[v, c] += 1
+        return lattice._pairing(v, c)
+
+    monkeypatch.setattr(specseq, "_pairing", counting)
+    e1 = build_e1((2, 2), Truncation(ladder=ladder, subgroups=[U33], height=1))
+    assert len(e1.basis) == 2 * len(ladder.two_cells())
+    assert pairings and set(pairings.values()) == {1}
 
 
 def transvected_planes(count, seed):
@@ -362,9 +383,9 @@ def test_ladder_page_work_counters(monkeypatch):
         lift_ranks.append(len(ranks) - before)
         return lifted
 
-    def counting_admissible(cell, u):
+    def counting_admissible(cell, u, *memo):
         before = len(ranks)
-        verdict = admissible(cell, u)
+        verdict = admissible(cell, u, *memo)
         admissible_ranks.append(len(ranks) - before)
         return verdict
 

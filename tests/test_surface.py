@@ -1,6 +1,6 @@
 """Tests for decomposition graphs, labelings, and the genus-3 census."""
 
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 import sympy
@@ -522,6 +522,28 @@ def test_census_fault_is_an_internal_error(monkeypatch, capsys):
     assert captured.err.startswith("error: census graph")
 
 
+def test_cycle_rows_refuse_a_disconnected_graph():
+    """The spanning tree of ``_cycle_rows`` must reach every piece; a
+    trusted graph with a piece cut off is an internal inconsistency."""
+    graph = DecompGraph._trusted(((0, 1), (1, 1)), ((0, 0, 0),))
+    with pytest.raises(InternalInconsistencyError, match=r"vertices \[1\] are cut off"):
+        surface._cycle_rows(graph)
+
+
+def test_realizability_refuses_a_chord_count_off_the_rank(monkeypatch):
+    """One chord per independent cycle: rows that drop a chord are an
+    internal inconsistency of the witness, not a rejection."""
+    cycle_rows = surface._cycle_rows
+
+    def dropping_chord(graph):
+        rows, chords = cycle_rows(graph)
+        return {e: row[:-1] for e, row in rows.items()}, chords[:-1]
+
+    monkeypatch.setattr(surface, "_cycle_rows", dropping_chord)
+    with pytest.raises(InternalInconsistencyError, match="2 chords, not the rank 3"):
+        realizability_check(k4_graph())
+
+
 @st.composite
 def oriented_multigraphs(draw):
     """A connected multigraph on at most 4 vertices and 6 edges, loops
@@ -655,6 +677,28 @@ def test_canonical_combo_matches_all_relabelings(data):
     assert min(surface._relabelings(genera, combo)) == canonical_combo_all_perms(
         nv, genera, combo
     )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_relabelings_are_every_renaming(data):
+    """The whole form set, which the census's seen set takes: vertex v
+    renamed label[v] in the genera and in each pair, pairs drawn in either
+    orientation and sorted after renaming, one form per label."""
+    nv = data.draw(st.integers(1, 4))
+    genera = data.draw(st.lists(st.integers(0, 3), min_size=nv, max_size=nv))
+    vertex = st.integers(0, nv - 1)
+    pairs = data.draw(st.lists(st.tuples(vertex, vertex), max_size=6))
+    want = []
+    for label in permutations(range(nv)):
+        renamed = [None] * nv
+        for v in range(nv):
+            renamed[label[v]] = genera[v]
+        edges = sorted(tuple(sorted((label[a], label[b]))) for a, b in pairs)
+        want.append((tuple(renamed), tuple(edges)))
+    got = list(surface._relabelings(genera, pairs))
+    assert len(got) == len(want)
+    assert set(got) == set(want)
 
 
 def test_multiedge_profile_conventions():
