@@ -373,7 +373,7 @@ class SymplecticSubgroup:
         """A sublattice on its Hermite basis, with no checks run.
 
         It skips the Hermite form and the minor-gcd primitivity test.
-        `enumerate_symplectic_rank2` builds its rows in Hermite shape,
+        `enumerate_symplectic_rank2` pairs only rows in Hermite shape,
         and it keeps a pair only when the pairing is +-1, a combination
         of 2x2 minors, so their gcd is 1.  Every plane of height 1
         passes __init__ unchanged in the enumerator test
@@ -630,56 +630,52 @@ def enumerate_symplectic_rank2(height):
     """All unimodular symplectic planes whose canonical basis entries fit in
     [-height, height], sorted by canonical key.
 
-    The Hermite shape is enumerated directly: two pivot columns j1 < j2 with
-    positive pivots, the row-1 entry over the second pivot reduced, all other
-    entries free in the box.  A candidate is kept iff the basis pairing is
-    +-1, which also forces primitivity.  The cache is typed, so a float
-    height never meets the entry of the equal int and fails ``as_int``.
+    A plane's Hermite basis is a pair (r, s) of box rows with positive
+    pivots, s's pivot column j after r's and 0 <= r[j] < s[j]; it spans a
+    unimodular plane iff <r, s> = +-1, which also forces primitivity.
+    Rows are numbered in sorted order, by pivot column from the last, so
+    the s allowed for r fill one id range per column j, rising as j
+    falls.  Walking r in order and each range of unit[r], the rows that
+    pair with r to +-1 (`_pairing_masks`), from its lowest bit visits
+    every pair once, in key order: no plane is listed twice and none
+    needs sorting.  The cache is typed, so a float height never meets
+    the entry of the equal int and fails ``as_int``.
     """
     height = as_int(height, "the height")
     if height < 1:
         raise UsageError("height must be at least 1")
     span = range(-height, height + 1)
+    rows, start = [], {}  # start[j, p]: the first id with pivot p in column j
+    for j in range(5, -1, -1):
+        for p in range(1, height + 1):
+            start[j, p] = len(rows)
+            rows += [(0,) * j + (p,) + rest for rest in product(span, repeat=5 - j)]
+        start[j, height + 1] = len(rows)
+    unit = _pairing_masks(rows, (1, -1))
     found = []
-    for j1 in range(6):
-        for j2 in range(j1 + 1, 6):
-            free2 = [j for j in range(j2 + 1, 6)]
-            free1 = [j for j in range(j1 + 1, 6) if j != j2]
-            for p2 in range(1, height + 1):
-                row2_list = []
-                for vals in product(span, repeat=len(free2)):
-                    row = [0] * 6
-                    row[j2] = p2
-                    for idx, v in zip(free2, vals):
-                        row[idx] = v
-                    row2_list.append(tuple(row))
-                for p1 in range(1, height + 1):
-                    for top in range(0, min(height, p2 - 1) + 1):
-                        for vals in product(span, repeat=len(free1)):
-                            row1 = [0] * 6
-                            row1[j1] = p1
-                            row1[j2] = top
-                            for idx, v in zip(free1, vals):
-                                row1[idx] = v
-                            for row2 in row2_list:
-                                if _pairing(row1, row2) in (1, -1):
-                                    found.append(SymplecticSubgroup._trusted((tuple(row1), row2)))
-    seen = {}
-    for u in found:
-        if seen.setdefault(u.key(), u) is not u:
-            raise InternalInconsistencyError(
-                f"Hermite-shape enumeration produced {u.key()} twice"
-            )
-    return tuple(sorted(seen.values(), key=lambda u: u.key()))
+    for r, row in enumerate(rows):
+        j1 = next(j for j, v in enumerate(row) if v)
+        for j in range(5, j1, -1):  # the allowed ranges, by increasing ids
+            if not 0 <= row[j] < height:
+                continue
+            lo = start[j, row[j] + 1]
+            ss = unit[r] >> lo & (1 << start[j, height + 1] - lo) - 1
+            while ss:
+                low = ss & -ss
+                ss ^= low
+                found.append(SymplecticSubgroup._trusted((row, rows[lo + low.bit_length() - 1])))
+    return tuple(found)
 
 
-def _perp_masks(rows):
-    """perp[r]: the bit mask of the rows s with <rows[r], rows[s]> = 0.
+def _pairing_masks(rows, values):
+    """masks[r]: the bit mask of the rows s with <rows[r], rows[s]> in
+    ``values``.
 
     The form is the sum of one term r0 s1 - r1 s0 per hyperbolic block,
     so one table per block maps a block value p of r and a term v to the
-    mask of the rows whose block pairs with p to v; perp[r] joins the
-    three tables over the terms that sum to 0.
+    mask of the rows whose block pairs with p to v.  The first two are
+    joined by the sum of their terms once per run of rows sharing their
+    first two blocks, and that with the third over the sums in ``values``.
     """
     tables = []
     for t in (0, 2, 4):
@@ -695,15 +691,20 @@ def _perp_masks(rows):
                 terms[v] = terms.get(v, 0) | mask
         tables.append(table)
     t0, t1, t2 = tables
-    perp = []
+    masks = []
+    prefix = None
     for row in rows:
-        third = t2[row[4:6]]
+        if row[0:4] != prefix:
+            prefix, front = row[0:4], {}
+            for v0, m0 in t0[row[0:2]].items():
+                for v1, m1 in t1[row[2:4]].items():
+                    front[v0 + v1] = front.get(v0 + v1, 0) | m0 & m1
         m = 0
-        for v0, m0 in t0[row[0:2]].items():
-            for v1, m1 in t1[row[2:4]].items():
-                m |= m0 & m1 & third.get(-v0 - v1, 0)
-        perp.append(m)
-    return perp
+        for v2, m2 in t2[row[4:6]].items():
+            for w in values:
+                m |= front.get(w - v2, 0) & m2
+        masks.append(m)
+    return masks
 
 
 def _splittings_among(planes):
@@ -718,19 +719,23 @@ def _splittings_among(planes):
     the mask of rows orthogonal to a plane (a, b), the second parts
     (c, d) > (a, b) have both rows in M (row a is not in M, as
     <a, b> = +-1, so c > a), and x = M & perp[c] & perp[d] holds the
-    rows orthogonal to both.  The third part is forced: P_i + P_j is
-    unimodular of rank 4, its complement C is a unimodular plane, and a
-    listed plane with both rows in C has index 1 in it, so it is C.  One
-    third part (e, f) with e > c therefore ends the search.
+    listed rows of their complement C.  The third part is forced: P_i +
+    P_j is unimodular of rank 4, so C is a unimodular plane, and a listed
+    plane with both rows in C has index 1 in it, so it is C.  Its second
+    row f is the lowest bit of x, as f is 0 at C's first pivot and every
+    other primitive row of C with a positive pivot is positive there; its
+    first row e is the one bit of first[f] & x, kept when e > c.
     """
     rows = sorted({row for u in planes for row in u.basis})
     ids = {row: r for r, row in enumerate(rows)}
-    perp = _perp_masks(rows)
+    perp = _pairing_masks(rows, (0,))
     second = [0] * len(rows)  # second[c]: second rows of the planes with first row c
+    first = [0] * len(rows)  # first[f]: first rows of the planes with second row f
     plane_at = {}
     for u in planes:
         c, d = ids[u.basis[0]], ids[u.basis[1]]
         second[c] |= 1 << d
+        first[d] |= 1 << c
         plane_at[c, d] = u
     found = []
     for (a, b), u in plane_at.items():
@@ -749,17 +754,12 @@ def _splittings_among(planes):
                 ds ^= low
                 d = low.bit_length() - 1
                 x = mc & perp[d]
-                es = x >> c << c
-                while es:
-                    low = es & -es
-                    es ^= low
-                    e = low.bit_length() - 1
-                    fs = second[e] & x
-                    if fs:
-                        k = plane_at[e, fs.bit_length() - 1]
-                        found.append(Splitting._trusted((u, plane_at[c, d], k)))
-                        break
-    return tuple(found)
+                if x:
+                    f = (x & -x).bit_length() - 1
+                    e = (first[f] & x).bit_length() - 1
+                    if e > c:
+                        found.append((u, plane_at[c, d], plane_at[e, f]))
+    return tuple(map(Splitting._trusted, found))
 
 
 @lru_cache(maxsize=None)

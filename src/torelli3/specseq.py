@@ -561,30 +561,47 @@ def d13_apply(src):
     return SparseIntMatrix.from_columns(columns)
 
 
+def _unit_leads(pattern):
+    """Whether each pattern vector has a lead: a label at +-1 that no
+    earlier vector touches.  On the leads, in order, the pattern is then
+    unit upper triangular, as no vector touches the lead of a later one;
+    that minor is +-1, so the vectors are independent and span a
+    saturated lattice."""
+    touched = set()
+    for combo in pattern:
+        if not any(v in (1, -1) and label not in touched for label, v in combo.items()):
+            return False
+        touched.update(combo)
+    return True
+
+
 def _kernel_matches_pattern(src, mat, pattern):
     """Whether the pattern vectors are a basis of the saturated kernel.
 
     Three sparse exact checks: mat annihilates every pattern vector,
     there are cols - rank of them, and taken as columns they are
     independent and span a saturated lattice.  A saturated lattice
-    inside the kernel with the kernel's rank is the whole kernel.
+    inside the kernel with the kernel's rank is the whole kernel.  The
+    last check is `_unit_leads` when the pattern has its leads, and
+    otherwise an elimination of the pattern matrix.
     """
     labels = [(orbit, tag.key()) for orbit, tag in src.basis]
     column_of = dict(zip(labels, mat.cols))
     images = {}
     for (r, c), v in mat.entries.items():
         images.setdefault(c, []).append((r, v))
-    entries = {}
-    for k, combo in enumerate(pattern):
+    for combo in pattern:
         image = {}
         for label, coeff in combo.items():
-            entries[(label, k)] = coeff
             for r, v in images.get(column_of[label], ()):
                 image[r] = image.get(r, 0) + coeff * v
         if any(image.values()):
             return False
     if len(pattern) != len(mat.cols) - mat.rank():
         return False
+    if _unit_leads(pattern):
+        return True
+    entries = {(label, k): coeff for k, combo in enumerate(pattern) for label, coeff in combo.items()}
     return SparseIntMatrix._trusted(labels, list(range(len(pattern))), entries).columns_saturated()
 
 

@@ -55,6 +55,9 @@ before the vertices became plain weight dicts.
 before it worked on the rows of the planes: every triangle of the
 orthogonality graph, by masks of planes indexed by their place in the
 sorted list, and a pairing of every two distinct rows.
+``planes_by_hermite_shapes`` is ``lattice.enumerate_symplectic_rank2``
+as it was before it walked row masks: every Hermite shape from
+``product``, each candidate pair of rows paired, and a sort at the end.
 ``first_strong_orientation_by_product`` is the orientation loop of
 ``surface.realizability_check`` as it was before its depth-first search
 cut dead vertices: every orientation in ``product`` order, each decided
@@ -950,6 +953,44 @@ def splittings_by_plane_masks(subs):
     # subs is sorted by key and i < j < k grow in that order, so each
     # splitting's parts and the list itself are already in ordered-key order
     return tuple(found)
+
+
+def planes_by_hermite_shapes(height):
+    """The keys of ``lattice.enumerate_symplectic_rank2(height)`` as it
+    was before it walked row masks, in its order.
+
+    The Hermite shape is enumerated directly: two pivot columns j1 < j2
+    with positive pivots, the row-1 entry over the second pivot reduced,
+    all other entries free in the box.  A candidate is kept iff the basis
+    pairing is +-1."""
+    span = range(-height, height + 1)
+    found = []
+    for j1 in range(6):
+        for j2 in range(j1 + 1, 6):
+            free2 = [j for j in range(j2 + 1, 6)]
+            free1 = [j for j in range(j1 + 1, 6) if j != j2]
+            for p2 in range(1, height + 1):
+                row2_list = []
+                for vals in product(span, repeat=len(free2)):
+                    row = [0] * 6
+                    row[j2] = p2
+                    for idx, v in zip(free2, vals):
+                        row[idx] = v
+                    row2_list.append(tuple(row))
+                for p1 in range(1, height + 1):
+                    for top in range(0, min(height, p2 - 1) + 1):
+                        for vals in product(span, repeat=len(free1)):
+                            row1 = [0] * 6
+                            row1[j1] = p1
+                            row1[j2] = top
+                            for idx, v in zip(free1, vals):
+                                row1[idx] = v
+                            for row2 in row2_list:
+                                if _pairing(row1, row2) in (1, -1):
+                                    found.append((tuple(row1), row2))
+    if len(set(found)) != len(found):
+        raise InternalInconsistencyError("Hermite-shape enumeration produced a plane twice")
+    return sorted(found)
 
 
 def graph_key(g):

@@ -252,6 +252,83 @@ def test_pattern_without_unit_entries_takes_the_dense_route(monkeypatch):
     assert calls[-1] == ([(4, 6)], 2)
 
 
+# the ±1 lead certificate of the page kernel check
+
+
+def refuse_columns_saturated(self):
+    raise AssertionError("the pattern matrix was eliminated")
+
+
+@pytest.mark.parametrize("family", ("d13", "d13-tilde", "d13 sample"))
+def test_page_kernels_certify_by_unit_leads(family, monkeypatch):
+    """The default d13 and d13-tilde families and a seeded 500
+    splittings of bound 1 pass their kernel checks on ±1 leads alone."""
+    monkeypatch.setattr(SparseIntMatrix, "columns_saturated", refuse_columns_saturated)
+    if family == "d13-tilde":
+        trunc = Truncation(splittings=cli.tilde_splitting_family(), x=A1, y=A2 + A3)
+        kernel = e2_13_tilde_kernel
+    else:
+        splittings = cli.plain_splitting_family()
+        if family == "d13 sample":
+            splittings = random.Random(34).sample(enumerate_splittings(1), 500)
+        trunc = Truncation(splittings=splittings, x=A1)
+        kernel = e2_13_kernel
+    src = build_e1((1, 3), trunc)
+    result = kernel(src)
+    assert specseq._unit_leads(result["basis"])
+    assert result["rank"] == len(src) - result["matrix"].rank()
+
+
+@st.composite
+def lead_pages(draw):
+    """(page, column count, pattern): pattern vector i is ±1 at its lead,
+    zero at the leads after it, and free elsewhere.  Each page row is
+    drawn free off the leads and solved at them, lead by lead, to
+    annihilate the pattern; one entry may then be moved."""
+    ncols = draw(st.integers(1, 8))
+    leads = draw(st.permutations(range(ncols)))[: draw(st.integers(0, ncols))]
+    free = [j for j in range(ncols) if j not in leads]
+    vectors = []
+    for i, lead in enumerate(leads):
+        vec = [0] * ncols
+        vec[lead] = draw(st.sampled_from((1, -1)))
+        for j in free + leads[:i]:
+            vec[j] = draw(st.integers(-2, 2))
+        vectors.append(vec)
+    dense = []
+    for _ in range(draw(st.integers(0, 5))):
+        row = [0] * ncols
+        for j in free:
+            row[j] = draw(st.integers(-2, 2))
+        for lead, vec in zip(leads, vectors):
+            row[lead] = -vec[lead] * sum(row[j] * vec[j] for j in range(ncols) if j != lead)
+        dense.append(row)
+    if dense and draw(st.booleans()):
+        dense[draw(st.integers(0, len(dense) - 1))][draw(st.integers(0, ncols - 1))] += 1
+    return dense, ncols, vectors
+
+
+@settings(max_examples=300, deadline=None)
+@given(lead_pages())
+def test_lead_certificate_agrees_with_dense_oracle(drawn):
+    dense, ncols, vectors = drawn
+    src, mat = page(dense, ncols)
+    pattern = pattern_of(vectors)
+    with mock.patch.object(SparseIntMatrix, "columns_saturated", refuse_columns_saturated):
+        got = _kernel_matches_pattern(src, mat, pattern)
+    assert got == dense_kernel_matches_pattern(src, mat, pattern)
+
+
+def test_leads_must_avoid_the_labels_of_earlier_vectors():
+    # (1, 1) and (1, -1) span an index-2 lattice; the second vector's
+    # ±1 entries both sit on labels the first one touches
+    src, mat = page([[0, 0]], 2)
+    pattern = pattern_of([(1, 1), (1, -1)])
+    assert not specseq._unit_leads(pattern)
+    assert not _kernel_matches_pattern(src, mat, pattern)
+    assert not dense_kernel_matches_pattern(src, mat, pattern)
+
+
 def test_kernel_combos_are_the_sparse_kernel_vectors():
     dense = [[1, 5, 7, 0], [0, 2, 4, 0], [0, 4, 8, 0]]
     mat = sparse(dense, 4)
@@ -299,17 +376,17 @@ LADDER_PAIRS = [(m, n) for n in range(2, 6) for m in range(1, n) if gcd(m, n) ==
 
 
 def kernel_matrices(kernel, src):
-    """The page and the pattern matrix that ``kernel`` checks on ``src``."""
-    built = []
-    trusted = SparseIntMatrix._trusted
-
-    def recording(cls, rows, cols, entries):
-        built.append(trusted(rows, cols, entries))
-        return built[-1]
-
-    with mock.patch.object(SparseIntMatrix, "_trusted", classmethod(recording)):
-        kernel(src)
-    return built
+    """The page that ``kernel`` checks on ``src``, and its pattern as the
+    matrix with one column per pattern vector: the matrix the kernel
+    check eliminates when the pattern has no ±1 leads."""
+    result = kernel(src)
+    labels = [(orbit, tag.key()) for orbit, tag in src.basis]
+    entries = {
+        (label, k): coeff
+        for k, combo in enumerate(result["basis"])
+        for label, coeff in combo.items()
+    }
+    return [result["matrix"], SparseIntMatrix(labels, range(len(result["basis"])), entries)]
 
 
 def page_matrices(family):

@@ -439,7 +439,9 @@ def test_sparse_matrix_validates_labels():
 def test_trusted_pages_pass_the_checked_constructor(monkeypatch):
     """The d13, d13-tilde and d22 pages and the pattern matrices of the
     two kernel checks, rebuilt through __init__, keep rows, cols and
-    entries."""
+    entries.  The checks build a pattern matrix only when the pattern
+    has no ±1 leads, so the lead test is made to find none."""
+    monkeypatch.setattr(specseq, "_unit_leads", lambda pattern: False)
     trusted = SparseIntMatrix._trusted
     built = []
 
