@@ -725,6 +725,8 @@ def _splittings_among(planes):
     row f is the lowest bit of x, as f is 0 at C's first pivot and every
     other primitive row of C with a positive pivot is positive there; its
     first row e is the one bit of first[f] & x, kept when e > c.
+    Two prunes: e is a first row above c in M & perp[c], so c is skipped
+    when hi, those first rows, is empty, and d when hi & perp[d] is.
     """
     rows = sorted({row for u in planes for row in u.basis})
     ids = {row: r for r, row in enumerate(rows)}
@@ -737,29 +739,33 @@ def _splittings_among(planes):
         second[c] |= 1 << d
         first[d] |= 1 << c
         plane_at[c, d] = u
+    above, seen = [0] * len(rows), 0  # above[r]: the first rows with id > r
+    for r in range(len(rows) - 1, -1, -1):
+        above[r], seen = seen, seen | (1 << r if second[r] else 0)
     found = []
     for (a, b), u in plane_at.items():
         m = perp[a] & perp[b]
-        cs = m >> a << a
+        cs = m & above[a]
         while cs:
             low = cs & -cs
             cs ^= low
             c = low.bit_length() - 1
             mc = m & perp[c]
-            if not mc >> (c + 1):
-                continue  # no row e > c for a third part
+            hi = mc & above[c]
+            if not hi:
+                continue  # no first row e > c for a third part
             ds = second[c] & m
             while ds:
                 low = ds & -ds
                 ds ^= low
                 d = low.bit_length() - 1
-                x = mc & perp[d]
-                if x:
+                if hi & perp[d]:
+                    x = mc & perp[d]
                     f = (x & -x).bit_length() - 1
                     e = (first[f] & x).bit_length() - 1
                     if e > c:
-                        found.append((u, plane_at[c, d], plane_at[e, f]))
-    return tuple(map(Splitting._trusted, found))
+                        found.append(Splitting._trusted((u, plane_at[c, d], plane_at[e, f])))
+    return tuple(found)
 
 
 @lru_cache(maxsize=None)

@@ -3,8 +3,8 @@
 Stabilizer homology is symbolic: each generator is a cell orbit id plus
 a tag naming a twist class or an abelian cycle, following the explicit
 bases of the source material.  Differentials become sparse integer
-matrices on these labels, and injectivity or kernel questions are
-settled exactly by sparse unit-pivot elimination, with the dense Hermite
+matrices on these labels.  Ranks come off block sums where they can, and
+the rest by exact sparse unit-pivot elimination, with the dense Hermite
 routes of ``lattice`` only for a leftover block that has no unit entry.
 Truncations are explicit; an image that would leave the window raises
 instead of being clipped.
@@ -195,10 +195,34 @@ class SparseIntMatrix:
         return cls._trusted(rows, [label for label, _ in columns], entries)
 
     def rank(self):
+        rank = self._block_sum_rank()
+        if rank is not None:
+            return rank
         pivots, _, leftover = self._eliminate()
         if not leftover:
             return pivots
         return pivots + matrix_rank(_dense_block(leftover))
+
+    def _block_sum_rank(self):
+        """The rank, in one pass over the nonzero entries, when every
+        nonzero column has a single entry (a star column) or sits on rows
+        no other column touches (a span column); None otherwise.  Permuted,
+        the matrix is then a block sum of span columns and of rows with
+        the star columns on them, plus zero columns; each block has rank 1,
+        so the rank is their count.  A repeated column label leaves the
+        rank as it is.  The d31, d13 and d13-tilde pages are block sums."""
+        rows_of = {}
+        for (r, c), v in self.entries.items():
+            if v:
+                rows_of.setdefault(c, []).append(r)
+        spans, span_rows, star_rows = 0, set(), set()
+        for rows in rows_of.values():
+            star = len(rows) == 1
+            if not span_rows.isdisjoint(rows) or not (star or star_rows.isdisjoint(rows)):
+                return None  # a row that a span column shares
+            (star_rows if star else span_rows).update(rows)
+            spans += not star
+        return spans + len(star_rows)
 
     def kernel_combos(self):
         """Basis of the saturated integer kernel, one {column index:
@@ -423,11 +447,8 @@ def build_e1(position, trunc):
 def _build_31(trunc):
     if not trunc.orbits or not trunc.K:
         raise UsageError("need orbits and a conjugation window")
-    basis = [
-        ((orbit, j), GeneratorTag.bp_twist(0))
-        for orbit in trunc.orbits
-        for j in range(trunc.K)
-    ]
+    zero = GeneratorTag.bp_twist(0)
+    basis = [((orbit, j), zero) for orbit in trunc.orbits for j in range(trunc.K)]
     return E1Truncation((3, 1), basis, trunc)
 
 
@@ -454,22 +475,23 @@ def _build_22(trunc):
 
 
 def d31_apply(src):
-    """Difference of the two conjugate twist labels, per source cell."""
+    """Difference of the two conjugate twist labels, per source cell;
+    the orbits share the two tags of each translate."""
     if src.position != (3, 1):
         raise UsageError("source must sit at position (3, 1)")
     K = src.trunc.K
-    columns = []
+    columns, twists = [], {}  # twists: translate -> its two tags
     for orbit, tag in src.basis:
         base, j = orbit
         if tag.kind != "bp":
             raise UsageError(f"unexpected tag {tag!r} at (3, 1)")
         if not (0 <= j and j + 1 <= K):
-            raise UsageError(
-                f"translate {j} needs window {j + 1}, have {K}"
-            )
-        plus = (base, GeneratorTag.bp_twist(j))
-        minus = (base, GeneratorTag.bp_twist(-j - 1))
-        columns.append(((orbit, tag), {plus: 1, minus: -1}))
+            raise UsageError(f"translate {j} needs window {j + 1}, have {K}")
+        j = as_int(j, "a twist index")  # as bp_twist checks it
+        if j not in twists:
+            twists[j] = GeneratorTag.bp_twist(j), GeneratorTag.bp_twist(-j - 1)
+        plus, minus = twists[j]
+        columns.append(((orbit, tag), {(base, plus): 1, (base, minus): -1}))
     return SparseIntMatrix.from_columns(columns)
 
 

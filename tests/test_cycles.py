@@ -1336,6 +1336,40 @@ def test_generic_sheet_refuses_a_weight_positive_on_one_sheet(monkeypatch):
         build_ladder(1, 2, 3)
 
 
+def test_generic_sheet_refuses_a_relation_pattern_that_moves(monkeypatch):
+    """``build_ladder(1, 2, 3)`` with u-1 given the class of u0: the R
+    cell of sheet -1 then has two equal classes, so its relation pattern
+    is not sheet 0's, and the build refuses before any scan."""
+    frame = cycles._ladder_frame
+
+    def planted(m, n, K):
+        ladder, classes, *rest = frame(m, n, K)
+        classes["u-1"] = classes["u0"]
+        return (ladder, classes, *rest)
+
+    monkeypatch.setattr(cycles, "_ladder_frame", planted)
+    with pytest.raises(
+        InternalInconsistencyError, match=r"generic sheet R: the relation pattern moves"
+    ):
+        build_ladder(1, 2, 3)
+
+
+def test_generic_sheet_refuses_a_vertex_order_that_moves(monkeypatch):
+    """The certificate of ``build_ladder(1, 2, 3)`` with every slope
+    negated: the delta weights then fall with depth, the two vertices of
+    the first edge kind d would swap order on a deeper sheet, and the
+    build refuses it before instantiating any sheet."""
+    slopes = cycles._generic_slopes
+
+    def negated(classes, x, k0):
+        certified = slopes(classes, x, k0)
+        return {key: {e: -s for e, s in vertex.items()} for key, vertex in certified.items()}
+
+    monkeypatch.setattr(cycles, "_generic_slopes", negated)
+    with pytest.raises(InternalInconsistencyError, match=r"generic sheet d: vertex order moves"):
+        build_ladder(1, 2, 3)
+
+
 def test_vertex_reading_names_the_vertex(monkeypatch):
     """A vertex template on the wrong curves: no vertex of its edge lies
     on them, and the build names the vertex cell and its weighting."""

@@ -1,8 +1,9 @@
 """Sparse unit-pivot elimination against the dense normal forms.
 
-`SparseIntMatrix.rank` and `kernel_vectors` eliminate on ±1 pivots and
-hand only a leftover block without unit entries to the dense Hermite
-routes of `lattice`.  The dense rank and sympy are the oracles, and
+`SparseIntMatrix.rank` reads the rank off a block sum, and otherwise it
+and `kernel_vectors` eliminate on ±1 pivots and hand only a leftover
+block without unit entries to the dense Hermite routes of `lattice`.
+The eliminator's rank, the dense rank and sympy are the oracles, and
 sympy's Smith form alone decides saturation; the sparse page kernel
 check is compared with the dense Hermite-form check it replaced, and the
 worklist eliminator with the bucket queue by fill it replaced,
@@ -174,6 +175,122 @@ def test_no_rows_gives_identity_kernel(ncols):
     assert mat.kernel_vectors() == [
         tuple(int(i == j) for j in range(ncols)) for i in range(ncols)
     ]
+
+
+# ---------------------------------------------------------------------------
+# the rank read off a block sum
+
+
+def eliminated_rank(mat):
+    """The rank by ``_eliminate`` and the dense leftover block alone."""
+    pivots, _, leftover = mat._eliminate()
+    return pivots + matrix_rank(_dense_block(leftover))
+
+
+def sympy_rank(mat):
+    """sympy's rank of ``mat``, one dense column per column position."""
+    rows = list(dict.fromkeys(mat.rows))
+    dense = [[mat.entries.get((r, c), 0) for c in mat.cols] for r in rows]
+    return sympy.Matrix(len(rows), len(mat.cols), [v for row in dense for v in row]).rank()
+
+
+NONZERO = st.sampled_from((1, -1, 2, -2, 3, -3))
+
+
+@st.composite
+def block_sums(draw, shared_pair=False):
+    """A block sum: span columns, each on two or more rows of its own,
+    row stars of single-entry columns, and zero columns, with stored
+    zero entries scattered over it, a repeated column label sometimes,
+    and the rows and columns shuffled.  It may be empty.  With
+    ``shared_pair`` it gains one column with two nonzero entries, one of
+    them on a row that another column already touches."""
+    rows, cols, entries = [], [], {}
+
+    def new_row():
+        rows.append(len(rows))
+        return rows[-1]
+
+    for kind in draw(st.lists(st.sampled_from(("span", "star", "zero")), max_size=8)):
+        if kind == "span":
+            col = len(cols)
+            for _ in range(draw(st.integers(2, 4))):
+                entries[new_row(), col] = draw(NONZERO)
+            cols.append(col)
+        elif kind == "star":
+            r = new_row()
+            for _ in range(draw(st.integers(1, 4))):
+                entries[r, len(cols)] = draw(NONZERO)
+                cols.append(len(cols))
+        else:
+            cols.append(len(cols))
+    if shared_pair:
+        if not entries:
+            entries[new_row(), len(cols)] = draw(NONZERO)
+            cols.append(len(cols))
+        shared = draw(st.sampled_from(sorted({r for r, _ in entries})))
+        other = draw(st.sampled_from([r for r in rows if r != shared] + [None]))
+        col = len(cols)
+        entries[shared, col] = draw(NONZERO)
+        entries[new_row() if other is None else other, col] = draw(NONZERO)
+        cols.append(col)
+    if rows and cols:
+        for _ in range(draw(st.integers(0, 4))):
+            key = draw(st.sampled_from(rows)), draw(st.sampled_from(cols))
+            entries.setdefault(key, 0)
+    if cols and draw(st.booleans()):
+        cols.append(draw(st.sampled_from(cols)))
+    rows = draw(st.permutations(rows))
+    cols = draw(st.permutations(cols))
+    return SparseIntMatrix(rows, cols, entries)
+
+
+@settings(max_examples=300, deadline=None)
+@given(block_sums())
+def test_block_sum_rank_matches_elimination_and_sympy(mat):
+    rank = mat._block_sum_rank()
+    assert rank is not None
+    assert rank == mat.rank() == eliminated_rank(mat) == sympy_rank(mat)
+
+
+@settings(max_examples=200, deadline=None)
+@given(block_sums(shared_pair=True))
+def test_a_two_entry_column_on_a_shared_row_is_eliminated(mat):
+    calls = []
+    eliminate = SparseIntMatrix._eliminate
+
+    def counted(self):
+        calls.append(self)
+        return eliminate(self)
+
+    assert mat._block_sum_rank() is None
+    with mock.patch.object(SparseIntMatrix, "_eliminate", counted):
+        rank = mat.rank()
+    assert calls == [mat]
+    assert rank == sympy_rank(mat)
+
+
+def refuse_eliminate(self):
+    raise AssertionError("the page was eliminated")
+
+
+@pytest.mark.parametrize("family", ("d31", "d13", "d13-tilde"))
+def test_page_ranks_come_off_block_sums(family, monkeypatch, capsys):
+    """d31 at K = 1, 2, 5, 16 and 64, d13 on a seeded 500 splittings of
+    bound 1 and d13-tilde on the default family: each page's rank, and
+    with it each kernel check, runs no elimination; nor does ``check``
+    of the family at default size."""
+    monkeypatch.setattr(SparseIntMatrix, "_eliminate", refuse_eliminate)
+    pages = page_matrices(family)
+    if family != "d31":
+        pages = pages[:1]  # the pattern matrix shares rows, and is no block sum
+    ranks = [mat.rank() for mat in pages]
+    assert cli.main(["check", family]) == 0
+    assert '"ok": true' in capsys.readouterr().out
+    monkeypatch.undo()
+    assert ranks == [eliminated_rank(mat) for mat in pages]
+    if family == "d31":
+        assert ranks == [len(mat.cols) for mat in pages]
 
 
 # ---------------------------------------------------------------------------

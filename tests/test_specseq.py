@@ -532,6 +532,29 @@ def test_d31_empty_is_zero():
     assert check_injective(mat)
 
 
+def test_d31_shares_the_twist_tags_of_a_translate():
+    """The page equals the one built with fresh tags per orbit, row
+    order included; the orbits of one translate share its two tags, and
+    an integral float translate is refused even after the int one."""
+    src = build_e1((3, 1), Truncation(orbits=["O1", "O2"], K=3))
+    mat = d31_apply(src)
+    fresh = SparseIntMatrix.from_columns([
+        ((orbit, tag), {
+            (orbit[0], GeneratorTag.bp_twist(orbit[1])): 1,
+            (orbit[0], GeneratorTag.bp_twist(-orbit[1] - 1)): -1,
+        })
+        for orbit, tag in src.basis
+    ])
+    assert (mat.rows, mat.cols, mat.entries) == (fresh.rows, fresh.cols, fresh.entries)
+    tags = {}
+    for base, tag in mat.rows:
+        assert tags.setdefault(tag.data, tag) is tag
+    zero = GeneratorTag.bp_twist(0)
+    floated = E1Truncation((3, 1), [(("O", 1), zero), (("P", 1.0), zero)], Truncation(K=2))
+    with pytest.raises(UsageError, match="a twist index must be an integer, got 1.0"):
+        d31_apply(floated)
+
+
 def test_d31_overflow():
     src = E1Truncation(
         (3, 1), [(("O", 5), GeneratorTag.bp_twist(0))], Truncation(K=2)
